@@ -16,6 +16,10 @@ from math import gcd
 Poly = tuple  # tuple of ints (or Fractions for the internal chains)
 
 
+class InvariantError(RuntimeError):
+    """An exact certificate or internal invariant failed: a bug, not bad input."""
+
+
 def degree(c):
     return len(c) - 1
 
@@ -56,22 +60,11 @@ def poly_add(a, b):
     return normalize(tuple(a[i] + (b[i - off] if i >= off else 0) for i in range(len(a))))
 
 
-def poly_neg(a):
-    return tuple(-x for x in a)
-
-
 def poly_derivative(c):
     n = degree(c)
     if n == 0:
         return (0,)
     return tuple(c[i] * (n - i) for i in range(n))
-
-
-def poly_eval(c, x):
-    acc = 0
-    for ci in c:
-        acc = acc * x + ci
-    return acc
 
 
 def poly_divmod_exact(a, b):
@@ -163,7 +156,8 @@ def squarefree_part(c):
     if degree(d) == 0:
         return primitive(normalize(c))
     q = poly_div_if_exact(primitive(normalize(c)), _monicize(d))
-    assert q is not None
+    if q is None:
+        raise InvariantError("gcd(c, c') does not divide c")
     return primitive(q)
 
 
@@ -287,7 +281,8 @@ def cyclotomic(n):
     for d in range(1, n):
         if n % d == 0:
             q = poly_div_if_exact(c, cyclotomic(d))
-            assert q is not None
+            if q is None:
+                raise InvariantError("Phi_%d does not divide T^%d - 1" % (d, n))
             c = q
     return c
 
@@ -354,8 +349,3 @@ def sturm_count(c, lo=None, hi=None):
     count = _variations_at(chain, a) - _variations_at(chain, b)
     # Sturm counts roots in (a, b]; the convention matches the callers.
     return count
-
-
-def distinct_degree(c):
-    """Degree of the squarefree part."""
-    return degree(squarefree_part(c))

@@ -15,14 +15,14 @@ algebra, so the only numeric trust lives in the (doubly checked) residuals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 import mpmath as mp
 
-from .polyarith import base_change
+from ._intpoly import InvariantError
+from .polyarith import BoundExceeded, base_change
 from .weilpoly import DEFAULT_PRECISION, WeilError, roots
 
 DENOMINATOR_BOUND = 72
@@ -35,10 +35,6 @@ class UnverifiedRelation(WeilError):
 
 
 class DenominatorBoundExceeded(WeilError):
-    pass
-
-
-class BoundExceeded(WeilError):
     pass
 
 
@@ -216,11 +212,8 @@ def smith_normal_form(rows, n):
     # diagonal lattice span{d_i e_i}
     for row in original:
         t = [sum(row[k] * v[k][j] for k in range(n)) for j in range(n)]
-        for j in range(n):
-            if j < rank:
-                assert t[j] % divisors[j] == 0, "SNF transform drifted"
-            else:
-                assert t[j] == 0, "SNF transform drifted"
+        if any(t[j] % divisors[j] if j < rank else t[j] for j in range(n)):
+            raise InvariantError("SNF transform drifted")
     return divisors, v
 
 
@@ -268,16 +261,15 @@ class RelationLattice:
                 rec(idx + 1, [c + s for c, s in zip(current, shift)])
 
         rec(0, [Fraction(0)] * g)
-        assert len(phases) == self.torsion_order
+        if len(phases) != self.torsion_order:
+            raise InvariantError("%d phases for torsion order %d"
+                                 % (len(phases), self.torsion_order))
         return cols_m, phases
 
     def to_json(self):
         return {"delta": self.delta, "m": self.torsion_order,
                 "relations": [{"c": list(c), "frac": "%d/%d" % (a, b)}
                               for c, a, b in self.relations]}
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 def _residual_to_int(thetas, c):

@@ -21,12 +21,10 @@ from typing import Optional
 from . import _intpoly as ip
 from .anglerank import RelationLattice, angle_rank_numeric
 from .newton import Stratum, newton_class, newton_polygon, newton_polygon_of_factor, stratify
-from .polyarith import (base_change, factor, supersingular_match,
-                        supersingular_torsion_order)
+from .polyarith import factor, supersingular_match, supersingular_torsion_order
 from .weilpoly import DEFAULT_PRECISION, WeilError
 
-ELLIPTIC_MERGE_RANGE = 12      # geometric isogeny degrees of quadratic pieces
-QUARTIC_MERGE_RANGE = 24       # quartic-vs-quadratic geometric merges
+BASE_CHANGE_RANGE = 24      # largest extension degree the split/merge searches try
 
 # allowed (delta -> torsion orders) per dimension.  The published elliptic
 # table folds the -2 sqrt(q) trace into C_1; the group there is C_2 (the
@@ -196,24 +194,38 @@ def howe_zhu_split_degree(a1, a2, q):
     return None
 
 
-def _merge_degree_quadratics(hs, bound=ELLIPTIC_MERGE_RANGE):
-    """Smallest r with identical base changes for all quadratics, or None."""
-    for r in range(1, bound + 1):
-        first = ip.base_change_coeffs(hs[0], r)
-        if all(ip.base_change_coeffs(h, r) == first for h in hs[1:]):
+def _power_index(c, r):
+    """Largest k with base_change(c, r) a k-th power: the gcd of its Yun
+    multiplicities.  For irreducible c with root alpha the base change is
+    h^k with k = [Q(alpha) : Q(alpha^r)], so c gains factors over F_{q^r}
+    exactly when k > 1."""
+    parts = ip.squarefree_decomposition(ip.base_change_coeffs(c, r))
+    return gcd(*(mult for _, mult in parts))
+
+
+def _split_degree(c, limit):
+    """Smallest r in 2..limit with _power_index(c, r) > 1, or None."""
+    return next((r for r in range(2, limit + 1) if _power_index(c, r) > 1), None)
+
+
+def _merge_degree(quads, quartics=()):
+    """Smallest r at which all quadratics share one base change c and every
+    quartic's base change is c^2, or None.
+
+    A ratio of two quadratic Weil numbers that is a root of unity lies in a
+    field of degree <= 4, so its order is at most 12: BASE_CHANGE_RANGE
+    finds every merge of quadratics that exists.
+    """
+    for r in range(1, BASE_CHANGE_RANGE + 1):
+        common = ip.base_change_coeffs(quads[0], r)
+        if (all(ip.base_change_coeffs(h, r) == common for h in quads[1:])
+                and all(ip.base_change_coeffs(h4, r) == ip.poly_pow(common, 2)
+                        for h4 in quartics)):
             return r
     return None
 
 
-def _merge_degree_quartic(h4, h2, bound=QUARTIC_MERGE_RANGE):
-    """Smallest r with base_change(h4, r) = base_change(h2, r)^2, or None."""
-    for r in range(1, bound + 1):
-        if ip.base_change_coeffs(h4, r) == ip.poly_pow(ip.base_change_coeffs(h2, r), 2):
-            return r
-    return None
-
-
-def sf_of_product(factors, q, p, d, g=None):
+def sf_of_product(factors, q, p, d):
     """Serre-Frobenius group of a product from its irreducible factors.
 
     `factors` is a list of (coeffs, multiplicity).  delta adds one per
@@ -222,8 +234,6 @@ def sf_of_product(factors, q, p, d, g=None):
     torsion orders and of the extension degrees over which each geometric
     class collapses.
     """
-    if g is None:
-        g = sum(ip.degree(h) * e for h, e in factors) // 2
     ss_parts = []
     quad_parts = []       # non-supersingular quadratics, deduplicated
     quartic_free = 0      # free rank contributed by quartic pieces
@@ -254,7 +264,7 @@ def sf_of_product(factors, q, p, d, g=None):
         elif deg == 4:
             # fractional-slope quartics from formally valid non-realizable
             # inputs: detect the one possible relation pattern directly
-            r = _even_or_split_degree(h)
+            r = _split_degree(h, BASE_CHANGE_RANGE)
             if r is None:
                 quartic_free += 2
                 rule.append(("quartic_free", 0))
@@ -276,7 +286,7 @@ def sf_of_product(factors, q, p, d, g=None):
     classes = []   # each: {"quads": [...], "quartics": [h4, ...]}
     for h in quad_parts:
         for cl in classes:
-            if _merge_degree_quadratics([cl["quads"][0], h]) is not None:
+            if _merge_degree([cl["quads"][0], h]) is not None:
                 cl["quads"].append(h)
                 break
         else:
@@ -286,7 +296,7 @@ def sf_of_product(factors, q, p, d, g=None):
     # fold geometrically split quartics into their class (or their own)
     for h4, hz in quartic_split:
         for cl in classes:
-            if _merge_degree_quartic(h4, cl["quads"][0]) is not None:
+            if _merge_degree(cl["quads"][:1], [h4]) is not None:
                 cl["quartics"].append(h4)
                 break
         else:
@@ -295,17 +305,7 @@ def sf_of_product(factors, q, p, d, g=None):
             rule.append(("surface_split_alone", hz))
 
     for cl in classes:
-        quads, quartics = cl["quads"], cl["quartics"]
-        r = None
-        for cand in range(1, QUARTIC_MERGE_RANGE + 1):
-            common = ip.base_change_coeffs(quads[0], cand)
-            if not all(ip.base_change_coeffs(h, cand) == common for h in quads[1:]):
-                continue
-            if not all(ip.base_change_coeffs(h4, cand) == ip.poly_pow(common, 2)
-                       for h4 in quartics):
-                continue
-            r = cand
-            break
+        r = _merge_degree(cl["quads"], cl["quartics"])
         if r is None:
             raise InconsistentInputs("geometric class failed to merge")
         m_parts.append(r)
@@ -323,17 +323,6 @@ def _is_almost_ordinary_factor(h, p, d):
     mult = npd.slope_multiplicities()
     return (mult.get(Fraction(0), 0) == 1 and mult.get(Fraction(1), 0) == 1
             and mult.get(Fraction(1, 2), 0) == 2)
-
-
-def _even_or_split_degree(h, bound=QUARTIC_MERGE_RANGE):
-    """Smallest r with the root pairs of the quartic h merging after base
-    change (h in Q[T^2] means r = 2); None when no relation is visible."""
-    if h[1] == 0 and h[3] == 0:
-        return 2
-    for r in range(2, bound + 1):
-        if ip.is_perfect_power(ip.base_change_coeffs(h, r), 2) is not None:
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +357,7 @@ def classify_surface(P, precision=DEFAULT_PRECISION):
                 return _sf(2, 2, 1, "S-A(a)")
             node = {2: "b", 3: "c", 4: "d", 6: "e"}[hz]
             return _sf(2, 1, hz, "S-A(%s)" % node)
-        delta, m, _ = sf_of_product(pairs, q, p, d, g=2)
+        delta, m, _ = sf_of_product(pairs, q, p, d)
         if delta == 2:
             return _sf(2, 2, 1, "S-B")
         return _sf(2, 1, m, "S-C(m=%d)" % m)
@@ -376,7 +365,7 @@ def classify_surface(P, precision=DEFAULT_PRECISION):
     if stratum is Stratum.ALMOST_ORDINARY:
         if fac.is_irreducible:
             return _sf(2, 2, 1, "S-D")
-        delta, m, _ = sf_of_product(pairs, q, p, d, g=2)
+        delta, m, _ = sf_of_product(pairs, q, p, d)
         return _sf(2, delta, m, "S-E")
 
     if stratum is Stratum.P_RANK_ZERO_NON_SS:
@@ -385,10 +374,9 @@ def classify_surface(P, precision=DEFAULT_PRECISION):
         # group, classified here so corpus sweeps stay total.
         if P.a(1) == 0 and P.a(3) == 0:
             return _sf(2, 1, 2, "S-NA(even)")
-        for r in range(2, QUARTIC_MERGE_RANGE + 1):
-            h = ip.is_perfect_power(ip.base_change_coeffs(P.coeffs, r), 2)
-            if h is not None:
-                return _sf(2, 1, r, "S-NA(split:%d)" % r)
+        r = _split_degree(P.coeffs, BASE_CHANGE_RANGE)
+        if r is not None:
+            return _sf(2, 1, r, "S-NA(split:%d)" % r)
         return _sf(2, 2, 1, "S-NA(maxrank)")
 
     raise UnclassifiedNode("surface stratum %s has no node" % stratum)
@@ -417,13 +405,13 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
     if stratum is Stratum.ORDINARY:
         if fac.is_irreducible:
             if P.a(1) == 0 and P.a(2) == 0:
-                if ip.is_perfect_power(ip.base_change_coeffs(P.coeffs, 3), 3) is None:
+                if _power_index(P.coeffs, 3) % 3:
                     raise InconsistentInputs("cubic pattern did not split at 3")
                 return _sf(3, 1, 3, "X-B(3)")
-            if ip.is_perfect_power(ip.base_change_coeffs(P.coeffs, 7), 3) is not None:
+            if _power_index(P.coeffs, 7) % 3 == 0:
                 return _sf(3, 1, 7, "X-B(7)")
             return _sf(3, 3, 1, "X-A")
-        delta, m, rule = sf_of_product(pairs, q, p, d, g=3)
+        delta, m, rule = sf_of_product(pairs, q, p, d)
         kinds = sorted(k for k, _ in rule)
         if "surface_abs_simple" in kinds:
             node = "6.3-d"
@@ -445,13 +433,13 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
                     "simple almost ordinary threefold outside Table 6: "
                     "delta=%d m=%d" % (delta, m))
             return _sf(3, delta, m, "X-D:Table6:oracle", embedding=lattice)
-        delta, m, _ = sf_of_product(pairs, q, p, d, g=3)
+        delta, m, _ = sf_of_product(pairs, q, p, d)
         return _sf(3, delta, m, "X-E")
 
     if stratum is Stratum.K3_TYPE:
         if fac.is_irreducible:
             return _sf(3, 3, 1, "X-F")
-        delta, m, rule = sf_of_product(pairs, q, p, d, g=3)
+        delta, m, rule = sf_of_product(pairs, q, p, d)
         kinds = [k for k, _ in rule]
         if "surface_almost_ordinary" in kinds:
             node = "X-G(a)"
@@ -466,12 +454,12 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
         # pieces cannot come from lower dimension.  P = h^3 over the base is
         # the e = 3 shape of Xing's theorem, not a product.
         for r in (1, 3, 7):
-            if ip.is_perfect_power(ip.base_change_coeffs(P.coeffs, r), 3) is not None:
+            if _power_index(P.coeffs, r) % 3 == 0:
                 return _sf(3, 1, r, "X-H:xing(m=%d)" % r)
         if not fac.is_irreducible:
             # formally valid inputs that are not Frobenius polynomials of
             # threefolds (fractional-slope factors over square fields)
-            delta, m, _ = sf_of_product(pairs, q, p, d, g=3)
+            delta, m, _ = sf_of_product(pairs, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
         return _sf(3, 3, 1, "X-I")
 
@@ -480,7 +468,7 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
         # actual abelian threefolds; classified for totality, with the
         # provenance naming the honest source
         if not fac.is_irreducible:
-            delta, m, _ = sf_of_product(pairs, q, p, d, g=3)
+            delta, m, _ = sf_of_product(pairs, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
         lattice = angle_rank_numeric(P, precision)
         return _sf(3, lattice.delta, lattice.torsion_order, "X-NA:oracle",
@@ -503,13 +491,11 @@ def classify_prime_dim(P, precision=DEFAULT_PRECISION):
     if stratify(newton_polygon(P), g) is not Stratum.ORDINARY:
         raise NotOrdinary("prime-dimension classification needs the ordinary stratum")
     if all(P.a(i) == 0 for i in range(1, 2 * g) if i % g):
-        if ip.is_perfect_power(ip.base_change_coeffs(P.coeffs, g), g) is None:
+        if _power_index(P.coeffs, g) % g:
             raise InconsistentInputs("T^g pattern did not split at degree g")
         return _sf(g, 1, g, "ThmD(2)")
-    if _is_prime(2 * g + 1):
-        h = ip.is_perfect_power(ip.base_change_coeffs(P.coeffs, 2 * g + 1), g)
-        if h is not None and ip.degree(h) == 2:
-            return _sf(g, 1, 2 * g + 1, "ThmD(3)")
+    if _is_prime(2 * g + 1) and _power_index(P.coeffs, 2 * g + 1) % g == 0:
+        return _sf(g, 1, 2 * g + 1, "ThmD(3)")
     lattice = angle_rank_numeric(P, precision)
     return Partial(g=g, absolutely_simple=True, delta=lattice.delta,
                    certified=False, provenance="ThmD(1):oracle-delta")
@@ -557,41 +543,28 @@ def _factor_dimension(h, q, cls):
     return deg // 2 if deg % 2 == 0 else deg
 
 
-# nodes whose theory forces P to stay irreducible over every extension
-# (torsion-free angle group plus absolute simplicity)
-_NO_SPLIT_NODES = ("S-A(a)", "S-D", "X-A", "X-D", "X-F", "X-I")
-
-
-def geometric_decomposition(P, sf=None, precision=DEFAULT_PRECISION):
+def geometric_decomposition(P, sf=None):
     """Factor summary plus the smallest extension showing more factors."""
     fac = factor(P)
-    count = sum(e for _, e, _ in fac.factors)
-    if count > 1:
-        split = 1
-    elif sf is not None and sf.provenance.split(":")[0] in _NO_SPLIT_NODES:
-        split = 0   # the node certifies that no extension splits anything
-    else:
-        split = 0
-        limit = sf.m if sf is not None and sf.delta == 0 else QUARTIC_MERGE_RANGE
-        for r in range(2, max(limit, 2) + 1):
-            bc = base_change(P, r)
-            if sum(e for _, e, _ in factor(bc).factors) > 1:
-                split = r
-                break
     summaries = tuple((h, e, _factor_dimension(h, P.q, cls), cls)
                       for h, e, cls in fac.factors)
     rule = ()
-    if count > 1:
+    if sum(e for _, e, _ in fac.factors) > 1:
+        split = 1
         try:
             _, _, rule = sf_of_product([(h, e) for h, e, _ in fac.factors],
-                                       P.q, P.p, P.d, g=P.g)
+                                       P.q, P.p, P.d)
         except WeilError:
-            rule = ()
+            pass
+    else:
+        # P is irreducible, so the exact power-index test decides each r
+        limit = sf.m if sf is not None and sf.delta == 0 else BASE_CHANGE_RANGE
+        split = _split_degree(P.coeffs, max(limit, 2)) or 0
     return GeometricDecomposition(split_degree=split, factor_summaries=summaries,
                                   product_rule_inputs=rule)
 
 
-def report(P, precision=DEFAULT_PRECISION, with_decomposition=True):
+def report(P, precision=DEFAULT_PRECISION):
     """Full JSON-ready classification report for one polynomial."""
     sf = classify(P, precision)
     out = {
@@ -606,8 +579,7 @@ def report(P, precision=DEFAULT_PRECISION, with_decomposition=True):
         out["group"] = None
     else:
         out.update(sf.to_json())
-    if with_decomposition:
-        dec = geometric_decomposition(P, sf if isinstance(sf, SerreFrobeniusGroup) else None)
-        out["split_degree"] = dec.split_degree
-        out["factors"] = dec.to_json()["factors"]
+    dec = geometric_decomposition(P, sf if isinstance(sf, SerreFrobeniusGroup) else None)
+    out["split_degree"] = dec.split_degree
+    out["factors"] = dec.to_json()["factors"]
     return out

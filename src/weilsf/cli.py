@@ -8,7 +8,7 @@ One verb per library capability:
 Inputs are LMFDB labels (arguments, --file, or '-' for stdin; '#' starts a
 comment), or a single polynomial as --coeffs "1,0,-1,0,25" --q 5.  Output is
 JSON lines by default (--format csv/text where it makes sense).  Exit codes:
-0 ok, 1 input error, 2 partial classification, 3 internal invariant breach.
+0 ok, 1 input error, 2 partial classification, 3 numeric or invariant failure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .classify import Partial, classify, report
 from .distribution import histogram, moment_report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
-from .weilpoly import (DEFAULT_PRECISION, WeilError, from_middle, parse_label,
-                       validate)
+from .weilpoly import (DEFAULT_PRECISION, NonConvergence, WeilError, from_middle,
+                       parse_label, validate)
 
 PAPER_SAMPLES = 16 ** 6
 PAPER_BUCKETS = 4 ** 6
@@ -52,7 +52,11 @@ def _read_inputs(args):
         raise WeilError("pass exactly one input source "
                         "(labels, --file, or --coeffs)")
     if getattr(args, "coeffs", None):
-        coeffs = [int(c) for c in args.coeffs.replace(" ", "").split(",")]
+        try:
+            coeffs = [int(c) for c in args.coeffs.replace(" ", "").split(",")]
+        except ValueError:
+            raise WeilError("--coeffs must be comma-separated integers, got %r"
+                            % args.coeffs) from None
         if args.q is None:
             raise WeilError("--coeffs requires --q")
         yield validate(coeffs, args.q)
@@ -139,9 +143,10 @@ def _report_worker(payload):
 def cmd_classify(args):
     code = EXIT_OK
     inputs = list(_read_inputs(args))
-    if args.jobs > 1 and len(inputs) > 1:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1 and len(inputs) > 1:
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             reports = pool.imap(
                 _report_worker,
                 [(P.coeffs, P.q, args.precision) for P in inputs])
@@ -282,8 +287,8 @@ def build_parser():
                         help="working precision in bits (>= 64; env WEILSF_PRECISION)")
     common.add_argument("--format", choices=["json", "csv", "text"], default="json")
     common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for interface compatibility; batches are "
-                             "processed and emitted in input order")
+                        help="worker processes for classify batches (>= 1, at "
+                             "most the CPU count); output keeps input order")
 
     top = argparse.ArgumentParser(
         prog="weilsf",
@@ -368,13 +373,16 @@ def main(argv=None):
     if args.precision < 64:
         print("error: precision must be >= 64", file=sys.stderr)
         return EXIT_INPUT
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except WeilError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print("internal invariant breach: %s" % exc, file=sys.stderr)
+    except (NonConvergence, ip.InvariantError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -11,13 +11,13 @@ the bucketing and the summation order are all fixed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 
+from ._intpoly import InvariantError
 from .anglerank import angle_rank_numeric
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
@@ -109,9 +109,6 @@ class TraceHistogram:
         for (lo, hi), c in zip(self.bucket_edges(), self.counts):
             lines.append("%.12g,%.12g,%d" % (lo, hi, c))
         return "\n".join(lines) + "\n"
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 def _bucket_chunk(x, g, B, counts):
@@ -241,20 +238,20 @@ def _full_torus_moments(g, K):
     return total
 
 
-def _auto_nodes(mat, K, delta, requested):
+def _auto_nodes(mat, K, delta):
     """Nodes per dimension: the trapezoid rule on n points integrates the
     circle exactly for frequencies strictly below n, so n only has to beat
     the largest frequency K * sum_j |M_jl| appearing in x^K."""
     needed = 1
     for l in range(delta):
         needed = max(needed, K * sum(abs(row[l]) for row in mat) + 1)
-    n = requested if requested else (QUAD_NODES if delta == 1 else 512)
+    n = QUAD_NODES if delta == 1 else 512
     while n < needed:
         n *= 2
     return n
 
 
-def exact_moments(group, K, nodes=None):
+def exact_moments(group, K):
     """E[x^k], k = 1..K, for the Haar pushforward of the classified group.
 
     delta = g needs no embedding (the full torus moments are a closed-form
@@ -271,12 +268,13 @@ def exact_moments(group, K, nodes=None):
     if lattice is None:
         raise EmbeddingMissing("delta < g needs the relation lattice")
     mat, phases = lattice.embedding()
-    assert len(phases) == m
+    if len(phases) != m:
+        raise InvariantError("%d phases for torsion order %d" % (len(phases), m))
     if delta == 0:
         vals = [math.fsum(2.0 * math.cos(2.0 * math.pi * float(fj)) for fj in f)
                 for f in phases]
         return [math.fsum(v ** k for v in vals) / m for k in range(1, K + 1)]
-    n = _auto_nodes(mat, K, delta, nodes)
+    n = _auto_nodes(mat, K, delta)
     grid = np.arange(n, dtype=np.float64) / n
     mesh = np.meshgrid(*([grid] * delta), indexing="ij")
     acc = [0.0] * K
@@ -305,9 +303,6 @@ class MomentReport:
         return [{"k": k, "empirical": e, "exact": x, "abs_error": a}
                 for k, e, x, a in zip(self.orders, self.empirical,
                                       self.exact, self.abs_error)]
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 def moment_report(P, N, K, precision=DEFAULT_PRECISION, group=None):

@@ -53,9 +53,7 @@ def _vp(n, p):
 
 def newton_polygon(P):
     """Exact q-Newton polygon of a WeilPolynomial."""
-    pts = [(i, Fraction(_vp(abs(a), P.p), P.d))
-           for i, a in enumerate(P.coeffs) if a != 0]
-    return newton_polygon_points(pts)
+    return newton_polygon_of_factor(P.coeffs, P.p, P.d)
 
 
 def newton_polygon_of_factor(coeffs, p, d):

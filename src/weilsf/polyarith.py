@@ -11,7 +11,6 @@ and every true factor is a product over a root subset).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import isqrt
 
@@ -41,27 +40,13 @@ class IsogenyFactorization:
     q: int
     factors: tuple  # ((coeffs, e, newton_class_str), ...)
 
-    def expand(self):
-        out = (1,)
-        for h, e, _ in self.factors:
-            out = ip.poly_mul(out, ip.poly_pow(h, e))
-        return out
-
     @property
     def is_irreducible(self):
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
-    @property
-    def is_primary(self):
-        """True when P = h^e for a single irreducible h (simple shape)."""
-        return len(self.factors) == 1
-
     def to_json(self):
         return [{"h": list(h), "e": e, "newton": cls}
                 for h, e, cls in self.factors]
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 def _round_to_int(x, slack):
@@ -136,7 +121,8 @@ def factor_coeffs(coeffs, precision=DEFAULT_PRECISION):
     total = (1,)
     for h, e in pairs:
         total = ip.poly_mul(total, ip.poly_pow(h, e))
-    assert total == coeffs, "factorization failed to certify"
+    if total != coeffs:
+        raise ip.InvariantError("factorization of %r failed to certify" % (coeffs,))
     return pairs
 
 
@@ -151,10 +137,6 @@ def base_change(P, r):
     """Extension of scalars: the q^r-Weil polynomial with roots alpha^r."""
     out = ip.base_change_coeffs(P.coeffs, r)
     return validate(out, P.q ** r)
-
-
-def base_change_coeffs(coeffs, r):
-    return ip.base_change_coeffs(tuple(coeffs), r)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +189,6 @@ class SupersingularMatch:
 def _scaled_cyclotomic(m, scale):
     """scale^phi(m) * Phi_m(T/scale), an integer polynomial."""
     phi = ip.cyclotomic(m)
-    n = ip.degree(phi)
     return tuple(c * scale ** i for i, c in enumerate(phi))
 
 

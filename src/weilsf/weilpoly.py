@@ -11,7 +11,6 @@ polynomial of Frobenius + Verschiebung), with no floating point involved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isqrt
 
@@ -115,9 +114,6 @@ class WeilPolynomial:
         return {"g": self.g, "q": self.q, "p": self.p, "d": self.d,
                 "coeffs": list(self.coeffs)}
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def real_weil_transform(coeffs, q, g):
     """H with T^g * H(T + q/T) = P; exists iff P satisfies the functional eq.
@@ -196,14 +192,6 @@ def from_middle(g, q, middle):
     for i in range(g - 1, -1, -1):
         coeffs.append(q ** (g - i) * coeffs[i])
     return validate(tuple(coeffs), q)
-
-
-def is_valid(coeffs, q):
-    try:
-        validate(coeffs, q)
-        return True
-    except WeilError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ class TestProducts:
         # the two elliptic factors of 2.7.af_s merge over the cubic extension
         from weilsf.polyarith import factor
         fac = [(h, e) for h, e, _ in factor(parse_label("2.7.af_s")).factors]
-        delta, m, _ = sf_of_product(fac, 7, 7, 1, g=2)
+        delta, m, _ = sf_of_product(fac, 7, 7, 1)
         assert (delta, m) == (1, 3)
 
     def test_ordinary_times_supersingular_c12(self):
@@ -202,6 +202,15 @@ class TestPrimeDimension:
         out = classify_prime_dim(P)
         assert isinstance(out, Partial) and out.absolutely_simple
         assert out.delta == 7
+
+    def test_split_degrees(self):
+        # the exact base-change search on degree 10: a split at g, at 2g + 1,
+        # and none up to the search bound for the absolutely simple input
+        for coeffs, q, split in [((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2, 5),
+                                 (PRIME_DIM_G5_SPLIT11, 3, 11),
+                                 (PRIME_DIM_G5_ABS, 23, 0)]:
+            dec = geometric_decomposition(validate(coeffs, q))
+            assert dec.split_degree == split
 
     def test_preconditions(self):
         with pytest.raises(NotSimple):

@@ -1,6 +1,13 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from weilsf.cli import main
+from weilsf.weilpoly import NonConvergence
 
 
 def run(capsys, *argv):
@@ -163,3 +170,69 @@ def test_precision_env(capsys, monkeypatch):
     from weilsf.cli import build_parser
     args = build_parser().parse_args(["classify", "1.2.a"])
     assert args.precision == 192
+
+
+def test_malformed_coeffs_is_input_error(capsys):
+    code, out, err = run(capsys, "classify", "--coeffs", "1,x,3", "--q", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "comma-separated integers" in err
+
+
+def test_nonconvergence_is_internal_error(capsys, monkeypatch):
+    def fail(P, precision):
+        raise NonConvergence("residual too large")
+    monkeypatch.setattr("weilsf.cli.angle_rank_numeric", fail)
+    code, _, err = run(capsys, "angle-rank", "2.5.a_ab")
+    assert code == 3
+    assert err.startswith("error:") and "residual too large" in err
+
+
+def test_jobs_below_one_rejected(capsys):
+    code, out, err = run(capsys, "classify", "--jobs", "0", "1.2.a")
+    assert code == 1 and out == "" and "--jobs" in err
+
+
+def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool; runs the work in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "classify", "--jobs", "64", "1.2.a", "1.2.ab")
+    assert code == 0 and sizes == [2]
+    assert [json.loads(line)["label"] for line in out.splitlines()] == ["1.2.a", "1.2.ab"]
+
+
+def test_certificate_checks_survive_python_O():
+    # `python -O` strips asserts; a factorization that drops a factor must
+    # still be refused, with exit code 3
+    script = textwrap.dedent("""
+        import sys
+        from weilsf import polyarith
+        from weilsf.cli import main
+        assert False, "asserts must be stripped in this interpreter"
+        orig = polyarith._factor_squarefree
+        polyarith._factor_squarefree = lambda c, precision=256: orig(c, precision)[1:]
+        sys.exit(main(["factor", "2.2.a_d"]))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and "failed to certify" in proc.stderr
