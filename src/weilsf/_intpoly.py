@@ -201,20 +201,6 @@ def squarefree_decomposition(c):
     return out
 
 
-def is_perfect_power(c, e):
-    """Return h with c == h^e if such a monic integer h exists, else None."""
-    n = degree(c)
-    if n % e or c[0] != 1:
-        return None
-    parts = squarefree_decomposition(c)
-    if any(mult % e for _, mult in parts):
-        return None
-    h = (1,)
-    for fac, mult in parts:
-        h = poly_mul(h, poly_pow(fac, mult // e))
-    return h
-
-
 # ---------------------------------------------------------------------------
 # power sums / Newton identities
 

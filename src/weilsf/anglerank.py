@@ -23,22 +23,24 @@ import mpmath as mp
 
 from ._intpoly import InvariantError
 from .polyarith import BoundExceeded, base_change
-from .weilpoly import DEFAULT_PRECISION, WeilError, roots
+from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, roots
 
 DENOMINATOR_BOUND = 72
 COEFF_BOUND_PRESENTED = 12         # relations in the saturated presentation
 COEFF_BOUND_RAW = 12 * DENOMINATOR_BOUND
 
 
-class UnverifiedRelation(WeilError):
+# Oracle failures are numeric or invariant failures, never bad input.
+
+class UnverifiedRelation(NonConvergence):
     pass
 
 
-class DenominatorBoundExceeded(WeilError):
+class DenominatorBoundExceeded(NonConvergence):
     pass
 
 
-class InconsistentLattice(WeilError):
+class InconsistentLattice(InvariantError):
     pass
 
 

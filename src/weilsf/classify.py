@@ -117,13 +117,11 @@ class Partial:
 class GeometricDecomposition:
     split_degree: int               # 0 = stays irreducible over every extension
     factor_summaries: tuple         # ((coeffs, e, dim, newton_class), ...)
-    product_rule_inputs: tuple      # ((kind, detail), ...) as fed to the lcm rule
 
     def to_json(self):
         return {"split_degree": self.split_degree,
                 "factors": [{"h": list(h), "e": e, "dim": dim, "newton": cls}
-                            for h, e, dim, cls in self.factor_summaries],
-                "product_rule": [list(x) for x in self.product_rule_inputs]}
+                            for h, e, dim, cls in self.factor_summaries]}
 
 
 def _sf(g, delta, m, provenance, embedding=None):
@@ -548,20 +546,13 @@ def geometric_decomposition(P, sf=None):
     fac = factor(P)
     summaries = tuple((h, e, _factor_dimension(h, P.q, cls), cls)
                       for h, e, cls in fac.factors)
-    rule = ()
     if sum(e for _, e, _ in fac.factors) > 1:
         split = 1
-        try:
-            _, _, rule = sf_of_product([(h, e) for h, e, _ in fac.factors],
-                                       P.q, P.p, P.d)
-        except WeilError:
-            pass
     else:
         # P is irreducible, so the exact power-index test decides each r
         limit = sf.m if sf is not None and sf.delta == 0 else BASE_CHANGE_RANGE
         split = _split_degree(P.coeffs, max(limit, 2)) or 0
-    return GeometricDecomposition(split_degree=split, factor_summaries=summaries,
-                                  product_rule_inputs=rule)
+    return GeometricDecomposition(split_degree=split, factor_summaries=summaries)
 
 
 def report(P, precision=DEFAULT_PRECISION):

@@ -9,6 +9,8 @@ Inputs are LMFDB labels (arguments, --file, or '-' for stdin; '#' starts a
 comment), or a single polynomial as --coeffs "1,0,-1,0,25" --q 5.  Output is
 JSON lines by default (--format csv/text where it makes sense).  Exit codes:
 0 ok, 1 input error, 2 partial classification, 3 numeric or invariant failure.
+A classify batch writes an error record for a failing line, goes on, and
+exits with the worst code seen.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ def _default_precision():
     return DEFAULT_PRECISION
 
 
-def _read_inputs(args):
-    """Yield WeilPolynomials from labels/file/stdin/coeffs, preserving order."""
+def _input_specs(args):
+    """[(text, parse, parse_args)] in input order; parse(*parse_args) is the
+    validated WeilPolynomial, or raises for a bad line."""
     sources = sum([bool(getattr(args, "coeffs", None)),
                    bool(getattr(args, "labels", []) or []),
                    bool(getattr(args, "file", None))])
@@ -59,8 +62,7 @@ def _read_inputs(args):
                             % args.coeffs) from None
         if args.q is None:
             raise WeilError("--coeffs requires --q")
-        yield validate(coeffs, args.q)
-        return
+        return [(args.coeffs, validate, (coeffs, args.q))]
     labels = list(getattr(args, "labels", []) or [])
     if getattr(args, "file", None):
         stream = sys.stdin if args.file == "-" else open(args.file)
@@ -74,8 +76,13 @@ def _read_inputs(args):
                 stream.close()
     if not labels:
         raise WeilError("no input: pass labels, --file, or --coeffs/--q")
-    for lab in labels:
-        yield parse_label(lab)
+    return [(lab, parse_label, (lab,)) for lab in labels]
+
+
+def _read_inputs(args):
+    """Yield WeilPolynomials from labels/file/stdin/coeffs, preserving order."""
+    for _, parse, parse_args in _input_specs(args):
+        yield parse(*parse_args)
 
 
 def _emit(obj, args):
@@ -135,31 +142,37 @@ def cmd_parse(args):
     return EXIT_OK
 
 
-def _report_worker(payload):
-    coeffs, q, precision = payload
-    return report(validate(coeffs, q), precision=precision)
+def _classify_one(spec):
+    """(record, exit code) for one input; a failing input gives an error record."""
+    text, parse, parse_args, precision = spec
+    try:
+        rep = report(parse(*parse_args), precision=precision)
+    except WeilError as exc:
+        return {"label": text, "error": str(exc), "kind": "input"}, EXIT_INPUT
+    except (NonConvergence, ip.InvariantError) as exc:
+        return {"label": text, "error": str(exc), "kind": "internal"}, EXIT_INTERNAL
+    return rep, EXIT_PARTIAL if rep.get("partial") else EXIT_OK
 
 
 def cmd_classify(args):
-    code = EXIT_OK
-    inputs = list(_read_inputs(args))
+    """One record per input line in input order; the exit code is the worst seen."""
+    specs = [spec + (args.precision,) for spec in _input_specs(args)]
     jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(inputs) > 1:
+    if jobs > 1 and len(specs) > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
-            reports = pool.imap(
-                _report_worker,
-                [(P.coeffs, P.q, args.precision) for P in inputs])
-            for rep in reports:   # imap preserves input order
-                _emit(rep, args)
-                if rep.get("partial"):
-                    code = max(code, EXIT_PARTIAL)
-        return code
-    for P in inputs:
-        rep = report(P, precision=args.precision)
-        _emit(rep, args)
-        if rep.get("partial"):
-            code = max(code, EXIT_PARTIAL)
+            # imap keeps input order
+            return _emit_records(pool.imap(_classify_one, specs), args)
+    return _emit_records(map(_classify_one, specs), args)
+
+
+def _emit_records(results, args):
+    code = EXIT_OK
+    for rec, rec_code in results:
+        _emit(rec, args)
+        if "error" in rec:
+            print("error: %s: %s" % (rec["label"], rec["error"]), file=sys.stderr)
+        code = max(code, rec_code)
     return code
 
 

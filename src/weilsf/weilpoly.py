@@ -282,63 +282,60 @@ class RootSystem:
             return tuple(self.roots[j] / s for j in range(self.g))
 
 
-def _squarefree_roots(coeffs, precision):
-    """[(root, multiplicity)] via exact squarefree split + mpmath solve."""
-    out = []
-    with mp.workprec(precision + 32):
-        for fac, mult in ip.squarefree_decomposition(tuple(coeffs)):
-            deg = ip.degree(fac)
-            if deg == 0:
-                continue
-            if deg == 1:
-                rts = [mp.mpc(-fac[1], 0)]
-            else:
-                rts = mp.polyroots([mp.mpf(c) for c in fac],
-                                   maxsteps=200, extraprec=precision // 2)
-            for r in rts:
-                out.append((mp.mpc(r), mult))
-    return out
+def _angles_of_part(part, q, precision):
+    """Angles theta in [0, 1/2] of the roots y = 2 sqrt(q) cos(2 pi theta) of
+    one squarefree factor of H.
+
+    The edge roots y = +-2 sqrt(q) (theta = 0, 1/2) are the roots of
+    gcd(part, y^2 - 4q) and are exact; the others are solved numerically.
+    """
+    edge = ip.poly_gcd(part, (1, 0, -4 * q))
+    inner = ip.poly_div_if_exact(part, edge)
+    thetas = []
+    if ip.degree(edge) == 2:
+        thetas = [mp.mpf(0), mp.mpf(0.5)]
+    elif ip.degree(edge) == 1:
+        thetas = [mp.mpf(0) if edge[1] < 0 else mp.mpf(0.5)]
+    if ip.degree(inner) == 1:
+        ys = [mp.mpf(-inner[1])]
+    else:   # a constant has no roots
+        ys = [mp.re(y) for y in mp.polyroots([mp.mpf(c) for c in inner],
+                                             maxsteps=200, extraprec=precision // 2)]
+    # the clamp only absorbs rounding: Res(inner, y^2 - 4q) is a nonzero
+    # integer, so no inner root lies within (4q)^-g of the edge
+    two_sqrtq = 2 * mp.sqrt(q)
+    thetas += [mp.acos(max(-1, min(1, y / two_sqrtq))) / (2 * mp.pi) for y in ys]
+    return thetas
 
 
 def roots(P, precision=DEFAULT_PRECISION):
     """RootSystem of P at the requested precision (bits).
 
+    The angles come from the degree-g real Weil transform H, whose roots are
+    y_j = 2 sqrt(q) cos(2 pi theta_j), one per conjugate pair of roots of P
+    (Kedlaya's real-root reduction).  H is split into squarefree parts
+    exactly; a root of a part of multiplicity e gives its angle e times.
     Deterministic for fixed (P, precision); raises NonConvergence when the
-    polynomial residual at a computed root exceeds 2^(-precision/2) * q^g.
+    residual of P at a computed root exceeds 2^(-precision/2) * q^g.
     """
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g, q = P.g, P.q
+    h = real_weil_transform(P.coeffs, q, g)
     with mp.workprec(precision + 32):
-        pairs = _squarefree_roots(P.coeffs, precision)
+        thetas = sorted(t for part, mult in ip.squarefree_decomposition(h)
+                        for t in _angles_of_part(part, q, precision)
+                        for _ in range(mult))
+        sqrtq = mp.sqrt(q)
+        first = [sqrtq * mp.expjpi(2 * t) for t in thetas]
         tol = mp.mpf(2) ** (-(precision // 2)) * mp.mpf(q) ** g
         coeffs_mp = [mp.mpf(c) for c in P.coeffs]
-        for r, _ in pairs:
-            if abs(mp.polyval(coeffs_mp, r)) >= tol:
+        for r in first:
+            residual = abs(mp.polyval(coeffs_mp, r))
+            if residual >= tol:
                 raise NonConvergence(
                     "residual %s exceeds tolerance at precision %d"
-                    % (mp.nstr(abs(mp.polyval(coeffs_mp, r))), precision))
-        sqrtq = mp.sqrt(q)
-        upper = []   # (theta, insertion index, root) for one member per pair
-        idx = 0
-        for r, mult in pairs:
-            if r.imag > 0:
-                theta = mp.arg(r) / (2 * mp.pi)
-                for _ in range(mult):
-                    upper.append((theta, idx, r))
-                    idx += 1
-            elif r.imag == 0:
-                theta = mp.mpf(0) if r.real > 0 else mp.mpf("0.5")
-                if mult % 2:
-                    raise RootOffCircle("real root of odd multiplicity")
-                for _ in range(mult // 2):
-                    upper.append((theta, idx, r))
-                    idx += 1
-        if len(upper) != g:
-            raise RootOffCircle("conjugate pairing failed")
-        upper.sort(key=lambda t: (t[0], t[1]))
-        first = [r for _, _, r in upper]
-        thetas = [t for t, _, _ in upper]
+                    % (mp.nstr(residual), precision))
         all_roots = tuple(first) + tuple(mp.conj(r) for r in first)
         all_angles = tuple(thetas) + tuple(
             (1 - t) if t > 0 else mp.mpf(0) for t in thetas)

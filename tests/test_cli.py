@@ -6,6 +6,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from weilsf import cli
+from weilsf.anglerank import (DenominatorBoundExceeded, InconsistentLattice,
+                              UnverifiedRelation)
 from weilsf.cli import main
 from weilsf.weilpoly import NonConvergence
 
@@ -187,17 +192,29 @@ def test_nonconvergence_is_internal_error(capsys, monkeypatch):
     assert err.startswith("error:") and "residual too large" in err
 
 
+@pytest.mark.parametrize("error", [UnverifiedRelation, DenominatorBoundExceeded,
+                                   InconsistentLattice])
+def test_oracle_failure_is_internal_error(capsys, monkeypatch, error):
+    def fail(P, precision):
+        raise error("oracle gave up")
+    monkeypatch.setattr("weilsf.cli.angle_rank_numeric", fail)
+    code, _, err = run(capsys, "angle-rank", "2.5.a_ab")
+    assert code == 3
+    assert err.startswith("error:") and "oracle gave up" in err
+
+
 def test_jobs_below_one_rejected(capsys):
     code, out, err = run(capsys, "classify", "--jobs", "0", "1.2.a")
     assert code == 1 and out == "" and "--jobs" in err
 
 
-def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces multiprocessing.Pool with an in-process stand-in; returns the
+    list of pool sizes asked for."""
     sizes = []
 
-    class RecordingPool:
-        """Stands in for multiprocessing.Pool; runs the work in-process."""
-
+    class InProcessPool:
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -210,11 +227,42 @@ def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
         def imap(self, func, items):
             return map(func, items)
 
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_jobs_capped_at_cpu_count(capsys, pool_sizes):
     code, out, _ = run(capsys, "classify", "--jobs", "64", "1.2.a", "1.2.ab")
-    assert code == 0 and sizes == [2]
+    assert code == 0 and pool_sizes == [2]
     assert [json.loads(line)["label"] for line in out.splitlines()] == ["1.2.a", "1.2.ab"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_batch_isolates_failures(capsys, monkeypatch, pool_sizes, jobs):
+    real_report = cli.report
+
+    def report(P, precision):
+        if P.label == "1.2.ab":
+            raise NonConvergence("residual too large")
+        return real_report(P, precision=precision)
+    monkeypatch.setattr("weilsf.cli.report", report)
+    code, out, err = run(capsys, "classify", "--jobs", jobs, "1.2.a", "1.2.zz", "1.2.ab")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["label"] for r in records] == ["1.2.a", "1.2.zz", "1.2.ab"]
+    assert records[0]["group"] == "C_4"
+    assert [r.get("kind") for r in records] == [None, "input", "internal"]
+    assert "absolute value" in records[1]["error"]
+    assert code == 3 and pool_sizes == ([2] if jobs == "2" else [])
+    assert err.count("error:") == 2
+
+
+def test_classify_bad_line_keeps_the_rest(capsys):
+    code, out, err = run(capsys, "classify", "1.2.a", "1.2.zz")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["label"] for r in records] == ["1.2.a", "1.2.zz"]
+    assert records[1]["kind"] == "input" and code == 1
+    assert err.startswith("error: 1.2.zz:")
 
 
 def test_certificate_checks_survive_python_O():

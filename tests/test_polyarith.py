@@ -155,7 +155,3 @@ class TestIntpolyOracles:
         assert ip.sturm_count((1, 0, -8)) == 2
         assert ip.sturm_count((1, 0, -8), -1, 8) == 1
         assert ip.sturm_count((1, 0, 1)) == 0
-
-    def test_perfect_power(self):
-        assert ip.is_perfect_power(ip.poly_pow((1, -2, 8), 3), 3) == (1, -2, 8)
-        assert ip.is_perfect_power((1, 0, 0, -2, 0, 0, 8), 3) is None

@@ -2,7 +2,8 @@ import mpmath as mp
 import pytest
 
 from weilsf.weilpoly import (FunctionalEquationViolated, MalformedLabel,
-                             NotMonic, NotPrimePower, RootOffCircle,
+                             NonConvergence, NotMonic, NotPrimePower,
+                             RootOffCircle,
                              WeilPolynomial, format_label, from_middle,
                              parse_label, roots, validate)
 
@@ -144,6 +145,25 @@ class TestRoots:
     def test_precision_floor(self):
         with pytest.raises(Exception):
             roots(parse_label("1.2.a"), 32)
+
+    @pytest.mark.parametrize("coeffs, q, thetas", [
+        ((1, -4, 4), 4, (0,)),                  # (T - 2)^2
+        ((1, 4, 4), 4, (mp.mpf(0.5),)),         # (T + 2)^2
+        ((1, 0, -4, 0, 4), 2, (0, mp.mpf(0.5))),  # (T^2 - 2)^2
+        ((1, 0, -6, 0, 9), 3, (0, mp.mpf(0.5))),  # (T^2 - 3)^2
+    ])
+    @pytest.mark.parametrize("precision", [256, 512])
+    def test_real_roots_have_exact_angles(self, coeffs, q, thetas, precision):
+        assert roots(validate(coeffs, q), precision).thetas == thetas
+
+    def test_residual_failure_raises(self, monkeypatch):
+        solve = mp.polyroots
+
+        def shifted(*args, **kwargs):
+            return [r + mp.mpf("1e-3") for r in solve(*args, **kwargs)]
+        monkeypatch.setattr(mp, "polyroots", shifted)
+        with pytest.raises(NonConvergence):
+            roots(parse_label("2.5.a_ab"), 256)
 
 
 def test_json_emission():
