@@ -68,10 +68,9 @@ def poly_derivative(c):
 
 
 def poly_divmod_exact(a, b):
-    """Divide a by monic-leading integer polynomial b; (quotient, remainder).
+    """Divide a by the monic integer polynomial b; (quotient, remainder).
 
-    Works over Q internally only when b is not monic; here b is always monic
-    in practice so the arithmetic stays integral.
+    The arithmetic stays integral; a non-monic b raises ValueError.
     """
     b = normalize(b)
     if b[0] != 1:

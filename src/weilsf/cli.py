@@ -36,13 +36,11 @@ EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _default_precision():
-    env = os.environ.get("WEILSF_PRECISION")
-    if env:
-        try:
-            return max(64, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION
+    env = os.environ.get("WEILSF_PRECISION") or str(DEFAULT_PRECISION)
+    try:
+        return int(env)
+    except ValueError:
+        raise WeilError("WEILSF_PRECISION must be an integer, got %r" % env) from None
 
 
 def _input_specs(args):
@@ -142,15 +140,20 @@ def cmd_parse(args):
     return EXIT_OK
 
 
+def _error_record(text, exc):
+    """(record, exit code) for an input that raised exc."""
+    if isinstance(exc, WeilError):
+        return {"label": text, "error": str(exc), "kind": "input"}, EXIT_INPUT
+    return {"label": text, "error": str(exc), "kind": "internal"}, EXIT_INTERNAL
+
+
 def _classify_one(spec):
     """(record, exit code) for one input; a failing input gives an error record."""
     text, parse, parse_args, precision = spec
     try:
         rep = report(parse(*parse_args), precision=precision)
-    except WeilError as exc:
-        return {"label": text, "error": str(exc), "kind": "input"}, EXIT_INPUT
-    except (NonConvergence, ip.InvariantError) as exc:
-        return {"label": text, "error": str(exc), "kind": "internal"}, EXIT_INTERNAL
+    except (WeilError, NonConvergence, ip.InvariantError) as exc:
+        return _error_record(text, exc)
     return rep, EXIT_PARTIAL if rep.get("partial") else EXIT_OK
 
 
@@ -266,29 +269,32 @@ def _verify_one(P, precision):
 
 
 def cmd_verify(args):
-    mismatches = 0
-    skipped = 0
-    total = 0
+    """Mismatches (every entry with --verbose), then a summary record; a
+    failing input gives an error record and the exit code is the worst seen."""
     if args.g is not None and args.q is not None:
-        inputs = enumerate_weil(args.g, args.q)
+        specs = ((P.label, lambda P: P, (P,)) for P in enumerate_weil(args.g, args.q))
     else:
-        inputs = _read_inputs(args)
-    for P in inputs:
-        entry = _verify_one(P, args.precision)
-        total += 1
-        if entry["status"] == "mismatch":
-            mismatches += 1
-            _emit(entry, args)
-        elif entry["status"] == "not_realizable":
-            skipped += 1
-            if args.verbose:
-                _emit(entry, args)
-        elif args.verbose:
-            _emit(entry, args)
-    summary = {"schema_version": 1, "checked": total,
-               "mismatches": mismatches, "not_realizable": skipped}
-    _emit(summary, args)
-    return EXIT_OK if mismatches == 0 else EXIT_INPUT
+        specs = _input_specs(args)
+    counts = dict.fromkeys(["ok", "partial", "mismatch", "not_realizable"], 0)
+
+    def records():
+        for text, parse, parse_args in specs:
+            try:
+                entry = _verify_one(parse(*parse_args), args.precision)
+            except (WeilError, NonConvergence, ip.InvariantError) as exc:
+                yield _error_record(text, exc)
+                continue
+            counts[entry["status"]] += 1
+            if entry["status"] == "mismatch":
+                yield entry, EXIT_INPUT
+            elif args.verbose:
+                yield entry, EXIT_OK
+
+    code = _emit_records(records(), args)
+    _emit({"schema_version": 1, "checked": sum(counts.values()),
+           "mismatches": counts["mismatch"],
+           "not_realizable": counts["not_realizable"]}, args)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +388,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.precision < 64:
-        print("error: precision must be >= 64", file=sys.stderr)
-        return EXIT_INPUT
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        args = build_parser().parse_args(argv)
+        if args.precision < 64:
+            raise WeilError("precision must be >= 64")
+        if args.jobs < 1:
+            raise WeilError("--jobs must be >= 1")
         return args.func(args)
     except WeilError as exc:
         print("error: %s" % exc, file=sys.stderr)

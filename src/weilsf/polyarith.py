@@ -1,11 +1,12 @@
 """Exact algebra on Weil polynomials: factorization, base change, and
 recognition of supersingular minimal polynomials.
 
-Factorization works by reconstructing candidate monic divisors from subsets
-of high-precision roots and certifying them by exact integer division; with
-degrees at most 12 and all roots on a circle of radius sqrt(q) <= 8 this is
-both fast and provably correct (a spurious candidate never divides exactly,
-and every true factor is a product over a root subset).
+Factorization works on the real Weil transform H of P (degree g, real
+roots in [-2 sqrt(q), 2 sqrt(q)]): candidate monic divisors of H are
+reconstructed from subsets of its high-precision real roots, kept only when
+they divide exactly, and pulled back to the factors of P, whose product is
+checked against P.  Every true factor of H is a product over a root subset,
+and with g <= 8 there are at most 162 subsets of size at most g/2.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import mpmath as mp
 
 from . import _intpoly as ip
 from .newton import newton_class
-from .weilpoly import (DEFAULT_PRECISION, WeilPolynomial, WeilError,
-                       factor_prime_power, validate)
+from .weilpoly import (DEFAULT_PRECISION, WeilPolynomial, WeilError, _real_roots,
+                       factor_prime_power, real_weil_transform, validate,
+                       weil_pullback)
 
-MAX_FACTOR_DEGREE = 16   # covers 2g <= 6 plus base changes, and g = 7, 8 inputs
+MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 TORSION_SEARCH_BOUND = 72
 
 
@@ -49,87 +51,64 @@ class IsogenyFactorization:
                 for h, e, cls in self.factors]
 
 
-def _round_to_int(x, slack):
-    n = mp.nint(x)
-    if abs(x - n) > slack:
-        return None
-    return int(n)
+def _split_real_rooted(h, precision):
+    """Monic irreducible integer factors of a squarefree real-rooted h.
 
-
-def _factor_squarefree(coeffs, precision=DEFAULT_PRECISION):
-    """Irreducible monic integer factors of a squarefree monic polynomial."""
-    n = ip.degree(coeffs)
-    if n <= 1:
-        return [coeffs] if n == 1 else []
-    with mp.workprec(precision):
-        rts = mp.polyroots([mp.mpf(c) for c in coeffs],
-                           maxsteps=200, extraprec=precision // 2)
-        rts = sorted((mp.mpc(r) for r in rts),
-                     key=lambda z: (mp.nstr(z.real, 25), mp.nstr(z.imag, 25)))
-        found = []
-        remaining = list(range(n))
-        current = tuple(coeffs)
-        slack = mp.mpf("0.25")
+    Subsets of the numeric roots are tried smallest first; the product over
+    a subset is rounded to integers and kept only if it divides what is left
+    of h exactly.  The k roots where a kept factor of degree k is smallest
+    (its own roots) then leave the search, so every kept factor has the least
+    degree of any factor left and is irreducible, and so is a remainder with
+    no factor of at most half its degree.
+    """
+    found = []
+    with mp.workprec(precision + 32):
+        ys = _real_roots(h, precision)
         k = 1
-        while k <= ip.degree(current) // 2:
-            hit = None
-            for subset in itertools.combinations(remaining, k):
-                cand = [mp.mpc(1)]
-                for i in subset:
-                    cand = [a - rts[i] * b for a, b in
-                            zip(cand + [mp.mpc(0)], [mp.mpc(0)] + cand)]
-                    # cand = cand * (T - root); the zip above multiplies in place
-                ints = []
-                ok = True
-                for c in cand:
-                    if abs(c.imag) > slack:
-                        ok = False
-                        break
-                    v = _round_to_int(c.real, slack)
-                    if v is None:
-                        ok = False
-                        break
-                    ints.append(v)
-                if not ok or ints[0] != 1:
-                    continue
-                q = ip.poly_div_if_exact(current, tuple(ints))
-                if q is not None:
-                    hit = (tuple(ints), q, subset)
+        while k <= ip.degree(h) // 2:
+            for subset in itertools.combinations(ys, k):
+                cand = [mp.mpf(1)]
+                for y in subset:   # cand *= (T - y)
+                    cand = [a - y * b for a, b in zip(cand + [0], [0] + cand)]
+                d = tuple(int(mp.nint(c)) for c in cand)
+                rest = ip.poly_div_if_exact(h, d)
+                if rest is not None:
                     break
-            if hit is None:
+            else:
                 k += 1
                 continue
-            fac, current, used = hit
-            found.append(fac)
-            remaining = [i for i in remaining if i not in used]
+            found.append(d)
+            h = rest
+            ys = sorted(ys, key=lambda y: abs(mp.polyval(d, y)))[k:]
             k = 1
-        if ip.degree(current) > 0:
-            found.append(current)
-        return found
-
-
-def factor_coeffs(coeffs, precision=DEFAULT_PRECISION):
-    """[(h, e)] irreducible factorization of a monic integer polynomial."""
-    coeffs = ip.normalize(tuple(int(c) for c in coeffs))
-    if ip.degree(coeffs) > MAX_FACTOR_DEGREE:
-        raise WeilError("factorization supports degree <= %d" % MAX_FACTOR_DEGREE)
-    out = {}
-    for part, mult in ip.squarefree_decomposition(coeffs):
-        for h in _factor_squarefree(part, precision):
-            out[h] = out.get(h, 0) + mult
-    pairs = sorted(out.items(), key=lambda he: (ip.degree(he[0]), he[0]))
-    total = (1,)
-    for h, e in pairs:
-        total = ip.poly_mul(total, ip.poly_pow(h, e))
-    if total != coeffs:
-        raise ip.InvariantError("factorization of %r failed to certify" % (coeffs,))
-    return pairs
+    return found + [h]
 
 
 def factor(P, precision=DEFAULT_PRECISION):
-    """IsogenyFactorization of a validated WeilPolynomial."""
-    pairs = factor_coeffs(P.coeffs, precision)
-    facs = tuple((h, e, newton_class(h, P.p, P.d)) for h, e in pairs)
+    """IsogenyFactorization of a validated WeilPolynomial.
+
+    Factors the real Weil transform H of P (degree g, real roots
+    y = alpha + q/alpha) and pulls each irreducible factor h of H back to
+    f = T^k h(T + q/T), k = deg h.  For a root y of h other than +-2 sqrt(q)
+    the roots of f are a non-real alpha and q/alpha = conj(alpha), with
+    [Q(alpha):Q(y)] = 2, so f is irreducible; otherwise h divides y^2 - 4q
+    and f is (T -+ sqrt(q))^2 or (T^2 - q)^2.  The squarefree split of f
+    is therefore its factorization.
+    """
+    if 2 * P.g > MAX_FACTOR_DEGREE:
+        raise WeilError("factorization supports degree <= %d" % MAX_FACTOR_DEGREE)
+    pairs = []
+    for part, e in ip.squarefree_decomposition(real_weil_transform(P.coeffs, P.q, P.g)):
+        for h in _split_real_rooted(part, precision):
+            pairs += [(f, kf * e) for f, kf in
+                      ip.squarefree_decomposition(weil_pullback(h, P.q))]
+    pairs.sort(key=lambda fe: (ip.degree(fe[0]), fe[0]))
+    total = (1,)
+    for f, e in pairs:
+        total = ip.poly_mul(total, ip.poly_pow(f, e))
+    if total != P.coeffs:
+        raise ip.InvariantError("factorization of %r failed to certify" % (P.coeffs,))
+    facs = tuple((f, e, newton_class(f, P.p, P.d)) for f, e in pairs)
     return IsogenyFactorization(q=P.q, factors=facs)
 
 

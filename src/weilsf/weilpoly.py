@@ -12,7 +12,7 @@ polynomial of Frobenius + Verschiebung), with no floating point involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 import mpmath as mp
 
@@ -115,31 +115,33 @@ class WeilPolynomial:
                 "coeffs": list(self.coeffs)}
 
 
+def weil_pullback(h, q):
+    """T^k h(T + q/T) for h of degree k, i.e. sum_i h_i T^i (T^2 + q)^(k-i).
+
+    The inverse of real_weil_transform: the roots of the result are the
+    alpha with alpha + q/alpha a root of h.
+    """
+    k = ip.degree(h)
+    out = (0,)
+    for i, c in enumerate(h):
+        out = ip.poly_add(out, ip.poly_mul((c,) + (0,) * i, ip.poly_pow((1, 0, q), k - i)))
+    return out
+
+
 def real_weil_transform(coeffs, q, g):
     """H with T^g * H(T + q/T) = P; exists iff P satisfies the functional eq.
 
     H is monic of degree g with integer coefficients; its roots are the
     numbers alpha + q/alpha, one per conjugate pair of roots of P.
     """
-    # E_k(T) = T^k (T^2+q)^(g-k) has degree 2g-k; solve triangularly for the
-    # coefficients of H against those of P.
-    basis = []
-    for k in range(g + 1):
-        ek = ip.poly_mul(tuple([1] + [0] * k), ip.poly_pow((1, 0, q), g - k))
-        basis.append(ek)
+    # T^i (T^2+q)^(g-i) contributes comb(g-i, j) q^j to the coefficient of
+    # T^(2g-i-2j); solve triangularly for the coefficients of H
     c = [1]
     for k in range(1, g + 1):
-        acc = coeffs[k]
-        for i in range(k):
-            # coefficient of T^(2g-k) in E_i
-            ei = basis[i]
-            acc -= c[i] * ei[k - i]
-        c.append(acc)
-    # verify the full identity; anything left over violates the functional eq
-    total = (0,)
-    for k in range(g + 1):
-        total = ip.poly_add(total, tuple(c[k] * x for x in basis[k]))
-    if ip.normalize(total) != ip.normalize(tuple(coeffs)):
+        c.append(coeffs[k] - sum(c[i] * comb(g - i, (k - i) // 2) * q ** ((k - i) // 2)
+                                 for i in range(k - 2, -1, -2)))
+    # anything left over in the full identity violates the functional equation
+    if weil_pullback(c, q) != ip.normalize(tuple(coeffs)):
         raise FunctionalEquationViolated(
             "coefficients do not satisfy a_(2g-i) = q^(g-i) a_i")
     return tuple(c)
@@ -282,6 +284,16 @@ class RootSystem:
             return tuple(self.roots[j] / s for j in range(self.g))
 
 
+def _real_roots(c, precision):
+    """Roots of a squarefree, real-rooted monic integer polynomial at the
+    caller's working precision: none for a constant, exact for a linear c."""
+    if ip.degree(c) == 1:
+        return [mp.mpf(-c[1])]
+    # polyroots of a constant is empty
+    return [mp.re(y) for y in mp.polyroots([mp.mpf(x) for x in c],
+                                           maxsteps=200, extraprec=precision // 2)]
+
+
 def _angles_of_part(part, q, precision):
     """Angles theta in [0, 1/2] of the roots y = 2 sqrt(q) cos(2 pi theta) of
     one squarefree factor of H.
@@ -296,15 +308,11 @@ def _angles_of_part(part, q, precision):
         thetas = [mp.mpf(0), mp.mpf(0.5)]
     elif ip.degree(edge) == 1:
         thetas = [mp.mpf(0) if edge[1] < 0 else mp.mpf(0.5)]
-    if ip.degree(inner) == 1:
-        ys = [mp.mpf(-inner[1])]
-    else:   # a constant has no roots
-        ys = [mp.re(y) for y in mp.polyroots([mp.mpf(c) for c in inner],
-                                             maxsteps=200, extraprec=precision // 2)]
     # the clamp only absorbs rounding: Res(inner, y^2 - 4q) is a nonzero
     # integer, so no inner root lies within (4q)^-g of the edge
     two_sqrtq = 2 * mp.sqrt(q)
-    thetas += [mp.acos(max(-1, min(1, y / two_sqrtq))) / (2 * mp.pi) for y in ys]
+    thetas += [mp.acos(max(-1, min(1, y / two_sqrtq))) / (2 * mp.pi)
+               for y in _real_roots(inner, precision)]
     return thetas
 
 

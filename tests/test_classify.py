@@ -10,6 +10,7 @@ from weilsf.classify import (InvalidTrace, NotOrdinary,
                              classify_surface, classify_threefold,
                              geometric_decomposition, howe_zhu_split_degree,
                              report, sf_of_product)
+from weilsf.polyarith import factor
 from weilsf.weilpoly import from_middle, parse_label, validate
 
 from conftest import PAPER_EXAMPLES
@@ -211,6 +212,13 @@ class TestPrimeDimension:
                                  (PRIME_DIM_G5_ABS, 23, 0)]:
             dec = geometric_decomposition(validate(coeffs, q))
             assert dec.split_degree == split
+
+    def test_frozen_inputs_factor_as_one_ordinary_factor(self):
+        for P in [validate((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2),
+                  validate(PRIME_DIM_G5_SPLIT11, 3),
+                  validate(PRIME_DIM_G5_ABS, 23),
+                  from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3))]:
+            assert factor(P).factors == ((P.coeffs, 1, "ordinary"),)
 
     def test_preconditions(self):
         with pytest.raises(NotSimple):

@@ -143,6 +143,24 @@ def test_verify_corpus(capsys):
     assert json.loads(out.strip().split("\n")[-1])["mismatches"] == 0
 
 
+def test_verify_bad_label_keeps_the_rest(capsys, monkeypatch):
+    real = cli.angle_rank_numeric
+
+    def angle_rank(P, precision):
+        if P.label == "1.2.ab":
+            raise NonConvergence("residual too large")
+        return real(P, precision)
+    monkeypatch.setattr("weilsf.cli.angle_rank_numeric", angle_rank)
+    code, out, err = run(capsys, "verify", "--verbose", "1.2.zz", "1.2.a", "1.2.ab")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r.get("label") for r in records] == ["1.2.zz", "1.2.a", "1.2.ab", None]
+    assert [r.get("kind") for r in records[:3]] == ["input", None, "internal"]
+    assert records[1]["status"] == "ok"
+    assert records[3] == {"schema_version": 1, "checked": 1, "mismatches": 0,
+                          "not_realizable": 0}
+    assert code == 3 and err.startswith("error: 1.2.zz:") and err.count("error:") == 2
+
+
 def test_verify_flags_corruption(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1.2.zz\n")
@@ -175,6 +193,16 @@ def test_precision_env(capsys, monkeypatch):
     from weilsf.cli import build_parser
     args = build_parser().parse_args(["classify", "1.2.a"])
     assert args.precision == 192
+
+
+@pytest.mark.parametrize("env, message", [("32", "precision must be >= 64"),
+                                          ("abc", "WEILSF_PRECISION")])
+def test_precision_env_rejected(capsys, monkeypatch, env, message):
+    # the environment default is checked like --precision, not rewritten
+    monkeypatch.setenv("WEILSF_PRECISION", env)
+    code, out, err = run(capsys, "classify", "1.2.a")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_malformed_coeffs_is_input_error(capsys):
@@ -273,8 +301,8 @@ def test_certificate_checks_survive_python_O():
         from weilsf import polyarith
         from weilsf.cli import main
         assert False, "asserts must be stripped in this interpreter"
-        orig = polyarith._factor_squarefree
-        polyarith._factor_squarefree = lambda c, precision=256: orig(c, precision)[1:]
+        orig = polyarith._split_real_rooted
+        polyarith._split_real_rooted = lambda h, precision: orig(h, precision)[1:]
         sys.exit(main(["factor", "2.2.a_d"]))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")

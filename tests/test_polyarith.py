@@ -3,11 +3,15 @@ import random
 import pytest
 
 from weilsf import _intpoly as ip
-from weilsf.polyarith import (BoundExceeded, IsogenyFactorization,
-                              NoSupersingularMatch, base_change, factor,
-                              factor_coeffs, supersingular_match,
+from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
+                              IsogenyFactorization, NoSupersingularMatch,
+                              base_change, factor, supersingular_match,
                               supersingular_torsion_order)
-from weilsf.weilpoly import parse_label
+from weilsf.weilpoly import parse_label, validate
+
+
+def _pairs(P):
+    return [(h, e) for h, e, _ in factor(P).factors]
 
 
 class TestFactor:
@@ -18,7 +22,7 @@ class TestFactor:
 
     def test_square_detected(self):
         c = ip.poly_pow((1, -1, 2), 2)
-        assert factor_coeffs(c) == [((1, -1, 2), 2)]
+        assert _pairs(validate(c, 2)) == [((1, -1, 2), 2)]
 
     def test_base_changed_square_is_elliptic_square(self):
         # 2.25.ac_bz must come out as h^2 for the quadratic of 1.25.ab
@@ -26,29 +30,43 @@ class TestFactor:
         assert fac.factors == (((1, -1, 25), 2, "ordinary"),)
 
     def test_biquadratic_split(self):
-        assert factor_coeffs((1, 0, 0, 0, 4)) == [((1, -2, 2), 1), ((1, 2, 2), 1)]
+        assert _pairs(validate((1, 0, 0, 0, 4), 2)) == [((1, -2, 2), 1), ((1, 2, 2), 1)]
 
     def test_deterministic_order(self):
         c = ip.poly_mul((1, 2, 2), ip.poly_mul((1, -1, 2), (1, 0, 2)))
-        fac = factor_coeffs(c)
+        fac = _pairs(validate(c, 2))
         assert fac == sorted(fac, key=lambda he: (ip.degree(he[0]), he[0]))
 
     def test_factor_expand_roundtrip_random_products(self):
+        # irreducible 2-Weil atoms, and the edge square (T^2 - 2)^2 whose
+        # real Weil transform y^2 - 8 has the roots +-2 sqrt(2)
         rng = random.Random(7)
-        atoms = [(1, -1, 2), (1, 0, 2), (1, 2, 2), (1, -2, 2), (1, 1, 3),
-                 (1, 0, -1, 0, 25), (1, 2, 2, 4, 4), (1, -1, 25)]
+        square = ((1, 0, -4, 0, 4), (1, 0, -2), 2)
+        atoms = [(h, h, 1) for h in [(1, -1, 2), (1, 0, 2), (1, 2, 2), (1, -2, 2),
+                                     (1, 2, 2, 4, 4)]] + [square]
         for _ in range(25):
-            parts = rng.sample(atoms, rng.randint(1, 3))
             c = (1,)
-            for h in parts:
-                c = ip.poly_mul(c, ip.poly_pow(h, rng.randint(1, 2)))
-            if ip.degree(c) > 12:
+            want = []
+            for atom, h, k in rng.sample(atoms, rng.randint(1, 3)):
+                e = rng.randint(1, 2)
+                c = ip.poly_mul(c, ip.poly_pow(atom, e))
+                want.append((h, k * e))
+            if ip.degree(c) > MAX_FACTOR_DEGREE:
                 continue
-            got = factor_coeffs(c)
-            rebuilt = (1,)
-            for h, e in got:
-                rebuilt = ip.poly_mul(rebuilt, ip.poly_pow(h, e))
-            assert rebuilt == c
+            got = _pairs(validate(c, 2))
+            assert got == sorted(want, key=lambda he: (ip.degree(he[0]), he[0]))
+
+    @pytest.mark.parametrize("label, want", [
+        ("2.2.a_ae", [((1, 0, -2), 2)]),
+        ("1.4.ae", [((1, -2), 2)]),
+        ("1.4.e", [((1, 2), 2)]),
+        ("2.4.a_ai", [((1, -2), 2), ((1, 2), 2)]),
+        ("3.2.b_ac_ae", [((1, 0, -2), 2), ((1, 1, 2), 1)]),
+    ])
+    def test_edge_squares(self, label, want):
+        # real roots alpha = +-sqrt(q): the factor of H at y = +-2 sqrt(q)
+        # pulls back to a square
+        assert _pairs(parse_label(label)) == want
 
     def test_json_schema(self):
         fac = factor(parse_label("2.25.ac_bz"))
