@@ -3,17 +3,18 @@
 Polynomials are tuples of plain Python ints in *descending* degree order,
 ``(c[0], c[1], ..., c[n])`` representing ``c[0]*T^n + ... + c[n]``, matching
 the ``a_0, a_1, ..., a_{2g}`` coefficient convention used throughout the
-package.  Everything here is exact: big integers, ``fractions.Fraction`` for
-intermediate divisions, and Sturm chains for real-root counting.
+package.  Everything here is exact and stays in Z: divisions go through a
+sign-preserving primitive remainder, which serves both Euclid's gcd and the
+Sturm chains that count real roots.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
-Poly = tuple  # tuple of ints (or Fractions for the internal chains)
+Poly = tuple  # tuple of ints
 
 
 class InvariantError(RuntimeError):
@@ -111,42 +112,32 @@ def primitive(c):
     return tuple(x // (sign * g) for x in c)
 
 
-def _frac_poly_mod(a, b):
-    """Remainder of a mod b over Q (lists of Fractions, descending)."""
+def _rem(a, b):
+    """A positive integer multiple of a mod b, divided by its content.
+
+    Each step scales by |lc(b)| > 0, so the remainder keeps its sign: the
+    result serves Euclid (a gcd up to a unit) and Sturm chains alike.
+    """
     a = list(a)
     db = len(b) - 1
-    lead = b[0]
-    while len(a) - 1 >= db and any(x != 0 for x in a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        coef = a[0] / lead
-        for j in range(db + 1):
-            a[j] -= coef * b[j]
+    scale, sign = abs(b[0]), _sign(b[0])
+    while len(a) > db:
+        coef = sign * a[0]
+        if coef:
+            a = [scale * x - coef * y for x, y in zip_longest(a, b, fillvalue=0)]
         a.pop(0)
-    while len(a) > 1 and a[0] == 0:
-        a.pop(0)
-    return a if a else [Fraction(0)]
+    a = normalize(tuple(a) or (0,))
+    g = content(a)
+    return tuple(x // g for x in a)
 
 
 def poly_gcd(a, b):
-    """Primitive integer gcd of two integer polynomials (monic-friendly)."""
-    fa = [Fraction(x) for x in normalize(a)]
-    fb = [Fraction(x) for x in normalize(b)]
-    if fa == [0]:
-        return primitive(normalize(b))
-    if fb == [0]:
-        return primitive(normalize(a))
-    while True:
-        if len(fb) == 1 and fb[0] == 0:
-            break
-        fa, fb = fb, _frac_poly_mod(fa, fb)
-    # clear denominators of fa and take the primitive part
-    den = 1
-    for x in fa:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = tuple(int(x * den) for x in fa)
-    return primitive(normalize(ints))
+    """Primitive integer gcd of two integer polynomials, positive leading
+    coefficient."""
+    a, b = normalize(a), normalize(b)
+    while b != (0,):
+        a, b = b, _rem(a, b)
+    return primitive(a)
 
 
 def squarefree_part(c):
@@ -161,13 +152,11 @@ def squarefree_part(c):
 
 
 def _monicize(c):
-    # gcds of monic inputs have invertible-leading primitive form already;
-    # guard for safety
-    if c[0] == 1:
-        return c
-    if c[0] == -1:
-        return tuple(-x for x in c)
-    raise ValueError("expected a monic (up to sign) polynomial, got %r" % (c,))
+    # poly_gcd gives a positive leading coefficient, and a primitive divisor
+    # of a monic polynomial is monic (Gauss's lemma)
+    if c[0] != 1:
+        raise ValueError("expected a monic polynomial, got %r" % (c,))
+    return c
 
 
 def squarefree_decomposition(c):
@@ -296,13 +285,13 @@ def _sign(x):
 
 
 def _sturm_chain(c):
-    chain = [[Fraction(x) for x in c]]
-    chain.append([Fraction(x) for x in poly_derivative(c)])
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        rem = _frac_poly_mod(chain[-2], chain[-1])
-        if len(rem) == 1 and rem[0] == 0:
-            break
-        chain.append([-x for x in rem])
+    """Sturm chain of the squarefree c; ValueError if c has a repeated root."""
+    chain = [c, poly_derivative(c)]
+    while degree(chain[-1]) > 0:
+        rem = _rem(chain[-2], chain[-1])
+        if rem == (0,):
+            raise ValueError("Sturm chain needs a squarefree polynomial, got %r" % (c,))
+        chain.append(tuple(-x for x in rem))
     return chain
 
 
@@ -314,7 +303,7 @@ def _variations_at(chain, x):
         elif x == "+inf":
             s = _sign(poly[0])
         else:
-            acc = Fraction(0)
+            acc = 0
             for ci in poly:
                 acc = acc * x + ci
             s = _sign(acc)
@@ -324,13 +313,15 @@ def _variations_at(chain, x):
 
 
 def sturm_count(c, lo=None, hi=None):
-    """Number of distinct real roots of c in (lo, hi]; None means +-infinity."""
-    c = squarefree_part(c)
+    """Number of real roots of the squarefree integer polynomial c in
+    (lo, hi]; None means +-infinity, and lo, hi are ints or Fractions.
+
+    A repeated root raises ValueError: take squarefree_part first.
+    """
+    c = normalize(c)
     if degree(c) == 0:
         return 0
     chain = _sturm_chain(c)
-    a = "-inf" if lo is None else Fraction(lo)
-    b = "+inf" if hi is None else Fraction(hi)
-    count = _variations_at(chain, a) - _variations_at(chain, b)
-    # Sturm counts roots in (a, b]; the convention matches the callers.
-    return count
+    a = "-inf" if lo is None else lo
+    b = "+inf" if hi is None else hi
+    return _variations_at(chain, a) - _variations_at(chain, b)

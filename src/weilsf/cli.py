@@ -9,8 +9,8 @@ Inputs are LMFDB labels (arguments, --file, or '-' for stdin; '#' starts a
 comment), or a single polynomial as --coeffs "1,0,-1,0,25" --q 5.  Output is
 JSON lines by default (--format csv/text where it makes sense).  Exit codes:
 0 ok, 1 input error, 2 partial classification, 3 numeric or invariant failure.
-A classify batch writes an error record for a failing line, goes on, and
-exits with the worst code seen.
+A batch of any verb but histogram writes an error record for a failing line,
+goes on, and exits with the worst code seen.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from .classify import Partial, classify, report
 from .distribution import histogram, moment_report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
-from .weilpoly import (DEFAULT_PRECISION, NonConvergence, WeilError, from_middle,
-                       parse_label, validate)
+from .weilpoly import (DEFAULT_PRECISION, NonConvergence, RootOffCircle, WeilError,
+                       factor_prime_power, from_middle, parse_label, validate)
 
 PAPER_SAMPLES = 16 ** 6
 PAPER_BUCKETS = 4 ** 6
 EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
+# what fails one input of a batch; _error_record maps each to a record
+_FAILURES = (WeilError, NonConvergence, ip.InvariantError)
 
 
 def _default_precision():
@@ -77,12 +79,6 @@ def _input_specs(args):
     return [(lab, parse_label, (lab,)) for lab in labels]
 
 
-def _read_inputs(args):
-    """Yield WeilPolynomials from labels/file/stdin/coeffs, preserving order."""
-    for _, parse, parse_args in _input_specs(args):
-        yield parse(*parse_args)
-
-
 def _emit(obj, args):
     if getattr(args, "format", "json") == "text":
         print(obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True))
@@ -105,8 +101,10 @@ def enumerate_weil(g, q):
 
     A superset of the isogeny classes that actually occur (existence of an
     abelian variety is not checked).  Candidate tuples are pruned by the
-    exact power-sum bounds before the full root-modulus validation.
+    exact power-sum bounds before the full root-modulus validation.  A q
+    that is not a prime power raises NotPrimePower at the call.
     """
+    factor_prime_power(q)
     bounds = [math.floor(math.comb(2 * g, i) * q ** (i / 2.0))
               for i in range(1, g + 1)]
 
@@ -119,25 +117,37 @@ def enumerate_weil(g, q):
             if k == g:
                 try:
                     yield from_middle(g, q, cand)
-                except WeilError:
+                except RootOffCircle:
                     pass
             else:
                 yield from rec(cand)
 
-    yield from rec([])
+    return rec([])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _emit_each(args, record):
+    """Emit record(P) for every input in input order and return the worst
+    exit code; a failing input gives an error record and the batch goes on."""
+    def results():
+        for text, parse, parse_args in _input_specs(args):
+            try:
+                yield record(parse(*parse_args)), EXIT_OK
+            except _FAILURES as exc:
+                yield _error_record(text, exc)
+    return _emit_records(results(), args)
+
+
 def cmd_parse(args):
-    for P in _read_inputs(args):
+    def record(P):
         out = P.to_json()
         out["label"] = P.label
         out["schema_version"] = 1
-        _emit(out, args)
-    return EXIT_OK
+        return out
+    return _emit_each(args, record)
 
 
 def _error_record(text, exc):
@@ -152,13 +162,15 @@ def _classify_one(spec):
     text, parse, parse_args, precision = spec
     try:
         rep = report(parse(*parse_args), precision=precision)
-    except (WeilError, NonConvergence, ip.InvariantError) as exc:
+    except _FAILURES as exc:
         return _error_record(text, exc)
     return rep, EXIT_PARTIAL if rep.get("partial") else EXIT_OK
 
 
 def cmd_classify(args):
     """One record per input line in input order; the exit code is the worst seen."""
+    if args.jobs < 1:
+        raise WeilError("--jobs must be >= 1")
     specs = [spec + (args.precision,) for spec in _input_specs(args)]
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1 and len(specs) > 1:
@@ -180,47 +192,46 @@ def _emit_records(results, args):
 
 
 def cmd_factor(args):
-    for P in _read_inputs(args):
-        _emit({"schema_version": 1, "label": P.label,
-               "factors": factor(P).to_json()}, args)
-    return EXIT_OK
+    return _emit_each(args, lambda P: {"schema_version": 1, "label": P.label,
+                                       "factors": factor(P).to_json()})
 
 
 def cmd_newton(args):
-    for P in _read_inputs(args):
+    def record(P):
         npd = newton_polygon(P)
         out = npd.to_json()
         out.update({"schema_version": 1, "label": P.label,
                     "stratum": stratify(npd, P.g).value})
-        _emit(out, args)
-    return EXIT_OK
+        return out
+    return _emit_each(args, record)
 
 
 def cmd_base_change(args):
-    for P in _read_inputs(args):
+    def record(P):
         Q = base_change(P, args.r)
         out = Q.to_json()
         out.update({"schema_version": 1, "label": Q.label,
                     "source": P.label, "r": args.r})
-        _emit(out, args)
-    return EXIT_OK
+        return out
+    return _emit_each(args, record)
 
 
 def cmd_angle_rank(args):
-    for P in _read_inputs(args):
+    def record(P):
         lat = angle_rank_numeric(P, args.precision)
         out = lat.to_json()
         out.update({"schema_version": 1, "label": P.label})
         if args.structural_m:
             out["m_structural"] = torsion_order_structural(P, precision=args.precision)
-        _emit(out, args)
-    return EXIT_OK
+        return out
+    return _emit_each(args, record)
 
 
 def cmd_histogram(args):
     n = PAPER_SAMPLES if args.paper_scale else args.samples
     b = PAPER_BUCKETS if args.paper_scale else args.buckets
-    for P in _read_inputs(args):
+    for _, parse, parse_args in _input_specs(args):
+        P = parse(*parse_args)
         h = histogram(P, n, b, precision=args.precision)
         if args.format == "csv":
             sys.stdout.write(h.to_csv())
@@ -232,12 +243,11 @@ def cmd_histogram(args):
 
 
 def cmd_moments(args):
-    for P in _read_inputs(args):
+    def record(P):
         repm = moment_report(P, args.samples, args.max_order,
                              precision=args.precision)
-        _emit({"schema_version": 1, "label": P.label,
-               "moments": repm.to_json()}, args)
-    return EXIT_OK
+        return {"schema_version": 1, "label": P.label, "moments": repm.to_json()}
+    return _emit_each(args, record)
 
 
 def cmd_enumerate(args):
@@ -281,7 +291,7 @@ def cmd_verify(args):
         for text, parse, parse_args in specs:
             try:
                 entry = _verify_one(parse(*parse_args), args.precision)
-            except (WeilError, NonConvergence, ip.InvariantError) as exc:
+            except _FAILURES as exc:
                 yield _error_record(text, exc)
                 continue
             counts[entry["status"]] += 1
@@ -305,9 +315,6 @@ def build_parser():
     common.add_argument("--precision", type=int, default=_default_precision(),
                         help="working precision in bits (>= 64; env WEILSF_PRECISION)")
     common.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for classify batches (>= 1, at "
-                             "most the CPU count); output keeps input order")
 
     top = argparse.ArgumentParser(
         prog="weilsf",
@@ -329,6 +336,9 @@ def build_parser():
     p = sub.add_parser("classify", parents=[common],
                        help="Serre-Frobenius group of each input")
     add_inputs(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (>= 1, at most the CPU count); "
+                        "output keeps input order")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("factor", parents=[common],
@@ -392,8 +402,6 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         if args.precision < 64:
             raise WeilError("precision must be >= 64")
-        if args.jobs < 1:
-            raise WeilError("--jobs must be >= 1")
         return args.func(args)
     except WeilError as exc:
         print("error: %s" % exc, file=sys.stderr)

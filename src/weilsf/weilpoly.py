@@ -151,19 +151,17 @@ def _roots_on_circle_exact(coeffs, q, g):
     """Exact test that all roots of P have |alpha| = sqrt(q).
 
     Equivalent to: H real-rooted with every root y in [-2 sqrt(q), 2 sqrt(q)],
-    i.e. every root of E(z) = prod (z - y_i^2) lies in [0, 4q].
+    i.e. every root of E(z) = prod (z - y_i^2) lies in [0, 4q] (a root y^2 in
+    [0, 4q] makes y real with |y| <= 2 sqrt(q)).  One Sturm chain on the
+    squarefree part of E counts its roots in (0, 4q]; a root at 0 is E(0) = 0.
     """
     h = real_weil_transform(coeffs, q, g)
-    hsf = ip.squarefree_part(h)
-    if ip.sturm_count(hsf) != ip.degree(hsf):
-        return False
     # E(z) with E(y^2) = (-1)^g H(y) H(-y); keep the even part
     hneg = tuple(x * (-1) ** i for i, x in enumerate(h))
     prod = ip.poly_mul(h, hneg)
-    even = tuple(prod[i] for i in range(0, len(prod), 2))
-    e = tuple(x * (-1) ** g for x in even)
+    e = tuple(prod[i] * (-1) ** g for i in range(0, len(prod), 2))
     esf = ip.squarefree_part(e)
-    return ip.sturm_count(esf, -1, 4 * q) == ip.degree(esf)
+    return ip.sturm_count(esf, 0, 4 * q) + (e[-1] == 0) == ip.degree(esf)
 
 
 def validate(coeffs, q):

@@ -120,6 +120,13 @@ def test_enumerate_counts(capsys):
     assert len(out.strip().split("\n")) == 9
 
 
+@pytest.mark.parametrize("verb", ["enumerate", "verify"])
+def test_non_prime_power_q_rejected(capsys, verb):
+    code, out, err = run(capsys, verb, "-g", "1", "-q", "6")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not a prime power" in err
+
+
 def test_enumerate_g2_q2_classifies_cleanly(capsys):
     code, out, _ = run(capsys, "enumerate", "-g", "2", "-q", "2")
     labels = out.strip().split("\n")
@@ -231,6 +238,13 @@ def test_oracle_failure_is_internal_error(capsys, monkeypatch, error):
     assert err.startswith("error:") and "oracle gave up" in err
 
 
+def test_jobs_is_a_classify_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["newton", "--jobs", "2", "1.2.a"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_jobs_below_one_rejected(capsys):
     code, out, err = run(capsys, "classify", "--jobs", "0", "1.2.a")
     assert code == 1 and out == "" and "--jobs" in err
@@ -291,6 +305,19 @@ def test_classify_bad_line_keeps_the_rest(capsys):
     assert [r["label"] for r in records] == ["1.2.a", "1.2.zz"]
     assert records[1]["kind"] == "input" and code == 1
     assert err.startswith("error: 1.2.zz:")
+
+
+@pytest.mark.parametrize("verb", [["parse"], ["factor"], ["newton"],
+                                  ["base-change", "-r", "2"], ["angle-rank"],
+                                  ["moments", "-N", "100", "-K", "2"]],
+                         ids=lambda verb: verb[0])
+def test_bad_line_keeps_the_rest(capsys, verb):
+    code, out, err = run(capsys, *verb, "1.2.zz", "1.2.a")
+    records = [json.loads(line) for line in out.splitlines()]
+    # a base-change record is labelled by its result and names the input as source
+    assert [r.get("source", r["label"]) for r in records] == ["1.2.zz", "1.2.a"]
+    assert records[0]["kind"] == "input" and "error" not in records[1]
+    assert code == 1 and err.startswith("error: 1.2.zz:") and err.count("error:") == 1
 
 
 def test_certificate_checks_survive_python_O():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -173,3 +174,78 @@ class TestIntpolyOracles:
         assert ip.sturm_count((1, 0, -8)) == 2
         assert ip.sturm_count((1, 0, -8), -1, 8) == 1
         assert ip.sturm_count((1, 0, 1)) == 0
+
+
+class TestIntegerCoreAgainstSympy:
+    """poly_gcd, squarefree_decomposition and sturm_count against sympy."""
+
+    @staticmethod
+    def _sympy():
+        sp = pytest.importorskip("sympy")
+        return sp, sp.Symbol("y")
+
+    @staticmethod
+    def _random_poly(rng, deg, monic=False):
+        c = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        if monic:
+            c[0] = 1
+        elif c[0] == 0:
+            c[0] = rng.choice([-3, -2, -1, 1, 2, 5])
+        return tuple(c)
+
+    def test_gcd_is_primitive_sympy_gcd(self):
+        sp, y = self._sympy()
+        rng = random.Random(11)
+        for _ in range(200):
+            common = self._random_poly(rng, rng.randint(0, 3))
+            a = ip.poly_mul(self._random_poly(rng, rng.randint(0, 3)), common)
+            b = ip.poly_mul(self._random_poly(rng, rng.randint(0, 3)), common)
+            want = sp.Poly(a, y).gcd(sp.Poly(b, y)).primitive()[1].all_coeffs()
+            if want[0] < 0:
+                want = [-x for x in want]
+            assert ip.poly_gcd(a, b) == tuple(int(x) for x in want), (a, b)
+        # non-monic and negative-leading inputs keep a positive leading coefficient
+        assert ip.poly_gcd((-4, 2), (-6, 3, 0)) == (2, -1)
+        assert ip.poly_gcd((-2, 1), (3, 1)) == (1,)
+
+    def test_squarefree_decomposition_is_sqf_list(self):
+        sp, y = self._sympy()
+        rng = random.Random(12)
+        for _ in range(100):
+            c = (1,)
+            for e in range(1, 4):
+                c = ip.poly_mul(c, ip.poly_pow(self._random_poly(rng, rng.randint(0, 2), True), e))
+            if ip.degree(c) == 0:
+                continue
+            got = {(tuple(f), e) for f, e in ip.squarefree_decomposition(c)}
+            _, parts = sp.sqf_list(sp.Poly(c, y))
+            want = {(tuple(int(x) for x in f.all_coeffs()), e) for f, e in parts}
+            assert got == want, c
+
+    def test_sturm_count_matches_real_roots(self):
+        sp, y = self._sympy()
+        rng = random.Random(13)
+        for _ in range(100):
+            roots = rng.sample(range(-6, 7), rng.randint(1, 3))
+            c = (1,)
+            for r in roots:
+                c = ip.poly_mul(c, (1, -r))
+            c = ip.poly_mul(c, self._random_poly(rng, rng.randint(1, 3), True))
+            if ip.degree(ip.poly_gcd(c, ip.poly_derivative(c))) > 0:
+                continue
+            real = sp.real_roots(sp.Poly(c, y))
+            # interval ends on roots, between them and unbounded
+            ends = [None] + roots + [Fraction(rng.randint(-20, 20), rng.randint(1, 4))]
+            for lo in ends:
+                for hi in ends:
+                    if lo is not None and hi is not None and lo >= hi:
+                        continue
+                    want = sum(1 for r in real
+                               if (lo is None or r > lo) and (hi is None or r <= hi))
+                    assert ip.sturm_count(c, lo, hi) == want, (c, lo, hi)
+
+    def test_sturm_count_rejects_repeated_roots(self):
+        with pytest.raises(ValueError):
+            ip.sturm_count((1, 0, -2, 0, 1))   # (T^2 - 1)^2
+        with pytest.raises(ValueError):
+            ip.sturm_count(ip.poly_mul((1, -1), (1, -2, 1)), 0, 5)

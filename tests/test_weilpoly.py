@@ -1,3 +1,6 @@
+import math
+import random
+
 import mpmath as mp
 import pytest
 
@@ -5,7 +8,7 @@ from weilsf.weilpoly import (FunctionalEquationViolated, MalformedLabel,
                              NonConvergence, NotMonic, NotPrimePower,
                              RootOffCircle,
                              WeilPolynomial, format_label, from_middle,
-                             parse_label, roots, validate)
+                             parse_label, real_weil_transform, roots, validate)
 
 
 class TestLabels:
@@ -86,6 +89,39 @@ class TestValidate:
     def test_from_middle_mirrors(self):
         P = from_middle(2, 5, (0, -1))
         assert P.coeffs == (1, 0, -1, 0, 25)
+
+    def test_agrees_with_sympy_real_roots(self):
+        # P is valid iff H has g real roots y, each with y^2 <= 4q
+        sp = pytest.importorskip("sympy")
+        T, y = sp.symbols("T y")
+        rng = random.Random(5)
+
+        def sympy_accepts(g, q, middle):
+            coeffs = [1] + list(middle)
+            coeffs += [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
+            h = real_weil_transform(coeffs, q, g)
+            H = sp.Poly(h, y).as_expr()
+            assert sp.expand(T ** g * H.subs(y, T + q / T)) == sp.Poly(coeffs, T).as_expr()
+            real = sp.real_roots(sp.Poly(h, y))
+            return len(real) == g and all(r ** 2 <= 4 * q for r in real)
+
+        cases = [(1, 2, (0,)), (2, 2, (0, -4)), (1, 4, (-4,)), (2, 4, (0, -8))]
+        for g, q in [(1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+            # a box one past the Weil bounds |a_i| <= C(2g, i) q^(i/2)
+            bounds = [math.floor(math.comb(2 * g, i) * q ** (i / 2)) + 1
+                      for i in range(1, g + 1)]
+            cases += [(g, q, tuple(rng.randint(-b, b) for b in bounds))
+                      for _ in range(40)]
+        accepted = 0
+        for g, q, middle in cases:
+            try:
+                from_middle(g, q, middle)
+                ok = True
+            except RootOffCircle:
+                ok = False
+            assert ok == sympy_accepts(g, q, middle), (g, q, middle)
+            accepted += ok
+        assert 20 < accepted < len(cases) - 20
 
 
 class TestRoots:
