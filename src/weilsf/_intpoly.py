@@ -231,9 +231,7 @@ def poly_from_power_sums(s, n):
 
 
 def base_change_coeffs(c, r):
-    """Coefficients of prod (T - alpha^r) over the roots alpha of c (exact)."""
-    if r < 1:
-        raise ValueError("extension degree must be >= 1")
+    """Coefficients of prod (T - alpha^r) over the roots alpha of c; r >= 1 (exact)."""
     c = normalize(c)
     n = degree(c)
     if r == 1 or n == 0:

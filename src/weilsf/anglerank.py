@@ -3,8 +3,8 @@
 The multiplicative group U generated by the normalized Frobenius eigenvalues
 u_j = alpha_j/sqrt(q) is Z^delta + Z/m.  Writing theta_j for the angles,
 an element c of the relation lattice R = {c in Z^g : sum c_j theta_j in Z}
-is detected numerically: LLL reduction of the rows [e_j | N theta_j] and
-[0 | N] makes integer relations show up as short vectors.  Candidates are
+is detected numerically: exact LLL reduction of the rows [e_j | N theta_j]
+and [0 | N] makes integer relations show up as short vectors.  Candidates are
 re-verified at doubled precision, the found lattice is saturated and its
 rational parts normalized with a denominator bound, and the Smith normal
 form of R then gives delta = g - rank(R) and m = largest elementary divisor.
@@ -28,6 +28,7 @@ from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, roots
 DENOMINATOR_BOUND = 72
 COEFF_BOUND_PRESENTED = 12         # relations in the saturated presentation
 COEFF_BOUND_RAW = 12 * DENOMINATOR_BOUND
+LOVASZ = Fraction(99, 100)         # the delta of lll_reduce's Lovasz condition
 
 
 # Oracle failures are numeric or invariant failures, never bad input.
@@ -48,45 +49,46 @@ class InconsistentLattice(InvariantError):
 # exact LLL on integer row bases
 
 
-def lll_reduce(rows, delta=Fraction(99, 100)):
-    """Textbook LLL with exact rational Gram-Schmidt; rows of small dimension."""
+def lll_reduce(rows):
+    """Exact LLL; Gram-Schmidt computed once, updated in place (Cohen, GTM 138, 2.6.3)."""
     b = [list(map(int, r)) for r in rows]
     n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
     mu = [[Fraction(0)] * n for _ in range(n)]
     B = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i + 1):
+            s = sum(x * y for x, y in zip(b[i], b[j])) - sum(
+                mu[i][t] * mu[j][t] * B[t] for t in range(j))
+            if j == i:
+                B[i] = Fraction(s)
+            elif B[j]:
+                mu[i][j] = s / B[j]
 
-    def gso():
-        star = [[Fraction(x) for x in row] for row in b]
-        for i in range(n):
-            for j in range(i):
-                if B[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = Fraction(dot(b[i], b[j])) - sum(
-                    mu[i][k] * mu[j][k] * B[k] for k in range(j))
-                mu[i][j] /= B[j]
-            for j in range(i):
-                for t in range(len(star[i])):
-                    star[i][t] -= mu[i][j] * star[j][t]
-            B[i] = sum(x * x for x in star[i])
-
-    gso()
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Fraction(1, 2):
                 r = round(mu[k][j])
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                gso()
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
+                mu[k][j] -= r
+        m = mu[k][k - 1]
+        if B[k] >= (LOVASZ - m ** 2) * B[k - 1]:
             k += 1
         else:
+            bn = B[k] + m ** 2 * B[k - 1]   # 0 only for a dependent b_k with m = 0
+            if bn:
+                mu[k][k - 1] = m * B[k - 1] / bn
+            B[k], B[k - 1] = B[k - 1] * B[k] / bn if bn else B[k - 1], bn
             b[k], b[k - 1] = b[k - 1], b[k]
-            gso()
+            mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                if not B[k]:    # dependent b_k: keep mu[i][j] = 0 where B[j] = 0
+                    mu[i][k] = Fraction(0)
             k = max(k - 1, 1)
     return b
 

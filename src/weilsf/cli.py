@@ -9,8 +9,8 @@ Inputs are LMFDB labels (arguments, --file, or '-' for stdin; '#' starts a
 comment), or a single polynomial as --coeffs "1,0,-1,0,25" --q 5.  Output is
 JSON lines by default (--format csv/text where it makes sense).  Exit codes:
 0 ok, 1 input error, 2 partial classification, 3 numeric or invariant failure.
-A batch of any verb but histogram writes an error record for a failing line,
-goes on, and exits with the worst code seen.
+A batch of any verb writes an error record for a failing line (with --format
+csv only its stderr line), goes on, and exits with the worst code seen.
 """
 
 from __future__ import annotations
@@ -79,11 +79,9 @@ def _input_specs(args):
     return [(lab, parse_label, (lab,)) for lab in labels]
 
 
-def _emit(obj, args):
-    if getattr(args, "format", "json") == "text":
-        print(obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True))
-    else:
-        print(json.dumps(obj, sort_keys=True))
+def _emit(obj):
+    """Write a str (a CSV block) as it is, anything else as one JSON line."""
+    sys.stdout.write(obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +182,10 @@ def cmd_classify(args):
 def _emit_records(results, args):
     code = EXIT_OK
     for rec, rec_code in results:
-        _emit(rec, args)
-        if "error" in rec:
+        failed = isinstance(rec, dict) and "error" in rec
+        if not (failed and args.format == "csv"):   # keep a CSV stream parseable
+            _emit(rec)
+        if failed:
             print("error: %s: %s" % (rec["label"], rec["error"]), file=sys.stderr)
         code = max(code, rec_code)
     return code
@@ -230,16 +230,14 @@ def cmd_angle_rank(args):
 def cmd_histogram(args):
     n = PAPER_SAMPLES if args.paper_scale else args.samples
     b = PAPER_BUCKETS if args.paper_scale else args.buckets
-    for _, parse, parse_args in _input_specs(args):
-        P = parse(*parse_args)
+    def record(P):
         h = histogram(P, n, b, precision=args.precision)
         if args.format == "csv":
-            sys.stdout.write(h.to_csv())
-        else:
-            out = h.to_json()
-            out.update({"schema_version": 1, "label": P.label})
-            _emit(out, args)
-    return EXIT_OK
+            return h.to_csv()
+        out = h.to_json()
+        out.update({"schema_version": 1, "label": P.label})
+        return out
+    return _emit_each(args, record)
 
 
 def cmd_moments(args):
@@ -266,7 +264,7 @@ def _verify_one(P, precision):
         return {"label": P.label, "status": "not_realizable", "detail": str(exc)}
     if isinstance(sf, Partial):
         return {"label": P.label, "status": "partial"}
-    lat = angle_rank_numeric(P, precision)
+    lat = sf.embedding or angle_rank_numeric(P, precision)   # set by oracle nodes
     ok_pair = (sf.delta, sf.m) == (lat.delta, lat.torsion_order)
     ok_table = sf.in_allowed_tables()
     npd = newton_polygon(P)
@@ -303,7 +301,7 @@ def cmd_verify(args):
     code = _emit_records(records(), args)
     _emit({"schema_version": 1, "checked": sum(counts.values()),
            "mismatches": counts["mismatch"],
-           "not_realizable": counts["not_realizable"]}, args)
+           "not_realizable": counts["not_realizable"]})
     return code
 
 

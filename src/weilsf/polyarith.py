@@ -114,6 +114,8 @@ def factor(P, precision=DEFAULT_PRECISION):
 
 def base_change(P, r):
     """Extension of scalars: the q^r-Weil polynomial with roots alpha^r."""
+    if r < 1:
+        raise WeilError("extension degree must be >= 1, got %d" % r)
     out = ip.base_change_coeffs(P.coeffs, r)
     return validate(out, P.q ** r)
 

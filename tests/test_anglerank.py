@@ -1,11 +1,47 @@
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import mpmath as mp
 import pytest
 
+from conftest import PAPER_EXAMPLES
 from weilsf import _intpoly as ip
-from weilsf.anglerank import (angle_rank_numeric, integer_kernel, lll_reduce,
-                              saturate_lattice, smith_normal_form,
+from weilsf.anglerank import (COEFF_BOUND_RAW, angle_rank_numeric, integer_kernel,
+                              lll_reduce, saturate_lattice, smith_normal_form,
                               torsion_order_structural)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import parse_label, validate
+from weilsf.weilpoly import parse_label, roots, validate
+
+
+def _relation_lattice_rows(P, precision):
+    """The rows [e_j | N theta_j] and [0 | N] that angle_rank_numeric reduces."""
+    with mp.workprec(precision + 32):
+        n_scale = 1 << (precision // 2)
+        rows = [[int(i == j) for i in range(P.g)] + [int(mp.nint(mp.mpf(t) * n_scale))]
+                for j, t in enumerate(roots(P, precision).thetas)]
+    return rows + [[0] * P.g + [n_scale]]
+
+
+def _gram_schmidt(rows):
+    """(mu, B) from explicit Gram-Schmidt vectors, exact; mu = 0 where B = 0."""
+    star, mu = [], []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        coeffs = []
+        for s in star:
+            ss = sum(x * x for x in s)
+            c = sum(x * y for x, y in zip(row, s)) / ss if ss else Fraction(0)
+            coeffs.append(c)
+            v = [x - c * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(coeffs)
+    return mu, [sum(x * x for x in s) for s in star]
+
+
+def _divisors(rows, n):
+    return smith_normal_form([r for r in rows if any(r)], n)[0]
 
 
 class TestLinearAlgebra:
@@ -15,6 +51,42 @@ class TestLinearAlgebra:
         rows = [[1, n // 4], [0, n]]
         red = lll_reduce(rows)
         assert any(abs(r[0]) == 4 and abs(r[1]) <= 4 for r in red)
+
+    def test_lll_corpus_bases_are_pinned(self, corpus):
+        # reduced bases of the 215 g=3, q=2 lattices at 256 bits, digest
+        # taken from the Gram-Schmidt-rebuilding implementation
+        reduced = [lll_reduce(_relation_lattice_rows(P, 256)) for P in corpus[(3, 2)]]
+        digest = hashlib.sha256(json.dumps(reduced, separators=(",", ":")).encode())
+        assert len(reduced) == 215
+        assert digest.hexdigest() == (
+            "4ba9adda120ac956eb39a973ef360574b173c8ac295103748f8e3aa08cb2845a")
+
+    def test_lll_output_is_reduced_and_spans_the_input(self):
+        rng = random.Random(20231018)
+        for trial in range(200):
+            n, dim = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(n)]
+            if trial % 2:
+                # integer combinations of earlier rows make the input dependent
+                for i in range(1, n):
+                    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                    rows[i] = [a * x + b * y for x, y in
+                               zip(rows[rng.randrange(i)], rows[rng.randrange(i)])]
+            red = lll_reduce(rows)
+            assert len(red) == n
+            assert (_divisors(red, dim) == _divisors(rows, dim)
+                    == _divisors(rows + red, dim)), rows
+            mu, B = _gram_schmidt(red)
+            assert all(abs(x) <= Fraction(1, 2) for r in mu for x in r), rows
+            assert all(B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
+                       for k in range(1, n)), rows
+
+    @pytest.mark.parametrize("rows,reduced", [
+        ([[1, 2], [2, 4]], [[0, 0], [1, 2]]),
+        ([[2, 4], [1, 2], [0, 1]], [[0, 0], [0, 1], [1, 0]]),
+        ([[0, 0], [1, 1]], [[0, 0], [1, 1]])])
+    def test_lll_dependent_rows(self, rows, reduced):
+        assert lll_reduce(rows) == reduced
 
     def test_snf_divisor_chain(self):
         divisors, _ = smith_normal_form([[2, 0], [0, 3]], 2)
@@ -123,6 +195,23 @@ class TestAngleRank:
         mat, phases = lat.embedding()
         assert mat == [[1, 0], [0, 1]]
         assert phases == [(0, 0)] or list(phases[0]) == [0, 0]
+
+
+@pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))
+def test_pslq_agrees_with_the_lattice(label):
+    # PSLQ (Ferguson-Bailey-Arno) on [theta_1..theta_g, 1] finds an integer
+    # relation exactly when the LLL oracle finds a nonzero relation lattice,
+    # and its relation lies in that lattice
+    P = parse_label(label)
+    lat = angle_rank_numeric(P, 256)
+    with mp.workprec(256):
+        thetas = [mp.mpf(t) for t in roots(P, 256).thetas]
+        # enough steps that None means no relation within maxcoeff
+        rel = mp.pslq(thetas + [mp.mpf(1)], maxcoeff=COEFF_BOUND_RAW, maxsteps=10 ** 4)
+    assert (rel is None) == (lat.rank == 0)
+    if rel is not None:
+        c = rel[:P.g]
+        assert _divisors(list(lat.basis) + [c], P.g) == _divisors(lat.basis, P.g)
 
 
 class TestStructuralTorsion:

@@ -168,6 +168,26 @@ def test_verify_bad_label_keeps_the_rest(capsys, monkeypatch):
     assert code == 3 and err.startswith("error: 1.2.zz:") and err.count("error:") == 2
 
 
+def test_verify_runs_the_oracle_once(monkeypatch):
+    # 3.2.ac_d_ag is classified at the X-D oracle node, which returns the
+    # lattice it computed; the comparison reuses it
+    from weilsf.weilpoly import parse_label
+    classify = sys.modules["weilsf.classify"]   # the package name is the function
+    calls = []
+
+    def counted(real):
+        def angle_rank(P, precision):
+            calls.append(P.label)
+            return real(P, precision)
+        return angle_rank
+    monkeypatch.setattr(cli, "angle_rank_numeric", counted(cli.angle_rank_numeric))
+    monkeypatch.setattr(classify, "angle_rank_numeric",
+                        counted(classify.angle_rank_numeric))
+    entry = cli._verify_one(parse_label("3.2.ac_d_ag"), 256)
+    assert entry["status"] == "ok" and entry["numeric"] == [2, 8]
+    assert calls == ["3.2.ac_d_ag"]
+
+
 def test_verify_flags_corruption(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1.2.zz\n")
@@ -318,6 +338,32 @@ def test_bad_line_keeps_the_rest(capsys, verb):
     assert [r.get("source", r["label"]) for r in records] == ["1.2.zz", "1.2.a"]
     assert records[0]["kind"] == "input" and "error" not in records[1]
     assert code == 1 and err.startswith("error: 1.2.zz:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_base_change_degree_below_one_is_input_error(capsys, r):
+    code, out, err = run(capsys, "base-change", "-r", r, "1.2.a", "1.2.ab")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["label"] for rec in records] == ["1.2.a", "1.2.ab"]
+    assert all(rec["kind"] == "input" and "extension degree" in rec["error"]
+               for rec in records)
+    assert code == 1 and err.count("error:") == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_histogram_bad_line_keeps_the_rest(capsys, fmt):
+    argv = ["histogram", "-N", "400", "-B", "4", "--format", fmt]
+    _, good, _ = run(capsys, *argv, "1.2.a")
+    code, out, err = run(capsys, *argv, "1.2.zz", "1.2.a")
+    assert code == 1 and err.startswith("error: 1.2.zz:") and err.count("error:") == 1
+    if fmt == "csv":
+        # an error record would corrupt the CSV stream: stderr only
+        assert out == good and out.startswith("bucket_left,bucket_right,count\n")
+    else:
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"label": "1.2.zz", "kind": "input",
+                              "error": records[0]["error"]}
+        assert out.splitlines()[1] == good.strip()
 
 
 def test_certificate_checks_survive_python_O():
