@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import _intpoly as ip
 from .anglerank import RelationLattice, angle_rank_numeric
-from .newton import Stratum, newton_class, newton_polygon, newton_polygon_of_factor, stratify
+from .newton import Stratum, newton_polygon, newton_polygon_of_factor, stratify
 from .polyarith import factor, supersingular_match, supersingular_torsion_order
 from .weilpoly import DEFAULT_PRECISION, WeilError
 
@@ -226,9 +226,10 @@ def _merge_degree(quads, quartics=()):
 def sf_of_product(factors, q, p, d):
     """Serre-Frobenius group of a product from its irreducible factors.
 
-    `factors` is a list of (coeffs, multiplicity).  delta adds one per
-    geometric isogeny class of non-supersingular quadratic pieces and two per
-    simple surface piece of free rank two; m is the lcm of the supersingular
+    `factors` is `IsogenyFactorization.factors`, the (coeffs, multiplicity,
+    Newton class) triples of factor(P).  delta adds one per geometric
+    isogeny class of non-supersingular quadratic pieces and two per simple
+    surface piece of free rank two; m is the lcm of the supersingular
     torsion orders and of the extension degrees over which each geometric
     class collapses.
     """
@@ -238,9 +239,8 @@ def sf_of_product(factors, q, p, d):
     quartic_split = []    # (h4, split_degree) for geometrically split quartics
     m_extra = []          # torsion carried by twisted non-realizable quartics
     rule = []
-    for h, e in factors:
+    for h, _, cls in factors:
         deg = ip.degree(h)
-        cls = newton_class(h, p, d)
         if cls == "ss":
             ss_parts.append(h)
         elif deg == 1:
@@ -327,20 +327,19 @@ def _is_almost_ordinary_factor(h, p, d):
 # dimension 2
 
 
-def classify_surface(P, precision=DEFAULT_PRECISION):
+def classify_surface(P, precision=DEFAULT_PRECISION, fac=None):
     if P.g != 2:
         raise WeilError("classify_surface needs g = 2")
     q, p, d = P.q, P.p, P.d
     stratum = stratify(newton_polygon(P), 2)
-    fac = factor(P)
-    pairs = [(h, e) for h, e, _ in fac.factors]
+    fac = fac or factor(P)
 
     if stratum is Stratum.SUPERSINGULAR:
         m = supersingular_torsion_order(P)
         # simple supersingular surfaces: irreducible quartic, or the square
         # of a quadratic Weil number that is not an elliptic trace
-        if len(pairs) == 1:
-            h, e = pairs[0]
+        if len(fac.factors) == 1:
+            h, e, _ = fac.factors[0]
             if (e == 1 and ip.degree(h) == 4) or (
                     e == 2 and ip.degree(h) == 2
                     and not _is_elliptic_quadratic(h, q)):
@@ -355,7 +354,7 @@ def classify_surface(P, precision=DEFAULT_PRECISION):
                 return _sf(2, 2, 1, "S-A(a)")
             node = {2: "b", 3: "c", 4: "d", 6: "e"}[hz]
             return _sf(2, 1, hz, "S-A(%s)" % node)
-        delta, m, _ = sf_of_product(pairs, q, p, d)
+        delta, m, _ = sf_of_product(fac.factors, q, p, d)
         if delta == 2:
             return _sf(2, 2, 1, "S-B")
         return _sf(2, 1, m, "S-C(m=%d)" % m)
@@ -363,7 +362,7 @@ def classify_surface(P, precision=DEFAULT_PRECISION):
     if stratum is Stratum.ALMOST_ORDINARY:
         if fac.is_irreducible:
             return _sf(2, 2, 1, "S-D")
-        delta, m, _ = sf_of_product(pairs, q, p, d)
+        delta, m, _ = sf_of_product(fac.factors, q, p, d)
         return _sf(2, delta, m, "S-E")
 
     if stratum is Stratum.P_RANK_ZERO_NON_SS:
@@ -384,19 +383,18 @@ def classify_surface(P, precision=DEFAULT_PRECISION):
 # dimension 3
 
 
-def classify_threefold(P, precision=DEFAULT_PRECISION):
+def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None):
     if P.g != 3:
         raise WeilError("classify_threefold needs g = 3")
     q, p, d = P.q, P.p, P.d
     stratum = stratify(newton_polygon(P), 3)
-    fac = factor(P)
-    pairs = [(h, e) for h, e, _ in fac.factors]
+    fac = fac or factor(P)
 
     if stratum is Stratum.SUPERSINGULAR:
         m = supersingular_torsion_order(P)
         # simple supersingular threefolds always have P irreducible
         if fac.is_irreducible:
-            fam = supersingular_match(pairs[0][0], q, p, d)
+            fam = supersingular_match(P.coeffs, q, p, d)
             return _sf(3, 0, m, "X-ss-simple:%s:%s" % (fam.zhu_type, fam.normalized_family))
         return _sf(3, 0, m, "X-J:lcm")
 
@@ -409,7 +407,7 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
             if _power_index(P.coeffs, 7) % 3 == 0:
                 return _sf(3, 1, 7, "X-B(7)")
             return _sf(3, 3, 1, "X-A")
-        delta, m, rule = sf_of_product(pairs, q, p, d)
+        delta, m, rule = sf_of_product(fac.factors, q, p, d)
         kinds = sorted(k for k, _ in rule)
         if "surface_abs_simple" in kinds:
             node = "6.3-d"
@@ -431,13 +429,13 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
                     "simple almost ordinary threefold outside Table 6: "
                     "delta=%d m=%d" % (delta, m))
             return _sf(3, delta, m, "X-D:Table6:oracle", embedding=lattice)
-        delta, m, _ = sf_of_product(pairs, q, p, d)
+        delta, m, _ = sf_of_product(fac.factors, q, p, d)
         return _sf(3, delta, m, "X-E")
 
     if stratum is Stratum.K3_TYPE:
         if fac.is_irreducible:
             return _sf(3, 3, 1, "X-F")
-        delta, m, rule = sf_of_product(pairs, q, p, d)
+        delta, m, rule = sf_of_product(fac.factors, q, p, d)
         kinds = [k for k, _ in rule]
         if "surface_almost_ordinary" in kinds:
             node = "X-G(a)"
@@ -457,7 +455,7 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
         if not fac.is_irreducible:
             # formally valid inputs that are not Frobenius polynomials of
             # threefolds (fractional-slope factors over square fields)
-            delta, m, _ = sf_of_product(pairs, q, p, d)
+            delta, m, _ = sf_of_product(fac.factors, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
         return _sf(3, 3, 1, "X-I")
 
@@ -466,7 +464,7 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
         # actual abelian threefolds; classified for totality, with the
         # provenance naming the honest source
         if not fac.is_irreducible:
-            delta, m, _ = sf_of_product(pairs, q, p, d)
+            delta, m, _ = sf_of_product(fac.factors, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
         lattice = angle_rank_numeric(P, precision)
         return _sf(3, lattice.delta, lattice.torsion_order, "X-NA:oracle",
@@ -479,11 +477,11 @@ def classify_threefold(P, precision=DEFAULT_PRECISION):
 # prime dimension g > 3 (partial classification)
 
 
-def classify_prime_dim(P, precision=DEFAULT_PRECISION):
+def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None):
     g = P.g
     if g <= 3 or not _is_prime(g):
         raise WeilError("classify_prime_dim needs prime g > 3")
-    fac = factor(P)
+    fac = fac or factor(P)
     if not fac.is_irreducible:
         raise NotSimple("polynomial is reducible; classify the factors instead")
     if stratify(newton_polygon(P), g) is not Stratum.ORDINARY:
@@ -514,15 +512,17 @@ def _is_prime(n):
 # dispatch and reporting
 
 
-def classify(P, precision=DEFAULT_PRECISION):
+def classify(P, precision=DEFAULT_PRECISION, fac=None):
+    """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P) when the
+    caller already has it; without it the node that needs it factors P."""
     if P.g == 1:
         return classify_elliptic(P)
     if P.g == 2:
-        return classify_surface(P, precision)
+        return classify_surface(P, precision, fac)
     if P.g == 3:
-        return classify_threefold(P, precision)
+        return classify_threefold(P, precision, fac)
     if _is_prime(P.g):
-        return classify_prime_dim(P, precision)
+        return classify_prime_dim(P, precision, fac)
     raise WeilError("no classification implemented for g = %d" % P.g)
 
 
@@ -541,23 +541,27 @@ def _factor_dimension(h, q, cls):
     return deg // 2 if deg % 2 == 0 else deg
 
 
-def geometric_decomposition(P, sf=None):
-    """Factor summary plus the smallest extension showing more factors."""
-    fac = factor(P)
-    summaries = tuple((h, e, _factor_dimension(h, P.q, cls), cls)
+def geometric_decomposition(fac):
+    """Factors of fac = factor(P) and the least r over which P gains one:
+    1 for a reducible P, 0 when no r up to BASE_CHANGE_RANGE does."""
+    summaries = tuple((h, e, _factor_dimension(h, fac.q, cls), cls)
                       for h, e, cls in fac.factors)
-    if sum(e for _, e, _ in fac.factors) > 1:
-        split = 1
+    if fac.is_irreducible:
+        # no limit below BASE_CHANGE_RANGE: with delta = 0, alpha^m = q^(m/2)
+        # makes the power index 2g at r = m, so the search stops by r = m, and
+        # h_{7,1} (m = 28) stops at r = 7, h_{3,3} (m = 36) at r = 3
+        split = _split_degree(fac.factors[0][0], BASE_CHANGE_RANGE) or 0
     else:
-        # P is irreducible, so the exact power-index test decides each r
-        limit = sf.m if sf is not None and sf.delta == 0 else BASE_CHANGE_RANGE
-        split = _split_degree(P.coeffs, max(limit, 2)) or 0
+        split = 1
     return GeometricDecomposition(split_degree=split, factor_summaries=summaries)
 
 
 def report(P, precision=DEFAULT_PRECISION):
     """Full JSON-ready classification report for one polynomial."""
-    sf = classify(P, precision)
+    # one factorization serves classify and the decomposition; a g that
+    # classify rejects gets that error, not one from factor
+    fac = factor(P) if P.g <= 3 or _is_prime(P.g) else None
+    sf = classify(P, precision, fac)
     out = {
         "schema_version": 1,
         "label": P.label,
@@ -565,12 +569,10 @@ def report(P, precision=DEFAULT_PRECISION):
         "q": P.q,
         "stratum": stratify(newton_polygon(P), P.g).value,
     }
+    out.update(sf.to_json())
     if isinstance(sf, Partial):
-        out.update(sf.to_json())
         out["group"] = None
-    else:
-        out.update(sf.to_json())
-    dec = geometric_decomposition(P, sf if isinstance(sf, SerreFrobeniusGroup) else None)
+    dec = geometric_decomposition(fac)
     out["split_degree"] = dec.split_degree
     out["factors"] = dec.to_json()["factors"]
     return out

@@ -7,10 +7,11 @@ One verb per library capability:
 
 Inputs are LMFDB labels (arguments, --file, or '-' for stdin; '#' starts a
 comment), or a single polynomial as --coeffs "1,0,-1,0,25" --q 5.  Output is
-JSON lines by default (--format csv/text where it makes sense).  Exit codes:
-0 ok, 1 input error, 2 partial classification, 3 numeric or invariant failure.
-A batch of any verb writes an error record for a failing line (with --format
-csv only its stderr line), goes on, and exits with the worst code seen.
+JSON lines (histogram --format csv writes CSV blocks).  Exit codes: 0 ok,
+1 input error, 2 partial classification, 3 numeric or invariant failure.
+A batch of any verb writes an error record for a failing line (with
+histogram --format csv only its stderr line), goes on, and exits with the
+worst code seen.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def enumerate_weil(g, q):
 # subcommands
 
 
-def _emit_each(args, record):
+def _emit_each(args, record, csv=False):
     """Emit record(P) for every input in input order and return the worst
     exit code; a failing input gives an error record and the batch goes on."""
     def results():
@@ -136,7 +137,7 @@ def _emit_each(args, record):
                 yield record(parse(*parse_args)), EXIT_OK
             except _FAILURES as exc:
                 yield _error_record(text, exc)
-    return _emit_records(results(), args)
+    return _emit_records(results(), csv)
 
 
 def cmd_parse(args):
@@ -175,15 +176,15 @@ def cmd_classify(args):
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             # imap keeps input order
-            return _emit_records(pool.imap(_classify_one, specs), args)
-    return _emit_records(map(_classify_one, specs), args)
+            return _emit_records(pool.imap(_classify_one, specs))
+    return _emit_records(map(_classify_one, specs))
 
 
-def _emit_records(results, args):
+def _emit_records(results, csv=False):
     code = EXIT_OK
     for rec, rec_code in results:
         failed = isinstance(rec, dict) and "error" in rec
-        if not (failed and args.format == "csv"):   # keep a CSV stream parseable
+        if not (failed and csv):   # keep a CSV stream parseable
             _emit(rec)
         if failed:
             print("error: %s: %s" % (rec["label"], rec["error"]), file=sys.stderr)
@@ -237,7 +238,7 @@ def cmd_histogram(args):
         out = h.to_json()
         out.update({"schema_version": 1, "label": P.label})
         return out
-    return _emit_each(args, record)
+    return _emit_each(args, record, csv=args.format == "csv")
 
 
 def cmd_moments(args):
@@ -279,7 +280,9 @@ def _verify_one(P, precision):
 def cmd_verify(args):
     """Mismatches (every entry with --verbose), then a summary record; a
     failing input gives an error record and the exit code is the worst seen."""
-    if args.g is not None and args.q is not None:
+    if args.g is not None:
+        if args.q is None or args.labels or args.file or args.coeffs:
+            raise WeilError("-g needs -q and no other input source")
         specs = ((P.label, lambda P: P, (P,)) for P in enumerate_weil(args.g, args.q))
     else:
         specs = _input_specs(args)
@@ -298,7 +301,7 @@ def cmd_verify(args):
             elif args.verbose:
                 yield entry, EXIT_OK
 
-    code = _emit_records(records(), args)
+    code = _emit_records(records())
     _emit({"schema_version": 1, "checked": sum(counts.values()),
            "mismatches": counts["mismatch"],
            "not_realizable": counts["not_realizable"]})
@@ -312,7 +315,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=_default_precision(),
                         help="working precision in bits (>= 64; env WEILSF_PRECISION)")
-    common.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
     top = argparse.ArgumentParser(
         prog="weilsf",
@@ -369,6 +371,7 @@ def build_parser():
     p.add_argument("-B", "--buckets", type=int, default=4 ** 3)
     p.add_argument("--paper-scale", action="store_true",
                    help="16^6 samples into 4^6 buckets")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("moments", parents=[common],

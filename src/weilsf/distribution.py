@@ -117,7 +117,24 @@ def _bucket_chunk(x, g, B, counts):
     counts += np.bincount(idx, minlength=B)
 
 
-def _atom_candidates(P, lattice, precision):
+def _coset_traces(mat, phases, n):
+    """x = sum_j 2 cos(2 pi (f + M t)_j) on the grid t in {0, 1/n, ...,
+    (n-1)/n}^delta (one point if delta = 0), one array per coset f."""
+    delta = len(mat[0])
+    grid = np.arange(n, dtype=np.float64) / n
+    mesh = np.meshgrid(*([grid] * delta), indexing="ij")
+    shape = (n,) * delta or (1,)
+    for f in phases:
+        x = np.zeros(shape)
+        for fj, row in zip(f, mat):
+            arg = np.full(shape, 2.0 * math.pi * float(fj))
+            for c, t in zip(row, mesh):
+                arg = arg + (2.0 * math.pi * c) * t
+            x = x + 2.0 * np.cos(arg)
+        yield x
+
+
+def _atom_candidates(lattice):
     """Values where a whole component of the group maps to one point.
 
     An atom of the pushforward arises exactly from a coset on which the trace
@@ -125,23 +142,8 @@ def _atom_candidates(P, lattice, precision):
     """
     if lattice.delta == lattice.g and lattice.torsion_order == 1:
         return []
-    mat, phases = lattice.embedding()
-    g = lattice.g
-    delta = lattice.delta
     out = {}
-    grid = np.linspace(0.0, 1.0, 33)[:-1]
-    mesh = np.meshgrid(*([grid] * delta)) if delta else []
-    for f in phases:
-        x = np.zeros_like(mesh[0]) if delta else np.zeros(1)
-        for j in range(g):
-            ang = 2.0 * math.pi * float(f[j])
-            if delta:
-                arg = np.full_like(mesh[0], ang)
-                for l in range(delta):
-                    arg = arg + 2.0 * math.pi * mat[j][l] * mesh[l]
-            else:
-                arg = np.array([ang])
-            x = x + 2.0 * np.cos(arg)
+    for x in _coset_traces(*lattice.embedding(), 32):
         if float(np.ptp(x)) < 1e-9:
             v = round(float(x.flat[0]), 9)
             out[v] = out.get(v, 0) + 1
@@ -180,7 +182,7 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
 
     _check_precision(N, precision)
     lattice = angle_rank_numeric(P, precision)
-    cands = _atom_candidates(P, lattice, precision)
+    cands = _atom_candidates(lattice)
     ms = _fixed_point_angles(P, precision)
     counts = np.zeros(B, dtype=np.int64)
     atom_counts = [0] * len(cands)
@@ -274,17 +276,8 @@ def exact_moments(group, K):
         vals = [math.fsum(2.0 * math.cos(2.0 * math.pi * float(fj)) for fj in f)
                 for f in phases]
         return [math.fsum(v ** k for v in vals) / m for k in range(1, K + 1)]
-    n = _auto_nodes(mat, K, delta)
-    grid = np.arange(n, dtype=np.float64) / n
-    mesh = np.meshgrid(*([grid] * delta), indexing="ij")
     acc = [0.0] * K
-    for f in phases:
-        x = np.zeros_like(mesh[0])
-        for j in range(g):
-            arg = np.full_like(mesh[0], 2.0 * math.pi * float(f[j]))
-            for l in range(delta):
-                arg = arg + (2.0 * math.pi * mat[j][l]) * mesh[l]
-            x = x + 2.0 * np.cos(arg)
+    for x in _coset_traces(mat, phases, _auto_nodes(mat, K, delta)):
         p = np.ones_like(x)
         for k in range(K):
             p = p * x
@@ -305,11 +298,12 @@ class MomentReport:
                                       self.exact, self.abs_error)]
 
 
-def moment_report(P, N, K, precision=DEFAULT_PRECISION, group=None):
+def moment_report(P, N, K, precision=DEFAULT_PRECISION):
     """Empirical moments of (x_r)_{r<=N} against the exact group moments."""
     from .classify import classify
-    if group is None:
-        group = classify(P, precision)
+    if K < 1:
+        raise WeilError("K must be positive")
+    group = classify(P, precision)
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")
     if group.embedding is None and group.delta < group.g:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -11,7 +12,7 @@ from weilsf.classify import (InvalidTrace, NotOrdinary,
                              geometric_decomposition, howe_zhu_split_degree,
                              report, sf_of_product)
 from weilsf.polyarith import factor
-from weilsf.weilpoly import from_middle, parse_label, validate
+from weilsf.weilpoly import WeilError, from_middle, parse_label, validate
 
 from conftest import PAPER_EXAMPLES
 
@@ -151,9 +152,7 @@ class TestPaperExamples:
 class TestProducts:
     def test_isogenous_at_cubic_degree(self):
         # the two elliptic factors of 2.7.af_s merge over the cubic extension
-        from weilsf.polyarith import factor
-        fac = [(h, e) for h, e, _ in factor(parse_label("2.7.af_s")).factors]
-        delta, m, _ = sf_of_product(fac, 7, 7, 1)
+        delta, m, _ = sf_of_product(factor(parse_label("2.7.af_s")).factors, 7, 7, 1)
         assert (delta, m) == (1, 3)
 
     def test_ordinary_times_supersingular_c12(self):
@@ -210,7 +209,7 @@ class TestPrimeDimension:
         for coeffs, q, split in [((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2, 5),
                                  (PRIME_DIM_G5_SPLIT11, 3, 11),
                                  (PRIME_DIM_G5_ABS, 23, 0)]:
-            dec = geometric_decomposition(validate(coeffs, q))
+            dec = geometric_decomposition(factor(validate(coeffs, q)))
             assert dec.split_degree == split
 
     def test_frozen_inputs_factor_as_one_ordinary_factor(self):
@@ -257,7 +256,28 @@ class TestInvariants:
         assert rep["group"] == "U(1) x C_2"
         assert rep["split_degree"] == 2
 
+    @pytest.mark.parametrize("P", [
+        parse_label("1.2.ab"), parse_label("2.7.af_s"), parse_label("3.2.ad_f_ah"),
+        from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3))], ids=lambda P: P.label)
+    def test_report_factors_once(self, monkeypatch, P):
+        calls = []
+
+        def counting_factor(*args, **kwargs):
+            calls.append(args[0].label)
+            return factor(*args, **kwargs)
+
+        # the package re-exports classify(), which hides the module
+        monkeypatch.setattr(sys.modules["weilsf.classify"], "factor", counting_factor)
+        report(P)
+        assert calls == [P.label]
+
+    @pytest.mark.parametrize("g", [4, 9])
+    def test_report_rejects_unclassified_dimension_before_factoring(self, g):
+        # g = 9 is beyond factor's degree bound; the error names the classifier
+        with pytest.raises(WeilError, match="no classification implemented for g = %d" % g):
+            report(from_middle(g, 2, (0,) * g))
+
     def test_split_degrees(self):
-        assert geometric_decomposition(parse_label("2.2.ab_b")).split_degree == 0
-        assert geometric_decomposition(parse_label("3.2.a_a_ad")).split_degree == 3
-        assert geometric_decomposition(parse_label("2.2.a_d")).split_degree == 1
+        assert geometric_decomposition(factor(parse_label("2.2.ab_b"))).split_degree == 0
+        assert geometric_decomposition(factor(parse_label("3.2.a_a_ad"))).split_degree == 3
+        assert geometric_decomposition(factor(parse_label("2.2.a_d"))).split_degree == 1

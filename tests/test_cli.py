@@ -265,6 +265,40 @@ def test_jobs_is_a_classify_option(capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+def test_format_is_a_histogram_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--format", "json", "1.2.a"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-g", "1", "-q", "2", "1.3.a"],
+    ["-g", "1", "-q", "2", "--coeffs", "1,0,2", "--q", "2"],
+    ["-g", "1", "-q", "2", "--file", "-"],
+    ["-g", "2", "1.3.a"],
+    ["-g", "1"],
+])
+def test_verify_takes_one_input_source(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_verify_coeffs_with_short_q(capsys):
+    # -q and --q share one destination
+    code, out, _ = run(capsys, "verify", "--coeffs", "1,0,2", "-q", "2")
+    assert code == 0 and json.loads(out)["checked"] == 1
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_moments_order_below_one_is_input_error(capsys, k):
+    code, out, err = run(capsys, "moments", "-K", k, "1.2.a", "1.2.ab")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["label"] for rec in records] == ["1.2.a", "1.2.ab"]
+    assert all(rec["kind"] == "input" for rec in records)
+    assert code == 1 and err.count("error:") == 2
+
+
 def test_jobs_below_one_rejected(capsys):
     code, out, err = run(capsys, "classify", "--jobs", "0", "1.2.a")
     assert code == 1 and out == "" and "--jobs" in err
