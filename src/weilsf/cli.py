@@ -64,6 +64,8 @@ def _input_specs(args):
         if args.q is None:
             raise WeilError("--coeffs requires --q")
         return [(args.coeffs, validate, (coeffs, args.q))]
+    if args.q is not None:
+        raise WeilError("--q is for --coeffs only; a label carries its own q")
     labels = list(getattr(args, "labels", []) or [])
     if getattr(args, "file", None):
         stream = sys.stdin if args.file == "-" else open(args.file)

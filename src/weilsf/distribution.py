@@ -7,6 +7,13 @@ so r*theta mod 1 is computed by exact wraparound of uint64 products; the
 resulting angle error is below 2^-40 even at the full paper sampling scale,
 far inside every tolerance used here.  No randomness anywhere: the sequence,
 the bucketing and the summation order are all fixed.
+
+Memory: the trace kernel works BLOCK samples at a time on buffers it
+allocates once per call.  `histogram` streams BLOCK-sized slices, so it
+holds one BLOCK of samples whatever N is.  `moment_report` streams CHUNK-sized
+slices and holds one CHUNK of samples plus one CHUNK of powers.  CHUNK only
+fixes the summation partition of the moments (one np.sum per CHUNK, merged
+with math.fsum); `trace_sequence` alone builds all N samples.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
 from .weilpoly import DEFAULT_PRECISION, WeilError, roots
 
-CHUNK = 1 << 20
+BLOCK = 1 << 16                 # samples per kernel pass, cache-sized
+CHUNK = 1 << 20                 # samples per partial sum of the moments
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
 ATOM_MATCH_TOL = 1e-9
 QUAD_NODES = 1 << 12            # trapezoid nodes per torus dimension
@@ -40,42 +48,60 @@ class EmbeddingMissing(WeilError):
     pass
 
 
-def _fixed_point_angles(P, precision):
+def _fixed_point_angles(P, N, precision):
+    """The angles of P as 64-bit fixed point, once N samples are known to
+    keep their accuracy at this precision."""
+    if N < 1:
+        raise WeilError("N must be positive")
+    eff = min(precision, 64)
+    if N > 1 << (eff - 32):
+        raise PrecisionLoss(
+            "N = %d loses angle accuracy at precision %d" % (N, precision))
     rs = roots(P, precision)
     with mp.workprec(precision + 32):
         scale = mp.mpf(2) ** 64
         return [int(mp.nint(t * scale)) % (1 << 64) for t in rs.thetas]
 
 
-def _check_precision(N, precision):
-    eff = min(precision, 64)
-    if N > 1 << (eff - 32):
-        raise PrecisionLoss(
-            "N = %d loses angle accuracy at precision %d" % (N, precision))
+def _chunk_traces(ms, start, stop, out):
+    """Write x_r for r in [start, stop) into the float64 slice out.
 
-
-def _chunk_traces(ms, start, stop):
-    """x_r for r in [start, stop) from fixed-point angles, float64."""
-    r = np.arange(start, stop, dtype=np.uint64)
-    x = np.zeros(len(r), dtype=np.float64)
+    Works BLOCK samples at a time on one range, one phase and one work
+    buffer allocated per call; each x_r sees the same float operations in
+    the same order whatever the block size.
+    """
+    n = min(BLOCK, stop - start)
+    r = np.arange(start, start + n, dtype=np.uint64)
+    ph = np.empty(n, dtype=np.uint64)
+    w = np.empty(n, dtype=np.float64)
     with np.errstate(over="ignore"):
-        for m_j in ms:
-            phases = r * np.uint64(m_j)
-            x += 2.0 * np.cos(phases.astype(np.float64) * _TWO_PI_OVER_2_64)
-    return x
+        for lo in range(0, stop - start, BLOCK):
+            x = out[lo:lo + BLOCK]
+            rb, pb, wb = r[:len(x)], ph[:len(x)], w[:len(x)]
+            x.fill(0.0)
+            for m_j in ms:
+                np.multiply(rb, np.uint64(m_j), out=pb)
+                np.multiply(pb, _TWO_PI_OVER_2_64, out=wb)
+                np.cos(wb, out=wb)
+                wb *= 2.0
+                x += wb
+            r += np.uint64(BLOCK)
+    return out
+
+
+def _trace_chunks(ms, N, size):
+    """x_1, ..., x_N as consecutive slices of one reused buffer of at most
+    size samples; each slice is overwritten by the next."""
+    buf = np.empty(min(N, size), dtype=np.float64)
+    for start in range(1, N + 1, size):
+        stop = min(start + size, N + 1)
+        yield _chunk_traces(ms, start, stop, buf[:stop - start])
 
 
 def trace_sequence(P, N, precision=DEFAULT_PRECISION):
     """The vector (x_1, ..., x_N); deterministic for fixed (P, N, precision)."""
-    if N < 1:
-        raise WeilError("N must be positive")
-    _check_precision(N, precision)
-    ms = _fixed_point_angles(P, precision)
-    out = np.empty(N, dtype=np.float64)
-    for start in range(1, N + 1, CHUNK):
-        stop = min(start + CHUNK, N + 1)
-        out[start - 1:stop - 1] = _chunk_traces(ms, start, stop)
-    return out
+    ms = _fixed_point_angles(P, N, precision)
+    return _chunk_traces(ms, 1, N + 1, np.empty(N, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +137,14 @@ class TraceHistogram:
         return "\n".join(lines) + "\n"
 
 
-def _bucket_chunk(x, g, B, counts):
-    idx = np.floor((x + 2.0 * g) * (B / (4.0 * g))).astype(np.int64)
+def _bucket_index(x, g, B):
+    """Bucket of each sample as int64, clipped to [0, B); overwrites x."""
+    np.add(x, 2.0 * g, out=x)
+    x *= B / (4.0 * g)
+    np.floor(x, out=x)
+    idx = x.astype(np.int64)
     np.clip(idx, 0, B - 1, out=idx)
-    counts += np.bincount(idx, minlength=B)
+    return idx
 
 
 def _coset_traces(mat, phases, n):
@@ -163,35 +193,29 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
     if N < 1 or B < 1:
         raise WeilError("N and B must be positive")
     g = P.g
+    counts = np.zeros(B, dtype=np.int64)
     if newton_polygon(P).is_supersingular():
         m = supersingular_torsion_order(P)
         period = trace_sequence(P, m, precision)
-        counts = np.zeros(B, dtype=np.int64)
+        # x_j recurs at r = j, j + m, ...; (N - j) // m + 1 is 0 for j > N
+        reps = (N - np.arange(1, m + 1, dtype=np.int64)) // m + 1
         atom_counter = {}
-        for j, val in enumerate(period, start=1):
-            reps = (N - j) // m + 1 if j <= N else 0
-            idx = min(int(math.floor((val + 2.0 * g) * (B / (4.0 * g)))), B - 1)
-            idx = max(idx, 0)
-            counts[idx] += reps
+        for val, c in zip(period, reps.tolist()):
             key = round(float(val), 9)
-            atom_counter[key] = atom_counter.get(key, 0) + reps
+            atom_counter[key] = atom_counter.get(key, 0) + c
+        np.add.at(counts, _bucket_index(period, g, B), reps)
         atoms = tuple((v, c / N) for v, c in sorted(atom_counter.items())
                       if c / N > ATOM_THRESHOLD)
         return TraceHistogram(g=g, sample_count=N, bucket_count=B,
                               counts=tuple(int(c) for c in counts), atoms=atoms)
 
-    _check_precision(N, precision)
-    lattice = angle_rank_numeric(P, precision)
-    cands = _atom_candidates(lattice)
-    ms = _fixed_point_angles(P, precision)
-    counts = np.zeros(B, dtype=np.int64)
+    ms = _fixed_point_angles(P, N, precision)
+    cands = _atom_candidates(angle_rank_numeric(P, precision))
     atom_counts = [0] * len(cands)
-    for start in range(1, N + 1, CHUNK):
-        stop = min(start + CHUNK, N + 1)
-        x = _chunk_traces(ms, start, stop)
-        _bucket_chunk(x, g, B, counts)
+    for x in _trace_chunks(ms, N, BLOCK):
         for i, (v, _) in enumerate(cands):
             atom_counts[i] += int(np.count_nonzero(np.abs(x - v) < ATOM_MATCH_TOL))
+        counts += np.bincount(_bucket_index(x, g, B), minlength=B)
     atoms = tuple((v, c / N) for (v, _), c in zip(cands, atom_counts)
                   if c / N > ATOM_THRESHOLD)
     return TraceHistogram(g=g, sample_count=N, bucket_count=B,
@@ -200,6 +224,20 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
 
 # ---------------------------------------------------------------------------
 # moments
+
+
+def _mean_powers(chunks, n, K):
+    """Means of x^k, k = 1..K, over the n samples given as chunks of at
+    most CHUNK: one np.sum per chunk and power, merged with math.fsum."""
+    partials = [[] for _ in range(K)]
+    p = np.empty(min(n, CHUNK), dtype=np.float64)
+    for chunk in chunks:
+        q = p[:len(chunk)]
+        q.fill(1.0)
+        for parts in partials:
+            np.multiply(q, chunk, out=q)
+            parts.append(float(np.sum(q)))
+    return [math.fsum(parts) / n for parts in partials]
 
 
 def empirical_moments(xs, K):
@@ -212,14 +250,7 @@ def empirical_moments(xs, K):
     n = len(xs)
     if n == 0:
         raise WeilError("empty sequence")
-    partials = [[] for _ in range(K)]
-    for start in range(0, n, CHUNK):
-        chunk = xs[start:start + CHUNK]
-        p = np.ones_like(chunk)
-        for k in range(K):
-            p = p * chunk
-            partials[k].append(float(np.sum(p)))
-    return [math.fsum(parts) / n for parts in partials]
+    return _mean_powers((xs[s:s + CHUNK] for s in range(0, n, CHUNK)), n, K)
 
 
 def _single_cosine_moments(K):
@@ -308,8 +339,8 @@ def moment_report(P, N, K, precision=DEFAULT_PRECISION):
         raise WeilError("moment comparison needs a full classification")
     if group.embedding is None and group.delta < group.g:
         group = replace(group, embedding=angle_rank_numeric(P, precision))
-    xs = trace_sequence(P, N, precision)
-    emp = empirical_moments(xs, K)
+    ms = _fixed_point_angles(P, N, precision)
+    emp = _mean_powers(_trace_chunks(ms, N, CHUNK), N, K)
     exa = exact_moments(group, K)
     return MomentReport(orders=tuple(range(1, K + 1)),
                         empirical=tuple(emp), exact=tuple(exa),

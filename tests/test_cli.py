@@ -290,6 +290,18 @@ def test_verify_coeffs_with_short_q(capsys):
     assert code == 0 and json.loads(out)["checked"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--q", "5", "1.2.a"],
+    ["classify", "--q", "5", "--file", "-"],
+    ["verify", "-q", "3", "1.2.a", "--verbose"],
+    ["verify", "--q", "3", "--file", "-"],
+])
+def test_q_without_coeffs_is_input_error(capsys, argv):
+    # a label names its own field; a q beside it must not be dropped silently
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "--q is for --coeffs only" in err
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_moments_order_below_one_is_input_error(capsys, k):
     code, out, err = run(capsys, "moments", "-K", k, "1.2.a", "1.2.ab")

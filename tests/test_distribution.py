@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 
 from weilsf.anglerank import angle_rank_numeric
 from weilsf.classify import classify
-from weilsf.distribution import (EmbeddingMissing, PrecisionLoss,
-                                 empirical_moments, exact_moments, histogram,
-                                 moment_report, trace_sequence)
+from weilsf.distribution import (BLOCK, CHUNK, EmbeddingMissing,
+                                 PrecisionLoss, empirical_moments,
+                                 exact_moments, histogram, moment_report,
+                                 trace_sequence)
 from weilsf.polyarith import base_change
 from weilsf.weilpoly import parse_label, validate
 
@@ -37,6 +40,21 @@ class TestTraceSequence:
             for r in (1, 7, 23, 50):
                 ref = 2 * mp.cos(2 * mp.pi * r * theta)
                 assert abs(xs[r - 1] - float(ref)) < 1e-10
+
+    def test_block_boundary_matches_direct_evaluation(self):
+        # x_r from the exact fixed-point phase (r M mod 2^64) one r at a time,
+        # across the first BLOCK boundary
+        import mpmath as mp
+        from weilsf.weilpoly import roots
+        P = parse_label("3.2.ad_f_ah")
+        n = BLOCK + 3
+        with mp.workprec(288):
+            ms = [int(mp.nint(t * 2 ** 64)) % 2 ** 64 for t in roots(P, 256).thetas]
+        xs = trace_sequence(P, n)
+        scale = 2.0 * math.pi / 2.0 ** 64
+        ref = [sum(2.0 * math.cos(float(r * m % 2 ** 64) * scale) for m in ms)
+               for r in range(1, n + 1)]
+        assert np.max(np.abs(xs - ref)) < 1e-12
 
     def test_precision_guard(self):
         with pytest.raises(PrecisionLoss):
@@ -147,6 +165,60 @@ class TestMoments:
         xs = trace_sequence(parse_label("1.2.ab"), 200000)
         m = empirical_moments(xs, 5)
         assert abs(m[0]) < 0.01 and abs(m[2]) < 0.05 and abs(m[4]) < 0.3
+
+
+# SHA-256 of repr((counts, atoms)) of histogram(P, PIN_N, 4096) and of
+# repr(moment_report(P, PIN_N, 8).to_json()), taken before the trace kernel
+# worked in blocks.  PIN_N spans many BLOCKs and two CHUNKs and ends on a
+# ragged block.  The moments depend on numpy's float64 cos to the last bit,
+# so these digests hold for one numpy build and CPU family.
+PIN_N = 2 * CHUNK + 12345
+PINNED = {
+    # g = 2, U(1)^2, no atoms
+    "2.2.ab_b": ("b25d2be2a1d5a46bb91f86d7bda143fbb74a0d65ae05f0bc7ab8b85963153ea5",
+                 "50761a7cae6635e7424008e69216050d103f9d78e9f7926682abaedad31fb098"),
+    # g = 3, U(1)^3
+    "3.2.ad_f_ah": ("817e1e4d8e55c0bab96423a9c3bb38959fe6073e1e0f7315e9da3cdfcbe0fb9f",
+                    "6d957d8cc718128cb6bf68dbb7e85af4c63e7c7b13b63f8ad37455990a0f05b2"),
+    # U(1) x C_2, one atom at 0
+    "2.5.a_ab": ("330abf609843f03c2ac7e1164bdf5d374c12e70ac6fe077ce4d34bf9ae2948d9",
+                 "a0863ad57805e99d9ccafda622e2b117293435d97ba644c33dfc37e715aef0a8"),
+    # supersingular, C_8, five atoms
+    "2.2.ae_i": ("1d2b6f4d6a319eff01eaf4f367ba47c3a27887c903fa7beaeb278212ae554e2d",
+                 "36394cc56659e9010ffe8a1de9b5e55dc450b0c72c7f963ce5def5e6e41e7963"),
+}
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestTraceKernelBlocks:
+    @pytest.mark.parametrize("label", sorted(PINNED))
+    def test_outputs_bit_identical(self, label):
+        P = parse_label(label)
+        h = histogram(P, PIN_N, 4096)
+        rep = moment_report(P, PIN_N, 8)
+        assert (_digest((h.counts, h.atoms)), _digest(rep.to_json())) == PINNED[label]
+
+    @staticmethod
+    def _peak_mb(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_histogram_holds_one_block(self):
+        P = parse_label("3.2.ad_f_ah")
+        histogram(P, 100, 16)   # one-time imports and caches stay out of the peak
+        assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 8
+
+    def test_moment_report_holds_one_chunk(self):
+        P = parse_label("3.2.ad_f_ah")
+        moment_report(P, 100, 8)
+        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 24
 
 
 class TestBaseChangeTraceIdentity:
