@@ -9,11 +9,11 @@ far inside every tolerance used here.  No randomness anywhere: the sequence,
 the bucketing and the summation order are all fixed.
 
 Memory: the trace kernel works BLOCK samples at a time on buffers it
-allocates once per call.  `histogram` streams BLOCK-sized slices, so it
-holds one BLOCK of samples whatever N is.  `moment_report` streams CHUNK-sized
-slices and holds one CHUNK of samples plus one CHUNK of powers.  CHUNK only
-fixes the summation partition of the moments (one np.sum per CHUNK, merged
-with math.fsum); `trace_sequence` alone builds all N samples.
+allocates once per call.  `histogram` and `moment_report` stream BLOCK-sized
+slices, so they hold one BLOCK of samples (`moment_report` also one of
+powers, summed per BLOCK and merged with math.fsum) whatever N is;
+`trace_sequence` alone builds all N samples.  The quadrature of
+`exact_moments` holds one grid-sized argument, trace and power buffer.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
 from .weilpoly import DEFAULT_PRECISION, WeilError, roots
 
-BLOCK = 1 << 16                 # samples per kernel pass, cache-sized
-CHUNK = 1 << 20                 # samples per partial sum of the moments
+BLOCK = 1 << 16                 # samples per kernel pass and partial sum
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
 ATOM_MATCH_TOL = 1e-9
 QUAD_NODES = 1 << 12            # trapezoid nodes per torus dimension
@@ -63,22 +62,20 @@ def _fixed_point_angles(P, N, precision):
         return [int(mp.nint(t * scale)) % (1 << 64) for t in rs.thetas]
 
 
-def _chunk_traces(ms, start, stop, out):
-    """Write x_r for r in [start, stop) into the float64 slice out.
-
-    Works BLOCK samples at a time on one range, one phase and one work
-    buffer allocated per call; each x_r sees the same float operations in
-    the same order whatever the block size.
-    """
-    n = min(BLOCK, stop - start)
-    r = np.arange(start, start + n, dtype=np.uint64)
+def _trace_chunks(ms, N):
+    """x_1, ..., x_N as consecutive slices of one reused buffer of at most
+    BLOCK samples, each overwritten by the next.  Every x_r sees the same
+    float operations in the same order whatever the block size."""
+    n = min(BLOCK, N)
+    r = np.arange(1, n + 1, dtype=np.uint64)
     ph = np.empty(n, dtype=np.uint64)
     w = np.empty(n, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        for lo in range(0, stop - start, BLOCK):
-            x = out[lo:lo + BLOCK]
-            rb, pb, wb = r[:len(x)], ph[:len(x)], w[:len(x)]
-            x.fill(0.0)
+    buf = np.empty(n, dtype=np.float64)
+    for lo in range(0, N, BLOCK):
+        k = min(BLOCK, N - lo)
+        x, rb, pb, wb = buf[:k], r[:k], ph[:k], w[:k]
+        x.fill(0.0)
+        with np.errstate(over="ignore"):
             for m_j in ms:
                 np.multiply(rb, np.uint64(m_j), out=pb)
                 np.multiply(pb, _TWO_PI_OVER_2_64, out=wb)
@@ -86,22 +83,16 @@ def _chunk_traces(ms, start, stop, out):
                 wb *= 2.0
                 x += wb
             r += np.uint64(BLOCK)
-    return out
-
-
-def _trace_chunks(ms, N, size):
-    """x_1, ..., x_N as consecutive slices of one reused buffer of at most
-    size samples; each slice is overwritten by the next."""
-    buf = np.empty(min(N, size), dtype=np.float64)
-    for start in range(1, N + 1, size):
-        stop = min(start + size, N + 1)
-        yield _chunk_traces(ms, start, stop, buf[:stop - start])
+        yield x
 
 
 def trace_sequence(P, N, precision=DEFAULT_PRECISION):
     """The vector (x_1, ..., x_N); deterministic for fixed (P, N, precision)."""
     ms = _fixed_point_angles(P, N, precision)
-    return _chunk_traces(ms, 1, N + 1, np.empty(N, dtype=np.float64))
+    out = np.empty(N, dtype=np.float64)
+    for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N)):
+        out[lo:lo + len(x)] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +140,24 @@ def _bucket_index(x, g, B):
 
 def _coset_traces(mat, phases, n):
     """x = sum_j 2 cos(2 pi (f + M t)_j) on the grid t in {0, 1/n, ...,
-    (n-1)/n}^delta (one point if delta = 0), one array per coset f."""
+    (n-1)/n}^delta (one point if delta = 0), one per coset f.  Every coset
+    is written into one buffer: a consumer may not keep x across iterations.
+    """
     delta = len(mat[0])
     grid = np.arange(n, dtype=np.float64) / n
-    mesh = np.meshgrid(*([grid] * delta), indexing="ij")
+    axes = [grid.reshape((n,) + (1,) * (delta - 1 - l)) for l in range(delta)]
     shape = (n,) * delta or (1,)
+    arg = np.empty(shape)
+    x = np.empty(shape)
     for f in phases:
-        x = np.zeros(shape)
+        x.fill(0.0)
         for fj, row in zip(f, mat):
-            arg = np.full(shape, 2.0 * math.pi * float(fj))
-            for c, t in zip(row, mesh):
-                arg = arg + (2.0 * math.pi * c) * t
-            x = x + 2.0 * np.cos(arg)
+            arg.fill(2.0 * math.pi * float(fj))
+            for c, t in zip(row, axes):
+                arg += (2.0 * math.pi * c) * t
+            np.cos(arg, out=arg)
+            arg *= 2.0
+            x += arg
         yield x
 
 
@@ -212,7 +209,7 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
     ms = _fixed_point_angles(P, N, precision)
     cands = _atom_candidates(angle_rank_numeric(P, precision))
     atom_counts = [0] * len(cands)
-    for x in _trace_chunks(ms, N, BLOCK):
+    for x in _trace_chunks(ms, N):
         for i, (v, _) in enumerate(cands):
             atom_counts[i] += int(np.count_nonzero(np.abs(x - v) < ATOM_MATCH_TOL))
         counts += np.bincount(_bucket_index(x, g, B), minlength=B)
@@ -226,16 +223,16 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
 # moments
 
 
-def _mean_powers(chunks, n, K):
-    """Means of x^k, k = 1..K, over the n samples given as chunks of at
-    most CHUNK: one np.sum per chunk and power, merged with math.fsum."""
+def _mean_powers(blocks, n, K):
+    """Means of x^k, k = 1..K, over the n samples given as blocks of at
+    most BLOCK: one np.sum per block and power, merged with math.fsum."""
     partials = [[] for _ in range(K)]
-    p = np.empty(min(n, CHUNK), dtype=np.float64)
-    for chunk in chunks:
-        q = p[:len(chunk)]
+    p = np.empty(min(n, BLOCK), dtype=np.float64)
+    for block in blocks:
+        q = p[:len(block)]
         q.fill(1.0)
         for parts in partials:
-            np.multiply(q, chunk, out=q)
+            np.multiply(q, block, out=q)
             parts.append(float(np.sum(q)))
     return [math.fsum(parts) / n for parts in partials]
 
@@ -243,14 +240,14 @@ def _mean_powers(chunks, n, K):
 def empirical_moments(xs, K):
     """Means of x^k for k = 1..K with compensated summation.
 
-    Partial sums are accumulated per fixed-size chunk and merged with
-    math.fsum, so results are bit-stable regardless of the total length.
+    Partial sums are accumulated per BLOCK and merged with math.fsum, as in
+    `moment_report`, so both give the same bits for the same samples.
     """
     xs = np.asarray(xs, dtype=np.float64)
     n = len(xs)
     if n == 0:
         raise WeilError("empty sequence")
-    return _mean_powers((xs[s:s + CHUNK] for s in range(0, n, CHUNK)), n, K)
+    return _mean_powers((xs[s:s + BLOCK] for s in range(0, n, BLOCK)), n, K)
 
 
 def _single_cosine_moments(K):
@@ -307,11 +304,13 @@ def exact_moments(group, K):
         vals = [math.fsum(2.0 * math.cos(2.0 * math.pi * float(fj)) for fj in f)
                 for f in phases]
         return [math.fsum(v ** k for v in vals) / m for k in range(1, K + 1)]
+    n = _auto_nodes(mat, K, delta)
     acc = [0.0] * K
-    for x in _coset_traces(mat, phases, _auto_nodes(mat, K, delta)):
-        p = np.ones_like(x)
+    p = np.empty((n,) * delta)
+    for x in _coset_traces(mat, phases, n):
+        p.fill(1.0)
         for k in range(K):
-            p = p * x
+            p *= x
             acc[k] += float(np.mean(p))
     return [a / m for a in acc]
 
@@ -340,7 +339,7 @@ def moment_report(P, N, K, precision=DEFAULT_PRECISION):
     if group.embedding is None and group.delta < group.g:
         group = replace(group, embedding=angle_rank_numeric(P, precision))
     ms = _fixed_point_angles(P, N, precision)
-    emp = _mean_powers(_trace_chunks(ms, N, CHUNK), N, K)
+    emp = _mean_powers(_trace_chunks(ms, N), N, K)
     exa = exact_moments(group, K)
     return MomentReport(orders=tuple(range(1, K + 1)),
                         empirical=tuple(emp), exact=tuple(exa),

@@ -8,8 +8,8 @@ import pytest
 
 from weilsf.anglerank import angle_rank_numeric
 from weilsf.classify import classify
-from weilsf.distribution import (BLOCK, CHUNK, EmbeddingMissing,
-                                 PrecisionLoss, empirical_moments,
+from weilsf.distribution import (BLOCK, EmbeddingMissing, PrecisionLoss,
+                                 _atom_candidates, empirical_moments,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
 from weilsf.polyarith import base_change
@@ -166,23 +166,63 @@ class TestMoments:
         m = empirical_moments(xs, 5)
         assert abs(m[0]) < 0.01 and abs(m[2]) < 0.05 and abs(m[4]) < 0.3
 
+    # delta = g and delta < g; several BLOCKs ending on a ragged one, and
+    # less than one BLOCK
+    @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab"])
+    @pytest.mark.parametrize("n", [3 * BLOCK + 123, BLOCK - 1])
+    def test_streamed_moments_match_array_path(self, label, n):
+        P = parse_label(label)
+        xs = trace_sequence(P, n)
+        got = empirical_moments(xs, 8)
+        assert moment_report(P, n, 8).empirical == tuple(got)
+        # against a correctly rounded sum of the same float products
+        p = np.ones_like(xs)
+        for m_k in got:
+            p *= xs
+            ref = math.fsum(p.tolist()) / n
+            scale = math.fsum(np.abs(p).tolist()) / n
+            assert abs(m_k - ref) <= 1e-12 * scale
+
+    def test_exact_moments_pinned(self):
+        # SHA-256 of repr(exact_moments(group, 8)) and of
+        # repr(_atom_candidates(lattice)), taken before the quadrature grid
+        # was built in place: delta = 1 with C_2, delta = 2 with C_2, delta = 2
+        pinned = {
+            "2.5.a_ab": ("936c6475267d27bafe9da242956b81c2da7f3f74238c9186c16cc0eff56c4ce9",
+                         "085996ebfe77ceeae742c7f65a0934e9a769df8062966ab83ce965214f6a4e3e"),
+            "3.2.ab_b_b": ("8e43d8906cf6dff9f25033e677f3d0ca23afc72c5a1115052dd97ea2b06ef0f8",
+                           "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+            "3.3.af_r_abi": ("7bfb110db57cd5ab377b8aa1b0d9bfb2e0cbb91ef2f1d149f52a0238626edec4",
+                             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        }
+        for label, digests in pinned.items():
+            P = parse_label(label)
+            lattice = angle_rank_numeric(P)
+            grp = replace(classify(P), embedding=lattice)
+            assert (_digest(exact_moments(grp, 8)),
+                    _digest(_atom_candidates(lattice))) == digests
+
 
 # SHA-256 of repr((counts, atoms)) of histogram(P, PIN_N, 4096) and of
-# repr(moment_report(P, PIN_N, 8).to_json()), taken before the trace kernel
-# worked in blocks.  PIN_N spans many BLOCKs and two CHUNKs and ends on a
-# ragged block.  The moments depend on numpy's float64 cos to the last bit,
-# so these digests hold for one numpy build and CPU family.
-PIN_N = 2 * CHUNK + 12345
+# repr(moment_report(P, PIN_N, 8).to_json()).  The histogram digests were
+# taken before the trace kernel worked in blocks.  The moment digests were
+# taken once the moments were summed per BLOCK instead of per 2^20 samples,
+# which moves the last bits of the empirical moments of 2.2.ab_b, 3.2.ad_f_ah
+# and 2.5.a_ab; the supersingular 2.2.ae_i kept its digest.  PIN_N spans
+# many BLOCKs and ends on a ragged block.  The moments depend on numpy's
+# float64 cos to the last bit, so these digests hold for one numpy build and
+# CPU family.
+PIN_N = (1 << 21) + 12345
 PINNED = {
     # g = 2, U(1)^2, no atoms
     "2.2.ab_b": ("b25d2be2a1d5a46bb91f86d7bda143fbb74a0d65ae05f0bc7ab8b85963153ea5",
-                 "50761a7cae6635e7424008e69216050d103f9d78e9f7926682abaedad31fb098"),
+                 "9f6fc1deee53acb70070625b2f770b85524f4e255ea0c82cbd673bcb6092b653"),
     # g = 3, U(1)^3
     "3.2.ad_f_ah": ("817e1e4d8e55c0bab96423a9c3bb38959fe6073e1e0f7315e9da3cdfcbe0fb9f",
-                    "6d957d8cc718128cb6bf68dbb7e85af4c63e7c7b13b63f8ad37455990a0f05b2"),
+                    "c3f7c0d82449263b410f105695131bac246db91bdca18671d81863159499ace5"),
     # U(1) x C_2, one atom at 0
     "2.5.a_ab": ("330abf609843f03c2ac7e1164bdf5d374c12e70ac6fe077ce4d34bf9ae2948d9",
-                 "a0863ad57805e99d9ccafda622e2b117293435d97ba644c33dfc37e715aef0a8"),
+                 "aefc040f3bc8a40eb689b7d0bfc9aa9f16f842f6d7be98e530541016bf39eae3"),
     # supersingular, C_8, five atoms
     "2.2.ae_i": ("1d2b6f4d6a319eff01eaf4f367ba47c3a27887c903fa7beaeb278212ae554e2d",
                  "36394cc56659e9010ffe8a1de9b5e55dc450b0c72c7f963ce5def5e6e41e7963"),
@@ -215,10 +255,17 @@ class TestTraceKernelBlocks:
         histogram(P, 100, 16)   # one-time imports and caches stay out of the peak
         assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 8
 
-    def test_moment_report_holds_one_chunk(self):
+    def test_moment_report_holds_one_block(self):
         P = parse_label("3.2.ad_f_ah")
         moment_report(P, 100, 8)
-        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 24
+        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 8
+
+    def test_exact_moments_quadrature_in_place(self):
+        # delta = 2: a 512 x 512 quadrature grid of 2 MB per buffer
+        P = parse_label("3.2.ab_b_b")
+        grp = replace(classify(P), embedding=angle_rank_numeric(P))
+        exact_moments(grp, 8)
+        assert self._peak_mb(lambda: exact_moments(grp, 8)) < 8
 
 
 class TestBaseChangeTraceIdentity:
