@@ -12,8 +12,9 @@ Memory: the trace kernel works BLOCK samples at a time on buffers it
 allocates once per call.  `histogram` and `moment_report` stream BLOCK-sized
 slices, so they hold one BLOCK of samples (`moment_report` also one of
 powers, summed per BLOCK and merged with math.fsum) whatever N is;
-`trace_sequence` alone builds all N samples.  The quadrature of
-`exact_moments` holds one grid-sized argument, trace and power buffer.
+`trace_sequence` alone builds all N samples.  `exact_moments` holds no
+grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation lattice
+in a dict of exact integers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from ._intpoly import InvariantError
-from .anglerank import angle_rank_numeric
+from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
@@ -34,7 +35,6 @@ from .weilpoly import DEFAULT_PRECISION, WeilError, roots
 BLOCK = 1 << 16                 # samples per kernel pass and partial sum
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
 ATOM_MATCH_TOL = 1e-9
-QUAD_NODES = 1 << 12            # trapezoid nodes per torus dimension
 
 _TWO_PI_OVER_2_64 = 2.0 * math.pi / 2.0 ** 64
 
@@ -250,69 +250,47 @@ def empirical_moments(xs, K):
     return _mean_powers((xs[s:s + BLOCK] for s in range(0, n, BLOCK)), n, K)
 
 
-def _single_cosine_moments(K):
-    """E[(2 cos theta)^k] for Haar theta: central binomials at even k."""
-    return [math.comb(k, k // 2) if k % 2 == 0 else 0 for k in range(K + 1)]
-
-
-def _full_torus_moments(g, K):
-    """Moments of a sum of g independent 2-cosines, exact integers."""
-    base = _single_cosine_moments(K)
-    total = [1] + [0] * K   # moments of the empty sum
-    for _ in range(g):
-        new = [0] * (K + 1)
-        for k in range(K + 1):
-            new[k] = sum(math.comb(k, i) * base[i] * total[k - i]
-                         for i in range(k + 1))
-        total = new
-    return total
-
-
-def _auto_nodes(mat, K, delta):
-    """Nodes per dimension: the trapezoid rule on n points integrates the
-    circle exactly for frequencies strictly below n, so n only has to beat
-    the largest frequency K * sum_j |M_jl| appearing in x^K."""
-    needed = 1
-    for l in range(delta):
-        needed = max(needed, K * sum(abs(row[l]) for row in mat) + 1)
-    n = QUAD_NODES if delta == 1 else 512
-    while n < needed:
-        n *= 2
-    return n
+def _walk_step(walks, steps, mods):
+    """Walk counts one step further: each state moves by each step, with
+    entry i reduced mod mods[i] (kept as an integer where mods[i] is 0)."""
+    out = {}
+    for s, c in walks.items():
+        for t in steps:
+            u = tuple((a + b) % d if d else a + b for a, b, d in zip(s, t, mods))
+            out[u] = out.get(u, 0) + c
+    return out
 
 
 def exact_moments(group, K):
     """E[x^k], k = 1..K, for the Haar pushforward of the classified group.
 
-    delta = g needs no embedding (the full torus moments are a closed-form
-    convolution of central binomials); otherwise the relation lattice must
-    be attached to the group.  Quadrature uses the trapezoid rule, exact for
-    the trigonometric polynomials integrated here, averaged over the m
-    component cosets.
+    A character prod u_j^(c_j) is trivial on the group exactly when c lies
+    in the relation lattice L, so by Haar orthogonality E[x^k] is the number
+    of k-step walks on Z^g with steps +-e_j that end in L: an integer.  With
+    (d, V) = smith_normal_form(basis, g), c is in L iff cV lies in
+    d_1 Z + ... + d_r Z + 0, so a walk's state is cV with entry i reduced
+    mod d_i.  The steps are symmetric, so W_b(-s) = W_b(s) for the counts
+    W_b of b-step walks, and walks of ceil(K/2) steps give every moment:
+    E[x^(a+b)] = sum_s W_a(s) W_b(s).  delta = g (L = 0) needs no embedding.
     """
     g, delta, m = group.g, group.delta, group.m
-    if delta == g:
-        full = _full_torus_moments(g, K)
-        return [float(v) for v in full[1:]]
     lattice = group.embedding
-    if lattice is None:
+    if lattice is None and delta < g:
         raise EmbeddingMissing("delta < g needs the relation lattice")
-    mat, phases = lattice.embedding()
-    if len(phases) != m:
-        raise InvariantError("%d phases for torsion order %d" % (len(phases), m))
-    if delta == 0:
-        vals = [math.fsum(2.0 * math.cos(2.0 * math.pi * float(fj)) for fj in f)
-                for f in phases]
-        return [math.fsum(v ** k for v in vals) / m for k in range(1, K + 1)]
-    n = _auto_nodes(mat, K, delta)
-    acc = [0.0] * K
-    p = np.empty((n,) * delta)
-    for x in _coset_traces(mat, phases, n):
-        p.fill(1.0)
-        for k in range(K):
-            p *= x
-            acc[k] += float(np.mean(p))
-    return [a / m for a in acc]
+    divisors, v = smith_normal_form(lattice.basis if lattice else (), g)
+    if g - len(divisors) != delta or (divisors[-1] if divisors else 1) != m:
+        raise InvariantError("divisors %r for delta %d, torsion order %d"
+                             % (divisors, delta, m))
+    mods = divisors + [0] * delta
+    # the step +-e_j moves the state by +-(row j of V)
+    steps = [tuple(sign * x % d if d else sign * x for x, d in zip(row, mods))
+             for row in v for sign in (1, -1)]
+    walks, out = {(0,) * g: 1}, []
+    for _ in range((K + 1) // 2):
+        prev, walks = walks, _walk_step(walks, steps, mods)
+        out.append(sum(c * prev.get(s, 0) for s, c in walks.items()))
+        out.append(sum(c * c for c in walks.values()))
+    return [float(c) for c in out[:K]]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,9 @@ from weilsf.distribution import (BLOCK, EmbeddingMissing, PrecisionLoss,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import parse_label, validate
+from weilsf.weilpoly import parse_label, roots, validate
+
+from conftest import PAPER_EXAMPLES
 
 
 class TestTraceSequence:
@@ -31,9 +34,7 @@ class TestTraceSequence:
         assert np.allclose(xs, 2.0, atol=1e-9)
 
     def test_matches_direct_mpmath_evaluation(self):
-        import mpmath as mp
         P = parse_label("1.2.ab")
-        from weilsf.weilpoly import roots
         theta = roots(P, 256).thetas[0]
         xs = trace_sequence(P, 50)
         with mp.workprec(128):
@@ -44,8 +45,6 @@ class TestTraceSequence:
     def test_block_boundary_matches_direct_evaluation(self):
         # x_r from the exact fixed-point phase (r M mod 2^64) one r at a time,
         # across the first BLOCK boundary
-        import mpmath as mp
-        from weilsf.weilpoly import roots
         P = parse_label("3.2.ad_f_ah")
         n = BLOCK + 3
         with mp.workprec(288):
@@ -140,17 +139,13 @@ class TestMoments:
     def test_finite_group_moments(self):
         P = parse_label("1.2.a")
         grp = replace(classify(P), embedding=angle_rank_numeric(P))
-        vals = exact_moments(grp, 4)
-        assert abs(vals[0]) < 1e-12 and abs(vals[1] - 2.0) < 1e-12
-        assert abs(vals[3] - 8.0) < 1e-12
+        assert exact_moments(grp, 4) == [0.0, 2.0, 0.0, 8.0]
 
     def test_split_torus_phase_average(self):
         # embedding (u, +-u): half the phases give 4cos, half cancel
         P = parse_label("2.5.a_ab")
         grp = replace(classify(P), embedding=angle_rank_numeric(P))
-        vals = exact_moments(grp, 4)
-        assert abs(vals[1] - 4.0) < 1e-9
-        assert abs(vals[3] - 48.0) < 1e-6
+        assert exact_moments(grp, 4) == [0.0, 4.0, 0.0, 48.0]
 
     def test_embedding_missing(self):
         grp = classify(parse_label("2.5.a_ab"))
@@ -184,23 +179,58 @@ class TestMoments:
             assert abs(m_k - ref) <= 1e-12 * scale
 
     def test_exact_moments_pinned(self):
-        # SHA-256 of repr(exact_moments(group, 8)) and of
-        # repr(_atom_candidates(lattice)), taken before the quadrature grid
+        # exact_moments(group, 8), and the SHA-256 of
+        # repr(_atom_candidates(lattice)) taken before the quadrature grid
         # was built in place: delta = 1 with C_2, delta = 2 with C_2, delta = 2
         pinned = {
-            "2.5.a_ab": ("936c6475267d27bafe9da242956b81c2da7f3f74238c9186c16cc0eff56c4ce9",
+            "2.5.a_ab": ([0.0, 4.0, 0.0, 48.0, 0.0, 640.0, 0.0, 8960.0],
                          "085996ebfe77ceeae742c7f65a0934e9a769df8062966ab83ce965214f6a4e3e"),
-            "3.2.ab_b_b": ("8e43d8906cf6dff9f25033e677f3d0ca23afc72c5a1115052dd97ea2b06ef0f8",
+            "3.2.ab_b_b": ([0.0, 6.0, 0.0, 102.0, 0.0, 2460.0, 0.0, 67270.0],
                            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-            "3.3.af_r_abi": ("7bfb110db57cd5ab377b8aa1b0d9bfb2e0cbb91ef2f1d149f52a0238626edec4",
+            "3.3.af_r_abi": ([0.0, 10.0, 0.0, 198.0, 0.0, 4900.0, 0.0, 134470.0],
                              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
         }
-        for label, digests in pinned.items():
+        for label, (moments, atoms) in pinned.items():
             P = parse_label(label)
             lattice = angle_rank_numeric(P)
             grp = replace(classify(P), embedding=lattice)
-            assert (_digest(exact_moments(grp, 8)),
-                    _digest(_atom_candidates(lattice))) == digests
+            assert exact_moments(grp, 8) == moments
+            assert _digest(_atom_candidates(lattice)) == atoms
+
+    @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))
+    def test_walk_counts_match_plain_relations(self, label):
+        # the same walks on Z^g itself, with no Smith form: c is a relation
+        # when sum c_j theta_j is within 2^-100 of an integer at 256 bits
+        P = parse_label(label)
+        grp = replace(classify(P), embedding=angle_rank_numeric(P))
+        thetas = roots(P, 256).thetas
+        K, g = 6, P.g
+        steps = [tuple(s if i == j else 0 for i in range(g))
+                 for j in range(g) for s in (1, -1)]
+
+        def is_relation(c):
+            with mp.workprec(256):
+                x = mp.fsum(cj * t for cj, t in zip(c, thetas))
+                return abs(x - mp.nint(x)) < mp.mpf(2) ** -100
+
+        walks, want = {(0,) * g: 1}, []
+        for _ in range(K):
+            nxt = {}
+            for c, n in walks.items():
+                for t in steps:
+                    u = tuple(a + b for a, b in zip(c, t))
+                    nxt[u] = nxt.get(u, 0) + n
+            walks = nxt
+            want.append(float(sum(n for c, n in walks.items() if is_relation(c))))
+        assert exact_moments(grp, K) == want
+
+    def test_large_order_odd_moments_vanish(self):
+        # U(1)^2 x C_2 has odd moments 0 at every order; a trapezoid
+        # quadrature gave -128 at k = 25 and -4.7e6 at k = 31
+        P = parse_label("3.2.ab_b_b")
+        grp = replace(classify(P), embedding=angle_rank_numeric(P))
+        vals = exact_moments(grp, 32)
+        assert vals[24] == 0.0 and vals[30] == 0.0
 
 
 # SHA-256 of repr((counts, atoms)) of histogram(P, PIN_N, 4096) and of
@@ -208,7 +238,9 @@ class TestMoments:
 # taken before the trace kernel worked in blocks.  The moment digests were
 # taken once the moments were summed per BLOCK instead of per 2^20 samples,
 # which moves the last bits of the empirical moments of 2.2.ab_b, 3.2.ad_f_ah
-# and 2.5.a_ab; the supersingular 2.2.ae_i kept its digest.  PIN_N spans
+# and 2.5.a_ab.  The moment digests of 2.5.a_ab and 2.2.ae_i were re-taken
+# once the exact moments became integer walk counts: their odd `exact`
+# entries are now 0.0 and their odd `abs_error` entries follow.  PIN_N spans
 # many BLOCKs and ends on a ragged block.  The moments depend on numpy's
 # float64 cos to the last bit, so these digests hold for one numpy build and
 # CPU family.
@@ -222,10 +254,10 @@ PINNED = {
                     "c3f7c0d82449263b410f105695131bac246db91bdca18671d81863159499ace5"),
     # U(1) x C_2, one atom at 0
     "2.5.a_ab": ("330abf609843f03c2ac7e1164bdf5d374c12e70ac6fe077ce4d34bf9ae2948d9",
-                 "aefc040f3bc8a40eb689b7d0bfc9aa9f16f842f6d7be98e530541016bf39eae3"),
+                 "2bd0543071c6ff7d5f9203909a61e003bbef57616911ab3a6ebedbdb5e570b59"),
     # supersingular, C_8, five atoms
     "2.2.ae_i": ("1d2b6f4d6a319eff01eaf4f367ba47c3a27887c903fa7beaeb278212ae554e2d",
-                 "36394cc56659e9010ffe8a1de9b5e55dc450b0c72c7f963ce5def5e6e41e7963"),
+                 "c37cb5860c31f882fd9a6cc8f73a8b1b8a8693cabee067a3ef7341d48cf2f0ed"),
 }
 
 
@@ -260,12 +292,13 @@ class TestTraceKernelBlocks:
         moment_report(P, 100, 8)
         assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 8
 
-    def test_exact_moments_quadrature_in_place(self):
-        # delta = 2: a 512 x 512 quadrature grid of 2 MB per buffer
+    def test_exact_moments_walk_counts_stay_small(self):
+        # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
+        # hundred dict entries, not a grid
         P = parse_label("3.2.ab_b_b")
         grp = replace(classify(P), embedding=angle_rank_numeric(P))
         exact_moments(grp, 8)
-        assert self._peak_mb(lambda: exact_moments(grp, 8)) < 8
+        assert self._peak_mb(lambda: exact_moments(grp, 8)) < 1
 
 
 class TestBaseChangeTraceIdentity:
