@@ -1,15 +1,15 @@
 """Serre-Frobenius groups, angle ranks and Frobenius trace distributions of
 Weil polynomials over finite fields."""
 
+import importlib.util
+import sys
+
 from .anglerank import (RelationLattice, angle_rank_numeric,
                         torsion_order_structural)
 from .classify import (GeometricDecomposition, Partial, SerreFrobeniusGroup,
                        classify, classify_elliptic, classify_prime_dim,
                        classify_surface, classify_threefold, report,
                        sf_of_product)
-from .distribution import (MomentReport, TraceHistogram, empirical_moments,
-                           exact_moments, histogram, moment_report,
-                           trace_sequence)
 from .newton import NewtonPolygonData, Stratum, newton_polygon, stratify
 from .polyarith import (IsogenyFactorization, SupersingularMatch, base_change,
                         factor, supersingular_match,
@@ -19,6 +19,28 @@ from .weilpoly import (DEFAULT_PRECISION, RootSystem, WeilError,
                        roots, validate)
 
 __version__ = "0.1.0"
+
+# The trace layer is the only user of numpy.  weilsf.distribution is bound
+# and registered in sys.modules now, but its code (and numpy) runs on the
+# first access to one of its attributes, so the classifier, the oracle and
+# the CLI start without numpy; its names here resolve through __getattr__.
+_spec = importlib.util.find_spec(__name__ + ".distribution")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+distribution = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = distribution
+_spec.loader.exec_module(distribution)
+
+_DISTRIBUTION_NAMES = frozenset({
+    "MomentReport", "TraceHistogram", "empirical_moments", "exact_moments",
+    "histogram", "moment_report", "trace_sequence",
+})
+
+
+def __getattr__(name):
+    if name in _DISTRIBUTION_NAMES:
+        return getattr(distribution, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "DEFAULT_PRECISION", "GeometricDecomposition", "IsogenyFactorization",

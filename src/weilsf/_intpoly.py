@@ -131,24 +131,20 @@ def _rem(a, b):
     return tuple(x // g for x in a)
 
 
+def _euclid(a, b):
+    """[a, b, r_2, ..., r_n]: Euclid's remainders r_(i+1) = _rem(r_(i-1), r_i)
+    up to the last nonzero one, which is gcd(a, b) times a nonzero integer."""
+    seq = [a, b]
+    while seq[-1] != (0,):
+        seq.append(_rem(seq[-2], seq[-1]))
+    seq.pop()
+    return seq
+
+
 def poly_gcd(a, b):
     """Primitive integer gcd of two integer polynomials, positive leading
     coefficient."""
-    a, b = normalize(a), normalize(b)
-    while b != (0,):
-        a, b = b, _rem(a, b)
-    return primitive(a)
-
-
-def squarefree_part(c):
-    """Primitive squarefree part of an integer polynomial."""
-    d = poly_gcd(c, poly_derivative(c))
-    if degree(d) == 0:
-        return primitive(normalize(c))
-    q = poly_div_if_exact(primitive(normalize(c)), _monicize(d))
-    if q is None:
-        raise InvariantError("gcd(c, c') does not divide c")
-    return primitive(q)
+    return primitive(_euclid(normalize(a), normalize(b))[-1])
 
 
 def _monicize(c):
@@ -282,15 +278,36 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+def _as_chain(seq):
+    # a Sturm chain is s_(i+1) = -rem(s_(i-1), s_i), and _rem(+-a, +-b) =
+    # +-_rem(a, b) with the sign of a, so it is Euclid's sequence on (c, c')
+    # with the signs +, +, -, -, +, +, ...
+    return [s if i % 4 < 2 else tuple(-x for x in s) for i, s in enumerate(seq)]
+
+
 def _sturm_chain(c):
     """Sturm chain of the squarefree c; ValueError if c has a repeated root."""
-    chain = [c, poly_derivative(c)]
-    while degree(chain[-1]) > 0:
-        rem = _rem(chain[-2], chain[-1])
-        if rem == (0,):
-            raise ValueError("Sturm chain needs a squarefree polynomial, got %r" % (c,))
-        chain.append(tuple(-x for x in rem))
-    return chain
+    seq = _euclid(c, poly_derivative(c))
+    if degree(seq[-1]) > 0:
+        raise ValueError("Sturm chain needs a squarefree polynomial, got %r" % (c,))
+    return _as_chain(seq)
+
+
+def squarefree_sturm_chain(c):
+    """Sturm chain of the primitive squarefree part of the integer polynomial
+    c; the part is the chain's first entry.
+
+    For a squarefree c, the one remainder sequence on (c, c') both decides
+    that and is the chain; otherwise c is divided by gcd(c, c') first.
+    """
+    c = primitive(normalize(c))
+    seq = _euclid(c, poly_derivative(c))
+    if degree(seq[-1]) == 0:
+        return _as_chain(seq)
+    q = poly_div_if_exact(c, _monicize(primitive(seq[-1])))
+    if q is None:
+        raise InvariantError("gcd(c, c') does not divide c")
+    return _sturm_chain(primitive(q))
 
 
 def _variations_at(chain, x):
@@ -310,16 +327,21 @@ def _variations_at(chain, x):
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
+def chain_count(chain, lo=None, hi=None):
+    """Number of real roots of chain[0] in (lo, hi], from its Sturm chain;
+    None means +-infinity, and lo, hi are ints or Fractions."""
+    a = "-inf" if lo is None else lo
+    b = "+inf" if hi is None else hi
+    return _variations_at(chain, a) - _variations_at(chain, b)
+
+
 def sturm_count(c, lo=None, hi=None):
     """Number of real roots of the squarefree integer polynomial c in
-    (lo, hi]; None means +-infinity, and lo, hi are ints or Fractions.
+    (lo, hi], as chain_count.
 
-    A repeated root raises ValueError: take squarefree_part first.
+    A repeated root raises ValueError: take squarefree_sturm_chain instead.
     """
     c = normalize(c)
     if degree(c) == 0:
         return 0
-    chain = _sturm_chain(c)
-    a = "-inf" if lo is None else lo
-    b = "+inf" if hi is None else hi
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    return chain_count(_sturm_chain(c), lo, hi)

@@ -327,11 +327,11 @@ def _is_almost_ordinary_factor(h, p, d):
 # dimension 2
 
 
-def classify_surface(P, precision=DEFAULT_PRECISION, fac=None):
+def classify_surface(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
     if P.g != 2:
         raise WeilError("classify_surface needs g = 2")
     q, p, d = P.q, P.p, P.d
-    stratum = stratify(newton_polygon(P), 2)
+    stratum = stratum or stratify(newton_polygon(P), 2)
     fac = fac or factor(P)
 
     if stratum is Stratum.SUPERSINGULAR:
@@ -383,11 +383,11 @@ def classify_surface(P, precision=DEFAULT_PRECISION, fac=None):
 # dimension 3
 
 
-def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None):
+def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
     if P.g != 3:
         raise WeilError("classify_threefold needs g = 3")
     q, p, d = P.q, P.p, P.d
-    stratum = stratify(newton_polygon(P), 3)
+    stratum = stratum or stratify(newton_polygon(P), 3)
     fac = fac or factor(P)
 
     if stratum is Stratum.SUPERSINGULAR:
@@ -477,14 +477,14 @@ def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None):
 # prime dimension g > 3 (partial classification)
 
 
-def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None):
+def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
     g = P.g
     if g <= 3 or not _is_prime(g):
         raise WeilError("classify_prime_dim needs prime g > 3")
     fac = fac or factor(P)
     if not fac.is_irreducible:
         raise NotSimple("polynomial is reducible; classify the factors instead")
-    if stratify(newton_polygon(P), g) is not Stratum.ORDINARY:
+    if (stratum or stratify(newton_polygon(P), g)) is not Stratum.ORDINARY:
         raise NotOrdinary("prime-dimension classification needs the ordinary stratum")
     if all(P.a(i) == 0 for i in range(1, 2 * g) if i % g):
         if _power_index(P.coeffs, g) % g:
@@ -512,17 +512,18 @@ def _is_prime(n):
 # dispatch and reporting
 
 
-def classify(P, precision=DEFAULT_PRECISION, fac=None):
-    """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P) when the
-    caller already has it; without it the node that needs it factors P."""
+def classify(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
+    """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P) and
+    `stratum` the Newton stratum of P when the caller already has them;
+    without them the node that needs them computes them."""
     if P.g == 1:
         return classify_elliptic(P)
     if P.g == 2:
-        return classify_surface(P, precision, fac)
+        return classify_surface(P, precision, fac, stratum)
     if P.g == 3:
-        return classify_threefold(P, precision, fac)
+        return classify_threefold(P, precision, fac, stratum)
     if _is_prime(P.g):
-        return classify_prime_dim(P, precision, fac)
+        return classify_prime_dim(P, precision, fac, stratum)
     raise WeilError("no classification implemented for g = %d" % P.g)
 
 
@@ -558,16 +559,17 @@ def geometric_decomposition(fac):
 
 def report(P, precision=DEFAULT_PRECISION):
     """Full JSON-ready classification report for one polynomial."""
-    # one factorization serves classify and the decomposition; a g that
-    # classify rejects gets that error, not one from factor
+    # one factorization and one Newton polygon serve classify and the
+    # record; a g that classify rejects gets that error, not one from factor
     fac = factor(P) if P.g <= 3 or _is_prime(P.g) else None
-    sf = classify(P, precision, fac)
+    stratum = stratify(newton_polygon(P), P.g)
+    sf = classify(P, precision, fac, stratum)
     out = {
         "schema_version": 1,
         "label": P.label,
         "g": P.g,
         "q": P.q,
-        "stratum": stratify(newton_polygon(P), P.g).value,
+        "stratum": stratum.value,
     }
     out.update(sf.to_json())
     if isinstance(sf, Partial):

@@ -25,7 +25,6 @@ import sys
 from . import _intpoly as ip
 from .anglerank import angle_rank_numeric, torsion_order_structural
 from .classify import Partial, classify, report
-from .distribution import histogram, moment_report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
 from .weilpoly import (DEFAULT_PRECISION, NonConvergence, RootOffCircle, WeilError,
@@ -231,6 +230,7 @@ def cmd_angle_rank(args):
 
 
 def cmd_histogram(args):
+    from .distribution import histogram   # numpy is loaded on first use
     n = PAPER_SAMPLES if args.paper_scale else args.samples
     b = PAPER_BUCKETS if args.paper_scale else args.buckets
     def record(P):
@@ -244,6 +244,7 @@ def cmd_histogram(args):
 
 
 def cmd_moments(args):
+    from .distribution import moment_report
     def record(P):
         repm = moment_report(P, args.samples, args.max_order,
                              precision=args.precision)
@@ -259,8 +260,9 @@ def cmd_enumerate(args):
 
 def _verify_one(P, precision):
     from .classify import InvalidTrace
+    npd = newton_polygon(P)
     try:
-        sf = classify(P, precision)
+        sf = classify(P, precision, stratum=stratify(npd, P.g))
     except InvalidTrace as exc:
         # the enumerated corpus is a superset of the realizable classes;
         # g = 1 inputs outside the Waterhouse list are reported, not failed
@@ -270,7 +272,6 @@ def _verify_one(P, precision):
     lat = sf.embedding or angle_rank_numeric(P, precision)   # set by oracle nodes
     ok_pair = (sf.delta, sf.m) == (lat.delta, lat.torsion_order)
     ok_table = sf.in_allowed_tables()
-    npd = newton_polygon(P)
     ok_ss = (sf.delta == 0) == npd.is_supersingular()
     entry = {"label": P.label, "structural": [sf.delta, sf.m],
              "numeric": [lat.delta, lat.torsion_order],

@@ -54,13 +54,18 @@ class IsogenyFactorization:
 def _split_real_rooted(h, precision):
     """Monic irreducible integer factors of a squarefree real-rooted h.
 
-    Subsets of the numeric roots are tried smallest first; the product over
-    a subset is rounded to integers and kept only if it divides what is left
-    of h exactly.  The k roots where a kept factor of degree k is smallest
+    An h of degree at most 2 is decided exactly.  Otherwise subsets of the
+    numeric roots are tried smallest first; the product over a subset is
+    rounded to integers and kept only if it divides what is left of h
+    exactly.  The k roots where a kept factor of degree k is smallest
     (its own roots) then leave the search, so every kept factor has the least
     degree of any factor left and is irreducible, and so is a remainder with
     no factor of at most half its degree.
     """
+    if ip.degree(h) <= 1:
+        return [h]
+    if ip.degree(h) == 2:
+        return _split_quadratic(h)
     found = []
     with mp.workprec(precision + 32):
         ys = _real_roots(h, precision)
@@ -82,6 +87,18 @@ def _split_real_rooted(h, precision):
             ys = sorted(ys, key=lambda y: abs(mp.polyval(d, y)))[k:]
             k = 1
     return found + [h]
+
+
+def _split_quadratic(h):
+    """Monic irreducible integer factors of a squarefree real-rooted
+    y^2 + b y + c: two linear ones iff b^2 - 4c > 0 is a square."""
+    _, b, c = h
+    disc = b * b - 4 * c
+    s = isqrt(disc)
+    if s * s != disc:
+        return [h]
+    # the roots (-b -+ s) / 2 are integers: s = b mod 2
+    return [(1, (b + s) // 2), (1, (b - s) // 2)]
 
 
 def factor(P, precision=DEFAULT_PRECISION):

@@ -121,11 +121,13 @@ def weil_pullback(h, q):
     The inverse of real_weil_transform: the roots of the result are the
     alpha with alpha + q/alpha a root of h.
     """
-    k = ip.degree(h)
-    out = (0,)
-    for i, c in enumerate(h):
-        out = ip.poly_add(out, ip.poly_mul((c,) + (0,) * i, ip.poly_pow((1, 0, q), k - i)))
-    return out
+    # Horner in T^2 + q: out <- out (T^2 + q) + h_i T^i.  After the shift
+    # and add of step i, out has degree 2i, so T^i sits at index i
+    out = [h[0]]
+    for i in range(1, len(h)):
+        out = [a + q * b for a, b in zip(out + [0, 0], [0, 0] + out)]
+        out[i] += h[i]
+    return ip.normalize(tuple(out))
 
 
 def real_weil_transform(coeffs, q, g):
@@ -160,8 +162,8 @@ def _roots_on_circle_exact(coeffs, q, g):
     hneg = tuple(x * (-1) ** i for i, x in enumerate(h))
     prod = ip.poly_mul(h, hneg)
     e = tuple(prod[i] * (-1) ** g for i in range(0, len(prod), 2))
-    esf = ip.squarefree_part(e)
-    return ip.sturm_count(esf, 0, 4 * q) + (e[-1] == 0) == ip.degree(esf)
+    chain = ip.squarefree_sturm_chain(e)
+    return ip.chain_count(chain, 0, 4 * q) + (e[-1] == 0) == ip.degree(chain[0])
 
 
 def validate(coeffs, q):

@@ -11,6 +11,7 @@ from weilsf.classify import (InvalidTrace, NotOrdinary,
                              classify_surface, classify_threefold,
                              geometric_decomposition, howe_zhu_split_degree,
                              report, sf_of_product)
+from weilsf.newton import newton_polygon
 from weilsf.polyarith import factor
 from weilsf.weilpoly import WeilError, from_middle, parse_label, validate
 
@@ -270,6 +271,19 @@ class TestInvariants:
         monkeypatch.setattr(sys.modules["weilsf.classify"], "factor", counting_factor)
         report(P)
         assert calls == [P.label]
+
+    @pytest.mark.parametrize("label", ["2.5.a_ab", "3.2.ad_f_ah"])
+    def test_report_computes_newton_polygon_once(self, monkeypatch, label):
+        calls = []
+
+        def counting_newton_polygon(P):
+            calls.append(P.label)
+            return newton_polygon(P)
+
+        monkeypatch.setattr(sys.modules["weilsf.classify"], "newton_polygon",
+                            counting_newton_polygon)
+        report(parse_label(label))
+        assert calls == [label]
 
     @pytest.mark.parametrize("g", [4, 9])
     def test_report_rejects_unclassified_dimension_before_factoring(self, g):

@@ -431,3 +431,37 @@ def test_certificate_checks_survive_python_O():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error:") and "failed to certify" in proc.stderr
+
+
+def test_classifier_path_loads_no_numpy():
+    # numpy serves only the trace functions, which the package imports on
+    # first use; a fresh interpreter shows what the classifier path loads
+    script = textwrap.dedent("""
+        import sys
+        import weilsf, weilsf.cli
+        assert "numpy" not in sys.modules, "import"
+        # registered, so code that wraps functions through sys.modules finds it
+        assert sys.modules["weilsf.distribution"] is weilsf.distribution
+        P = weilsf.parse_label("3.2.ad_f_ah")
+        weilsf.report(P)
+        assert "numpy" not in sys.modules, "report"
+        assert weilsf.cli._verify_one(P, weilsf.DEFAULT_PRECISION)["status"] == "ok"
+        assert "numpy" not in sys.modules, "verify"
+        assert weilsf.histogram is weilsf.distribution.histogram
+        assert "numpy" in sys.modules, "histogram"
+        names = {}
+        exec("from weilsf import *", names)
+        assert set(weilsf.__all__) <= set(names), "star import"
+        try:
+            weilsf.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("weilsf.no_such_name did not raise")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -69,6 +69,18 @@ class TestFactor:
         # pulls back to a square
         assert _pairs(parse_label(label)) == want
 
+    @pytest.mark.parametrize("label, want", [
+        ("2.5.a_j", [((1, -1, 5), 1), ((1, 1, 5), 1)]),   # H = y^2 - 1 splits
+        ("2.5.a_ab", [((1, 0, -1, 0, 25), 1)]),           # H = y^2 - 11 does not
+        ("2.25.ac_bz", [((1, -1, 25), 2)]),               # H = (y - 1)^2
+    ])
+    def test_parts_of_H_up_to_degree_2_are_exact(self, monkeypatch, label, want):
+        def numeric(*args):
+            raise AssertionError("numeric roots of a part of degree <= 2")
+
+        monkeypatch.setattr("weilsf.polyarith._real_roots", numeric)
+        assert _pairs(parse_label(label)) == want
+
     def test_json_schema(self):
         fac = factor(parse_label("2.25.ac_bz"))
         assert isinstance(fac, IsogenyFactorization)
@@ -177,7 +189,7 @@ class TestIntpolyOracles:
 
 
 class TestIntegerCoreAgainstSympy:
-    """poly_gcd, squarefree_decomposition and sturm_count against sympy."""
+    """poly_gcd, squarefree_decomposition and the Sturm counts against sympy."""
 
     @staticmethod
     def _sympy():
@@ -234,6 +246,9 @@ class TestIntegerCoreAgainstSympy:
             if ip.degree(ip.poly_gcd(c, ip.poly_derivative(c))) > 0:
                 continue
             real = sp.real_roots(sp.Poly(c, y))
+            # the chain of the squarefree part of c (y - r), which has r twice
+            chain = ip.squarefree_sturm_chain(ip.poly_mul(c, (1, -roots[0])))
+            assert chain[0] == c
             # interval ends on roots, between them and unbounded
             ends = [None] + roots + [Fraction(rng.randint(-20, 20), rng.randint(1, 4))]
             for lo in ends:
@@ -243,6 +258,7 @@ class TestIntegerCoreAgainstSympy:
                     want = sum(1 for r in real
                                if (lo is None or r > lo) and (hi is None or r <= hi))
                     assert ip.sturm_count(c, lo, hi) == want, (c, lo, hi)
+                    assert ip.chain_count(chain, lo, hi) == want, (c, lo, hi)
 
     def test_sturm_count_rejects_repeated_roots(self):
         with pytest.raises(ValueError):

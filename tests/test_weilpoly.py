@@ -1,14 +1,20 @@
+import csv
 import math
 import random
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from weilsf import _intpoly as ip
 from weilsf.weilpoly import (FunctionalEquationViolated, MalformedLabel,
                              NonConvergence, NotMonic, NotPrimePower,
                              RootOffCircle,
                              WeilPolynomial, format_label, from_middle,
-                             parse_label, real_weil_transform, roots, validate)
+                             parse_label, real_weil_transform, roots, validate,
+                             weil_pullback)
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
 
 
 class TestLabels:
@@ -122,6 +128,30 @@ class TestValidate:
             assert ok == sympy_accepts(g, q, middle), (g, q, middle)
             accepted += ok
         assert 20 < accepted < len(cases) - 20
+
+
+class TestWeilPullback:
+    def test_matches_naive_expansion(self):
+        # sum_i h_i T^i (T^2 + q)^(k - i), term by term
+        rng = random.Random(12)
+        for q in (2, 3, 4, 5, 9, 16, 23):
+            for k in range(9):
+                for _ in range(4):
+                    h = (1,) + tuple(rng.randint(-4 * q, 4 * q) for _ in range(k))
+                    want = (0,)
+                    for i, c in enumerate(h):
+                        term = ip.poly_mul((c,) + (0,) * i, ip.poly_pow((1, 0, q), k - i))
+                        want = ip.poly_add(want, term)
+                    assert weil_pullback(h, q) == want, (h, q)
+
+    def test_inverts_real_weil_transform_on_corpus(self):
+        with open(CORPUS, newline="") as fh:
+            labels = [row["label"] for row in csv.DictReader(fh, delimiter="\t")]
+        assert len(labels) == 1220
+        for label in labels:
+            P = parse_label(label)
+            h = real_weil_transform(P.coeffs, P.q, P.g)
+            assert weil_pullback(h, P.q) == P.coeffs, label
 
 
 class TestRoots:
