@@ -334,14 +334,3 @@ def chain_count(chain, lo=None, hi=None):
     b = "+inf" if hi is None else hi
     return _variations_at(chain, a) - _variations_at(chain, b)
 
-
-def sturm_count(c, lo=None, hi=None):
-    """Number of real roots of the squarefree integer polynomial c in
-    (lo, hi], as chain_count.
-
-    A repeated root raises ValueError: take squarefree_sturm_chain instead.
-    """
-    c = normalize(c)
-    if degree(c) == 0:
-        return 0
-    return chain_count(_sturm_chain(c), lo, hi)

@@ -129,8 +129,9 @@ def smith_normal_form(rows, n):
 
     V is unimodular with L*V = {(t_1 d_1, ..., t_r d_r, 0, ...)}; divisors
     satisfy d_1 | d_2 | ... | d_r.  All column operations are mirrored on V
-    so that the pair stays consistent (the embedding construction relies on
-    this), and a post-condition re-checks the transformed rows.
+    so that the pair stays consistent (the exact moments and atoms read the
+    group from these coordinates), and a post-condition re-checks the
+    transformed rows.
     """
     original = [list(map(int, r)) for r in rows]
     a = [row[:] for row in original]
@@ -239,36 +240,6 @@ class RelationLattice:
     @property
     def delta(self):
         return self.g - self.rank
-
-    def embedding(self):
-        """(M, phases): the image of U(1)^delta x C_m inside U(1)^g.
-
-        M is a g x delta integer matrix; phases is a list of m rational
-        g-vectors f with the group being the union over f of
-        {exp(2 pi i (f + M t)) : t in the delta-torus}.
-        """
-        g = self.g
-        if self.rank == 0:
-            ident = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
-            return ident, [tuple(Fraction(0) for _ in range(g))]
-        divisors, v = smith_normal_form(self.basis, g)
-        r = len(divisors)
-        cols_m = [[v[i][j] for j in range(r, g)] for i in range(g)]
-        phases = []
-
-        def rec(idx, current):
-            if idx == r:
-                phases.append(tuple(current))
-                return
-            for k in range(divisors[idx]):
-                shift = [Fraction(k * v[i][idx], divisors[idx]) for i in range(g)]
-                rec(idx + 1, [c + s for c, s in zip(current, shift)])
-
-        rec(0, [Fraction(0)] * g)
-        if len(phases) != self.torsion_order:
-            raise InvariantError("%d phases for torsion order %d"
-                                 % (len(phases), self.torsion_order))
-        return cols_m, phases
 
     def to_json(self):
         return {"delta": self.delta, "m": self.torsion_order,

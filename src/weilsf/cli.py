@@ -67,15 +67,18 @@ def _input_specs(args):
         raise WeilError("--q is for --coeffs only; a label carries its own q")
     labels = list(getattr(args, "labels", []) or [])
     if getattr(args, "file", None):
-        stream = sys.stdin if args.file == "-" else open(args.file)
         try:
-            for line in stream:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    labels.append(line)
-        finally:
-            if stream is not sys.stdin:
-                stream.close()
+            stream = sys.stdin if args.file == "-" else open(args.file)
+            try:
+                for line in stream:
+                    line = line.split("#", 1)[0].strip()
+                    if line:
+                        labels.append(line)
+            finally:
+                if stream is not sys.stdin:
+                    stream.close()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise WeilError("cannot read --file %s: %s" % (args.file, exc)) from None
     if not labels:
         raise WeilError("no input: pass labels, --file, or --coeffs/--q")
     return [(lab, parse_label, (lab,)) for lab in labels]

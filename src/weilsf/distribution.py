@@ -14,18 +14,21 @@ slices, so they hold one BLOCK of samples (`moment_report` also one of
 powers, summed per BLOCK and merged with math.fsum) whatever N is;
 `trace_sequence` alone builds all N samples.  `exact_moments` holds no
 grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation lattice
-in a dict of exact integers.
+in a dict of exact integers.  The atoms are decided exactly as well, from the
+same Smith coordinates of the relation lattice, by division by a cyclotomic
+polynomial; only their values are floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 
-from ._intpoly import InvariantError
+from ._intpoly import InvariantError, cyclotomic, poly_divmod_exact
 from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
@@ -138,44 +141,61 @@ def _bucket_index(x, g, B):
     return idx
 
 
-def _coset_traces(mat, phases, n):
-    """x = sum_j 2 cos(2 pi (f + M t)_j) on the grid t in {0, 1/n, ...,
-    (n-1)/n}^delta (one point if delta = 0), one per coset f.  Every coset
-    is written into one buffer: a consumer may not keep x across iterations.
-    """
-    delta = len(mat[0])
-    grid = np.arange(n, dtype=np.float64) / n
-    axes = [grid.reshape((n,) + (1,) * (delta - 1 - l)) for l in range(delta)]
-    shape = (n,) * delta or (1,)
-    arg = np.empty(shape)
-    x = np.empty(shape)
-    for f in phases:
-        x.fill(0.0)
-        for fj, row in zip(f, mat):
-            arg.fill(2.0 * math.pi * float(fj))
-            for c, t in zip(row, axes):
-                arg += (2.0 * math.pi * c) * t
-            np.cos(arg, out=arg)
-            arg *= 2.0
-            x += arg
-        yield x
+def _smith_coordinates(basis, g, delta, m):
+    """(d, V) = smith_normal_form(basis, g) for the relation lattice of
+    U(1)^delta x C_m, once g - len(d) = delta and d_r = m are checked."""
+    divisors, v = smith_normal_form(basis, g)
+    if g - len(divisors) != delta or (divisors[-1] if divisors else 1) != m:
+        raise InvariantError("divisors %r for delta %d, torsion order %d"
+                             % (divisors, delta, m))
+    return divisors, v
+
+
+def _vanishes(exponents, m):
+    """Whether the sum of exp(2 pi i a / m) over the integers a is 0: exactly
+    when Phi_m divides sum T^(a mod m)."""
+    c = [0] * m
+    for a in exponents:
+        c[-1 - a % m] += 1
+    return poly_divmod_exact(tuple(c), cyclotomic(m))[1] == (0,)
 
 
 def _atom_candidates(lattice):
-    """Values where a whole component of the group maps to one point.
+    """Values where a whole component of the group maps to one point, with
+    mass 1/m per component.
 
-    An atom of the pushforward arises exactly from a coset on which the trace
-    map is constant; each such coset contributes mass 1/m.
+    With (d, V) = smith_normal_form(basis, g) and M = V[:, r:], the group is
+    the union over k in Z/d_1 x ... x Z/d_r of the cosets theta = f + M t,
+    f_j = sum_i k_i V[j][i] / d_i.  On a coset, x = sum_j 2 cos(2 pi theta_j)
+    has at each frequency +-w != 0 the coefficient sum_(M_j = w) e(f_j) +
+    sum_(M_j = -w) e(-f_j), a sum of m-th roots of unity, so x is constant
+    there exactly when every such sum vanishes.  The value is summed in
+    floats, left to right from 0.0, from the unreduced phases f_j: reducing
+    them mod 1 can turn a value of 0.0 into -0.0.
     """
-    if lattice.delta == lattice.g and lattice.torsion_order == 1:
-        return []
+    g, m = lattice.g, lattice.torsion_order
+    divisors, v = _smith_coordinates(lattice.basis, g, lattice.delta, m)
+    if math.prod(divisors) != m:
+        raise InvariantError("%d cosets for torsion order %d"
+                             % (math.prod(divisors), m))
+    r = len(divisors)
+    classes = {}            # w up to sign -> [(j, sign of M_j against w)]
+    for j, row in enumerate(v):
+        w, neg = tuple(row[r:]), tuple(-x for x in row[r:])
+        if any(w):
+            classes.setdefault(max(w, neg), []).append((j, 1 if w > neg else -1))
+    # e_j = m f_j as integers
+    scales = [m // d for d in divisors]
     out = {}
-    for x in _coset_traces(*lattice.embedding(), 32):
-        if float(np.ptp(x)) < 1e-9:
-            v = round(float(x.flat[0]), 9)
-            out[v] = out.get(v, 0) + 1
-    m = lattice.torsion_order
-    return [(v, cnt / m) for v, cnt in sorted(out.items())]
+    for k in itertools.product(*map(range, divisors)):
+        e = [sum(a * b * s for a, b, s in zip(k, row, scales)) for row in v]
+        if all(_vanishes([s * e[j] for j, s in cls], m) for cls in classes.values()):
+            x = 0.0
+            for ej in e:
+                x += 2.0 * math.cos(2.0 * math.pi * (ej / m))
+            val = round(x, 9)
+            out[val] = out.get(val, 0) + 1
+    return [(val, cnt / m) for val, cnt in sorted(out.items())]
 
 
 def histogram(P, N, B, precision=DEFAULT_PRECISION):
@@ -183,9 +203,10 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
 
     Buckets are half-open with the last one closed.  For supersingular
     inputs the sequence is periodic and the counts are assembled exactly
-    from one period; atoms are then exact value classes.  Otherwise atoms
-    are counted empirically against the coset values predicted by the
-    relation lattice.
+    from one period; atoms are then exact value classes.  Otherwise the
+    atom values are those of the cosets of the group on which the trace is
+    constant, decided exactly by `_atom_candidates`, and their masses are
+    counted empirically.
     """
     if N < 1 or B < 1:
         raise WeilError("N and B must be positive")
@@ -277,10 +298,8 @@ def exact_moments(group, K):
     lattice = group.embedding
     if lattice is None and delta < g:
         raise EmbeddingMissing("delta < g needs the relation lattice")
-    divisors, v = smith_normal_form(lattice.basis if lattice else (), g)
-    if g - len(divisors) != delta or (divisors[-1] if divisors else 1) != m:
-        raise InvariantError("divisors %r for delta %d, torsion order %d"
-                             % (divisors, delta, m))
+    divisors, v = _smith_coordinates(lattice.basis if lattice else (),
+                                     g, delta, m)
     mods = divisors + [0] * delta
     # the step +-e_j moves the state by +-(row j of V)
     steps = [tuple(sign * x % d if d else sign * x for x, d in zip(row, mods))

@@ -184,18 +184,6 @@ class TestAngleRank:
                 assert max(abs(x) for x in c) <= 12
                 assert 1 <= b <= 72
 
-    def test_embedding_shapes(self):
-        lat = angle_rank_numeric(parse_label("2.5.a_ab"))
-        mat, phases = lat.embedding()
-        assert len(mat) == 2 and len(mat[0]) == 1
-        assert len(phases) == 2
-
-    def test_delta_g_embedding_is_identity(self):
-        lat = angle_rank_numeric(parse_label("2.2.ab_b"))
-        mat, phases = lat.embedding()
-        assert mat == [[1, 0], [0, 1]]
-        assert phases == [(0, 0)] or list(phases[0]) == [0, 0]
-
 
 @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))
 def test_pslq_agrees_with_the_lattice(label):

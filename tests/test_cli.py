@@ -215,6 +215,16 @@ def test_conflicting_input_sources_rejected(capsys, tmp_path):
     assert code == 1 and "exactly one input source" in err
 
 
+@pytest.mark.parametrize("verb", ["classify", "verify", "parse"])
+@pytest.mark.parametrize("name", ["absent.txt", None])
+def test_unreadable_file_is_input_error(capsys, tmp_path, verb, name):
+    # a missing path or a directory ends in one error line, not a traceback
+    path = tmp_path / name if name else tmp_path
+    code, out, err = run(capsys, verb, "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read --file")
+
+
 def test_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("WEILSF_PRECISION", "192")
     from weilsf.cli import build_parser

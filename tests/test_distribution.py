@@ -1,13 +1,19 @@
+import csv
 import hashlib
+import itertools
 import math
+import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from weilsf.anglerank import angle_rank_numeric
+from weilsf import distribution
+from weilsf.anglerank import angle_rank_numeric, smith_normal_form
 from weilsf.classify import classify
 from weilsf.distribution import (BLOCK, EmbeddingMissing, PrecisionLoss,
                                  _atom_candidates, empirical_moments,
@@ -17,6 +23,8 @@ from weilsf.polyarith import base_change
 from weilsf.weilpoly import parse_label, roots, validate
 
 from conftest import PAPER_EXAMPLES
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
 
 
 class TestTraceSequence:
@@ -313,3 +321,62 @@ class TestBaseChangeTraceIdentity:
         a = trace_sequence(base_change(P, 3), 500)
         b = trace_sequence(P, 1500)[2::3]
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+class TestExactAtoms:
+    def test_atoms_match_corpus(self):
+        # atom values, coset counts and the sign of zero as in the corpus
+        # `atoms` column, on every label with 0 < delta < g
+        with open(CORPUS, newline="") as fh:
+            rows = [row for row in csv.DictReader(fh, delimiter="\t")
+                    if 0 < int(row["n_delta"]) < int(row["g"])]
+        assert len(rows) == 516
+        differing = []
+        for row in rows:
+            m = int(row["n_m"])
+            atoms = _atom_candidates(angle_rank_numeric(parse_label(row["label"])))
+            text = ";".join("%.9f:%d" % (v, round(f * m)) for v, f in atoms) or "none"
+            if text != row["atoms"]:
+                differing.append(row["label"])
+        assert differing == []
+
+    @pytest.mark.parametrize("label", sorted(
+        label for label, grp in PAPER_EXAMPLES.items()
+        if grp != "U(1)^" + label.split(".")[0]))
+    def test_constant_cosets_at_200_bits(self, label):
+        # every coset f + M t of the group, at three seeded rational t and
+        # 200 bits: a coset is constant to 2^-150 or varies by more than
+        # 1e-6, and the constant ones give the atoms with their counts
+        lattice = angle_rank_numeric(parse_label(label))
+        g, m = lattice.g, lattice.torsion_order
+        divisors, v = smith_normal_form(lattice.basis, g)
+        r = len(divisors)
+        rng = random.Random(label)
+        ts = [[Fraction(rng.randrange(1000), 1000) for _ in range(g - r)]
+              for _ in range(3)]
+        found = {}
+        with mp.workprec(200):
+            for k in itertools.product(*map(range, divisors)):
+                xs = []
+                for t in ts:
+                    x = mp.mpf(0)
+                    for row in v:
+                        th = sum(Fraction(a * b, d) for a, b, d in zip(k, row, divisors))
+                        th += sum(c * u for c, u in zip(row[r:], t))
+                        x += 2 * mp.cos(2 * mp.pi * mp.mpf(th.numerator) / th.denominator)
+                    xs.append(x)
+                spread = max(xs) - min(xs)
+                if spread < mp.mpf(2) ** -150:
+                    val = round(float(xs[0]), 9)
+                    found[val] = found.get(val, 0) + 1
+                else:
+                    assert spread > 1e-6, (label, k)
+        atoms = _atom_candidates(lattice)
+        assert [c / m for _, c in sorted(found.items())] == [f for _, f in atoms]
+        for (want, _), (got, _) in zip(sorted(found.items()), atoms):
+            assert abs(want - got) < 1e-9
+
+    def test_atom_step_uses_no_numpy(self, monkeypatch):
+        monkeypatch.setattr(distribution, "np", None)
+        lattice = angle_rank_numeric(parse_label("3.2.a_a_ac"))
+        assert repr(_atom_candidates(lattice)) == "[(-0.0, 0.6666666666666666)]"

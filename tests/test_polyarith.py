@@ -183,9 +183,9 @@ class TestIntpolyOracles:
         assert prod == (1, 0, 0, 0, 0, 0, -1)   # T^6 - 1
 
     def test_sturm_counts(self):
-        assert ip.sturm_count((1, 0, -8)) == 2
-        assert ip.sturm_count((1, 0, -8), -1, 8) == 1
-        assert ip.sturm_count((1, 0, 1)) == 0
+        assert ip.chain_count(ip._sturm_chain((1, 0, -8))) == 2
+        assert ip.chain_count(ip._sturm_chain((1, 0, -8)), -1, 8) == 1
+        assert ip.chain_count(ip._sturm_chain((1, 0, 1))) == 0
 
 
 class TestIntegerCoreAgainstSympy:
@@ -257,11 +257,11 @@ class TestIntegerCoreAgainstSympy:
                         continue
                     want = sum(1 for r in real
                                if (lo is None or r > lo) and (hi is None or r <= hi))
-                    assert ip.sturm_count(c, lo, hi) == want, (c, lo, hi)
+                    assert ip.chain_count(ip._sturm_chain(c), lo, hi) == want, (c, lo, hi)
                     assert ip.chain_count(chain, lo, hi) == want, (c, lo, hi)
 
     def test_sturm_count_rejects_repeated_roots(self):
         with pytest.raises(ValueError):
-            ip.sturm_count((1, 0, -2, 0, 1))   # (T^2 - 1)^2
+            ip.chain_count(ip._sturm_chain((1, 0, -2, 0, 1)))   # (T^2 - 1)^2
         with pytest.raises(ValueError):
-            ip.sturm_count(ip.poly_mul((1, -1), (1, -2, 1)), 0, 5)
+            ip.chain_count(ip._sturm_chain(ip.poly_mul((1, -1), (1, -2, 1))), 0, 5)
