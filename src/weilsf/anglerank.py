@@ -228,13 +228,19 @@ def smith_normal_form(rows, n):
 
 @dataclass(frozen=True)
 class RelationLattice:
-    """Verified multiplicative relations among the normalized eigenvalues."""
+    """Verified multiplicative relations among the normalized eigenvalues.
+
+    ``thetas`` are the angles roots(P, precision).thetas that the LLL rows
+    came from, kept for the trace functions; they take no part in equality,
+    repr or JSON.
+    """
 
     g: int
     precision: int
     relations: tuple          # ((c tuple, numer, denom), ...): sum c th = n/d mod 1
     rank: int                 # = g - delta
     torsion_order: int        # = m
+    thetas: tuple = field(compare=False, repr=False)
     basis: tuple = field(default=())   # rows of R = {c : sum c th in Z}
 
     @property
@@ -295,7 +301,7 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
                 candidates.append(c)
     if not candidates:
         return RelationLattice(g=g, precision=precision, relations=(),
-                               rank=0, torsion_order=1, basis=())
+                               rank=0, torsion_order=1, thetas=rs.thetas, basis=())
     # doubled-precision verification of every accepted candidate
     rs2 = roots(P, 2 * precision)
     with mp.workprec(2 * precision + 32):
@@ -345,7 +351,7 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
             raise DenominatorBoundExceeded("torsion order %d > %d" % (m, DENOMINATOR_BOUND))
     return RelationLattice(g=g, precision=precision,
                            relations=tuple(presented), rank=rank,
-                           torsion_order=m,
+                           torsion_order=m, thetas=rs.thetas,
                            basis=tuple(tuple(r) for r in rbasis))
 
 

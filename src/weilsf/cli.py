@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import _intpoly as ip
@@ -35,14 +34,6 @@ PAPER_BUCKETS = 4 ** 6
 EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
 # what fails one input of a batch; _error_record maps each to a record
 _FAILURES = (WeilError, NonConvergence, ip.InvariantError)
-
-
-def _default_precision():
-    env = os.environ.get("WEILSF_PRECISION") or str(DEFAULT_PRECISION)
-    try:
-        return int(env)
-    except ValueError:
-        raise WeilError("WEILSF_PRECISION must be an integer, got %r" % env) from None
 
 
 def _input_specs(args):
@@ -160,9 +151,8 @@ def _error_record(text, exc):
     return {"label": text, "error": str(exc), "kind": "internal"}, EXIT_INTERNAL
 
 
-def _classify_one(spec):
+def _classify_one(text, parse, parse_args, precision):
     """(record, exit code) for one input; a failing input gives an error record."""
-    text, parse, parse_args, precision = spec
     try:
         rep = report(parse(*parse_args), precision=precision)
     except _FAILURES as exc:
@@ -172,16 +162,8 @@ def _classify_one(spec):
 
 def cmd_classify(args):
     """One record per input line in input order; the exit code is the worst seen."""
-    if args.jobs < 1:
-        raise WeilError("--jobs must be >= 1")
-    specs = [spec + (args.precision,) for spec in _input_specs(args)]
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(specs) > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            # imap keeps input order
-            return _emit_records(pool.imap(_classify_one, specs))
-    return _emit_records(map(_classify_one, specs))
+    specs = _input_specs(args)
+    return _emit_records(_classify_one(*spec, args.precision) for spec in specs)
 
 
 def _emit_records(results, csv=False):
@@ -319,8 +301,8 @@ def cmd_verify(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=_default_precision(),
-                        help="working precision in bits (>= 64; env WEILSF_PRECISION)")
+    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                        help="working precision in bits (>= 64)")
 
     top = argparse.ArgumentParser(
         prog="weilsf",
@@ -342,9 +324,6 @@ def build_parser():
     p = sub.add_parser("classify", parents=[common],
                        help="Serre-Frobenius group of each input")
     add_inputs(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (>= 1, at most the CPU count); "
-                        "output keeps input order")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("factor", parents=[common],

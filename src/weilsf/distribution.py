@@ -50,19 +50,18 @@ class EmbeddingMissing(WeilError):
     pass
 
 
-def _fixed_point_angles(P, N, precision):
-    """The angles of P as 64-bit fixed point, once N samples are known to
-    keep their accuracy at this precision."""
+def _fixed_point_angles(thetas, N, precision):
+    """The angles, solved at this precision, as 64-bit fixed point, once N
+    samples are known to keep their accuracy at it."""
     if N < 1:
         raise WeilError("N must be positive")
     eff = min(precision, 64)
     if N > 1 << (eff - 32):
         raise PrecisionLoss(
             "N = %d loses angle accuracy at precision %d" % (N, precision))
-    rs = roots(P, precision)
     with mp.workprec(precision + 32):
         scale = mp.mpf(2) ** 64
-        return [int(mp.nint(t * scale)) % (1 << 64) for t in rs.thetas]
+        return [int(mp.nint(t * scale)) % (1 << 64) for t in thetas]
 
 
 def _trace_chunks(ms, N):
@@ -91,7 +90,7 @@ def _trace_chunks(ms, N):
 
 def trace_sequence(P, N, precision=DEFAULT_PRECISION):
     """The vector (x_1, ..., x_N); deterministic for fixed (P, N, precision)."""
-    ms = _fixed_point_angles(P, N, precision)
+    ms = _fixed_point_angles(roots(P, precision).thetas, N, precision)
     out = np.empty(N, dtype=np.float64)
     for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N)):
         out[lo:lo + len(x)] = x
@@ -227,8 +226,9 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
         return TraceHistogram(g=g, sample_count=N, bucket_count=B,
                               counts=tuple(int(c) for c in counts), atoms=atoms)
 
-    ms = _fixed_point_angles(P, N, precision)
-    cands = _atom_candidates(angle_rank_numeric(P, precision))
+    lattice = angle_rank_numeric(P, precision)
+    ms = _fixed_point_angles(lattice.thetas, N, precision)
+    cands = _atom_candidates(lattice)
     atom_counts = [0] * len(cands)
     for x in _trace_chunks(ms, N):
         for i, (v, _) in enumerate(cands):
@@ -335,7 +335,9 @@ def moment_report(P, N, K, precision=DEFAULT_PRECISION):
         raise WeilError("moment comparison needs a full classification")
     if group.embedding is None and group.delta < group.g:
         group = replace(group, embedding=angle_rank_numeric(P, precision))
-    ms = _fixed_point_angles(P, N, precision)
+    # the oracle already solved the angles wherever it ran
+    thetas = (group.embedding or roots(P, precision)).thetas
+    ms = _fixed_point_angles(thetas, N, precision)
     emp = _mean_powers(_trace_chunks(ms, N), N, K)
     exa = exact_moments(group, K)
     return MomentReport(orders=tuple(range(1, K + 1)),

@@ -2,11 +2,14 @@
 recognition of supersingular minimal polynomials.
 
 Factorization works on the real Weil transform H of P (degree g, real
-roots in [-2 sqrt(q), 2 sqrt(q)]): candidate monic divisors of H are
-reconstructed from subsets of its high-precision real roots, kept only when
-they divide exactly, and pulled back to the factors of P, whose product is
-checked against P.  Every true factor of H is a product over a root subset,
-and with g <= 8 there are at most 162 subsets of size at most g/2.
+roots in [-2 sqrt(q), 2 sqrt(q)]) that `validate` stores as P.h.  Linear
+factors of H are its integer roots a with a^2 <= 4q, found by trial
+division; a remainder of degree <= 3 without them is irreducible, so for
+g <= 3 the factorization is exact arithmetic throughout.  Only a remainder
+of degree >= 4 is split by reconstructing candidate divisors from subsets
+of its high-precision real roots, kept only when they divide exactly.  The
+factors of H are pulled back to the factors of P, whose product is checked
+against P.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import mpmath as mp
 from . import _intpoly as ip
 from .newton import newton_class
 from .weilpoly import (DEFAULT_PRECISION, WeilPolynomial, WeilError, _real_roots,
-                       factor_prime_power, real_weil_transform, validate,
-                       weil_pullback)
+                       factor_prime_power, validate, weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 TORSION_SEARCH_BOUND = 72
@@ -51,25 +53,34 @@ class IsogenyFactorization:
                 for h, e, cls in self.factors]
 
 
-def _split_real_rooted(h, precision):
-    """Monic irreducible integer factors of a squarefree real-rooted h.
+def _split_real_rooted(h, q, precision):
+    """Monic irreducible integer factors of a squarefree h whose roots are
+    real and lie in [-2 sqrt(q), 2 sqrt(q)].
 
-    An h of degree at most 2 is decided exactly.  Otherwise subsets of the
-    numeric roots are tried smallest first; the product over a subset is
-    rounded to integers and kept only if it divides what is left of h
-    exactly.  The k roots where a kept factor of degree k is smallest
-    (its own roots) then leave the search, so every kept factor has the least
-    degree of any factor left and is irreducible, and so is a remainder with
-    no factor of at most half its degree.
+    A linear factor y - a of the monic h has an integer root a with
+    a^2 <= 4q, so trial division over that range strips every linear
+    factor exactly.  What is left has no linear factor, so it is
+    irreducible when its degree is at most 3.  Only a remainder of degree
+    >= 4 (g >= 4) is searched numerically: subsets of its roots are tried
+    smallest first, from size 2; the product over a subset is rounded to
+    integers and kept only if it divides what is left of h exactly.  The k
+    roots where a kept factor of degree k is smallest (its own roots) then
+    leave the search, so every kept factor has the least degree of any
+    factor left and is irreducible, and so is a remainder with no factor of
+    at most half its degree.
     """
-    if ip.degree(h) <= 1:
-        return [h]
-    if ip.degree(h) == 2:
-        return _split_quadratic(h)
     found = []
+    bound = isqrt(4 * q)
+    for a in range(-bound, bound + 1):
+        rest = ip.poly_div_if_exact(h, (1, -a))
+        if rest is not None:
+            found.append((1, -a))
+            h = rest
+    if ip.degree(h) <= 3:
+        return found + ([h] if ip.degree(h) else [])
     with mp.workprec(precision + 32):
         ys = _real_roots(h, precision)
-        k = 1
+        k = 2
         while k <= ip.degree(h) // 2:
             for subset in itertools.combinations(ys, k):
                 cand = [mp.mpf(1)]
@@ -85,38 +96,27 @@ def _split_real_rooted(h, precision):
             found.append(d)
             h = rest
             ys = sorted(ys, key=lambda y: abs(mp.polyval(d, y)))[k:]
-            k = 1
+            k = 2
     return found + [h]
-
-
-def _split_quadratic(h):
-    """Monic irreducible integer factors of a squarefree real-rooted
-    y^2 + b y + c: two linear ones iff b^2 - 4c > 0 is a square."""
-    _, b, c = h
-    disc = b * b - 4 * c
-    s = isqrt(disc)
-    if s * s != disc:
-        return [h]
-    # the roots (-b -+ s) / 2 are integers: s = b mod 2
-    return [(1, (b + s) // 2), (1, (b - s) // 2)]
 
 
 def factor(P, precision=DEFAULT_PRECISION):
     """IsogenyFactorization of a validated WeilPolynomial.
 
-    Factors the real Weil transform H of P (degree g, real roots
-    y = alpha + q/alpha) and pulls each irreducible factor h of H back to
-    f = T^k h(T + q/T), k = deg h.  For a root y of h other than +-2 sqrt(q)
-    the roots of f are a non-real alpha and q/alpha = conj(alpha), with
-    [Q(alpha):Q(y)] = 2, so f is irreducible; otherwise h divides y^2 - 4q
-    and f is (T -+ sqrt(q))^2 or (T^2 - q)^2.  The squarefree split of f
-    is therefore its factorization.
+    Factors the real Weil transform H = P.h (degree g, real roots
+    y = alpha + q/alpha; exactly for g <= 3, see `_split_real_rooted`) and
+    pulls each irreducible factor h of H back to f = T^k h(T + q/T),
+    k = deg h.  For a root y of h other than +-2 sqrt(q) the roots of f are
+    a non-real alpha and q/alpha = conj(alpha), with [Q(alpha):Q(y)] = 2,
+    so f is irreducible; otherwise h divides y^2 - 4q and f is
+    (T -+ sqrt(q))^2 or (T^2 - q)^2.  The squarefree split of f is
+    therefore its factorization.
     """
     if 2 * P.g > MAX_FACTOR_DEGREE:
         raise WeilError("factorization supports degree <= %d" % MAX_FACTOR_DEGREE)
     pairs = []
-    for part, e in ip.squarefree_decomposition(real_weil_transform(P.coeffs, P.q, P.g)):
-        for h in _split_real_rooted(part, precision):
+    for part, e in ip.squarefree_decomposition(P.h):
+        for h in _split_real_rooted(part, P.q, precision):
             pairs += [(f, kf * e) for f, kf in
                       ip.squarefree_decomposition(weil_pullback(h, P.q))]
     pairs.sort(key=lambda fe: (ip.degree(fe[0]), fe[0]))
@@ -142,13 +142,14 @@ def base_change(P, r):
 # roots, found by comparing power sums against those of (T - q^(r/2))^n
 
 
-def supersingular_torsion_order(P_or_coeffs, q=None, bound=TORSION_SEARCH_BOUND):
+def supersingular_torsion_order(P_or_coeffs, q=None):
     """Order of the group generated by the normalized roots of a polynomial
     all of whose roots have angle a rational multiple of 2 pi.
 
-    This is the smallest r <= bound with base_change(P, r) = (T - q^(r/2))^n,
-    checked through exact power sums.  Raises BoundExceeded past the bound,
-    which signals a non-supersingular input.
+    This is the smallest r <= TORSION_SEARCH_BOUND with
+    base_change(P, r) = (T - q^(r/2))^n, checked through exact power sums.
+    Raises BoundExceeded past the bound, which signals a non-supersingular
+    input.
     """
     if isinstance(P_or_coeffs, WeilPolynomial):
         coeffs, q = P_or_coeffs.coeffs, P_or_coeffs.q
@@ -158,15 +159,15 @@ def supersingular_torsion_order(P_or_coeffs, q=None, bound=TORSION_SEARCH_BOUND)
             raise ValueError("q is required with raw coefficients")
     n = ip.degree(coeffs)
     _, d = factor_prime_power(q)
-    sums = ip.power_sums(coeffs, n * bound)
-    for r in range(1, bound + 1):
+    sums = ip.power_sums(coeffs, n * TORSION_SEARCH_BOUND)
+    for r in range(1, TORSION_SEARCH_BOUND + 1):
         if (r * d) % 2:
             continue  # q^(r/2) is not an integer
         s = isqrt(q ** r)
         if all(sums[k * r - 1] == n * s ** k for k in range(1, n + 1)):
             return r
     raise BoundExceeded(
-        "no torsion order <= %d; input is not supersingular" % bound)
+        "no torsion order <= %d; input is not supersingular" % TORSION_SEARCH_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def _z3_families(q, p, d):
     return out
 
 
-def supersingular_match(h, q, p=None, d=None, bound=TORSION_SEARCH_BOUND):
+def supersingular_match(h, q, p=None, d=None):
     """Identify an irreducible all-slope-1/2 factor among the known families.
 
     Returns a SupersingularMatch carrying the Zhu type, the torsion order m
@@ -246,7 +247,7 @@ def supersingular_match(h, q, p=None, d=None, bound=TORSION_SEARCH_BOUND):
     deg = ip.degree(h)
     if d % 2 == 0:
         root = isqrt(q)
-        for m in range(1, bound + 1):
+        for m in range(1, TORSION_SEARCH_BOUND + 1):
             if ip.euler_phi(m) != deg:
                 continue
             if h == _scaled_cyclotomic(m, root):
@@ -254,7 +255,7 @@ def supersingular_match(h, q, p=None, d=None, bound=TORSION_SEARCH_BOUND):
     else:
         if deg % 2 == 0:
             half = deg // 2
-            for n_param in range(1, bound + 1):
+            for n_param in range(1, TORSION_SEARCH_BOUND + 1):
                 if ip.euler_phi(n_param) != half:
                     continue
                 if h == _cyclotomic_in_t2_scaled(n_param, q):

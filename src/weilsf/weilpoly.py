@@ -11,7 +11,7 @@ polynomial of Frobenius + Verschiebung), with no floating point involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, isqrt
 
 import mpmath as mp
@@ -72,13 +72,18 @@ def factor_prime_power(q):
 
 @dataclass(frozen=True)
 class WeilPolynomial:
-    """A validated q-Weil polynomial P(T) = sum a_i T^(2g-i)."""
+    """A validated q-Weil polynomial P(T) = sum a_i T^(2g-i).
+
+    ``h`` is its real Weil transform H, computed once by `validate`; it is
+    derived from ``coeffs`` and takes no part in equality, hash or repr.
+    """
 
     g: int
     q: int
     p: int
     d: int
     coeffs: tuple  # (a_0=1, a_1, ..., a_{2g})
+    h: tuple = field(compare=False, repr=False)  # (1, c_1, ..., c_g)
 
     def a(self, i):
         return self.coeffs[i]
@@ -149,15 +154,16 @@ def real_weil_transform(coeffs, q, g):
     return tuple(c)
 
 
-def _roots_on_circle_exact(coeffs, q, g):
-    """Exact test that all roots of P have |alpha| = sqrt(q).
+def _roots_on_circle_exact(h, q):
+    """Exact test that all roots of P have |alpha| = sqrt(q), from its real
+    Weil transform h.
 
-    Equivalent to: H real-rooted with every root y in [-2 sqrt(q), 2 sqrt(q)],
+    Equivalent to: h real-rooted with every root y in [-2 sqrt(q), 2 sqrt(q)],
     i.e. every root of E(z) = prod (z - y_i^2) lies in [0, 4q] (a root y^2 in
     [0, 4q] makes y real with |y| <= 2 sqrt(q)).  One Sturm chain on the
     squarefree part of E counts its roots in (0, 4q]; a root at 0 is E(0) = 0.
     """
-    h = real_weil_transform(coeffs, q, g)
+    g = ip.degree(h)
     # E(z) with E(y^2) = (-1)^g H(y) H(-y); keep the even part
     hneg = tuple(x * (-1) ** i for i, x in enumerate(h))
     prod = ip.poly_mul(h, hneg)
@@ -180,9 +186,10 @@ def validate(coeffs, q):
             raise FunctionalEquationViolated(
                 "a_%d = %s but q^%d * a_%d = %s"
                 % (2 * g - i, coeffs[2 * g - i], g - i, i, q ** (g - i) * coeffs[i]))
-    if not _roots_on_circle_exact(coeffs, q, g):
+    h = real_weil_transform(coeffs, q, g)
+    if not _roots_on_circle_exact(h, q):
         raise RootOffCircle("some root does not have absolute value sqrt(%d)" % q)
-    return WeilPolynomial(g=g, q=q, p=p, d=d, coeffs=coeffs)
+    return WeilPolynomial(g=g, q=q, p=p, d=d, coeffs=coeffs, h=h)
 
 
 def from_middle(g, q, middle):
@@ -329,9 +336,8 @@ def roots(P, precision=DEFAULT_PRECISION):
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g, q = P.g, P.q
-    h = real_weil_transform(P.coeffs, q, g)
     with mp.workprec(precision + 32):
-        thetas = sorted(t for part, mult in ip.squarefree_decomposition(h)
+        thetas = sorted(t for part, mult in ip.squarefree_decomposition(P.h)
                         for t in _angles_of_part(part, q, precision)
                         for _ in range(mult))
         sqrtq = mp.sqrt(q)

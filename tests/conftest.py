@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from weilsf.cli import enumerate_weil
@@ -50,3 +52,21 @@ CORPUS_RANGES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 def corpus():
     """The enumerated acceptance corpora, built once per session."""
     return {(g, q): list(enumerate_weil(g, q)) for g, q in CORPUS_RANGES}
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) wraps the function `name` at every binding in the
+    loaded weilsf modules and returns the list its calls are appended to."""
+    def wrap(name):
+        calls = []
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("weilsf.") and name in vars(mod):
+                real = vars(mod)[name]
+
+                def counted(*args, real=real, **kwargs):
+                    calls.append(args)
+                    return real(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+    return wrap

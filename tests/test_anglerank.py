@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -143,6 +144,14 @@ class TestAngleRank:
         assert lat.to_json() == {
             "delta": 1, "m": 2,
             "relations": [{"c": [1, 1], "frac": "1/2"}]}
+
+    @pytest.mark.parametrize("label", ["2.5.a_ab", "2.2.ab_b"])   # relations, none
+    def test_keeps_its_angles_out_of_sight(self, label):
+        P = parse_label(label)
+        lat = angle_rank_numeric(P, 192)
+        assert lat.thetas == roots(P, 192).thetas
+        assert replace(lat, thetas=()) == lat
+        assert "thetas" not in repr(lat) and "thetas" not in lat.to_json()
 
     def test_supersingular_c24(self):
         lat = angle_rank_numeric(validate((1, 2, 2, 4, 4), 2))

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -136,14 +135,6 @@ def test_enumerate_g2_q2_classifies_cleanly(capsys):
     assert len(out2.strip().split("\n")) == 35
 
 
-def test_classify_jobs_preserves_order(capsys):
-    labels = ["2.5.a_ab", "1.2.a", "2.2.ab_b", "3.2.a_a_ac", "1.2.ab"]
-    code, out, _ = run(capsys, "classify", "--jobs", "2", *labels)
-    assert code == 0
-    got = [json.loads(line)["label"] for line in out.strip().split("\n")]
-    assert got == labels
-
-
 def test_verify_corpus(capsys):
     code, out, _ = run(capsys, "verify", "-g", "1", "-q", "4")
     assert code == 0
@@ -225,21 +216,10 @@ def test_unreadable_file_is_input_error(capsys, tmp_path, verb, name):
     assert err.startswith("error: cannot read --file")
 
 
-def test_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("WEILSF_PRECISION", "192")
-    from weilsf.cli import build_parser
-    args = build_parser().parse_args(["classify", "1.2.a"])
-    assert args.precision == 192
-
-
-@pytest.mark.parametrize("env, message", [("32", "precision must be >= 64"),
-                                          ("abc", "WEILSF_PRECISION")])
-def test_precision_env_rejected(capsys, monkeypatch, env, message):
-    # the environment default is checked like --precision, not rewritten
-    monkeypatch.setenv("WEILSF_PRECISION", env)
-    code, out, err = run(capsys, "classify", "1.2.a")
+def test_precision_below_64_rejected(capsys):
+    code, out, err = run(capsys, "classify", "--precision", "32", "1.2.a")
     assert code == 1 and out == ""
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and "precision must be >= 64" in err
 
 
 def test_malformed_coeffs_is_input_error(capsys):
@@ -266,13 +246,6 @@ def test_oracle_failure_is_internal_error(capsys, monkeypatch, error):
     code, _, err = run(capsys, "angle-rank", "2.5.a_ab")
     assert code == 3
     assert err.startswith("error:") and "oracle gave up" in err
-
-
-def test_jobs_is_a_classify_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["newton", "--jobs", "2", "1.2.a"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_format_is_a_histogram_option(capsys):
@@ -321,43 +294,7 @@ def test_moments_order_below_one_is_input_error(capsys, k):
     assert code == 1 and err.count("error:") == 2
 
 
-def test_jobs_below_one_rejected(capsys):
-    code, out, err = run(capsys, "classify", "--jobs", "0", "1.2.a")
-    assert code == 1 and out == "" and "--jobs" in err
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces multiprocessing.Pool with an in-process stand-in; returns the
-    list of pool sizes asked for."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, items):
-            return map(func, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return sizes
-
-
-def test_jobs_capped_at_cpu_count(capsys, pool_sizes):
-    code, out, _ = run(capsys, "classify", "--jobs", "64", "1.2.a", "1.2.ab")
-    assert code == 0 and pool_sizes == [2]
-    assert [json.loads(line)["label"] for line in out.splitlines()] == ["1.2.a", "1.2.ab"]
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_classify_batch_isolates_failures(capsys, monkeypatch, pool_sizes, jobs):
+def test_classify_batch_isolates_failures(capsys, monkeypatch):
     real_report = cli.report
 
     def report(P, precision):
@@ -365,13 +302,13 @@ def test_classify_batch_isolates_failures(capsys, monkeypatch, pool_sizes, jobs)
             raise NonConvergence("residual too large")
         return real_report(P, precision=precision)
     monkeypatch.setattr("weilsf.cli.report", report)
-    code, out, err = run(capsys, "classify", "--jobs", jobs, "1.2.a", "1.2.zz", "1.2.ab")
+    code, out, err = run(capsys, "classify", "1.2.a", "1.2.zz", "1.2.ab")
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["label"] for r in records] == ["1.2.a", "1.2.zz", "1.2.ab"]
     assert records[0]["group"] == "C_4"
     assert [r.get("kind") for r in records] == [None, "input", "internal"]
     assert "absolute value" in records[1]["error"]
-    assert code == 3 and pool_sizes == ([2] if jobs == "2" else [])
+    assert code == 3
     assert err.count("error:") == 2
 
 
@@ -431,7 +368,7 @@ def test_certificate_checks_survive_python_O():
         from weilsf.cli import main
         assert False, "asserts must be stripped in this interpreter"
         orig = polyarith._split_real_rooted
-        polyarith._split_real_rooted = lambda h, precision: orig(h, precision)[1:]
+        polyarith._split_real_rooted = lambda h, q, precision: orig(h, q, precision)[1:]
         sys.exit(main(["factor", "2.2.a_d"]))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")

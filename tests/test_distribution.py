@@ -273,6 +273,17 @@ def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
+@pytest.mark.parametrize("run", [lambda P: histogram(P, 1000, 16),
+                                 lambda P: moment_report(P, 1000, 4)],
+                         ids=["histogram", "moment_report"])
+def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
+    # U(1)^2 x C_2: the oracle solves the angles at 256 and 512 bits, and
+    # the kernel takes them from its lattice instead of a third solve
+    calls = count_calls("roots")
+    run(parse_label("3.2.ab_b_b"))
+    assert [precision for _, precision in calls] == [256, 512]
+
+
 class TestTraceKernelBlocks:
     @pytest.mark.parametrize("label", sorted(PINNED))
     def test_outputs_bit_identical(self, label):

@@ -8,11 +8,16 @@ from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
                               IsogenyFactorization, NoSupersingularMatch,
                               base_change, factor, supersingular_match,
                               supersingular_torsion_order)
+from weilsf.weilpoly import _real_roots as real_roots
 from weilsf.weilpoly import parse_label, validate
 
 
 def _pairs(P):
     return [(h, e) for h, e, _ in factor(P).factors]
+
+
+def _no_numeric_roots(*args):
+    raise AssertionError("numeric roots of a part of H of degree <= 3")
 
 
 class TestFactor:
@@ -73,13 +78,35 @@ class TestFactor:
         ("2.5.a_j", [((1, -1, 5), 1), ((1, 1, 5), 1)]),   # H = y^2 - 1 splits
         ("2.5.a_ab", [((1, 0, -1, 0, 25), 1)]),           # H = y^2 - 11 does not
         ("2.25.ac_bz", [((1, -1, 25), 2)]),               # H = (y - 1)^2
+        # H = y^3 - 3y^2 - y + 5 has no integer root, so it is irreducible
+        ("3.2.ad_f_ah", [((1, -3, 5, -7, 10, -12, 8), 1)]),
+        ("3.2.ab_b_b", [((1, -1, 2), 1), ((1, 0, -1, 0, 4), 1)]),  # (y - 1)(y^2 - 5)
+        ("3.3.af_r_abi", [((1, -2, 3), 2), ((1, -1, 3), 1)]),     # (y - 1)(y - 2)^2
     ])
-    def test_parts_of_H_up_to_degree_2_are_exact(self, monkeypatch, label, want):
-        def numeric(*args):
-            raise AssertionError("numeric roots of a part of degree <= 2")
-
-        monkeypatch.setattr("weilsf.polyarith._real_roots", numeric)
+    def test_parts_of_H_up_to_degree_3_are_exact(self, monkeypatch, label, want):
+        monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
         assert _pairs(parse_label(label)) == want
+
+    def test_corpus_factors_without_numeric_roots(self, monkeypatch, corpus):
+        # every part of H has degree <= g <= 3 here
+        monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
+        for polys in corpus.values():
+            for P in polys:
+                factor(P)
+
+    def test_subset_search_splits_a_quartic_part(self, monkeypatch):
+        # H = y^4 - 8y^2 + 4 has no integer root but splits into two
+        # quadratics, which only the root-subset search finds
+        calls = []
+
+        def counted(h, precision):
+            calls.append(h)
+            return real_roots(h, precision)
+        monkeypatch.setattr("weilsf.polyarith._real_roots", counted)
+        P = validate(ip.poly_mul((1, 2, 2, 4, 4), (1, -2, 2, -4, 4)), 2)
+        assert P.h == (1, 0, -8, 0, 4)
+        assert _pairs(P) == [((1, -2, 2, -4, 4), 1), ((1, 2, 2, 4, 4), 1)]
+        assert calls == [P.h]
 
     def test_json_schema(self):
         fac = factor(parse_label("2.25.ac_bz"))

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -237,3 +238,22 @@ def test_json_emission():
     assert P.to_json() == {"g": 2, "q": 5, "p": 5, "d": 1,
                            "coeffs": [1, 0, -1, 0, 25]}
     assert isinstance(P, WeilPolynomial)
+
+
+class TestCarriedTransform:
+    def test_h_is_kept_but_invisible(self):
+        P = parse_label("3.2.ab_b_b")
+        assert P.h == real_weil_transform(P.coeffs, P.q, P.g) == (1, -1, -5, 5)
+        Q = replace(P, h=(1,))
+        assert Q == P and hash(Q) == hash(P) and repr(Q) == repr(P)
+        assert "h=" not in repr(P) and "h" not in P.to_json()
+
+    def test_transform_runs_once_per_polynomial(self, count_calls):
+        from weilsf.cli import _verify_one
+        from weilsf.polyarith import factor
+        calls = count_calls("real_weil_transform")
+        P = parse_label("3.2.ad_f_ah")
+        factor(P)
+        roots(P)
+        assert _verify_one(P, 256)["status"] == "ok"
+        assert len(calls) == 1
