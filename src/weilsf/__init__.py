@@ -1,9 +1,6 @@
 """Serre-Frobenius groups, angle ranks and Frobenius trace distributions of
 Weil polynomials over finite fields."""
 
-import importlib.util
-import sys
-
 from .anglerank import (RelationLattice, angle_rank_numeric,
                         torsion_order_structural)
 from .classify import (GeometricDecomposition, Partial, SerreFrobeniusGroup,
@@ -15,8 +12,8 @@ from .polyarith import (IsogenyFactorization, SupersingularMatch, base_change,
                         factor, supersingular_match,
                         supersingular_torsion_order)
 from .weilpoly import (DEFAULT_PRECISION, RootSystem, WeilError,
-                       WeilPolynomial, format_label, from_middle, parse_label,
-                       roots, validate)
+                       WeilPolynomial, _lazy, format_label, from_middle,
+                       parse_label, roots, validate)
 
 __version__ = "0.1.0"
 
@@ -24,11 +21,7 @@ __version__ = "0.1.0"
 # and registered in sys.modules now, but its code (and numpy) runs on the
 # first access to one of its attributes, so the classifier, the oracle and
 # the CLI start without numpy; its names here resolve through __getattr__.
-_spec = importlib.util.find_spec(__name__ + ".distribution")
-_spec.loader = importlib.util.LazyLoader(_spec.loader)
-distribution = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = distribution
-_spec.loader.exec_module(distribution)
+distribution = _lazy(__name__ + ".distribution")
 
 _DISTRIBUTION_NAMES = frozenset({
     "MomentReport", "TraceHistogram", "empirical_moments", "exact_moments",

@@ -54,13 +54,6 @@ def poly_pow(a, e):
     return out
 
 
-def poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    off = len(a) - len(b)
-    return normalize(tuple(a[i] + (b[i - off] if i >= off else 0) for i in range(len(a))))
-
-
 def poly_derivative(c):
     n = degree(c)
     if n == 0:

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-import mpmath as mp
-
 from ._intpoly import InvariantError
 from .polyarith import BoundExceeded, base_change
-from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, roots
+from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, mp, roots
 
 DENOMINATOR_BOUND = 72
 COEFF_BOUND_PRESENTED = 12         # relations in the saturated presentation

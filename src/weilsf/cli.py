@@ -244,6 +244,8 @@ def cmd_enumerate(args):
 
 
 def _verify_one(P, precision):
+    """The comparison record of P; its "node" is the provenance node of the
+    structural answer, or the status for a partial or unrealizable input."""
     from .classify import InvalidTrace
     npd = newton_polygon(P)
     try:
@@ -251,16 +253,17 @@ def _verify_one(P, precision):
     except InvalidTrace as exc:
         # the enumerated corpus is a superset of the realizable classes;
         # g = 1 inputs outside the Waterhouse list are reported, not failed
-        return {"label": P.label, "status": "not_realizable", "detail": str(exc)}
+        return {"label": P.label, "status": "not_realizable", "detail": str(exc),
+                "node": "not_realizable"}
     if isinstance(sf, Partial):
-        return {"label": P.label, "status": "partial"}
+        return {"label": P.label, "status": "partial", "node": "partial"}
     lat = sf.embedding or angle_rank_numeric(P, precision)   # set by oracle nodes
     ok_pair = (sf.delta, sf.m) == (lat.delta, lat.torsion_order)
     ok_table = sf.in_allowed_tables()
     ok_ss = (sf.delta == 0) == npd.is_supersingular()
     entry = {"label": P.label, "structural": [sf.delta, sf.m],
              "numeric": [lat.delta, lat.torsion_order],
-             "in_tables": ok_table, "ss_consistent": ok_ss}
+             "in_tables": ok_table, "ss_consistent": ok_ss, "node": sf.provenance}
     entry["status"] = "ok" if (ok_pair and ok_table and ok_ss) else "mismatch"
     return entry
 
@@ -275,6 +278,7 @@ def cmd_verify(args):
     else:
         specs = _input_specs(args)
     counts = dict.fromkeys(["ok", "partial", "mismatch", "not_realizable"], 0)
+    per_node = {}
 
     def records():
         for text, parse, parse_args in specs:
@@ -284,6 +288,8 @@ def cmd_verify(args):
                 yield _error_record(text, exc)
                 continue
             counts[entry["status"]] += 1
+            node = entry.pop("node")   # summary only, not in the stdout record
+            per_node[node] = per_node.get(node, 0) + 1
             if entry["status"] == "mismatch":
                 yield entry, EXIT_INPUT
             elif args.verbose:
@@ -292,7 +298,7 @@ def cmd_verify(args):
     code = _emit_records(records())
     _emit({"schema_version": 1, "checked": sum(counts.values()),
            "mismatches": counts["mismatch"],
-           "not_realizable": counts["not_realizable"]})
+           "not_realizable": counts["not_realizable"], "per_node": per_node})
     return code
 
 

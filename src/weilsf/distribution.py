@@ -25,7 +25,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-import mpmath as mp
 import numpy as np
 
 from ._intpoly import InvariantError, cyclotomic, poly_divmod_exact
@@ -33,7 +32,7 @@ from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
-from .weilpoly import DEFAULT_PRECISION, WeilError, roots
+from .weilpoly import DEFAULT_PRECISION, WeilError, mp, roots
 
 BLOCK = 1 << 16                 # samples per kernel pass and partial sum
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass

@@ -18,12 +18,10 @@ import itertools
 from dataclasses import dataclass
 from math import isqrt
 
-import mpmath as mp
-
 from . import _intpoly as ip
 from .newton import newton_class
 from .weilpoly import (DEFAULT_PRECISION, WeilPolynomial, WeilError, _real_roots,
-                       factor_prime_power, validate, weil_pullback)
+                       factor_prime_power, mp, validate, weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 TORSION_SEARCH_BOUND = 72

@@ -11,12 +11,35 @@ polynomial of Frobenius + Verschiebung), with no floating point involved.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from math import comb, isqrt
 
-import mpmath as mp
-
 from . import _intpoly as ip
+
+
+def _lazy(name):
+    """Module `name`, executed on the first access to one of its attributes.
+
+    An imported module is returned as it is.  Otherwise the module is
+    registered in sys.modules before it runs, so a later ``import name``
+    anywhere gets this same object (and runs it then).
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# mpmath serves only the numeric layer (roots, the factor search for g >= 4,
+# the LLL oracle, the trace angles): the exact classifier path never runs it.
+# The package binds it here alone; the other modules import this binding.
+mp = _lazy("mpmath")
 
 DEFAULT_PRECISION = 256
 
@@ -284,11 +307,6 @@ class RootSystem:
     def thetas(self):
         """The g fundamental angles theta_1 <= ... <= theta_g."""
         return self.angles[:self.g]
-
-    def unit_eigenvalues(self):
-        with mp.workprec(self.precision + 32):
-            s = mp.sqrt(self.q)
-            return tuple(self.roots[j] / s for j in range(self.g))
 
 
 def _real_roots(c, precision):

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_python(script, *flags):
+    """Run `script` in a new interpreter that imports weilsf from this tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_parse(capsys):
     code, out, _ = run(capsys, "parse", "2.5.a_ab")
     assert code == 0
@@ -155,8 +164,22 @@ def test_verify_bad_label_keeps_the_rest(capsys, monkeypatch):
     assert [r.get("kind") for r in records[:3]] == ["input", None, "internal"]
     assert records[1]["status"] == "ok"
     assert records[3] == {"schema_version": 1, "checked": 1, "mismatches": 0,
-                          "not_realizable": 0}
+                          "not_realizable": 0, "per_node": {"Table2:2-(v)": 1}}
     assert code == 3 and err.startswith("error: 1.2.zz:") and err.count("error:") == 2
+
+
+def test_verify_summary_counts_per_node(capsys):
+    # 1.8.ac is outside the Waterhouse list; the g = 5 input is partial
+    code, out, _ = run(capsys, "verify", "--verbose", "1.8.ac", "1.8.ab",
+                       "5.23.v_jj_cvp_rkt_dlop", "3.2.ac_b_a", "3.2.ad_f_ah", "1.2.a")
+    *entries, summary = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert summary["per_node"] == {"not_realizable": 1, "Table2:(1)": 1, "partial": 1,
+                                   "X-D:Table6:oracle": 1, "X-A": 1, "Table2:2-(v)": 1}
+    assert summary["checked"] == 6 and summary["not_realizable"] == 1
+    # the per-input records carry no node
+    assert [e["status"] for e in entries] == ["not_realizable", "ok", "partial", "ok", "ok", "ok"]
+    assert not any("node" in e for e in entries)
 
 
 def test_verify_runs_the_oracle_once(monkeypatch):
@@ -371,11 +394,7 @@ def test_certificate_checks_survive_python_O():
         polyarith._split_real_rooted = lambda h, q, precision: orig(h, q, precision)[1:]
         sys.exit(main(["factor", "2.2.a_d"]))
     """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = fresh_python(script, "-O")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error:") and "failed to certify" in proc.stderr
 
@@ -406,9 +425,41 @@ def test_classifier_path_loads_no_numpy():
         else:
             raise AssertionError("weilsf.no_such_name did not raise")
     """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_path_loads_no_mpmath():
+    # mpmath serves the numeric layer only and runs on its first use;
+    # "mpmath.libmp" is imported only when mpmath's own code runs
+    proc = fresh_python(textwrap.dedent("""
+        import sys
+        import weilsf, weilsf.cli
+        assert "mpmath.libmp" not in sys.modules, "import"
+        P = weilsf.parse_label("3.2.ad_f_ah")
+        assert weilsf.report(P)["provenance"] == "X-A"
+        assert "mpmath.libmp" not in sys.modules, "report on X-A"
+        Q = weilsf.parse_label("3.2.ac_b_a")
+        assert weilsf.report(Q)["provenance"] == "X-D:Table6:oracle"
+        assert "mpmath.libmp" in sys.modules, "report on X-D"
+        import mpmath
+        assert mpmath is weilsf.weilpoly.mp, "a second mpmath"
+    """))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_mpmath_when_imported_first():
+    # an mpmath imported before weilsf is the one every module binds, so
+    # mp.workprec in a caller governs the package
+    proc = fresh_python(textwrap.dedent("""
+        import sys
+        import mpmath
+        import weilsf, weilsf.cli
+        weilsf.distribution.histogram   # run the lazily loaded trace layer too
+        bound = {name: vars(m)["mp"] for name, m in list(sys.modules.items())
+                 if name.startswith("weilsf") and "mp" in vars(m)}
+        assert {"weilsf.weilpoly", "weilsf.polyarith", "weilsf.anglerank",
+                "weilsf.distribution"} <= set(bound), bound
+        assert all(m is mpmath for m in bound.values()), bound
+    """))
     assert proc.returncode == 0, proc.stderr
