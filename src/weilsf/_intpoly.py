@@ -11,10 +11,7 @@ Sturm chains that count real roots.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd
-
-Poly = tuple  # tuple of ints
 
 
 class InvariantError(RuntimeError):
@@ -61,48 +58,26 @@ def poly_derivative(c):
     return tuple(c[i] * (n - i) for i in range(n))
 
 
-def poly_divmod_exact(a, b):
-    """Divide a by the monic integer polynomial b; (quotient, remainder).
-
-    The arithmetic stays integral; a non-monic b raises ValueError.
-    """
+def poly_div_if_exact(a, b):
+    """Quotient a/b if the monic integer polynomial b divides a exactly over
+    Z, else None; a non-monic b raises ValueError."""
     b = normalize(b)
     if b[0] != 1:
         raise ValueError("divisor must be monic")
     a = list(a)
-    db, da = degree(b), degree(tuple(a))
-    if da < db:
-        return (0,), tuple(a)
-    quot = [0] * (da - db + 1)
-    for i in range(da - db + 1):
-        coef = a[i]
-        quot[i] = coef
-        if coef:
+    db, n = degree(b), len(a) - degree(b)
+    for i in range(n):
+        if a[i]:
             for j in range(1, db + 1):
-                a[i + j] -= coef * b[j]
-    rem = normalize(tuple(a[da - db + 1:])) if db > 0 else (0,)
-    return tuple(quot), rem
-
-
-def poly_div_if_exact(a, b):
-    """Quotient a//b if b divides a exactly over Z, else None (b monic)."""
-    q, r = poly_divmod_exact(a, b)
-    if r == (0,):
-        return q
-    return None
-
-
-def content(c):
-    g = 0
-    for x in c:
-        g = gcd(g, abs(x))
-    return g or 1
+                a[i + j] -= a[i] * b[j]
+    if any(a[max(n, 0):]):
+        return None
+    return tuple(a[:n]) or (0,)
 
 
 def primitive(c):
-    g = content(c)
-    sign = -1 if c[0] < 0 else 1
-    return tuple(x // (sign * g) for x in c)
+    g = gcd(*c) or 1
+    return tuple(x // (-g if c[0] < 0 else g) for x in c)
 
 
 def _rem(a, b):
@@ -112,16 +87,18 @@ def _rem(a, b):
     result serves Euclid (a gcd up to a unit) and Sturm chains alike.
     """
     a = list(a)
-    db = len(b) - 1
-    scale, sign = abs(b[0]), _sign(b[0])
-    while len(a) > db:
-        coef = sign * a[0]
+    n, db, lc, scale = len(a), len(b) - 1, b[0], abs(b[0])
+    for i in range(n - db):
+        coef = a[i] if lc > 0 else -a[i]
         if coef:
-            a = [scale * x - coef * y for x, y in zip_longest(a, b, fillvalue=0)]
-        a.pop(0)
-    a = normalize(tuple(a) or (0,))
-    g = content(a)
-    return tuple(x // g for x in a)
+            if scale != 1:
+                for j in range(i + 1, n):
+                    a[j] *= scale
+            for j in range(1, db + 1):
+                a[i + j] -= coef * b[j]
+    a = a[n - db:] if n > db else a
+    g = gcd(*a)
+    return normalize(tuple([x // g for x in a])) if g else (0,)
 
 
 def _euclid(a, b):
@@ -267,23 +244,16 @@ def euler_phi(n):
 # Sturm chains
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _as_chain(seq):
-    # a Sturm chain is s_(i+1) = -rem(s_(i-1), s_i), and _rem(+-a, +-b) =
-    # +-_rem(a, b) with the sign of a, so it is Euclid's sequence on (c, c')
-    # with the signs +, +, -, -, +, +, ...
-    return [s if i % 4 < 2 else tuple(-x for x in s) for i, s in enumerate(seq)]
-
-
 def _sturm_chain(c):
-    """Sturm chain of the squarefree c; ValueError if c has a repeated root."""
+    """Sturm chain of the squarefree c; ValueError if c has a repeated root.
+
+    The chain s_(i+1) = -rem(s_(i-1), s_i) is Euclid's sequence on (c, c')
+    with the signs +, +, -, -, ... (_rem(+-a, +-b) = +-_rem(a, b) with the
+    sign of a): chains here are that sequence, and _variations_at signs it."""
     seq = _euclid(c, poly_derivative(c))
     if degree(seq[-1]) > 0:
         raise ValueError("Sturm chain needs a squarefree polynomial, got %r" % (c,))
-    return _as_chain(seq)
+    return seq
 
 
 def squarefree_sturm_chain(c):
@@ -296,7 +266,7 @@ def squarefree_sturm_chain(c):
     c = primitive(normalize(c))
     seq = _euclid(c, poly_derivative(c))
     if degree(seq[-1]) == 0:
-        return _as_chain(seq)
+        return seq
     q = poly_div_if_exact(c, _monicize(primitive(seq[-1])))
     if q is None:
         raise InvariantError("gcd(c, c') does not divide c")
@@ -304,26 +274,32 @@ def squarefree_sturm_chain(c):
 
 
 def _variations_at(chain, x):
-    signs = []
-    for poly in chain:
-        if x == "-inf":
-            s = _sign(poly[0]) * (-1) ** (len(poly) - 1)
-        elif x == "+inf":
-            s = _sign(poly[0])
+    count = last = 0
+    for i, poly in enumerate(chain):
+        if x == "+inf":
+            v = poly[0]
+        elif x == "-inf":
+            v = poly[0] if len(poly) % 2 else -poly[0]
         else:
-            acc = 0
+            v = 0
             for ci in poly:
-                acc = acc * x + ci
-            s = _sign(acc)
-        if s:
-            signs.append(s)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+                v = v * x + ci
+        if i & 2:
+            v = -v
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    if not v:
+        raise ValueError("the chain's last entry vanishes at %s" % (x,))
+    return count
 
 
 def chain_count(chain, lo=None, hi=None):
     """Number of real roots of chain[0] in (lo, hi], from its Sturm chain;
-    None means +-infinity, and lo, hi are ints or Fractions."""
+    None means +-infinity, and lo, hi are ints or Fractions.  On Euclid's
+    sequence on (c, c') it counts distinct roots wherever gcd(c, c') is
+    nonzero (the generalized Sturm theorem), and raises ValueError where not."""
     a = "-inf" if lo is None else lo
     b = "+inf" if hi is None else hi
     return _variations_at(chain, a) - _variations_at(chain, b)
-

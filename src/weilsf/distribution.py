@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._intpoly import InvariantError, cyclotomic, poly_divmod_exact
+from ._intpoly import InvariantError, cyclotomic, poly_div_if_exact
 from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
@@ -155,7 +155,7 @@ def _vanishes(exponents, m):
     c = [0] * m
     for a in exponents:
         c[-1 - a % m] += 1
-    return poly_divmod_exact(tuple(c), cyclotomic(m))[1] == (0,)
+    return poly_div_if_exact(tuple(c), cyclotomic(m)) is not None
 
 
 def _atom_candidates(lattice):

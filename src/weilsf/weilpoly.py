@@ -12,9 +12,11 @@ polynomial of Frobenius + Verschiebung), with no floating point involved.
 from __future__ import annotations
 
 import importlib.util
+import operator
 import sys
 from dataclasses import dataclass, field
-from math import comb, isqrt
+from functools import lru_cache
+from math import comb, log2
 
 from . import _intpoly as ip
 
@@ -68,27 +70,56 @@ class NotPrimePower(WeilError):
     pass
 
 
+class NotIntegral(WeilError):
+    pass
+
+
 class NonConvergence(RuntimeError):
     """Root refinement did not reach the requested residual."""
 
 
+# Miller-Rabin on the primes to 41 is proven deterministic below _MR_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
+    if any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return not any(pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s))
+                   for b in _MR_BASES)
+
+
+def _integers(values, error, name):
+    """values as a tuple of ints, or `error` if one is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error("expected integer %s, got %r" % (name, values)) from None
+
+
+@lru_cache(maxsize=256, typed=True)  # the labels of a batch share a few q
 def factor_prime_power(q):
-    """Return (p, d) with q = p^d, p prime; trial division is plenty here."""
+    """Return (p, d) with q = p^d, p prime: p is the exact d-th root of q
+    for the largest such d, and q is a prime power iff p is prime."""
     if q < 2:
         raise NotPrimePower("q = %s is not a prime power" % q)
-    m = q
-    p = None
-    for cand in range(2, isqrt(q) + 1):
-        if m % cand == 0:
-            p = cand
+    for d in range(q.bit_length() - 1, 0, -1):
+        # Newton's integer d-th root from a float start just above it (a far start costs ~d steps)
+        e = log2(q) / d
+        p = int(2 ** e * 1.000001) + 1 if e < 1000 else 1 << -(-q.bit_length() // d)
+        while (r := ((d - 1) * p + q // p ** (d - 1)) // d) < p:
+            p = r
+        if p ** d == q:
             break
-    if p is None:
-        return q, 1
-    d = 0
-    while m % p == 0:
-        m //= p
-        d += 1
-    if m != 1:
+    if p >= _MR_LIMIT:
+        raise WeilError("q = %s: cannot certify that %s is prime (only below %s)"
+                        % (q, p, _MR_LIMIT))
+    if not _is_prime(p):
         raise NotPrimePower("q = %s is not a prime power" % q)
     return p, d
 
@@ -125,19 +156,6 @@ class WeilPolynomial:
     def label(self):
         return format_label(self)
 
-    def __str__(self):
-        n = 2 * self.g
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = n - i
-            mag = "" if (abs(c) == 1 and e > 0) else str(abs(c))
-            var = "" if e == 0 else ("T" if e == 1 else "T^%d" % e)
-            s = mag + var
-            terms.append(("- " if c < 0 else "+ ") + s if terms else ("-" if c < 0 else "") + s)
-        return " ".join(terms) + " over F_%d" % self.q
-
     def to_json(self):
         return {"g": self.g, "q": self.q, "p": self.p, "d": self.d,
                 "coeffs": list(self.coeffs)}
@@ -149,11 +167,12 @@ def weil_pullback(h, q):
     The inverse of real_weil_transform: the roots of the result are the
     alpha with alpha + q/alpha a root of h.
     """
-    # Horner in T^2 + q: out <- out (T^2 + q) + h_i T^i.  After the shift
-    # and add of step i, out has degree 2i, so T^i sits at index i
-    out = [h[0]]
+    # Horner in T^2 + q: out <- out (T^2 + q) + h_i T^i, in place.  Before
+    # step i, out holds a polynomial of degree 2i - 2, so T^i sits at index i
+    out = [h[0]] + [0] * (2 * len(h) - 2)
     for i in range(1, len(h)):
-        out = [a + q * b for a, b in zip(out + [0, 0], [0, 0] + out)]
+        for j in range(2 * i, 1, -1):
+            out[j] += q * out[j - 2]
         out[i] += h[i]
     return ip.normalize(tuple(out))
 
@@ -168,12 +187,19 @@ def real_weil_transform(coeffs, q, g):
     # T^(2g-i-2j); solve triangularly for the coefficients of H
     c = [1]
     for k in range(1, g + 1):
-        c.append(coeffs[k] - sum(c[i] * comb(g - i, (k - i) // 2) * q ** ((k - i) // 2)
-                                 for i in range(k - 2, -1, -2)))
-    # anything left over in the full identity violates the functional equation
+        x = coeffs[k]
+        for j in range(1, k // 2 + 1):
+            x -= c[k - 2 * j] * comb(g - k + 2 * j, j) * q ** j
+        c.append(x)
+    # the pullback is P exactly iff P satisfies the functional equation,
+    # and it certifies the solve
     if weil_pullback(c, q) != ip.normalize(tuple(coeffs)):
-        raise FunctionalEquationViolated(
-            "coefficients do not satisfy a_(2g-i) = q^(g-i) a_i")
+        for i in range(g + 1):
+            if coeffs[2 * g - i] != q ** (g - i) * coeffs[i]:
+                raise FunctionalEquationViolated(
+                    "a_%d = %s but q^%d * a_%d = %s"
+                    % (2 * g - i, coeffs[2 * g - i], g - i, i, q ** (g - i) * coeffs[i]))
+        raise ip.InvariantError("the pullback of H is not P")
     return tuple(c)
 
 
@@ -183,32 +209,31 @@ def _roots_on_circle_exact(h, q):
 
     Equivalent to: h real-rooted with every root y in [-2 sqrt(q), 2 sqrt(q)],
     i.e. every root of E(z) = prod (z - y_i^2) lies in [0, 4q] (a root y^2 in
-    [0, 4q] makes y real with |y| <= 2 sqrt(q)).  One Sturm chain on the
-    squarefree part of E counts its roots in (0, 4q]; a root at 0 is E(0) = 0.
+    [0, 4q] makes y real with |y| <= 2 sqrt(q)).  Euclid's sequence on (E, E')
+    counts E's distinct roots in (0, 4q], unless E has a repeated root at 0 or
+    4q (then the chain of E's squarefree part counts); a root at 0 is E(0) = 0.
     """
-    g = ip.degree(h)
-    # E(z) with E(y^2) = (-1)^g H(y) H(-y); keep the even part
-    hneg = tuple(x * (-1) ** i for i, x in enumerate(h))
-    prod = ip.poly_mul(h, hneg)
-    e = tuple(prod[i] * (-1) ** g for i in range(0, len(prod), 2))
-    chain = ip.squarefree_sturm_chain(e)
-    return ip.chain_count(chain, 0, 4 * q) + (e[-1] == 0) == ip.degree(chain[0])
+    hneg = [-x if i % 2 else x for i, x in enumerate(h)]
+    # h * hneg = (-1)^g H(y) H(-y) = E(y^2), so E is its even part
+    e = ip.poly_mul(h, hneg)[::2]
+    seq = ip._euclid(e, ip.poly_derivative(e))
+    try:
+        count = ip.chain_count(seq, 0, 4 * q)
+    except ValueError:  # gcd(E, E') vanishes at 0 or 4q
+        count = ip.chain_count(ip.squarefree_sturm_chain(e), 0, 4 * q)
+    return count + (e[-1] == 0) == ip.degree(e) - ip.degree(seq[-1])
 
 
 def validate(coeffs, q):
     """Build a WeilPolynomial from raw coefficients, or raise a WeilError."""
-    coeffs = tuple(int(x) for x in coeffs)
+    coeffs = _integers(coeffs, NotIntegral, "coefficients")
     if len(coeffs) % 2 == 0 or len(coeffs) < 3:
         raise WeilError("need exactly 2g+1 coefficients, got %d" % len(coeffs))
     if coeffs[0] != 1:
         raise NotMonic("leading coefficient must be 1, got %s" % coeffs[0])
     g = (len(coeffs) - 1) // 2
+    (q,) = _integers((q,), NotPrimePower, "q")
     p, d = factor_prime_power(q)
-    for i in range(g + 1):
-        if coeffs[2 * g - i] != q ** (g - i) * coeffs[i]:
-            raise FunctionalEquationViolated(
-                "a_%d = %s but q^%d * a_%d = %s"
-                % (2 * g - i, coeffs[2 * g - i], g - i, i, q ** (g - i) * coeffs[i]))
     h = real_weil_transform(coeffs, q, g)
     if not _roots_on_circle_exact(h, q):
         raise RootOffCircle("some root does not have absolute value sqrt(%d)" % q)
@@ -217,13 +242,13 @@ def validate(coeffs, q):
 
 def from_middle(g, q, middle):
     """Validate the polynomial with a_1..a_g = middle, the rest mirrored."""
-    middle = tuple(int(x) for x in middle)
+    middle = _integers(middle, NotIntegral, "coefficients")
+    (q,) = _integers((q,), NotPrimePower, "q")
     if len(middle) != g:
         raise WeilError("expected %d middle coefficients, got %d" % (g, len(middle)))
-    coeffs = [1] + list(middle)
-    for i in range(g - 1, -1, -1):
-        coeffs.append(q ** (g - i) * coeffs[i])
-    return validate(tuple(coeffs), q)
+    coeffs = [1, *middle]
+    coeffs += [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
+    return validate(coeffs, q)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +256,7 @@ def from_middle(g, q, middle):
 
 
 def _decode_token(tok):
-    if not tok or any(ch < "a" or ch > "z" for ch in tok):
+    if not (tok.isascii() and tok.isalpha() and tok.islower()):
         raise MalformedLabel("coefficient token %r is not lower-case a-z" % tok)
     if tok == "a":
         return 0
@@ -264,8 +289,7 @@ def parse_label(label):
     if len(parts) != 3:
         raise MalformedLabel("label must have the form g.q.iso, got %r" % label)
     try:
-        g = int(parts[0])
-        q = int(parts[1])
+        g, q = int(parts[0]), int(parts[1])
     except ValueError:
         raise MalformedLabel("label must have the form g.q.iso, got %r" % label)
     if g < 1:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -274,8 +275,11 @@ class TestIntegerCoreAgainstSympy:
                 continue
             real = sp.real_roots(sp.Poly(c, y))
             # the chain of the squarefree part of c (y - r), which has r twice
-            chain = ip.squarefree_sturm_chain(ip.poly_mul(c, (1, -roots[0])))
+            doubled = ip.poly_mul(c, (1, -roots[0]))
+            chain = ip.squarefree_sturm_chain(doubled)
             assert chain[0] == c
+            # Euclid's sequence on (c (y - r), its derivative) ends in y - r
+            euclid = ip._euclid(doubled, ip.poly_derivative(doubled))
             # interval ends on roots, between them and unbounded
             ends = [None] + roots + [Fraction(rng.randint(-20, 20), rng.randint(1, 4))]
             for lo in ends:
@@ -286,6 +290,23 @@ class TestIntegerCoreAgainstSympy:
                                if (lo is None or r > lo) and (hi is None or r <= hi))
                     assert ip.chain_count(ip._sturm_chain(c), lo, hi) == want, (c, lo, hi)
                     assert ip.chain_count(chain, lo, hi) == want, (c, lo, hi)
+                    if roots[0] in (lo, hi):
+                        with pytest.raises(ValueError):
+                            ip.chain_count(euclid, lo, hi)
+                    else:
+                        assert ip.chain_count(euclid, lo, hi) == want, (c, lo, hi)
+
+    def test_rem_is_signed_primitive_prem(self):
+        # sympy's prem(a, b) = lc(b)^(deg a - deg b + 1) a mod b
+        sp, y = self._sympy()
+        rng = random.Random(14)
+        for _ in range(400):
+            a = self._random_poly(rng, rng.randint(0, 7))
+            b = self._random_poly(rng, rng.randint(0, 4), monic=rng.random() < 0.3)
+            prem = [int(x) for x in sp.prem(sp.Poly(a, y), sp.Poly(b, y)).all_coeffs()]
+            sign = (-1 if b[0] < 0 else 1) ** max(len(a) - len(b) + 1, 0)
+            want = tuple(sign * x // math.gcd(*prem) for x in prem) if any(prem) else (0,)
+            assert ip._rem(a, b) == want, (a, b)
 
     def test_sturm_count_rejects_repeated_roots(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,49 @@
 import csv
+import itertools
 import math
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.weilpoly import (FunctionalEquationViolated, MalformedLabel,
-                             NonConvergence, NotMonic, NotPrimePower,
-                             RootOffCircle,
-                             WeilPolynomial, format_label, from_middle,
-                             parse_label, real_weil_transform, roots, validate,
-                             weil_pullback)
+                             NonConvergence, NotIntegral, NotMonic,
+                             NotPrimePower, RootOffCircle, WeilError,
+                             WeilPolynomial, factor_prime_power, format_label,
+                             from_middle, parse_label, real_weil_transform,
+                             roots, validate, weil_pullback)
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
+
+
+def _mirror(g, q, middle):
+    coeffs = [1, *middle]
+    return coeffs + [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
+
+
+def _accepts(g, q, middle):
+    try:
+        from_middle(g, q, middle)
+        return True
+    except RootOffCircle:
+        return False
+
+
+def _sympy_accepts(sp, h, q):
+    """P is valid iff H has g real roots y, each with y^2 <= 4q."""
+    real = sp.real_roots(sp.Poly(h, sp.Symbol("y")))
+    return len(real) == len(h) - 1 and all(r ** 2 <= 4 * q for r in real)
+
+
+def _weil_box(g, q):
+    """Every (a_1, ..., a_g) one past the Weil bounds |a_i| <= C(2g, i) q^(i/2)."""
+    bounds = [math.isqrt(math.comb(2 * g, i) ** 2 * q ** i) + 1 for i in range(1, g + 1)]
+    return itertools.product(*(range(-b, b + 1) for b in bounds))
 
 
 class TestLabels:
@@ -93,24 +121,34 @@ class TestValidate:
         assert validate((1, -4, 4), 4).g == 1
         assert validate((1, 0, -4, 0, 4), 2).g == 2
 
+    def test_non_integers_rejected(self):
+        # int() used to truncate the first two to 1.2.ab and 2.2.a_a
+        with pytest.raises(NotIntegral):
+            validate((1, -1.5, 2), 2)
+        with pytest.raises(NotIntegral):
+            from_middle(2, 2, (0.9, 0.2))
+        with pytest.raises(NotPrimePower):
+            validate((1, 0, 2), 4.0)
+        with pytest.raises(NotPrimePower):
+            from_middle(1, 4.0, (0,))
+        P = validate([1, np.int64(-1), 2], np.int64(2))
+        assert P.label == "1.2.ab" and type(P.q) is int and type(P.coeffs[1]) is int
+
     def test_from_middle_mirrors(self):
         P = from_middle(2, 5, (0, -1))
         assert P.coeffs == (1, 0, -1, 0, 25)
 
     def test_agrees_with_sympy_real_roots(self):
-        # P is valid iff H has g real roots y, each with y^2 <= 4q
         sp = pytest.importorskip("sympy")
         T, y = sp.symbols("T y")
         rng = random.Random(5)
 
         def sympy_accepts(g, q, middle):
-            coeffs = [1] + list(middle)
-            coeffs += [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
+            coeffs = _mirror(g, q, middle)
             h = real_weil_transform(coeffs, q, g)
             H = sp.Poly(h, y).as_expr()
             assert sp.expand(T ** g * H.subs(y, T + q / T)) == sp.Poly(coeffs, T).as_expr()
-            real = sp.real_roots(sp.Poly(h, y))
-            return len(real) == g and all(r ** 2 <= 4 * q for r in real)
+            return _sympy_accepts(sp, h, q)
 
         cases = [(1, 2, (0,)), (2, 2, (0, -4)), (1, 4, (-4,)), (2, 4, (0, -8))]
         for g, q in [(1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
@@ -121,14 +159,96 @@ class TestValidate:
                       for _ in range(40)]
         accepted = 0
         for g, q, middle in cases:
-            try:
-                from_middle(g, q, middle)
-                ok = True
-            except RootOffCircle:
-                ok = False
+            ok = _accepts(g, q, middle)
             assert ok == sympy_accepts(g, q, middle), (g, q, middle)
             accepted += ok
         assert 20 < accepted < len(cases) - 20
+
+    @pytest.mark.parametrize("g, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25)]
+                             + [(2, 4)])
+    def test_whole_box_agrees_with_sympy(self, g, q):
+        sp = pytest.importorskip("sympy")
+        accepted = 0
+        for middle in _weil_box(g, q):
+            h = real_weil_transform(_mirror(g, q, middle), q, g)
+            ok = _accepts(g, q, middle)
+            assert ok == _sympy_accepts(sp, h, q), middle
+            accepted += ok
+        assert accepted > 0
+
+    @pytest.mark.parametrize("q, pool", [
+        # y - a for a = 0, +-2 sqrt(q) puts a root of E at 0 or 4q
+        (4, [(1, 0), (1, -4), (1, 4), (1, -1), (1, 2), (1, 0, -2), (1, -5), (1, 0, 1)]),
+        (2, [(1, 0), (1, 0, -8), (1, -1), (1, 2), (1, 0, -2), (1, -3), (1, 0, 1)]),
+    ])
+    def test_roots_of_E_at_both_ends(self, q, pool, count_calls):
+        # g = 4 products of H; Euclid's sequence on (E, E') decides each one
+        # unless E has a repeated root at 0 or 4q
+        sp = pytest.importorskip("sympy")
+        y = sp.Symbol("y")
+        calls = count_calls("squarefree_sturm_chain")
+        seen = set()
+        for n in range(1, 5):
+            for parts in itertools.combinations_with_replacement(pool, n):
+                h = (1,)
+                for part in parts:
+                    h = ip.poly_mul(h, part)
+                if ip.degree(h) != 4:
+                    continue
+                before = len(calls)
+                ok = _accepts(4, q, weil_pullback(h, q)[1:5])
+                assert ok == _sympy_accepts(sp, h, q), parts
+                mult = sp.roots(sp.Poly(h, y))
+                # E(z) = prod (z - y_i^2) has a repeated root at 0 or 4q
+                at_4q = mult.get(2 * sp.sqrt(q), 0) + mult.get(-2 * sp.sqrt(q), 0)
+                repeated = mult.get(0, 0) > 1 or at_4q > 1
+                assert (len(calls) > before) == repeated, parts
+                seen.add((ok, repeated))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _trial_division(q):
+    # the reference: the smallest factor of q and its exponent
+    p = next(c for c in range(2, q + 1) if q % c == 0)
+    d = 0
+    while q % p == 0:
+        q, d = q // p, d + 1
+    return (p, d) if q == 1 else None
+
+
+class TestPrimePower:
+    def test_small_q_match_trial_division(self):
+        for q in range(-2, 1001):
+            want = _trial_division(q) if q >= 2 else None
+            if want is None:
+                with pytest.raises(NotPrimePower):
+                    factor_prime_power(q)
+            else:
+                assert factor_prime_power(q) == want, q
+
+    def test_large_prime_q_is_fast(self):
+        m = 2 ** 61 - 1
+        factor_prime_power.cache_clear()
+        start = time.perf_counter()
+        assert factor_prime_power(m) == (m, 1)
+        assert factor_prime_power(m * m) == (m, 2)
+        assert parse_label("1.100000000000031.a").q == 100000000000031
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(NotPrimePower):
+            factor_prime_power(3 * m)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to every prime base up to 31 and 37
+        for n in (3825123056546413051, 318665857834031151167461):
+            with pytest.raises(NotPrimePower):
+                factor_prime_power(n)
+            with pytest.raises(NotPrimePower):
+                factor_prime_power(n ** 3)
+
+    def test_beyond_certified_range(self):
+        with pytest.raises(WeilError, match="cannot certify"):
+            factor_prime_power(2 ** 89 - 1)   # prime, but past the proven bases
+        assert factor_prime_power((2 ** 61 - 1) ** 7) == (2 ** 61 - 1, 7)
 
 
 class TestWeilPullback:
