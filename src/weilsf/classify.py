@@ -1,28 +1,29 @@
 """Structural classification of Serre-Frobenius groups for g <= 3 (and the
 partial prime-dimension case).
 
-The classifier never consults the numeric angle oracle except on one node
-(simple almost-ordinary threefolds), where the group genuinely depends on
-endomorphism-algebra data that plain coefficient tests cannot see; there the
-numeric delta is taken and the torsion order validated against the allowed
-sets.  Everything else is decided with exact integer arithmetic: Newton
-strata, Honda-Tate factor shapes, coefficient tests for the splitting of
-simple ordinary surfaces, base-change comparisons for geometric isogeny, and
-exact torsion orders of supersingular pieces.  That independence is what the
-structural-versus-numeric corpus cross-check certifies.
+For g <= 3 the classifier never consults the numeric angle oracle: every
+node is decided with exact integer arithmetic.  That covers Newton strata,
+Honda-Tate factor shapes, coefficient tests for the splitting of simple
+ordinary surfaces, base-change comparisons for geometric isogeny, exact
+torsion orders of supersingular pieces, and, for an irreducible P with no
+other exact test (simple almost-ordinary threefolds and the formal nodes),
+the exterior-power relation test `polyarith.exterior_relation`.  That
+independence is what the structural-versus-numeric corpus cross-check
+certifies.  Only the partial prime-dimension classification takes delta
+from the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional
 
 from . import _intpoly as ip
-from .anglerank import RelationLattice, angle_rank_numeric
+from .anglerank import angle_rank_numeric
 from .newton import Stratum, newton_polygon, newton_polygon_of_factor, stratify
-from .polyarith import factor, supersingular_match, supersingular_torsion_order
-from .weilpoly import DEFAULT_PRECISION, WeilError
+from .polyarith import (exterior_relation, factor, supersingular_match,
+                        supersingular_torsion_order)
+from .weilpoly import DEFAULT_PRECISION, WeilError, _is_prime
 
 BASE_CHANGE_RANGE = 24      # largest extension degree the split/merge searches try
 
@@ -72,7 +73,6 @@ class SerreFrobeniusGroup:
     delta: int
     m: int
     provenance: str
-    embedding: Optional[RelationLattice] = None
 
     @property
     def group(self):
@@ -124,9 +124,8 @@ class GeometricDecomposition:
                             for h, e, dim, cls in self.factor_summaries]}
 
 
-def _sf(g, delta, m, provenance, embedding=None):
-    return SerreFrobeniusGroup(g=g, delta=delta, m=m, provenance=provenance,
-                               embedding=embedding)
+def _sf(g, delta, m, provenance):
+    return SerreFrobeniusGroup(g=g, delta=delta, m=m, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,7 @@ def _is_almost_ordinary_factor(h, p, d):
 # dimension 2
 
 
-def classify_surface(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
+def classify_surface(P, fac=None, stratum=None):
     if P.g != 2:
         raise WeilError("classify_surface needs g = 2")
     q, p, d = P.q, P.p, P.d
@@ -376,6 +375,11 @@ def classify_surface(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
             return _sf(2, 1, r, "S-NA(split:%d)" % r)
         return _sf(2, 2, 1, "S-NA(maxrank)")
 
+    if stratum is Stratum.OTHER and fac.is_irreducible:
+        # p-rank 1 with middle slopes other than 1/2: formal inputs only.
+        # A relation lattice of rank 2 would make P supersingular
+        return _sf(2, *exterior_relation(P), "S-NA(exterior)")
+
     raise UnclassifiedNode("surface stratum %s has no node" % stratum)
 
 
@@ -383,7 +387,19 @@ def classify_surface(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
 # dimension 3
 
 
-def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
+def _simple_threefold_relation(P, error):
+    """(delta, m) of an irreducible, non-supersingular threefold from
+    `exterior_relation`, once P has no two-term relation.  A two-term
+    relation (P gains a factor over some F_(q^r)) means delta = 1, which
+    Lambda_3 cannot see; then `error` is raised."""
+    r = _split_degree(P.coeffs, BASE_CHANGE_RANGE)
+    if r is not None:
+        raise error("simple threefold %r gains a factor over F_(q^%d): "
+                    "delta = 1 has no node here" % (P.coeffs, r))
+    return exterior_relation(P)
+
+
+def classify_threefold(P, fac=None, stratum=None):
     if P.g != 3:
         raise WeilError("classify_threefold needs g = 3")
     q, p, d = P.q, P.p, P.d
@@ -421,14 +437,16 @@ def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
 
     if stratum is Stratum.ALMOST_ORDINARY:
         if fac.is_irreducible:
-            lattice = angle_rank_numeric(P, precision)
-            delta, m = lattice.delta, lattice.torsion_order
+            delta, m = _simple_threefold_relation(P, InconsistentInputs)
             if not ((delta == 3 and m == 1)
                     or (delta == 2 and m in SIMPLE_AO_THREEFOLD_M)):
                 raise InconsistentInputs(
                     "simple almost ordinary threefold outside Table 6: "
                     "delta=%d m=%d" % (delta, m))
-            return _sf(3, delta, m, "X-D:Table6:oracle", embedding=lattice)
+            # decided exactly since the exterior test; the name is kept only
+            # because the report digests in perfbench/data/corpus.tsv and
+            # tests/test_golden.py pin "X-D:Table6:oracle"
+            return _sf(3, delta, m, "X-D:Table6:oracle")
         delta, m, _ = sf_of_product(fac.factors, q, p, d)
         return _sf(3, delta, m, "X-E")
 
@@ -457,7 +475,7 @@ def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
             # threefolds (fractional-slope factors over square fields)
             delta, m, _ = sf_of_product(fac.factors, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
-        return _sf(3, 3, 1, "X-I")
+        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode), "X-I")
 
     if stratum is Stratum.OTHER:
         # only reachable for formal inputs outside the Newton strata of
@@ -466,9 +484,8 @@ def classify_threefold(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
         if not fac.is_irreducible:
             delta, m, _ = sf_of_product(fac.factors, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
-        lattice = angle_rank_numeric(P, precision)
-        return _sf(3, lattice.delta, lattice.torsion_order, "X-NA:oracle",
-                   embedding=lattice)
+        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode),
+                   "X-NA(exterior)")
 
     raise UnclassifiedNode("threefold stratum %s has no node" % stratum)
 
@@ -497,17 +514,6 @@ def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
                    certified=False, provenance="ThmD(1):oracle-delta")
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # dispatch and reporting
 
@@ -515,13 +521,14 @@ def _is_prime(n):
 def classify(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
     """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P) and
     `stratum` the Newton stratum of P when the caller already has them;
-    without them the node that needs them computes them."""
+    without them the node that needs them computes them.  `precision`
+    serves only the oracle of the partial prime-dimension node."""
     if P.g == 1:
         return classify_elliptic(P)
     if P.g == 2:
-        return classify_surface(P, precision, fac, stratum)
+        return classify_surface(P, fac, stratum)
     if P.g == 3:
-        return classify_threefold(P, precision, fac, stratum)
+        return classify_threefold(P, fac, stratum)
     if _is_prime(P.g):
         return classify_prime_dim(P, precision, fac, stratum)
     raise WeilError("no classification implemented for g = %d" % P.g)

@@ -257,7 +257,7 @@ def _verify_one(P, precision):
                 "node": "not_realizable"}
     if isinstance(sf, Partial):
         return {"label": P.label, "status": "partial", "node": "partial"}
-    lat = sf.embedding or angle_rank_numeric(P, precision)   # set by oracle nodes
+    lat = angle_rank_numeric(P, precision)
     ok_pair = (sf.delta, sf.m) == (lat.delta, lat.torsion_order)
     ok_table = sf.in_allowed_tables()
     ok_ss = (sf.delta == 0) == npd.is_supersingular()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class PrecisionLoss(WeilError):
     pass
 
 
-class EmbeddingMissing(WeilError):
+class LatticeMissing(WeilError):
     pass
 
 
@@ -281,8 +281,10 @@ def _walk_step(walks, steps, mods):
     return out
 
 
-def exact_moments(group, K):
-    """E[x^k], k = 1..K, for the Haar pushforward of the classified group.
+def exact_moments(group, K, lattice=None):
+    """E[x^k], k = 1..K, for the Haar pushforward of the classified group,
+    whose relation lattice `lattice` (from `angle_rank_numeric`) it needs
+    when delta < g.
 
     A character prod u_j^(c_j) is trivial on the group exactly when c lies
     in the relation lattice L, so by Haar orthogonality E[x^k] is the number
@@ -291,12 +293,11 @@ def exact_moments(group, K):
     d_1 Z + ... + d_r Z + 0, so a walk's state is cV with entry i reduced
     mod d_i.  The steps are symmetric, so W_b(-s) = W_b(s) for the counts
     W_b of b-step walks, and walks of ceil(K/2) steps give every moment:
-    E[x^(a+b)] = sum_s W_a(s) W_b(s).  delta = g (L = 0) needs no embedding.
+    E[x^(a+b)] = sum_s W_a(s) W_b(s).  delta = g (L = 0) needs no lattice.
     """
     g, delta, m = group.g, group.delta, group.m
-    lattice = group.embedding
     if lattice is None and delta < g:
-        raise EmbeddingMissing("delta < g needs the relation lattice")
+        raise LatticeMissing("delta < g needs the relation lattice")
     divisors, v = _smith_coordinates(lattice.basis if lattice else (),
                                      g, delta, m)
     mods = divisors + [0] * delta
@@ -332,13 +333,13 @@ def moment_report(P, N, K, precision=DEFAULT_PRECISION):
     group = classify(P, precision)
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")
-    if group.embedding is None and group.delta < group.g:
-        group = replace(group, embedding=angle_rank_numeric(P, precision))
-    # the oracle already solved the angles wherever it ran
-    thetas = (group.embedding or roots(P, precision)).thetas
+    # the oracle runs only where the lattice is needed, and then its
+    # angles serve the trace kernel too
+    lattice = angle_rank_numeric(P, precision) if group.delta < group.g else None
+    thetas = (lattice or roots(P, precision)).thetas
     ms = _fixed_point_angles(thetas, N, precision)
     emp = _mean_powers(_trace_chunks(ms, N), N, K)
-    exa = exact_moments(group, K)
+    exa = exact_moments(group, K, lattice)
     return MomentReport(orders=tuple(range(1, K + 1)),
                         empirical=tuple(emp), exact=tuple(exa),
                         abs_error=tuple(abs(e - x) for e, x in zip(emp, exa)))

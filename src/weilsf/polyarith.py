@@ -21,7 +21,8 @@ from math import isqrt
 from . import _intpoly as ip
 from .newton import newton_class
 from .weilpoly import (DEFAULT_PRECISION, WeilPolynomial, WeilError, _real_roots,
-                       factor_prime_power, mp, validate, weil_pullback)
+                       factor_prime_power, mp, real_weil_transform, validate,
+                       weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 TORSION_SEARCH_BOUND = 72
@@ -133,6 +134,57 @@ def base_change(P, r):
         raise WeilError("extension degree must be >= 1, got %d" % r)
     out = ip.base_change_coeffs(P.coeffs, r)
     return validate(out, P.q ** r)
+
+
+def exterior_relation(P):
+    """(delta, m) of an irreducible, non-supersingular P whose relation
+    lattice has rank <= 1, by exact division.
+
+    Write u_j = alpha_j / sqrt(q) for one root alpha_j of each pair
+    {alpha_j, q/alpha_j}.  The Galois group of P permutes the g pairs
+    transitively, and it acts on the angles modulo Q by signed
+    permutations (a sigma with sigma(sqrt q) = -sqrt q only shifts every
+    angle by 1/2).  So the lattice of c in Z^g with sum c_j theta_j in Q is
+    stable under a transitive group of signed permutations; when it has
+    rank 1 its generator c has sigma c = +-c for every sigma, so all |c_j|
+    are equal.  Hence delta = g - 1 exactly when a sign monomial
+    v = prod u_j^(+-1) is a root of unity, m is then its order, and v and
+    1/v are the only such monomials.  (For g = 3 a lattice of rank 2 has
+    two-term relations instead, which the caller rules out first.)
+
+    Lambda_g, of degree 2^g, has the roots q^(g/2) v: the products of one
+    root from each pair, i.e. wedge^2 P / (T - q)^2 for g = 2 and
+    wedge^3 P / P_q^2 for g = 3, where P_q has the roots q alpha.  Its power
+    sums are prod_j (alpha_j^r + (q/alpha_j)^r) = (-1)^g H_r(0), with H_r
+    the real Weil transform of the base change of P to F_(q^r).  When
+    q^(g/2) is an integer, v has order m exactly when
+    q^(g phi(m)/2) Phi_m(T / q^(g/2)) divides Lambda_g.
+
+    For g odd over a non-square q, m is even.  Suppose some v has odd order
+    b.  Then q^(gb/2) = (q^(g/2) v)^b is irrational and lies in the field of
+    the root q^(g/2) v of Lambda_g, so a sigma with sigma(sqrt q) = -sqrt q
+    gives a root sigma(q^(g/2) v) = q^(g/2) v' of Lambda_g with v'^b = -1.
+    But v' is then a sign monomial that is a root of unity, so v' is v or
+    1/v, whose b-th powers are 1: a contradiction.  So the test divides
+    Lambda_g^(2), whose roots are q^g v^2, by q^(g phi(n)) Phi_n(T / q^g),
+    and m = 2n for the order n of v^2.
+    """
+    g, q = P.g, P.q
+    n = 1 << g
+    sums = [(-1) ** g * real_weil_transform(ip.base_change_coeffs(P.coeffs, r),
+                                            q ** r, g)[-1] for r in range(1, n + 1)]
+    lam = ip.poly_from_power_sums(sums, n)
+    if g % 2 == 0 or P.d % 2 == 0:
+        scale, mult = isqrt(q ** g), 1
+    else:
+        lam, scale, mult = ip.base_change_coeffs(lam, 2), q ** g, 2
+    # a root of unity of degree phi(k) <= 2^g over Q has k <= 2 phi(k)^2
+    orders = [k for k in range(1, 2 * n * n + 1) if ip.euler_phi(k) <= n
+              and ip.poly_div_if_exact(lam, _scaled_cyclotomic(k, scale)) is not None]
+    if len(orders) > 1:
+        raise WeilError("sign monomials of orders %r: the relation lattice of %r "
+                        "has rank > 1" % (orders, P.coeffs))
+    return (g - 1, mult * orders[0]) if orders else (g, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n):
-    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
+    """Deterministic Miller-Rabin for n < _MR_LIMIT."""
+    if n < 2:
+        return False
     if any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
@@ -104,10 +106,21 @@ def _integers(values, error, name):
 
 @lru_cache(maxsize=256, typed=True)  # the labels of a batch share a few q
 def factor_prime_power(q):
-    """Return (p, d) with q = p^d, p prime: p is the exact d-th root of q
-    for the largest such d, and q is a prime power iff p is prime."""
+    """Return (p, d) with q = p^d, p prime.  A q divisible by one of
+    _MR_BASES is a prime power only as a power of that prime; otherwise p
+    is the exact d-th root of q for the largest such d, and q is a prime
+    power iff p is prime."""
     if q < 2:
         raise NotPrimePower("q = %s is not a prime power" % q)
+    for p in _MR_BASES:
+        if q % p == 0:
+            d, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                d += 1
+            if rest != 1:
+                raise NotPrimePower("q = %s is not a prime power" % q)
+            return p, d
     for d in range(q.bit_length() - 1, 0, -1):
         # Newton's integer d-th root from a float start just above it (a far start costs ~d steps)
         e = log2(q) / d
@@ -283,14 +296,21 @@ def _encode_token(n):
     return "a" + digits if neg else digits
 
 
+def _is_decimal(field):
+    """Whether field is a canonical ASCII decimal: digits 0-9, no sign,
+    separator or leading zero, as format_label writes it."""
+    return (field.isascii() and field.isdigit()
+            and (field == "0" or field[0] != "0"))
+
+
 def parse_label(label):
     """Parse an LMFDB isogeny-class label into a validated WeilPolynomial."""
     parts = label.strip().split(".")
-    if len(parts) != 3:
+    if len(parts) != 3 or not (_is_decimal(parts[0]) and _is_decimal(parts[1])):
         raise MalformedLabel("label must have the form g.q.iso, got %r" % label)
     try:
         g, q = int(parts[0]), int(parts[1])
-    except ValueError:
+    except ValueError:   # past int()'s digit limit
         raise MalformedLabel("label must have the form g.q.iso, got %r" % label)
     if g < 1:
         raise MalformedLabel("dimension must be positive in %r" % label)

@@ -5,8 +5,9 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import (InvalidTrace, NotOrdinary,
+from weilsf.classify import (InconsistentInputs, InvalidTrace, NotOrdinary,
                              NotSimple, Partial, SerreFrobeniusGroup,
+                             UnclassifiedNode, _simple_threefold_relation,
                              classify, classify_elliptic, classify_prime_dim,
                              classify_surface, classify_threefold,
                              geometric_decomposition, howe_zhu_split_degree,
@@ -136,7 +137,13 @@ class TestThreefold:
         sf = classify_threefold(parse_label("3.2.ac_d_ag"))
         assert sf.pair() == (2, 8)
         assert sf.provenance == "X-D:Table6:oracle"
-        assert sf.embedding is not None
+
+    @pytest.mark.parametrize("error", [InconsistentInputs, UnclassifiedNode])
+    def test_exterior_nodes_refuse_two_term_relations(self, error):
+        # delta = 1: P gains a factor over F_8, and Lambda_3 would not see it
+        P = parse_label("3.2.a_a_ad")
+        with pytest.raises(error, match="F_\\(q\\^3\\)"):
+            _simple_threefold_relation(P, error)
 
     def test_supersingular_simple_sextic(self):
         sf = classify_threefold(validate((1, 0, 0, 9, 0, 0, 27), 3))
@@ -290,6 +297,16 @@ class TestInvariants:
         # g = 9 is beyond factor's degree bound; the error names the classifier
         with pytest.raises(WeilError, match="no classification implemented for g = %d" % g):
             report(from_middle(g, 2, (0,) * g))
+
+    def test_needs_no_oracle_for_g_up_to_3(self, monkeypatch, corpus):
+        def no_oracle(*args):
+            raise AssertionError("the classifier called the oracle")
+        monkeypatch.setattr(sys.modules["weilsf.classify"], "angle_rank_numeric",
+                            no_oracle)
+        assert sum(map(len, corpus.values())) == 1220
+        for polys in corpus.values():
+            for P in polys:
+                classify(P)
 
     def test_split_degrees(self):
         assert geometric_decomposition(factor(parse_label("2.2.ab_b"))).split_degree == 0

@@ -182,24 +182,19 @@ def test_verify_summary_counts_per_node(capsys):
     assert not any("node" in e for e in entries)
 
 
-def test_verify_runs_the_oracle_once(monkeypatch):
-    # 3.2.ac_d_ag is classified at the X-D oracle node, which returns the
-    # lattice it computed; the comparison reuses it
+def test_verify_runs_the_oracle_once(count_calls):
+    # the classifier decides g <= 3 exactly, X-D included, so the oracle
+    # runs once per input: in the comparison, never in the classifier
     from weilsf.weilpoly import parse_label
-    classify = sys.modules["weilsf.classify"]   # the package name is the function
-    calls = []
-
-    def counted(real):
-        def angle_rank(P, precision):
-            calls.append(P.label)
-            return real(P, precision)
-        return angle_rank
-    monkeypatch.setattr(cli, "angle_rank_numeric", counted(cli.angle_rank_numeric))
-    monkeypatch.setattr(classify, "angle_rank_numeric",
-                        counted(classify.angle_rank_numeric))
-    entry = cli._verify_one(parse_label("3.2.ac_d_ag"), 256)
-    assert entry["status"] == "ok" and entry["numeric"] == [2, 8]
-    assert calls == ["3.2.ac_d_ag"]
+    calls = count_calls("angle_rank_numeric")
+    for label, node, numeric in [("3.2.ac_d_ag", "X-D:Table6:oracle", [2, 8]),
+                                 ("3.2.ad_f_ah", "X-A", [3, 1]),
+                                 ("2.5.a_ab", "S-A(b)", [1, 2])]:
+        calls.clear()
+        entry = cli._verify_one(parse_label(label), 256)
+        assert entry["status"] == "ok" and entry["numeric"] == numeric
+        assert entry["node"] == node
+        assert [P.label for P, _ in calls] == [label]
 
 
 def test_verify_flags_corruption(capsys, tmp_path):
@@ -441,7 +436,9 @@ def test_exact_path_loads_no_mpmath():
         assert "mpmath.libmp" not in sys.modules, "report on X-A"
         Q = weilsf.parse_label("3.2.ac_b_a")
         assert weilsf.report(Q)["provenance"] == "X-D:Table6:oracle"
-        assert "mpmath.libmp" in sys.modules, "report on X-D"
+        assert "mpmath.libmp" not in sys.modules, "report on X-D"
+        weilsf.angle_rank_numeric(Q)
+        assert "mpmath.libmp" in sys.modules, "the oracle"
         import mpmath
         assert mpmath is weilsf.weilpoly.mp, "a second mpmath"
     """))

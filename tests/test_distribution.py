@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import pytest
 from weilsf import distribution
 from weilsf.anglerank import angle_rank_numeric, smith_normal_form
 from weilsf.classify import classify
-from weilsf.distribution import (BLOCK, EmbeddingMissing, PrecisionLoss,
+from weilsf.distribution import (BLOCK, LatticeMissing, PrecisionLoss,
                                  _atom_candidates, empirical_moments,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
@@ -146,18 +145,16 @@ class TestMoments:
 
     def test_finite_group_moments(self):
         P = parse_label("1.2.a")
-        grp = replace(classify(P), embedding=angle_rank_numeric(P))
-        assert exact_moments(grp, 4) == [0.0, 2.0, 0.0, 8.0]
+        assert exact_moments(classify(P), 4, angle_rank_numeric(P)) == [0.0, 2.0, 0.0, 8.0]
 
     def test_split_torus_phase_average(self):
-        # embedding (u, +-u): half the phases give 4cos, half cancel
+        # angles (u, +-u): half the phases give 4cos, half cancel
         P = parse_label("2.5.a_ab")
-        grp = replace(classify(P), embedding=angle_rank_numeric(P))
-        assert exact_moments(grp, 4) == [0.0, 4.0, 0.0, 48.0]
+        assert exact_moments(classify(P), 4, angle_rank_numeric(P)) == [0.0, 4.0, 0.0, 48.0]
 
-    def test_embedding_missing(self):
+    def test_lattice_missing(self):
         grp = classify(parse_label("2.5.a_ab"))
-        with pytest.raises(EmbeddingMissing):
+        with pytest.raises(LatticeMissing):
             exact_moments(grp, 2)
 
     def test_moment_report_converges(self):
@@ -187,7 +184,7 @@ class TestMoments:
             assert abs(m_k - ref) <= 1e-12 * scale
 
     def test_exact_moments_pinned(self):
-        # exact_moments(group, 8), and the SHA-256 of
+        # exact_moments(group, 8, lattice), and the SHA-256 of
         # repr(_atom_candidates(lattice)) taken before the quadrature grid
         # was built in place: delta = 1 with C_2, delta = 2 with C_2, delta = 2
         pinned = {
@@ -201,8 +198,7 @@ class TestMoments:
         for label, (moments, atoms) in pinned.items():
             P = parse_label(label)
             lattice = angle_rank_numeric(P)
-            grp = replace(classify(P), embedding=lattice)
-            assert exact_moments(grp, 8) == moments
+            assert exact_moments(classify(P), 8, lattice) == moments
             assert _digest(_atom_candidates(lattice)) == atoms
 
     @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))
@@ -210,7 +206,7 @@ class TestMoments:
         # the same walks on Z^g itself, with no Smith form: c is a relation
         # when sum c_j theta_j is within 2^-100 of an integer at 256 bits
         P = parse_label(label)
-        grp = replace(classify(P), embedding=angle_rank_numeric(P))
+        grp, lattice = classify(P), angle_rank_numeric(P)
         thetas = roots(P, 256).thetas
         K, g = 6, P.g
         steps = [tuple(s if i == j else 0 for i in range(g))
@@ -230,14 +226,13 @@ class TestMoments:
                     nxt[u] = nxt.get(u, 0) + n
             walks = nxt
             want.append(float(sum(n for c, n in walks.items() if is_relation(c))))
-        assert exact_moments(grp, K) == want
+        assert exact_moments(grp, K, lattice) == want
 
     def test_large_order_odd_moments_vanish(self):
         # U(1)^2 x C_2 has odd moments 0 at every order; a trapezoid
         # quadrature gave -128 at k = 25 and -4.7e6 at k = 31
         P = parse_label("3.2.ab_b_b")
-        grp = replace(classify(P), embedding=angle_rank_numeric(P))
-        vals = exact_moments(grp, 32)
+        vals = exact_moments(classify(P), 32, angle_rank_numeric(P))
         assert vals[24] == 0.0 and vals[30] == 0.0
 
 
@@ -315,9 +310,9 @@ class TestTraceKernelBlocks:
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
         # hundred dict entries, not a grid
         P = parse_label("3.2.ab_b_b")
-        grp = replace(classify(P), embedding=angle_rank_numeric(P))
-        exact_moments(grp, 8)
-        assert self._peak_mb(lambda: exact_moments(grp, 8)) < 1
+        grp, lattice = classify(P), angle_rank_numeric(P)
+        exact_moments(grp, 8, lattice)
+        assert self._peak_mb(lambda: exact_moments(grp, 8, lattice)) < 1
 
 
 class TestBaseChangeTraceIdentity:

@@ -1,16 +1,24 @@
+import csv
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from weilsf import _intpoly as ip
+from weilsf.anglerank import angle_rank_numeric
+from weilsf.classify import BASE_CHANGE_RANGE, _split_degree, classify
+from weilsf.cli import enumerate_weil
+from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
                               IsogenyFactorization, NoSupersingularMatch,
-                              base_change, factor, supersingular_match,
-                              supersingular_torsion_order)
+                              base_change, exterior_relation, factor,
+                              supersingular_match, supersingular_torsion_order)
 from weilsf.weilpoly import _real_roots as real_roots
-from weilsf.weilpoly import parse_label, validate
+from weilsf.weilpoly import WeilError, parse_label, validate
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
 
 
 def _pairs(P):
@@ -185,6 +193,73 @@ class TestSupersingular:
     def test_no_match_is_an_error(self):
         with pytest.raises(NoSupersingularMatch):
             supersingular_match((1, -1, 2), 2)
+
+
+class TestExteriorRelation:
+    @pytest.mark.parametrize("label, want", [
+        ("2.2.ab_b", (2, 1)), ("2.5.a_ab", (1, 2)), ("2.3.ac_c", (1, 4)),
+        ("3.2.ad_f_ah", (3, 1)), ("3.2.ac_d_ag", (2, 8)),
+        ("3.3.ae_k_av", (2, 12)),
+        # square q: the order of v itself, here 1
+        ("3.4.a_c_ai", (2, 1)),
+    ])
+    def test_examples(self, label, want):
+        assert exterior_relation(parse_label(label)) == want
+
+    def test_rank_two_lattice_is_refused(self):
+        # supersingular: every sign monomial is a root of unity
+        with pytest.raises(WeilError, match="rank > 1"):
+            exterior_relation(validate((1, 0, 0, 0, 4), 2))
+
+    def test_corpus_agrees_with_recorded_oracle(self):
+        # the oracle's (delta, m) of every corpus label is recorded in
+        # corpus.tsv.  On an irreducible, non-supersingular P the exterior
+        # test gives it whenever delta >= g - 1, and for g = 3 a smaller
+        # delta always shows as a two-term relation
+        with open(CORPUS, newline="") as fh:
+            rows = list(csv.DictReader(fh, delimiter="\t"))
+        seen = {}
+        for row in rows:
+            P = parse_label(row["label"])
+            if row["supersingular"] == "1" or not factor(P).is_irreducible:
+                continue
+            oracle = (int(row["n_delta"]), int(row["n_m"]))
+            split = _split_degree(P.coeffs, BASE_CHANGE_RANGE) if P.g == 3 else None
+            if oracle[0] >= P.g - 1:
+                assert split is None and exterior_relation(P) == oracle, row["label"]
+            else:
+                assert split is not None, row["label"]
+            key = (P.g, oracle[0] >= P.g - 1)
+            seen[key] = seen.get(key, 0) + 1
+        assert seen == {(2, True): 177, (3, True): 402, (3, False): 24}
+
+    def test_new_nodes_agree_with_oracle(self):
+        # the irreducible inputs of (2, 8), (2, 16) and (3, 4) at the nodes
+        # that call the exterior test: g = 2 stratum OTHER raised
+        # UnclassifiedNode before it, and X-I gave (3, 1) whatever the input
+        nodes = {}
+        x_i_not_full_rank = 0
+        for g, q, strata in [(2, 8, {Stratum.OTHER}), (2, 16, {Stratum.OTHER}),
+                             (3, 4, {Stratum.ALMOST_ORDINARY, Stratum.OTHER,
+                                     Stratum.P_RANK_ZERO_NON_SS})]:
+            for P in enumerate_weil(g, q):
+                stratum = stratify(newton_polygon(P), g)
+                if stratum not in strata:
+                    continue
+                fac = factor(P)
+                if not fac.is_irreducible:
+                    continue
+                sf = classify(P, fac=fac, stratum=stratum)
+                if sf.provenance.startswith("X-H"):
+                    continue   # Xing's shapes: no exterior test
+                lat = angle_rank_numeric(P)
+                assert sf.pair() == (lat.delta, lat.torsion_order), P.label
+                key = (g, sf.provenance)
+                nodes[key] = nodes.get(key, 0) + 1
+                x_i_not_full_rank += sf.provenance == "X-I" and sf.pair() != (3, 1)
+        assert nodes == {(2, "S-NA(exterior)"): 76, (3, "X-D:Table6:oracle"): 194,
+                         (3, "X-I"): 102, (3, "X-NA(exterior)"): 54}
+        assert x_i_not_full_rank == 8
 
 
 class TestIntpolyOracles:

@@ -76,6 +76,13 @@ class TestLabels:
             with pytest.raises((MalformedLabel, NotPrimePower)):
                 parse_label(bad)
 
+    @pytest.mark.parametrize("label", ["1.1_1.a", "1.\u0662.a", "01.2.a",
+                                       "1.+2.a", "1. 2.a"])
+    def test_non_canonical_numbers_rejected(self, label):
+        # int() reads these as 1.11.a and 1.2.a; format_label never writes them
+        with pytest.raises(MalformedLabel):
+            parse_label(label)
+
     def test_non_prime_power_q(self):
         with pytest.raises(NotPrimePower):
             parse_label("1.6.ab")
@@ -244,6 +251,38 @@ class TestPrimePower:
                 factor_prime_power(n)
             with pytest.raises(NotPrimePower):
                 factor_prime_power(n ** 3)
+
+    def test_prime_powers_below_1e5(self):
+        # smallest prime factor by a sieve; q is a prime power p^d iff
+        # dividing out p leaves 1
+        n = 10 ** 5
+        spf = list(range(n))
+        for i in range(2, math.isqrt(n) + 1):
+            if spf[i] == i:
+                for j in range(i * i, n, i):
+                    spf[j] = min(spf[j], i)
+        for q in range(2, n):
+            want = _trial_division(q) if q < 1000 else None
+            if want is None:
+                p, d, rest = spf[q], 0, q
+                while rest % p == 0:
+                    rest, d = rest // p, d + 1
+                want = (p, d) if rest == 1 else None
+            if want is not None:
+                assert factor_prime_power(q) == want, q
+
+    def test_small_factor_rejects_at_once(self):
+        # 11 divides 10^4299 + 1: no d-th root needs to be taken
+        start = time.perf_counter()
+        with pytest.raises(NotPrimePower):
+            factor_prime_power(10 ** 4299 + 1)
+        assert factor_prime_power(2 ** 4000) == (2, 4000)
+        assert time.perf_counter() - start < 0.5
+
+    def test_is_prime_small(self):
+        from weilsf.weilpoly import _is_prime
+        for n in range(51):
+            assert _is_prime(n) == (n >= 2 and all(n % f for f in range(2, n))), n
 
     def test_beyond_certified_range(self):
         with pytest.raises(WeilError, match="cannot certify"):
