@@ -18,6 +18,82 @@ class InvariantError(RuntimeError):
     """An exact certificate or internal invariant failed: a bug, not bad input."""
 
 
+class Record:
+    """Immutable record whose fields are the annotated names of a subclass.
+
+    The constructor takes the fields in order, by position or keyword; a
+    field with a class attribute defaults to it.  Equality, hash and repr
+    (``Name(f=value!r, ...)``) use the fields not named in ``_hidden``, and
+    records of different classes never compare equal.  Assigning or
+    deleting an attribute raises AttributeError.  The fields are read once
+    per class and no code is generated, so defining a record costs next to
+    nothing at import.
+    """
+
+    _hidden = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls._fields = tuple(cls.__annotations__)
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {f: own[f] for f in cls._fields if f in own}
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+
+    def __init__(self, *args, **kwargs):
+        if args or kwargs.keys() != self._names:
+            kwargs = self._complete(args, kwargs)
+        # set one by one and in one order, the fields of all instances share
+        # one key table: less than half the memory of a dict per instance
+        for f in self._fields:
+            object.__setattr__(self, f, kwargs[f])
+
+    @classmethod
+    def _complete(cls, args, kwargs):
+        """All fields by name, from the positional and keyword arguments
+        and the defaults; TypeError on a missing or unexpected argument."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError("%s() takes %d arguments but %d were given"
+                            % (name, len(cls._fields), len(args)))
+        for f, value in zip(cls._fields, args):
+            if f in kwargs:
+                raise TypeError("%s() got multiple values for argument %r"
+                                % (name, f))
+            kwargs[f] = value
+        for f in kwargs.keys() - cls._names:
+            raise TypeError("%s() got an unexpected keyword argument %r"
+                            % (name, f))
+        for f in cls._fields:
+            if f not in kwargs:
+                if f not in cls._defaults:
+                    raise TypeError("%s() missing required argument %r"
+                                    % (name, f))
+                kwargs[f] = cls._defaults[f]
+        return kwargs
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            ["%s=%r" % (f, getattr(self, f)) for f in self._shown]))
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._shown])
+
+
 def degree(c):
     return len(c) - 1
 
@@ -203,7 +279,17 @@ def base_change_coeffs(c, r):
     if r == 1 or n == 0:
         return c
     s = power_sums(c, n * r)
-    return poly_from_power_sums([s[k * r - 1] for k in range(1, n + 1)], n)
+    return poly_from_power_sums(s[r - 1::r], n)
+
+
+def base_changes(c, limit):
+    """[base_change_coeffs(c, r) for r in 1..limit] from one power_sums run:
+    the r-th entry reads s_r, s_2r, ..., s_nr off s_1..s_(n limit)."""
+    c = normalize(c)
+    n = degree(c)
+    s = power_sums(c, n * limit)
+    return [c] + [poly_from_power_sums(s[r - 1:n * r:r], n)
+                  for r in range(2, limit + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ algebra, so the only numeric trust lives in the (doubly checked) residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from ._intpoly import InvariantError
+from ._intpoly import InvariantError, Record
 from .polyarith import BoundExceeded, base_change
 from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, mp, roots
 
@@ -224,8 +223,7 @@ def smith_normal_form(rows, n):
 # the relation lattice itself
 
 
-@dataclass(frozen=True)
-class RelationLattice:
+class RelationLattice(Record):
     """Verified multiplicative relations among the normalized eigenvalues.
 
     ``thetas`` are the angles roots(P, precision).thetas that the LLL rows
@@ -233,13 +231,14 @@ class RelationLattice:
     repr or JSON.
     """
 
+    _hidden = ("thetas",)
     g: int
     precision: int
     relations: tuple          # ((c tuple, numer, denom), ...): sum c th = n/d mod 1
     rank: int                 # = g - delta
     torsion_order: int        # = m
-    thetas: tuple = field(compare=False, repr=False)
-    basis: tuple = field(default=())   # rows of R = {c : sum c th in Z}
+    thetas: tuple
+    basis: tuple = ()         # rows of R = {c : sum c th in Z}
 
     @property
     def delta(self):
@@ -257,17 +256,17 @@ def _residual_to_int(thetas, c):
 
 
 def _nearest_fraction(x, max_den):
-    """Closest a/b to x mod 1 with 1 <= b <= max_den; (a, b, error)."""
-    best = None
+    """Closest a/b to x mod 1 with 1 <= b <= max_den; (a, b, error).
+
+    The fraction comes from the exact binary value of x mod 1 by continued
+    fractions (Fraction.limit_denominator), in lowest terms.
+    """
     xf = x - mp.floor(x)
-    for b in range(1, max_den + 1):
-        a = int(mp.nint(xf * b))
-        err = abs(xf - mp.mpf(a) / b)
-        if best is None or err < best[2]:
-            best = (a % b, b, err)
-            if err == 0:
-                break
-    return best
+    man, exp = xf.man_exp
+    exact = Fraction(int(man) << max(exp, 0), 1 << max(-exp, 0))
+    best = exact.limit_denominator(max_den)
+    a, b = best.numerator, best.denominator
+    return a % b, b, abs(xf - mp.mpf(a) / b)
 
 
 def angle_rank_numeric(P, precision=DEFAULT_PRECISION):

@@ -15,7 +15,6 @@ from the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import _intpoly as ip
@@ -65,8 +64,7 @@ class NotSimple(WeilError):
     pass
 
 
-@dataclass(frozen=True)
-class SerreFrobeniusGroup:
+class SerreFrobeniusGroup(ip.Record):
     """U(1)^delta x C_m together with the node that produced it."""
 
     g: int
@@ -97,8 +95,7 @@ class SerreFrobeniusGroup:
                 "provenance": self.provenance}
 
 
-@dataclass(frozen=True)
-class Partial:
+class Partial(ip.Record):
     """Honest non-answer for prime dimensions beyond the full theorems."""
 
     g: int
@@ -113,8 +110,7 @@ class Partial:
                 "provenance": self.provenance}
 
 
-@dataclass(frozen=True)
-class GeometricDecomposition:
+class GeometricDecomposition(ip.Record):
     split_degree: int               # 0 = stays irreducible over every extension
     factor_summaries: tuple         # ((coeffs, e, dim, newton_class), ...)
 
@@ -196,13 +192,18 @@ def _power_index(c, r):
     multiplicities.  For irreducible c with root alpha the base change is
     h^k with k = [Q(alpha) : Q(alpha^r)], so c gains factors over F_{q^r}
     exactly when k > 1."""
-    parts = ip.squarefree_decomposition(ip.base_change_coeffs(c, r))
-    return gcd(*(mult for _, mult in parts))
+    return _multiplicity_gcd(ip.base_change_coeffs(c, r))
+
+
+def _multiplicity_gcd(c):
+    return gcd(*(mult for _, mult in ip.squarefree_decomposition(c)))
 
 
 def _split_degree(c, limit):
     """Smallest r in 2..limit with _power_index(c, r) > 1, or None."""
-    return next((r for r in range(2, limit + 1) if _power_index(c, r) > 1), None)
+    bcs = ip.base_changes(c, limit)
+    return next((r for r in range(2, limit + 1)
+                 if _multiplicity_gcd(bcs[r - 1]) > 1), None)
 
 
 def _merge_degree(quads, quartics=()):
@@ -213,11 +214,13 @@ def _merge_degree(quads, quartics=()):
     field of degree <= 4, so its order is at most 12: BASE_CHANGE_RANGE
     finds every merge of quadratics that exists.
     """
+    quad_bcs = [ip.base_changes(h, BASE_CHANGE_RANGE) for h in quads]
+    quartic_bcs = [ip.base_changes(h4, BASE_CHANGE_RANGE) for h4 in quartics]
     for r in range(1, BASE_CHANGE_RANGE + 1):
-        common = ip.base_change_coeffs(quads[0], r)
-        if (all(ip.base_change_coeffs(h, r) == common for h in quads[1:])
-                and all(ip.base_change_coeffs(h4, r) == ip.poly_pow(common, 2)
-                        for h4 in quartics)):
+        common = quad_bcs[0][r - 1]
+        if (all(bcs[r - 1] == common for bcs in quad_bcs[1:])
+                and all(bcs[r - 1] == ip.poly_pow(common, 2)
+                        for bcs in quartic_bcs)):
             return r
     return None
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._intpoly import InvariantError, cyclotomic, poly_div_if_exact
+from ._intpoly import InvariantError, Record, cyclotomic, poly_div_if_exact
 from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
@@ -100,8 +99,7 @@ def trace_sequence(P, N, precision=DEFAULT_PRECISION):
 # histograms
 
 
-@dataclass(frozen=True)
-class TraceHistogram:
+class TraceHistogram(Record):
     g: int
     sample_count: int
     bucket_count: int
@@ -312,8 +310,7 @@ def exact_moments(group, K, lattice=None):
     return [float(c) for c in out[:K]]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     orders: tuple
     empirical: tuple
     exact: tuple

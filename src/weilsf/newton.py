@@ -8,9 +8,10 @@ with exact rationals; no floats are compared anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+from ._intpoly import Record
 
 HALF = Fraction(1, 2)
 
@@ -24,8 +25,7 @@ class Stratum(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class NewtonPolygonData:
+class NewtonPolygonData(Record):
     vertices: tuple       # ((i, Fraction), ...) lower-hull vertices
     slopes: tuple         # 2g Fractions, non-decreasing, with multiplicity
     p_rank: int

@@ -15,7 +15,6 @@ against P.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt
 
 from . import _intpoly as ip
@@ -36,8 +35,7 @@ class NoSupersingularMatch(WeilError):
     """Raised when a factor presented as supersingular matches no known family."""
 
 
-@dataclass(frozen=True)
-class IsogenyFactorization:
+class IsogenyFactorization(ip.Record):
     """P = prod h_i^{e_i} with h_i monic irreducible over Z."""
 
     q: int
@@ -171,8 +169,8 @@ def exterior_relation(P):
     """
     g, q = P.g, P.q
     n = 1 << g
-    sums = [(-1) ** g * real_weil_transform(ip.base_change_coeffs(P.coeffs, r),
-                                            q ** r, g)[-1] for r in range(1, n + 1)]
+    sums = [(-1) ** g * real_weil_transform(bc, q ** r, g)[-1]
+            for r, bc in enumerate(ip.base_changes(P.coeffs, n), 1)]
     lam = ip.poly_from_power_sums(sums, n)
     if g % 2 == 0 or P.d % 2 == 0:
         scale, mult = isqrt(q ** g), 1
@@ -224,8 +222,7 @@ def supersingular_torsion_order(P_or_coeffs, q=None):
 # recognition of the minimal polynomials of supersingular Weil numbers
 
 
-@dataclass(frozen=True)
-class SupersingularMatch:
+class SupersingularMatch(ip.Record):
     zhu_type: str            # "Z1" | "Z2" | "Z3"
     m: int                   # order of the normalized-root group
     normalized_family: str   # e.g. "Phi_8(T)", "Phi_3(T^2)", "Psi_{2,3}(-T)"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import importlib.util
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, log2
 
@@ -137,20 +136,20 @@ def factor_prime_power(q):
     return p, d
 
 
-@dataclass(frozen=True)
-class WeilPolynomial:
+class WeilPolynomial(ip.Record):
     """A validated q-Weil polynomial P(T) = sum a_i T^(2g-i).
 
     ``h`` is its real Weil transform H, computed once by `validate`; it is
     derived from ``coeffs`` and takes no part in equality, hash or repr.
     """
 
+    _hidden = ("h",)
     g: int
     q: int
     p: int
     d: int
     coeffs: tuple  # (a_0=1, a_1, ..., a_{2g})
-    h: tuple = field(compare=False, repr=False)  # (1, c_1, ..., c_g)
+    h: tuple       # (1, c_1, ..., c_g)
 
     def a(self, i):
         return self.coeffs[i]
@@ -331,8 +330,7 @@ def format_label(P):
 # high-precision roots with the non-decreasing angle convention
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(ip.Record):
     """Roots of P at a fixed precision, paired and angle-ordered.
 
     ``roots[j]`` for j < g are the representatives with angle in [0, 1/2],

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,11 +8,12 @@ import pytest
 
 from conftest import PAPER_EXAMPLES
 from weilsf import _intpoly as ip
-from weilsf.anglerank import (COEFF_BOUND_RAW, angle_rank_numeric, integer_kernel,
-                              lll_reduce, saturate_lattice, smith_normal_form,
-                              torsion_order_structural)
+from weilsf.anglerank import (COEFF_BOUND_RAW, DENOMINATOR_BOUND, RelationLattice,
+                              _nearest_fraction, angle_rank_numeric,
+                              integer_kernel, lll_reduce, saturate_lattice,
+                              smith_normal_form, torsion_order_structural)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import parse_label, roots, validate
+from weilsf.weilpoly import DEFAULT_PRECISION, parse_label, roots, validate
 
 
 def _relation_lattice_rows(P, precision):
@@ -150,7 +150,11 @@ class TestAngleRank:
         P = parse_label(label)
         lat = angle_rank_numeric(P, 192)
         assert lat.thetas == roots(P, 192).thetas
-        assert replace(lat, thetas=()) == lat
+        copy = RelationLattice(g=lat.g, precision=lat.precision,
+                               relations=lat.relations, rank=lat.rank,
+                               torsion_order=lat.torsion_order, thetas=(),
+                               basis=lat.basis)
+        assert copy == lat
         assert "thetas" not in repr(lat) and "thetas" not in lat.to_json()
 
     def test_supersingular_c24(self):
@@ -192,6 +196,39 @@ class TestAngleRank:
             for c, _, b in lat.relations:
                 assert max(abs(x) for x in c) <= 12
                 assert 1 <= b <= 72
+
+
+def _nearest_fraction_by_search(x, max_den):
+    """The search over every denominator that _nearest_fraction replaced."""
+    best = None
+    xf = x - mp.floor(x)
+    for b in range(1, max_den + 1):
+        a = int(mp.nint(xf * b))
+        err = abs(xf - mp.mpf(a) / b)
+        if best is None or err < best[2]:
+            best = (a % b, b, err)
+            if err == 0:
+                break
+    return best
+
+
+def test_nearest_fraction_matches_the_search(corpus, count_calls):
+    # the values the oracle rounds on every 25th corpus polynomial, and
+    # fractions near and at every denominator; each lies within 2^-256 of
+    # its fraction, so the closest fraction is unique
+    calls = count_calls("_nearest_fraction")
+    for P in [P for key in sorted(corpus) for P in corpus[key]][::25]:
+        angle_rank_numeric(P, DEFAULT_PRECISION)
+    assert len(calls) >= 30
+    rng = random.Random(5)
+    with mp.workprec(2 * DEFAULT_PRECISION + 32):
+        for b in range(1, DENOMINATOR_BOUND + 1):
+            for a in {0, 1, b // 2, b - 1, rng.randrange(b)}:
+                for noise in (0, 1, -1):
+                    x = mp.mpf(a) / b + rng.randrange(-3, 4) + noise * mp.mpf(2) ** -300
+                    calls.append((x, DENOMINATOR_BOUND))
+        for x, max_den in calls:
+            assert _nearest_fraction(x, max_den) == _nearest_fraction_by_search(x, max_den)
 
 
 @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))

@@ -396,18 +396,24 @@ def test_certificate_checks_survive_python_O():
 
 def test_classifier_path_loads_no_numpy():
     # numpy serves only the trace functions, which the package imports on
-    # first use; a fresh interpreter shows what the classifier path loads
+    # first use; a fresh interpreter shows what the classifier path loads.
+    # The records need no dataclasses, and so no inspect (numpy loads inspect)
     script = textwrap.dedent("""
         import sys
         import weilsf, weilsf.cli
-        assert "numpy" not in sys.modules, "import"
+
+        def loads_none(where):
+            loaded = {"numpy", "dataclasses", "inspect"} & set(sys.modules)
+            assert not loaded, (where, loaded)
+
+        loads_none("import")
         # registered, so code that wraps functions through sys.modules finds it
         assert sys.modules["weilsf.distribution"] is weilsf.distribution
         P = weilsf.parse_label("3.2.ad_f_ah")
         weilsf.report(P)
-        assert "numpy" not in sys.modules, "report"
+        loads_none("report")
         assert weilsf.cli._verify_one(P, weilsf.DEFAULT_PRECISION)["status"] == "ok"
-        assert "numpy" not in sys.modules, "verify"
+        loads_none("verify")
         assert weilsf.histogram is weilsf.distribution.histogram
         assert "numpy" in sys.modules, "histogram"
         names = {}
