@@ -206,23 +206,18 @@ def _split_degree(c, limit):
                  if _multiplicity_gcd(bcs[r - 1]) > 1), None)
 
 
-def _merge_degree(quads, quartics=()):
-    """Smallest r at which all quadratics share one base change c and every
-    quartic's base change is c^2, or None.
+def _merge_degree(tower, members):
+    """Smallest r at which every (tower_h, k) in `members` has the k-th power
+    of the r-th entry of `tower` as its r-th entry, or None.  A tower is
+    ip.base_changes(h, BASE_CHANGE_RANGE) for a piece h of a product.
 
     A ratio of two quadratic Weil numbers that is a root of unity lies in a
     field of degree <= 4, so its order is at most 12: BASE_CHANGE_RANGE
     finds every merge of quadratics that exists.
     """
-    quad_bcs = [ip.base_changes(h, BASE_CHANGE_RANGE) for h in quads]
-    quartic_bcs = [ip.base_changes(h4, BASE_CHANGE_RANGE) for h4 in quartics]
-    for r in range(1, BASE_CHANGE_RANGE + 1):
-        common = quad_bcs[0][r - 1]
-        if (all(bcs[r - 1] == common for bcs in quad_bcs[1:])
-                and all(bcs[r - 1] == ip.poly_pow(common, 2)
-                        for bcs in quartic_bcs)):
-            return r
-    return None
+    return next((r for r, c in enumerate(tower, 1)
+                 if all(t[r - 1] == ip.poly_pow(c, k) for t, k in members)),
+                None)
 
 
 def sf_of_product(factors, q, p, d):
@@ -237,9 +232,9 @@ def sf_of_product(factors, q, p, d):
     """
     ss_parts = []
     quad_parts = []       # non-supersingular quadratics, deduplicated
-    quartic_free = 0      # free rank contributed by quartic pieces
+    quartic_free = 0      # free rank of quartics outside the classes
     quartic_split = []    # (h4, split_degree) for geometrically split quartics
-    m_extra = []          # torsion carried by twisted non-realizable quartics
+    m_parts = []          # the torsion orders whose lcm is m
     rule = []
     for h, _, cls in factors:
         deg = ip.degree(h)
@@ -270,51 +265,43 @@ def sf_of_product(factors, q, p, d):
                 rule.append(("quartic_free", 0))
             else:
                 quartic_free += 1
-                m_extra.append(r)
+                m_parts.append(r)
                 rule.append(("quartic_twist", r))
         else:
             raise UnclassifiedNode(
                 "no product rule for factor %r of class %s" % (h, cls))
 
-    m_parts = list(m_extra)
     for h in ss_parts:
         t = supersingular_torsion_order(h, q)
         m_parts.append(t)
         rule.append(("ss", t))
 
-    # geometric isogeny classes of the quadratic pieces
-    classes = []   # each: {"quads": [...], "quartics": [h4, ...]}
-    for h in quad_parts:
+    # geometric isogeny classes, one base-change tower per piece: a
+    # quadratic joins the first class whose tower it meets or opens one; a
+    # split quartic, placed after every quadratic has opened its class,
+    # joins the first class whose tower it squares or counts alone with
+    # free rank one
+    classes = []   # [(tower, k), ...], opened by a quadratic (k = 1)
+    for h, hz in [(h, None) for h in quad_parts] + quartic_split:
+        piece = (ip.base_changes(h, BASE_CHANGE_RANGE), 1 if hz is None else 2)
         for cl in classes:
-            if _merge_degree([cl["quads"][0], h]) is not None:
-                cl["quads"].append(h)
+            if _merge_degree(cl[0][0], [piece]) is not None:
+                cl.append(piece)
                 break
         else:
-            classes.append({"quads": [h], "quartics": []})
-    delta = quartic_free + len(classes)
-
-    # fold geometrically split quartics into their class (or their own)
-    for h4, hz in quartic_split:
-        for cl in classes:
-            if _merge_degree(cl["quads"][:1], [h4]) is not None:
-                cl["quartics"].append(h4)
-                break
-        else:
-            delta += 1
-            m_parts.append(hz)
-            rule.append(("surface_split_alone", hz))
-
+            if hz is None:
+                classes.append([piece])
+            else:
+                quartic_free += 1
+                m_parts.append(hz)
+                rule.append(("surface_split_alone", hz))
     for cl in classes:
-        r = _merge_degree(cl["quads"], cl["quartics"])
+        r = _merge_degree(cl[0][0], cl)
         if r is None:
             raise InconsistentInputs("geometric class failed to merge")
         m_parts.append(r)
         rule.append(("ordinary_class", r))
-
-    m = 1
-    for t in m_parts:
-        m = lcm(m, t)
-    return delta, m, tuple(rule)
+    return quartic_free + len(classes), lcm(*m_parts), tuple(rule)
 
 
 def _is_almost_ordinary_factor(h, p, d):

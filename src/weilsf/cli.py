@@ -151,22 +151,13 @@ def _error_record(text, exc):
     return {"label": text, "error": str(exc), "kind": "internal"}, EXIT_INTERNAL
 
 
-def _classify_one(text, parse, parse_args, precision):
-    """(record, exit code) for one input; a failing input gives an error record."""
-    try:
-        rep = report(parse(*parse_args), precision=precision)
-    except _FAILURES as exc:
-        return _error_record(text, exc)
-    return rep, EXIT_PARTIAL if rep.get("partial") else EXIT_OK
-
-
 def cmd_classify(args):
-    """One record per input line in input order; the exit code is the worst seen."""
-    specs = _input_specs(args)
-    return _emit_records(_classify_one(*spec, args.precision) for spec in specs)
+    return _emit_each(args, lambda P: report(P, precision=args.precision))
 
 
 def _emit_records(results, csv=False):
+    """Emit each (record, exit code) and return the worst code; a partial
+    classification record counts as EXIT_PARTIAL."""
     code = EXIT_OK
     for rec, rec_code in results:
         failed = isinstance(rec, dict) and "error" in rec
@@ -174,6 +165,8 @@ def _emit_records(results, csv=False):
             _emit(rec)
         if failed:
             print("error: %s: %s" % (rec["label"], rec["error"]), file=sys.stderr)
+        elif isinstance(rec, dict) and rec.get("partial"):
+            rec_code = max(rec_code, EXIT_PARTIAL)
         code = max(code, rec_code)
     return code
 

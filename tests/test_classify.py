@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -12,6 +13,7 @@ from weilsf.classify import (InconsistentInputs, InvalidTrace, NotOrdinary,
                              classify_surface, classify_threefold,
                              geometric_decomposition, howe_zhu_split_degree,
                              report, sf_of_product)
+from weilsf.cli import enumerate_weil
 from weilsf.newton import newton_polygon
 from weilsf.polyarith import factor
 from weilsf.weilpoly import WeilError, from_middle, parse_label, validate
@@ -157,6 +159,10 @@ class TestPaperExamples:
         assert classify(parse_label(label)).group == group
 
 
+PRODUCTS_BEYOND_CORPORA_SHA256 = (
+    "719a808670a4116de0f2fc67f1194ec1e031c31c829b9ddf6372de6b87038dd4")
+
+
 class TestProducts:
     def test_isogenous_at_cubic_degree(self):
         # the two elliptic factors of 2.7.af_s merge over the cubic extension
@@ -175,6 +181,37 @@ class TestProducts:
         sf = classify_threefold(P)
         assert sf.group == "U(1)^3" and sf.pair() == (3, 1)
         assert angle_rank_numeric(P).delta == 3
+
+    @pytest.mark.parametrize("label,result", [
+        # a quadratic and a split quartic in one class
+        ("3.2.ac_c_ad", (1, 6, (("ordinary_class", 6),))),
+        # two quadratics that merge at r = 3
+        ("2.7.af_s", (1, 3, (("ordinary_class", 3),))),
+        # three classes
+        ("3.5.ai_bi_ado", (3, 1, (("ordinary_class", 1),) * 3)),
+    ])
+    def test_one_tower_per_piece(self, count_calls, label, result):
+        P = parse_label(label)
+        fac = factor(P)
+        calls = count_calls("base_changes")
+        assert sf_of_product(fac.factors, P.q, P.p, P.d) == result
+        assert sorted(c for c, _ in calls) == sorted(h for h, _, _ in fac.factors)
+
+    def test_reducible_inputs_beyond_the_corpora(self):
+        # (label, delta, m, rule) of every reducible input of (2, 8), (2, 16)
+        # and (3, 4), 889 of them, as computed before the one-pass rewrite of
+        # sf_of_product; they hold the formal reducible inputs too
+        digest = hashlib.sha256()
+        count = 0
+        for g, q in [(2, 8), (2, 16), (3, 4)]:
+            for P in enumerate_weil(g, q):
+                fac = factor(P)
+                if not fac.is_irreducible:
+                    result = sf_of_product(fac.factors, P.q, P.p, P.d)
+                    digest.update(repr((P.label,) + result).encode() + b"\n")
+                    count += 1
+        assert count == 889
+        assert digest.hexdigest() == PRODUCTS_BEYOND_CORPORA_SHA256
 
 
 # the Sophie Germain witness: roots zeta_11^j * beta with beta = (1+sqrt(-11))/2
