@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._intpoly import InvariantError, Record
-from .polyarith import BoundExceeded, base_change
+from .polyarith import base_change
 from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, mp, roots
 
 DENOMINATOR_BOUND = 72
@@ -361,4 +361,4 @@ def torsion_order_structural(P, bound=DENOMINATOR_BOUND,
     for r in range(1, bound + 1):
         if angle_rank_numeric(base_change(P, r), precision).torsion_order == 1:
             return r
-    raise BoundExceeded("no torsion-free base change with r <= %d" % bound)
+    raise DenominatorBoundExceeded("no torsion-free base change with r <= %d" % bound)

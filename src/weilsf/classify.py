@@ -20,8 +20,8 @@ from math import gcd, lcm
 from . import _intpoly as ip
 from .anglerank import angle_rank_numeric
 from .newton import Stratum, newton_polygon, newton_polygon_of_factor, stratify
-from .polyarith import (exterior_relation, factor, supersingular_match,
-                        supersingular_torsion_order)
+from .polyarith import (_scaled_cyclotomic, exterior_relation, factor,
+                        supersingular_match, supersingular_torsion_order)
 from .weilpoly import DEFAULT_PRECISION, WeilError, _is_prime
 
 BASE_CHANGE_RANGE = 24      # largest extension degree the split/merge searches try
@@ -192,18 +192,22 @@ def _power_index(c, r):
     multiplicities.  For irreducible c with root alpha the base change is
     h^k with k = [Q(alpha) : Q(alpha^r)], so c gains factors over F_{q^r}
     exactly when k > 1."""
-    return _multiplicity_gcd(ip.base_change_coeffs(c, r))
+    return gcd(*(k for _, k in ip.squarefree_decomposition(ip.base_change_coeffs(c, r))))
 
 
-def _multiplicity_gcd(c):
-    return gcd(*(mult for _, mult in ip.squarefree_decomposition(c)))
-
-
-def _split_degree(c, limit):
-    """Smallest r in 2..limit with _power_index(c, r) > 1, or None."""
-    bcs = ip.base_changes(c, limit)
-    return next((r for r in range(2, limit + 1)
-                 if _multiplicity_gcd(bcs[r - 1]) > 1), None)
+def _split_degree(h, q):
+    """Least r in 2..BASE_CHANGE_RANGE over which the irreducible q-Weil
+    polynomial h gains a factor, or None: the least order r of a ratio
+    zeta = alpha/beta of two roots alpha != beta (see _power_index).  As q/beta
+    is a root too, such a zeta of order r exists exactly when Sym^2 h (roots
+    alpha_i alpha_j, i <= j; power sums (s_r^2 + s_2r) / 2) has the root
+    alpha (q/beta) = q zeta, i.e. when q^phi(r) Phi_r(T/q) divides it."""
+    n = ip.degree(h) * (ip.degree(h) + 1) // 2
+    s = ip.power_sums(h, 2 * n)
+    sym2 = ip.poly_from_power_sums([(s[r - 1] ** 2 + s[2 * r - 1]) // 2
+                                    for r in range(1, n + 1)], n)
+    return next((r for r in range(2, BASE_CHANGE_RANGE + 1) if ip.poly_div_if_exact(
+        sym2, _scaled_cyclotomic(r, q)) is not None), None)
 
 
 def _merge_degree(tower, members):
@@ -259,7 +263,7 @@ def sf_of_product(factors, q, p, d):
         elif deg == 4:
             # fractional-slope quartics from formally valid non-realizable
             # inputs: detect the one possible relation pattern directly
-            r = _split_degree(h, BASE_CHANGE_RANGE)
+            r = _split_degree(h, q)
             if r is None:
                 quartic_free += 2
                 rule.append(("quartic_free", 0))
@@ -358,9 +362,12 @@ def classify_surface(P, fac=None, stratum=None):
         # Formal Weil polynomials with fractional slope denominators > 2 do
         # not come from abelian surfaces; they still carry a well-defined
         # group, classified here so corpus sweeps stay total.
+        if not fac.is_irreducible:
+            delta, m, _ = sf_of_product(fac.factors, q, p, d)
+            return _sf(2, delta, m, "S-NA(product)")
         if P.a(1) == 0 and P.a(3) == 0:
             return _sf(2, 1, 2, "S-NA(even)")
-        r = _split_degree(P.coeffs, BASE_CHANGE_RANGE)
+        r = _split_degree(P.coeffs, P.q)
         if r is not None:
             return _sf(2, 1, r, "S-NA(split:%d)" % r)
         return _sf(2, 2, 1, "S-NA(maxrank)")
@@ -382,7 +389,7 @@ def _simple_threefold_relation(P, error):
     `exterior_relation`, once P has no two-term relation.  A two-term
     relation (P gains a factor over some F_(q^r)) means delta = 1, which
     Lambda_3 cannot see; then `error` is raised."""
-    r = _split_degree(P.coeffs, BASE_CHANGE_RANGE)
+    r = _split_degree(P.coeffs, P.q)
     if r is not None:
         raise error("simple threefold %r gains a factor over F_(q^%d): "
                     "delta = 1 has no node here" % (P.coeffs, r))
@@ -545,10 +552,7 @@ def geometric_decomposition(fac):
     summaries = tuple((h, e, _factor_dimension(h, fac.q, cls), cls)
                       for h, e, cls in fac.factors)
     if fac.is_irreducible:
-        # no limit below BASE_CHANGE_RANGE: with delta = 0, alpha^m = q^(m/2)
-        # makes the power index 2g at r = m, so the search stops by r = m, and
-        # h_{7,1} (m = 28) stops at r = 7, h_{3,3} (m = 36) at r = 3
-        split = _split_degree(fac.factors[0][0], BASE_CHANGE_RANGE) or 0
+        split = _split_degree(fac.factors[0][0], fac.q) or 0
     else:
         split = 1
     return GeometricDecomposition(split_degree=split, factor_summaries=summaries)

@@ -233,9 +233,10 @@ class SupersingularMatch(ip.Record):
 
 
 def _scaled_cyclotomic(m, scale):
-    """scale^phi(m) * Phi_m(T/scale), an integer polynomial."""
+    """scale^phi(m) * Phi_m(T/scale), an integer polynomial.  Built from a
+    list: a tuple of known length reuses CPython's tuple free list."""
     phi = ip.cyclotomic(m)
-    return tuple(c * scale ** i for i, c in enumerate(phi))
+    return tuple([c * scale ** i for i, c in enumerate(phi)])
 
 
 def _cyclotomic_in_t2_scaled(n_param, q):

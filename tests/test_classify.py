@@ -6,15 +6,16 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import (InconsistentInputs, InvalidTrace, NotOrdinary,
-                             NotSimple, Partial, SerreFrobeniusGroup,
-                             UnclassifiedNode, _simple_threefold_relation,
+from weilsf.classify import (BASE_CHANGE_RANGE, InconsistentInputs,
+                             InvalidTrace, NotOrdinary, NotSimple, Partial,
+                             SerreFrobeniusGroup, UnclassifiedNode,
+                             _simple_threefold_relation, _split_degree,
                              classify, classify_elliptic, classify_prime_dim,
                              classify_surface, classify_threefold,
                              geometric_decomposition, howe_zhu_split_degree,
                              report, sf_of_product)
 from weilsf.cli import enumerate_weil
-from weilsf.newton import newton_polygon
+from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import factor
 from weilsf.weilpoly import WeilError, from_middle, parse_label, validate
 
@@ -105,6 +106,23 @@ class TestSurface:
         assert sf.pair() == (1, 2)
         lat = angle_rank_numeric(validate((1, 0, 2, 0, 16), 4))
         assert sf.pair() == (lat.delta, lat.torsion_order)
+
+    def test_reducible_formal_inputs_take_the_product_rule(self):
+        # every reducible p-rank 0, non-supersingular g = 2 input of (2, 8)
+        # and (2, 16); S-NA took them for simple surfaces before
+        seen = 0
+        for q in (8, 16):
+            for P in enumerate_weil(2, q):
+                fac = factor(P)
+                stratum = stratify(newton_polygon(P), 2)
+                if fac.is_irreducible or stratum is not Stratum.P_RANK_ZERO_NON_SS:
+                    continue
+                sf = classify(P, fac=fac, stratum=stratum)
+                lat = angle_rank_numeric(P)
+                assert sf.provenance == "S-NA(product)", P.label
+                assert sf.pair() == (lat.delta, lat.torsion_order), P.label
+                seen += 1
+        assert seen == 39
 
 
 class TestThreefold:
@@ -214,6 +232,39 @@ class TestProducts:
         assert digest.hexdigest() == PRODUCTS_BEYOND_CORPORA_SHA256
 
 
+def _reference_split_degree(c):
+    # the base-change search that the Sym^2 test replaced
+    bcs = ip.base_changes(c, BASE_CHANGE_RANGE)
+    return next((r for r in range(2, BASE_CHANGE_RANGE + 1) if math.gcd(
+        *(k for _, k in ip.squarefree_decomposition(bcs[r - 1]))) > 1), None)
+
+
+class TestSplitDegree:
+    def test_equals_the_base_change_search(self, corpus):
+        # the irreducible inputs of the corpora, (2, 8) and (2, 16), and the
+        # prime-dimension inputs with their twists P(-T).  A quartic factor
+        # of a reducible g = 3 input (the quartic branch of sf_of_product) is
+        # an irreducible g = 2 input over the same field, so it is among them
+        # when its field is
+        polys = [P for polys in corpus.values() for P in polys]
+        polys += list(enumerate_weil(2, 8)) + list(enumerate_weil(2, 16))
+        inputs = {(P.coeffs, P.q) for P in polys if factor(P).is_irreducible}
+        for c, q in [((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2),
+                     (PRIME_DIM_G5_SPLIT11, 3), (PRIME_DIM_G5_ABS, 23),
+                     (from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3)).coeffs, 2)]:
+            inputs.update({(c, q), (tuple(x * (-1) ** i for i, x in enumerate(c)), q)})
+        assert len(inputs) == 1374
+        for h, q in sorted(inputs):
+            assert _split_degree(h, q) == _reference_split_degree(h), (h, q)
+
+    def test_builds_no_tower(self, count_calls):
+        fac = factor(parse_label("3.2.ad_f_ah"))
+        yun = count_calls("squarefree_decomposition")
+        towers = count_calls("base_changes")
+        assert geometric_decomposition(fac).split_degree == 0
+        assert yun == [] and towers == []
+
+
 # the Sophie Germain witness: roots zeta_11^j * beta with beta = (1+sqrt(-11))/2
 # twisted by the quadratic character mod 11; frozen after exact construction
 PRIME_DIM_G5_SPLIT11 = (1, 6, 14, 7, -46, -133, -138, 63, 378, 486, 243)
@@ -249,7 +300,7 @@ class TestPrimeDimension:
         assert out.delta == 7
 
     def test_split_degrees(self):
-        # the exact base-change search on degree 10: a split at g, at 2g + 1,
+        # the exact split test on degree 10: a split at g, at 2g + 1,
         # and none up to the search bound for the absolutely simple input
         for coeffs, q, split in [((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2, 5),
                                  (PRIME_DIM_G5_SPLIT11, 3, 11),

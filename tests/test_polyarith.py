@@ -8,7 +8,7 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import BASE_CHANGE_RANGE, _split_degree, classify
+from weilsf.classify import _split_degree, classify
 from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
@@ -224,7 +224,7 @@ class TestExteriorRelation:
             if row["supersingular"] == "1" or not factor(P).is_irreducible:
                 continue
             oracle = (int(row["n_delta"]), int(row["n_m"]))
-            split = _split_degree(P.coeffs, BASE_CHANGE_RANGE) if P.g == 3 else None
+            split = _split_degree(P.coeffs, P.q) if P.g == 3 else None
             if oracle[0] >= P.g - 1:
                 assert split is None and exterior_relation(P) == oracle, row["label"]
             else:
