@@ -131,7 +131,7 @@ def poly_derivative(c):
     n = degree(c)
     if n == 0:
         return (0,)
-    return tuple(c[i] * (n - i) for i in range(n))
+    return tuple([c[i] * (n - i) for i in range(n)])
 
 
 def poly_div_if_exact(a, b):
@@ -153,7 +153,7 @@ def poly_div_if_exact(a, b):
 
 def primitive(c):
     g = gcd(*c) or 1
-    return tuple(x // (-g if c[0] < 0 else g) for x in c)
+    return tuple([x // (-g if c[0] < 0 else g) for x in c])
 
 
 def _rem(a, b):
@@ -269,7 +269,7 @@ def poly_from_power_sums(s, n):
         if r:
             raise ArithmeticError("power sums do not define an integer polynomial")
         e.append(q)
-    return tuple((-1) ** i * e[i] for i in range(n + 1))
+    return tuple([(-1) ** i * e[i] for i in range(n + 1)])
 
 
 def base_change_coeffs(c, r):
@@ -280,6 +280,14 @@ def base_change_coeffs(c, r):
         return c
     s = power_sums(c, n * r)
     return poly_from_power_sums(s[r - 1::r], n)
+
+
+def composed_product(a, b):
+    """a x b, with the roots alpha beta (a(alpha) = b(beta) = 0) and the power
+    sums s_r(a) s_r(b)."""
+    n = degree(a) * degree(b)
+    return poly_from_power_sums([x * y for x, y in zip(power_sums(a, n),
+                                                       power_sums(b, n))], n)
 
 
 def base_changes(c, limit):

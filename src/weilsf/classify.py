@@ -4,11 +4,12 @@ partial prime-dimension case).
 For g <= 3 the classifier never consults the numeric angle oracle: every
 node is decided with exact integer arithmetic.  That covers Newton strata,
 Honda-Tate factor shapes, coefficient tests for the splitting of simple
-ordinary surfaces, base-change comparisons for geometric isogeny, exact
-torsion orders of supersingular pieces, and, for an irreducible P with no
-other exact test (simple almost-ordinary threefolds and the formal nodes),
-the exterior-power relation test `polyarith.exterior_relation`.  That
-independence is what the structural-versus-numeric corpus cross-check
+ordinary surfaces, base-change tests for splitting and geometric isogeny
+(`polyarith.cyclotomic_orders`), exact torsion orders of supersingular
+pieces, and, for an irreducible P with no other exact test (simple
+almost-ordinary threefolds and the formal nodes), the exterior-power
+relation test `polyarith.exterior_relation`.  That independence is what
+the structural-versus-numeric corpus cross-check
 certifies.  Only the partial prime-dimension classification takes delta
 from the oracle.
 """
@@ -20,11 +21,10 @@ from math import gcd, lcm
 from . import _intpoly as ip
 from .anglerank import angle_rank_numeric
 from .newton import Stratum, newton_polygon, newton_polygon_of_factor, stratify
-from .polyarith import (_scaled_cyclotomic, exterior_relation, factor,
-                        supersingular_match, supersingular_torsion_order)
+from .polyarith import (_scaled_cyclotomic, cyclotomic_orders,
+                        exterior_relation, factor, supersingular_match,
+                        supersingular_torsion_order)
 from .weilpoly import DEFAULT_PRECISION, WeilError, _is_prime
-
-BASE_CHANGE_RANGE = 24      # largest extension degree the split/merge searches try
 
 # allowed (delta -> torsion orders) per dimension.  The published elliptic
 # table folds the -2 sqrt(q) trace into C_1; the group there is C_2 (the
@@ -111,7 +111,7 @@ class Partial(ip.Record):
 
 
 class GeometricDecomposition(ip.Record):
-    split_degree: int               # 0 = stays irreducible over every extension
+    split_degree: int               # 0 = irreducible over every extension, proven
     factor_summaries: tuple         # ((coeffs, e, dim, newton_class), ...)
 
     def to_json(self):
@@ -187,41 +187,34 @@ def howe_zhu_split_degree(a1, a2, q):
     return None
 
 
-def _power_index(c, r):
-    """Largest k with base_change(c, r) a k-th power: the gcd of its Yun
-    multiplicities.  For irreducible c with root alpha the base change is
-    h^k with k = [Q(alpha) : Q(alpha^r)], so c gains factors over F_{q^r}
-    exactly when k > 1."""
-    return gcd(*(k for _, k in ip.squarefree_decomposition(ip.base_change_coeffs(c, r))))
+def _sym2(h):
+    """Sym^2 h: roots alpha_i alpha_j (i <= j), power sums (s_r^2 + s_2r) / 2."""
+    n = ip.degree(h) * (ip.degree(h) + 1) // 2
+    s = ip.power_sums(h, 2 * n)
+    return ip.poly_from_power_sums([(s[r - 1] ** 2 + s[2 * r - 1]) // 2
+                                    for r in range(1, n + 1)], n)
 
 
 def _split_degree(h, q):
-    """Least r in 2..BASE_CHANGE_RANGE over which the irreducible q-Weil
-    polynomial h gains a factor, or None: the least order r of a ratio
-    zeta = alpha/beta of two roots alpha != beta (see _power_index).  As q/beta
-    is a root too, such a zeta of order r exists exactly when Sym^2 h (roots
-    alpha_i alpha_j, i <= j; power sums (s_r^2 + s_2r) / 2) has the root
-    alpha (q/beta) = q zeta, i.e. when q^phi(r) Phi_r(T/q) divides it."""
-    n = ip.degree(h) * (ip.degree(h) + 1) // 2
-    s = ip.power_sums(h, 2 * n)
-    sym2 = ip.poly_from_power_sums([(s[r - 1] ** 2 + s[2 * r - 1]) // 2
-                                    for r in range(1, n + 1)], n)
-    return next((r for r in range(2, BASE_CHANGE_RANGE + 1) if ip.poly_div_if_exact(
-        sym2, _scaled_cyclotomic(r, q)) is not None), None)
+    """Least r over which the irreducible q-Weil polynomial h gains a factor,
+    or None (a proof) when it gains none: h^(r) is the [Q(alpha) :
+    Q(alpha^r)]-th power of an irreducible, so it factors exactly when two
+    roots alpha != beta have zeta = alpha/beta with zeta^r = 1, that is (as
+    q/beta is a root) when Sym^2 h has the root alpha (q/beta) = q zeta: r
+    is the least order above 1 (the g of order 1 come off first)."""
+    return next((r for r in cyclotomic_orders(_sym2(h), q) if r > 1), None)
 
 
-def _merge_degree(tower, members):
-    """Smallest r at which every (tower_h, k) in `members` has the k-th power
-    of the r-th entry of `tower` as its r-th entry, or None.  A tower is
-    ip.base_changes(h, BASE_CHANGE_RANGE) for a piece h of a product.
+def _split_of(P, split):
+    """Split degree of the irreducible P (0 = none): `split`, or computed."""
+    return (_split_degree(P.coeffs, P.q) or 0) if split is None else split
 
-    A ratio of two quadratic Weil numbers that is a root of unity lies in a
-    field of degree <= 4, so its order is at most 12: BASE_CHANGE_RANGE
-    finds every merge of quadratics that exists.
-    """
-    return next((r for r, c in enumerate(tower, 1)
-                 if all(t[r - 1] == ip.poly_pow(c, k) for t, k in members)),
-                None)
+
+def _meeting_orders(h, f, q):
+    """Orders of zeta = b/a or ab/q over the roots b of f (a, q/a those of h;
+    one root q zeta of h x f each) if every b has one, else None."""
+    orders = cyclotomic_orders(ip.composed_product(h, f), q)
+    return orders if sum(map(ip.euler_phi, orders)) == ip.degree(f) else None
 
 
 def sf_of_product(factors, q, p, d):
@@ -257,7 +250,8 @@ def sf_of_product(factors, q, p, d):
                 rule.append(("surface_abs_simple", 0))
             else:
                 quartic_split.append((h, hz))
-        elif deg == 4 and _is_almost_ordinary_factor(h, p, d):
+        elif deg == 4 and (stratify(newton_polygon_of_factor(h, p, d), 2)
+                           is Stratum.ALMOST_ORDINARY):
             quartic_free += 2
             rule.append(("surface_almost_ordinary", 0))
         elif deg == 4:
@@ -280,47 +274,35 @@ def sf_of_product(factors, q, p, d):
         m_parts.append(t)
         rule.append(("ss", t))
 
-    # geometric isogeny classes, one base-change tower per piece: a
-    # quadratic joins the first class whose tower it meets or opens one; a
-    # split quartic, placed after every quadratic has opened its class,
-    # joins the first class whose tower it squares or counts alone with
-    # free rank one
-    classes = []   # [(tower, k), ...], opened by a quadratic (k = 1)
+    # geometric isogeny classes: a quadratic joins the first class whose
+    # opener (roots a, q/a) all its roots b meet, b^r = a^r or (q/a)^r, or
+    # opens one; a split quartic, placed after every quadratic, joins the
+    # first such class or counts alone.  m is the lcm of the members' orders
+    classes = []   # [opener, m]
     for h, hz in [(h, None) for h in quad_parts] + quartic_split:
-        piece = (ip.base_changes(h, BASE_CHANGE_RANGE), 1 if hz is None else 2)
         for cl in classes:
-            if _merge_degree(cl[0][0], [piece]) is not None:
-                cl.append(piece)
+            orders = _meeting_orders(cl[0], h, q)
+            if orders is not None:
+                cl[1] = lcm(cl[1], *orders)
                 break
         else:
             if hz is None:
-                classes.append([piece])
+                classes.append([h, 1])
             else:
                 quartic_free += 1
                 m_parts.append(hz)
                 rule.append(("surface_split_alone", hz))
-    for cl in classes:
-        r = _merge_degree(cl[0][0], cl)
-        if r is None:
-            raise InconsistentInputs("geometric class failed to merge")
-        m_parts.append(r)
-        rule.append(("ordinary_class", r))
+    for _, m in classes:
+        m_parts.append(m)
+        rule.append(("ordinary_class", m))
     return quartic_free + len(classes), lcm(*m_parts), tuple(rule)
-
-
-def _is_almost_ordinary_factor(h, p, d):
-    from fractions import Fraction
-    npd = newton_polygon_of_factor(h, p, d)
-    mult = npd.slope_multiplicities()
-    return (mult.get(Fraction(0), 0) == 1 and mult.get(Fraction(1), 0) == 1
-            and mult.get(Fraction(1, 2), 0) == 2)
 
 
 # ---------------------------------------------------------------------------
 # dimension 2
 
 
-def classify_surface(P, fac=None, stratum=None):
+def classify_surface(P, fac=None, stratum=None, split=None):
     if P.g != 2:
         raise WeilError("classify_surface needs g = 2")
     q, p, d = P.q, P.p, P.d
@@ -367,8 +349,8 @@ def classify_surface(P, fac=None, stratum=None):
             return _sf(2, delta, m, "S-NA(product)")
         if P.a(1) == 0 and P.a(3) == 0:
             return _sf(2, 1, 2, "S-NA(even)")
-        r = _split_degree(P.coeffs, P.q)
-        if r is not None:
+        r = _split_of(P, split)
+        if r:
             return _sf(2, 1, r, "S-NA(split:%d)" % r)
         return _sf(2, 2, 1, "S-NA(maxrank)")
 
@@ -384,19 +366,36 @@ def classify_surface(P, fac=None, stratum=None):
 # dimension 3
 
 
-def _simple_threefold_relation(P, error):
+def _simple_threefold_relation(P, error, split=None):
     """(delta, m) of an irreducible, non-supersingular threefold from
     `exterior_relation`, once P has no two-term relation.  A two-term
     relation (P gains a factor over some F_(q^r)) means delta = 1, which
     Lambda_3 cannot see; then `error` is raised."""
-    r = _split_degree(P.coeffs, P.q)
-    if r is not None:
+    r = _split_of(P, split)
+    if r:
         raise error("simple threefold %r gains a factor over F_(q^%d): "
                     "delta = 1 has no node here" % (P.coeffs, r))
     return exterior_relation(P)
 
 
-def classify_threefold(P, fac=None, stratum=None):
+def _cube_degree(fac, q, split):
+    """Least r in (1, 3, 7) with P^(r) a cube (Xing's shapes), or 0.  For an
+    irreducible P, P^(r) = h^k with k | 6, and k = 2 or 6 would leave a
+    factor of odd degree, with a real root of slope 1/2: r is the split
+    degree.  A reducible P^(r) is a cube when every other factor meets one h
+    of least degree at orders dividing r (a supersingular h meets none)."""
+    if all(e % 3 == 0 for _, e, _ in fac.factors):
+        return 1
+    if fac.is_irreducible:
+        return split if split in (3, 7) else 0
+    h = min([f for f, _, _ in fac.factors], key=ip.degree)
+    orders = [_meeting_orders(h, f, q) for f, _, _ in fac.factors if f != h]
+    if None in orders:
+        return 0
+    return next((r for r in (3, 7) if r % lcm(*sum(orders, [])) == 0), 0)
+
+
+def classify_threefold(P, fac=None, stratum=None, split=None):
     if P.g != 3:
         raise WeilError("classify_threefold needs g = 3")
     q, p, d = P.q, P.p, P.d
@@ -413,13 +412,13 @@ def classify_threefold(P, fac=None, stratum=None):
 
     if stratum is Stratum.ORDINARY:
         if fac.is_irreducible:
-            if P.a(1) == 0 and P.a(2) == 0:
-                if _power_index(P.coeffs, 3) % 3:
-                    raise InconsistentInputs("cubic pattern did not split at 3")
-                return _sf(3, 1, 3, "X-B(3)")
-            if _power_index(P.coeffs, 7) % 3 == 0:
-                return _sf(3, 1, 7, "X-B(7)")
-            return _sf(3, 3, 1, "X-A")
+            # absolutely simple, or split over F_(q^3) or F_(q^7)
+            r = _split_of(P, split)
+            if not r:
+                return _sf(3, 3, 1, "X-A")
+            if r not in (3, 7):
+                raise InconsistentInputs("simple ordinary threefold splits at %d" % r)
+            return _sf(3, 1, r, "X-B(%d)" % r)
         delta, m, rule = sf_of_product(fac.factors, q, p, d)
         kinds = sorted(k for k, _ in rule)
         if "surface_abs_simple" in kinds:
@@ -434,7 +433,7 @@ def classify_threefold(P, fac=None, stratum=None):
 
     if stratum is Stratum.ALMOST_ORDINARY:
         if fac.is_irreducible:
-            delta, m = _simple_threefold_relation(P, InconsistentInputs)
+            delta, m = _simple_threefold_relation(P, InconsistentInputs, split)
             if not ((delta == 3 and m == 1)
                     or (delta == 2 and m in SIMPLE_AO_THREEFOLD_M)):
                 raise InconsistentInputs(
@@ -464,15 +463,17 @@ def classify_threefold(P, fac=None, stratum=None):
         # always a simple (indeed absolutely simple) threefold: slope 1/3
         # pieces cannot come from lower dimension.  P = h^3 over the base is
         # the e = 3 shape of Xing's theorem, not a product.
-        for r in (1, 3, 7):
-            if _power_index(P.coeffs, r) % 3 == 0:
-                return _sf(3, 1, r, "X-H:xing(m=%d)" % r)
+        if fac.is_irreducible:
+            split = _split_of(P, split)
+        r = _cube_degree(fac, q, split)
+        if r:
+            return _sf(3, 1, r, "X-H:xing(m=%d)" % r)
         if not fac.is_irreducible:
             # formally valid inputs that are not Frobenius polynomials of
             # threefolds (fractional-slope factors over square fields)
             delta, m, _ = sf_of_product(fac.factors, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
-        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode), "X-I")
+        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode, split), "X-I")
 
     if stratum is Stratum.OTHER:
         # only reachable for formal inputs outside the Newton strata of
@@ -481,7 +482,7 @@ def classify_threefold(P, fac=None, stratum=None):
         if not fac.is_irreducible:
             delta, m, _ = sf_of_product(fac.factors, q, p, d)
             return _sf(3, delta, m, "X-NA(product)")
-        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode),
+        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode, split),
                    "X-NA(exterior)")
 
     raise UnclassifiedNode("threefold stratum %s has no node" % stratum)
@@ -489,6 +490,15 @@ def classify_threefold(P, fac=None, stratum=None):
 
 # ---------------------------------------------------------------------------
 # prime dimension g > 3 (partial classification)
+
+
+def _has_ratio_of_order(P, r):
+    """Whether the ordinary, irreducible P of prime dimension g is a g-th
+    power over F_(q^r), r prime: P^(r) = h^k, k | 2g, and k = 2 or 2g leaves
+    a factor of odd degree, with a real root +-q^(r/2), not ordinary: k = g
+    exactly when a ratio of two roots has order r (see `_split_degree`)."""
+    return ip.poly_div_if_exact(_sym2(P.coeffs),
+                                _scaled_cyclotomic(r, P.q)) is not None
 
 
 def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
@@ -501,10 +511,10 @@ def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
     if (stratum or stratify(newton_polygon(P), g)) is not Stratum.ORDINARY:
         raise NotOrdinary("prime-dimension classification needs the ordinary stratum")
     if all(P.a(i) == 0 for i in range(1, 2 * g) if i % g):
-        if _power_index(P.coeffs, g) % g:
+        if not _has_ratio_of_order(P, g):
             raise InconsistentInputs("T^g pattern did not split at degree g")
         return _sf(g, 1, g, "ThmD(2)")
-    if _is_prime(2 * g + 1) and _power_index(P.coeffs, 2 * g + 1) % g == 0:
+    if _is_prime(2 * g + 1) and _has_ratio_of_order(P, 2 * g + 1):
         return _sf(g, 1, 2 * g + 1, "ThmD(3)")
     lattice = angle_rank_numeric(P, precision)
     return Partial(g=g, absolutely_simple=True, delta=lattice.delta,
@@ -515,17 +525,18 @@ def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
 # dispatch and reporting
 
 
-def classify(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
-    """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P) and
-    `stratum` the Newton stratum of P when the caller already has them;
-    without them the node that needs them computes them.  `precision`
-    serves only the oracle of the partial prime-dimension node."""
+def classify(P, precision=DEFAULT_PRECISION, fac=None, stratum=None, split=None):
+    """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P),
+    `stratum` its Newton stratum and `split` its split degree as in
+    geometric_decomposition when the caller already has them; without them
+    the node that needs them computes them.  `precision` serves only the
+    oracle of the partial prime-dimension node."""
     if P.g == 1:
         return classify_elliptic(P)
     if P.g == 2:
-        return classify_surface(P, fac, stratum)
+        return classify_surface(P, fac, stratum, split)
     if P.g == 3:
-        return classify_threefold(P, fac, stratum)
+        return classify_threefold(P, fac, stratum, split)
     if _is_prime(P.g):
         return classify_prime_dim(P, precision, fac, stratum)
     raise WeilError("no classification implemented for g = %d" % P.g)
@@ -548,7 +559,7 @@ def _factor_dimension(h, q, cls):
 
 def geometric_decomposition(fac):
     """Factors of fac = factor(P) and the least r over which P gains one:
-    1 for a reducible P, 0 when no r up to BASE_CHANGE_RANGE does."""
+    1 for a reducible P, 0 when no extension does (a proof, `_split_degree`)."""
     summaries = tuple((h, e, _factor_dimension(h, fac.q, cls), cls)
                       for h, e, cls in fac.factors)
     if fac.is_irreducible:
@@ -560,11 +571,12 @@ def geometric_decomposition(fac):
 
 def report(P, precision=DEFAULT_PRECISION):
     """Full JSON-ready classification report for one polynomial."""
-    # one factorization and one Newton polygon serve classify and the
-    # record; a g that classify rejects gets that error, not one from factor
+    # one factorization, Newton polygon and split degree serve classify and
+    # the record; a g that classify rejects gets that error, not factor's
     fac = factor(P) if P.g <= 3 or _is_prime(P.g) else None
     stratum = stratify(newton_polygon(P), P.g)
-    sf = classify(P, precision, fac, stratum)
+    dec = geometric_decomposition(fac) if fac is not None else None
+    sf = classify(P, precision, fac, stratum, dec and dec.split_degree)
     out = {
         "schema_version": 1,
         "label": P.label,
@@ -575,7 +587,6 @@ def report(P, precision=DEFAULT_PRECISION):
     out.update(sf.to_json())
     if isinstance(sf, Partial):
         out["group"] = None
-    dec = geometric_decomposition(fac)
     out["split_degree"] = dec.split_degree
     out["factors"] = dec.to_json()["factors"]
     return out

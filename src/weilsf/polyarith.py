@@ -15,7 +15,8 @@ against P.
 from __future__ import annotations
 
 import itertools
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, lcm
 
 from . import _intpoly as ip
 from .newton import newton_class
@@ -176,9 +177,8 @@ def exterior_relation(P):
         scale, mult = isqrt(q ** g), 1
     else:
         lam, scale, mult = ip.base_change_coeffs(lam, 2), q ** g, 2
-    # a root of unity of degree phi(k) <= 2^g over Q has k <= 2 phi(k)^2
-    orders = [k for k in range(1, 2 * n * n + 1) if ip.euler_phi(k) <= n
-              and ip.poly_div_if_exact(lam, _scaled_cyclotomic(k, scale)) is not None]
+    # v = +-1 is a double root: v and 1/v are then two monomials of one value
+    orders = sorted(set(cyclotomic_orders(lam, scale)))
     if len(orders) > 1:
         raise WeilError("sign monomials of orders %r: the relation lattice of %r "
                         "has rank > 1" % (orders, P.coeffs))
@@ -186,36 +186,32 @@ def exterior_relation(P):
 
 
 # ---------------------------------------------------------------------------
-# supersingular torsion order: smallest r with (alpha/sqrt(q))^r = 1 for all
-# roots, found by comparing power sums against those of (T - q^(r/2))^n
+# supersingular torsion order
 
 
 def supersingular_torsion_order(P_or_coeffs, q=None):
     """Order of the group generated by the normalized roots of a polynomial
-    all of whose roots have angle a rational multiple of 2 pi.
-
-    This is the smallest r <= TORSION_SEARCH_BOUND with
-    base_change(P, r) = (T - q^(r/2))^n, checked through exact power sums.
-    Raises BoundExceeded past the bound, which signals a non-supersingular
-    input.
-    """
+    whose roots all have angles in 2 pi Q: the least r, even over a
+    non-square q, with alpha^r = q^(r/2), the lcm of the orders of
+    cyclotomic_orders(P, sqrt(q)), or over a non-square q twice that of the
+    orders of cyclotomic_orders(base_change(P, 2), q).  Raises BoundExceeded
+    when they miss a root (P is not supersingular) or r > TORSION_SEARCH_BOUND."""
     if isinstance(P_or_coeffs, WeilPolynomial):
         coeffs, q = P_or_coeffs.coeffs, P_or_coeffs.q
     else:
         coeffs = ip.normalize(tuple(P_or_coeffs))
         if q is None:
             raise ValueError("q is required with raw coefficients")
-    n = ip.degree(coeffs)
-    _, d = factor_prime_power(q)
-    sums = ip.power_sums(coeffs, n * TORSION_SEARCH_BOUND)
-    for r in range(1, TORSION_SEARCH_BOUND + 1):
-        if (r * d) % 2:
-            continue  # q^(r/2) is not an integer
-        s = isqrt(q ** r)
-        if all(sums[k * r - 1] == n * s ** k for k in range(1, n + 1)):
-            return r
-    raise BoundExceeded(
-        "no torsion order <= %d; input is not supersingular" % TORSION_SEARCH_BOUND)
+    if factor_prime_power(q)[1] % 2 == 0:
+        c, scale, mult = coeffs, isqrt(q), 1
+    else:
+        c, scale, mult = ip.base_change_coeffs(coeffs, 2), q, 2
+    orders = cyclotomic_orders(c, scale)
+    r = mult * lcm(*orders)
+    if sum(map(ip.euler_phi, orders)) < ip.degree(c) or r > TORSION_SEARCH_BOUND:
+        raise BoundExceeded("no torsion order <= %d; input is not supersingular"
+                            % TORSION_SEARCH_BOUND)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -239,46 +235,35 @@ def _scaled_cyclotomic(m, scale):
     return tuple([c * scale ** i for i, c in enumerate(phi)])
 
 
-def _cyclotomic_in_t2_scaled(n_param, q):
-    """q^phi(n) * Phi_n(T^2/q) as a polynomial in T."""
-    phi = ip.cyclotomic(n_param)
-    deg = ip.degree(phi)
-    out = [0] * (2 * deg + 1)
-    for i, c in enumerate(phi):
-        out[2 * i] = c * q ** i
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _orders_upto(bound):
+    """(n, phi(n)) for every n with phi(n) <= bound, ascending.  A prime
+    power p^k exactly dividing n contributes p^(k-1) (p - 1) >= p^(k/2) to
+    phi(n), or 2^((k-1)/2) if p = 2, so phi(n) >= sqrt(n/2): n <= 2 bound^2."""
+    return tuple([(n, phi) for n in range(1, 2 * bound * bound + 1)
+                  if (phi := ip.euler_phi(n)) <= bound])
 
 
-def _z3_families(q, p, d):
-    """Integer forms of the exceptional degree-4/6 families, when they exist."""
-    if d % 2 == 0:
-        return []
-    out = []
+def cyclotomic_orders(c, scale):
+    """Each n once per factor scale^phi(n) Phi_n(T/scale) of the monic
+    integer polynomial c, ascending: the orders, with multiplicity, of the
+    roots of unity zeta with c(scale zeta) = 0.  As zeta has degree phi(n)
+    over Q, `_orders_upto` lists them all, and the degree left bounds the rest."""
+    orders = []
+    for n, phi in _orders_upto(ip.degree(c)):
+        while phi <= ip.degree(c) and (rest := ip.poly_div_if_exact(
+                c, _scaled_cyclotomic(n, scale))) is not None:
+            orders.append(n)
+            c = rest
+    return orders
 
-    def alt(h):
-        return tuple(c * (-1) ** i for i, c in enumerate(h))
 
-    if p == 5:
-        s = isqrt(5 * q)
-        h = (1, s, 3 * q, s * q, q ** 2)
-        out.append((h, 10, "Psi_{5,1}(T)"))
-        out.append((alt(h), 10, "Psi_{5,1}(-T)"))
-    if p == 2:
-        s = isqrt(2 * q)
-        h = (1, s, q, s * q, q ** 2)
-        out.append((h, 24, "Psi_{2,3}(T)"))
-        out.append((alt(h), 24, "Psi_{2,3}(-T)"))
-    if p == 7:
-        s = isqrt(7 * q)
-        h = (1, s, 3 * q, s * q, 3 * q ** 2, s * q ** 2, q ** 3)
-        out.append((h, 28, "h_{7,1}(T)"))
-        out.append((alt(h), 28, "h_{7,1}(-T)"))
-    if p == 3:
-        s = isqrt(3 * q)
-        h = (1, 0, 0, s * q, 0, 0, q ** 3)
-        out.append((h, 36, "h_{3,3}(T)"))
-        out.append((alt(h), 36, "h_{3,3}(-T)"))
-    return out
+# the exceptional degree-4/6 families over a non-square q, by p: (m, name,
+# c) with h = sum c_i s^(i mod 2) q^(i // 2) T^(n - i), s = +-sqrt(p q)
+_Z3_FAMILIES = {5: (10, "Psi_{5,1}", (1, 1, 3, 1, 1)),
+                2: (24, "Psi_{2,3}", (1, 1, 1, 1, 1)),
+                7: (28, "h_{7,1}", (1, 1, 3, 1, 3, 1, 1)),
+                3: (36, "h_{3,3}", (1, 0, 0, 1, 0, 0, 1))}
 
 
 def supersingular_match(h, q, p=None, d=None):
@@ -294,23 +279,18 @@ def supersingular_match(h, q, p=None, d=None):
         p, d = factor_prime_power(q)
     deg = ip.degree(h)
     if d % 2 == 0:
-        root = isqrt(q)
-        for m in range(1, TORSION_SEARCH_BOUND + 1):
-            if ip.euler_phi(m) != deg:
-                continue
-            if h == _scaled_cyclotomic(m, root):
-                return SupersingularMatch("Z1", m, "Phi_%d(T)" % m)
+        orders = cyclotomic_orders(h, isqrt(q))
+        if len(orders) == 1 and ip.euler_phi(orders[0]) == deg:
+            return SupersingularMatch("Z1", orders[0], "Phi_%d(T)" % orders[0])
     else:
-        if deg % 2 == 0:
-            half = deg // 2
-            for n_param in range(1, TORSION_SEARCH_BOUND + 1):
-                if ip.euler_phi(n_param) != half:
-                    continue
-                if h == _cyclotomic_in_t2_scaled(n_param, q):
-                    m = 2 * n_param
-                    return SupersingularMatch("Z2", m, "Phi_%d(T^2)" % n_param)
-        for fam, m, name in _z3_families(q, p, d):
-            if h == fam:
-                return SupersingularMatch("Z3", m, name)
+        # q^phi(n) Phi_n(T^2/q): h is even, and its coefficients of T^(2i)
+        # are those of q^phi(n) Phi_n(T/q)
+        orders = [] if deg % 2 or any(h[1::2]) else cyclotomic_orders(h[::2], q)
+        if len(orders) == 1 and 2 * ip.euler_phi(orders[0]) == deg:
+            return SupersingularMatch("Z2", 2 * orders[0], "Phi_%d(T^2)" % orders[0])
+        m, name, c = _Z3_FAMILIES.get(p, (0, "", ()))
+        for s, twist in ((isqrt(p * q), "(T)"), (-isqrt(p * q), "(-T)")):
+            if h == tuple([x * s ** (i % 2) * q ** (i // 2) for i, x in enumerate(c)]):
+                return SupersingularMatch("Z3", m, name + twist)
     raise NoSupersingularMatch(
         "factor %r over q=%d matches no supersingular family" % (h, q))

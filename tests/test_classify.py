@@ -6,9 +6,9 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import (BASE_CHANGE_RANGE, InconsistentInputs,
-                             InvalidTrace, NotOrdinary, NotSimple, Partial,
-                             SerreFrobeniusGroup, UnclassifiedNode,
+from weilsf.classify import (InconsistentInputs, InvalidTrace, NotOrdinary,
+                             NotSimple, Partial, SerreFrobeniusGroup,
+                             UnclassifiedNode, _has_ratio_of_order,
                              _simple_threefold_relation, _split_degree,
                              classify, classify_elliptic, classify_prime_dim,
                              classify_surface, classify_threefold,
@@ -17,7 +17,8 @@ from weilsf.classify import (BASE_CHANGE_RANGE, InconsistentInputs,
 from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import factor
-from weilsf.weilpoly import WeilError, from_middle, parse_label, validate
+from weilsf.weilpoly import (WeilError, _is_prime, from_middle, parse_label,
+                             validate)
 
 from conftest import PAPER_EXAMPLES
 
@@ -139,6 +140,17 @@ class TestThreefold:
         assert classify_threefold(parse_label("3.8.ag_bk_aea")).pair() == (1, 1)
         assert classify_threefold(parse_label("3.8.ai_bk_aeq")).pair() == (1, 7)
 
+    @pytest.mark.parametrize("label", ["3.8.a_a_abo", "3.8.a_a_bo"])
+    def test_reducible_xing_shape(self, label):
+        # (T^2 -+ 2T + 8)(T^4 +- 2T^3 - 4T^2 +- 16T + 64) is a cube over F_(8^3):
+        # the quartic meets the quadratic there, which the product rule
+        # would miss (delta = 2)
+        P = parse_label(label)
+        sf = classify_threefold(P)
+        lat = angle_rank_numeric(P)
+        assert sf.provenance == "X-H:xing(m=3)"
+        assert sf.pair() == (lat.delta, lat.torsion_order) == (1, 3)
+
     def test_k3_simple(self, corpus):
         from weilsf.newton import Stratum, newton_polygon, stratify
         from weilsf.polyarith import factor
@@ -178,7 +190,7 @@ class TestPaperExamples:
 
 
 PRODUCTS_BEYOND_CORPORA_SHA256 = (
-    "719a808670a4116de0f2fc67f1194ec1e031c31c829b9ddf6372de6b87038dd4")
+    "9da14f7005949285c6462559ef8386be4c19f53bc7ce940be307c7f3a05456df")
 
 
 class TestProducts:
@@ -209,34 +221,45 @@ class TestProducts:
         ("3.5.ai_bi_ado", (3, 1, (("ordinary_class", 1),) * 3)),
     ])
     def test_one_tower_per_piece(self, count_calls, label, result):
+        # the classes come from composed products with the class opener;
+        # no piece builds a base-change tower
         P = parse_label(label)
         fac = factor(P)
         calls = count_calls("base_changes")
         assert sf_of_product(fac.factors, P.q, P.p, P.d) == result
-        assert sorted(c for c, _ in calls) == sorted(h for h, _, _ in fac.factors)
+        assert calls == []
 
     def test_reducible_inputs_beyond_the_corpora(self):
-        # (label, delta, m, rule) of every reducible input of (2, 8), (2, 16)
-        # and (3, 4), 889 of them, as computed before the one-pass rewrite of
+        # (label, delta, m, rule) of every reducible input of (2, 7), (2, 8),
+        # (2, 9), (2, 16) and (3, 4), 1047 of them, as computed by the
+        # base-change towers before the composed-product rewrite of
         # sf_of_product; they hold the formal reducible inputs too
         digest = hashlib.sha256()
         count = 0
-        for g, q in [(2, 8), (2, 16), (3, 4)]:
+        for g, q in [(2, 7), (2, 8), (2, 9), (2, 16), (3, 4)]:
             for P in enumerate_weil(g, q):
                 fac = factor(P)
                 if not fac.is_irreducible:
                     result = sf_of_product(fac.factors, P.q, P.p, P.d)
                     digest.update(repr((P.label,) + result).encode() + b"\n")
                     count += 1
-        assert count == 889
+        assert count == 1047
         assert digest.hexdigest() == PRODUCTS_BEYOND_CORPORA_SHA256
 
 
 def _reference_split_degree(c):
-    # the base-change search that the Sym^2 test replaced
-    bcs = ip.base_changes(c, BASE_CHANGE_RANGE)
-    return next((r for r in range(2, BASE_CHANGE_RANGE + 1) if math.gcd(
+    # the base-change search up to F_(q^24) that the Sym^2 test replaced
+    limit = 24
+    bcs = ip.base_changes(c, limit)
+    return next((r for r in range(2, limit + 1) if math.gcd(
         *(k for _, k in ip.squarefree_decomposition(bcs[r - 1]))) > 1), None)
+
+
+def _reference_power_index(c, r):
+    # the largest k with base_change(c, r) a k-th power, from Yun's
+    # algorithm: the test the split-degree nodes replaced
+    return math.gcd(*(k for _, k in ip.squarefree_decomposition(
+        ip.base_change_coeffs(c, r))))
 
 
 class TestSplitDegree:
@@ -249,10 +272,8 @@ class TestSplitDegree:
         polys = [P for polys in corpus.values() for P in polys]
         polys += list(enumerate_weil(2, 8)) + list(enumerate_weil(2, 16))
         inputs = {(P.coeffs, P.q) for P in polys if factor(P).is_irreducible}
-        for c, q in [((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2),
-                     (PRIME_DIM_G5_SPLIT11, 3), (PRIME_DIM_G5_ABS, 23),
-                     (from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3)).coeffs, 2)]:
-            inputs.update({(c, q), (tuple(x * (-1) ** i for i, x in enumerate(c)), q)})
+        for c, q in PRIME_DIM_INPUTS:
+            inputs.update({(c, q), (_twist(c), q)})
         assert len(inputs) == 1374
         for h, q in sorted(inputs):
             assert _split_degree(h, q) == _reference_split_degree(h), (h, q)
@@ -264,6 +285,68 @@ class TestSplitDegree:
         assert geometric_decomposition(fac).split_degree == 0
         assert yun == [] and towers == []
 
+    def test_report_computes_it_once(self, count_calls, corpus):
+        # X-D, X-I and S-NA took it in the classifier node and again in
+        # geometric_decomposition; the X-A and X-B nodes now take it too
+        calls = count_calls("_split_degree")
+        total = 0
+        for polys in corpus.values():
+            for P in polys:
+                calls.clear()
+                report(P)
+                assert calls in ([], [(P.coeffs, P.q)]), P.label
+                total += len(calls)
+        assert total == 620
+
+    def test_nodes_equal_the_power_index(self):
+        # X-A, X-B(3), X-B(7) and X-H read the split degree; they took the
+        # power index of base changes to F_(q^3) and F_(q^7) before
+        seen = {}
+        for q in (2, 3, 4):
+            for P in enumerate_weil(3, q):
+                stratum = stratify(newton_polygon(P), 3)
+                fac = factor(P)
+                if stratum is Stratum.ORDINARY and fac.is_irreducible:
+                    if P.a(1) == 0 and P.a(2) == 0:
+                        assert _reference_power_index(P.coeffs, 3) % 3 == 0
+                        want = "X-B(3)"
+                    elif _reference_power_index(P.coeffs, 7) % 3 == 0:
+                        want = "X-B(7)"
+                    else:
+                        want = "X-A"
+                elif stratum is Stratum.P_RANK_ZERO_NON_SS:
+                    want = next(("X-H:xing(m=%d)" % r for r in (1, 3, 7) if
+                                 _reference_power_index(P.coeffs, r) % 3 == 0), "")
+                else:
+                    continue
+                got = classify(P, fac=fac, stratum=stratum).provenance
+                if want:
+                    assert got == want, P.label
+                else:
+                    assert not got.startswith("X-H"), P.label
+                seen[want] = seen.get(want, 0) + 1
+        assert seen == NODES_BY_POWER_INDEX
+
+    def test_prime_dimension_tests_equal_the_power_index(self):
+        # ThmD(2) and ThmD(3): one division of Sym^2 P at a prime r against
+        # the power index of the base change to F_(q^r)
+        splits = []
+        for c, q in PRIME_DIM_INPUTS + [(_twist(c), q) for c, q in PRIME_DIM_INPUTS]:
+            P = validate(c, q)
+            for r in (P.g, 2 * P.g + 1):
+                if _is_prime(r):
+                    k = _reference_power_index(c, r)
+                    assert k in (1, P.g)
+                    assert _has_ratio_of_order(P, r) == (k == P.g), (c, r)
+                    splits.append(k == P.g)
+        assert splits.count(True) == 4 and len(splits) == 14
+
+
+# provenance by the old power-index rule over the g = 3 inputs of q = 2, 3, 4
+# that reach it ("" for a p-rank 0 input that is not a Xing shape)
+NODES_BY_POWER_INDEX = {"X-A": 864, "X-B(3)": 26, "X-B(7)": 8,
+                        "X-H:xing(m=3)": 18, "": 164}
+
 
 # the Sophie Germain witness: roots zeta_11^j * beta with beta = (1+sqrt(-11))/2
 # twisted by the quadratic character mod 11; frozen after exact construction
@@ -271,6 +354,14 @@ PRIME_DIM_G5_SPLIT11 = (1, 6, 14, 7, -46, -133, -138, 63, 378, 486, 243)
 # Jacobi-sum Weil number for p = 23 and an order-11 character: absolutely simple
 PRIME_DIM_G5_ABS = (1, 21, 243, 1913, 11771, 60543, 270733, 1011977,
                     2956581, 5876661, 6436343)
+# the four frozen inputs, (coeffs, q); the twists P(-T) are built from them
+PRIME_DIM_INPUTS = [((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2),
+                    (PRIME_DIM_G5_SPLIT11, 3), (PRIME_DIM_G5_ABS, 23),
+                    (from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3)).coeffs, 2)]
+
+
+def _twist(c):
+    return tuple(x * (-1) ** i for i, x in enumerate(c))
 
 
 class TestPrimeDimension:

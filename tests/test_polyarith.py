@@ -13,8 +13,9 @@ from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
                               IsogenyFactorization, NoSupersingularMatch,
-                              base_change, exterior_relation, factor,
-                              supersingular_match, supersingular_torsion_order)
+                              base_change, cyclotomic_orders, exterior_relation,
+                              factor, supersingular_match,
+                              supersingular_torsion_order)
 from weilsf.weilpoly import _real_roots as real_roots
 from weilsf.weilpoly import WeilError, parse_label, validate
 
@@ -262,6 +263,48 @@ class TestExteriorRelation:
         assert x_i_not_full_rank == 8
 
 
+def _scaled(n, scale):
+    # scale^phi(n) Phi_n(T/scale)
+    return tuple(c * scale ** i for i, c in enumerate(ip.cyclotomic(n)))
+
+
+class TestCyclotomicOrders:
+    def test_repeated_factor_counts_twice(self):
+        c = ip.poly_mul(ip.poly_pow(_scaled(3, 3), 2), _scaled(5, 3))
+        assert cyclotomic_orders(c, 3) == [3, 3, 5]
+        assert cyclotomic_orders(ip.poly_pow((1, -2), 3), 2) == [1, 1, 1]
+
+    def test_orders_above_24(self):
+        # phi(30) = 8, phi(42) = 12, phi(60) = 16: beyond the old search to 24
+        c = ip.poly_mul(ip.poly_mul(_scaled(60, 2), _scaled(30, 2)), _scaled(42, 2))
+        assert cyclotomic_orders(c, 2) == [30, 42, 60]
+        # the largest order of its degree: phi(66) = 20
+        assert cyclotomic_orders(_scaled(66, 5), 5) == [66]
+
+    def test_non_cyclotomic_cofactor(self):
+        # T^2 - T + 7 has roots of absolute value sqrt(7), none of them 2 zeta
+        cof = (1, -1, 7)
+        c = ip.poly_mul(ip.poly_mul(_scaled(12, 2), cof), _scaled(1, 2))
+        assert cyclotomic_orders(c, 2) == [1, 12]
+        assert cyclotomic_orders(ip.poly_mul(cof, _scaled(4, 7)), 7) == [4]
+
+    def test_empty(self):
+        assert cyclotomic_orders((1, -1, 7), 2) == []
+        assert cyclotomic_orders(parse_label("3.2.ad_f_ah").coeffs, 2) == []
+        assert cyclotomic_orders((1,), 2) == []
+
+    def test_random_products(self):
+        rng = random.Random(21)
+        small = [n for n in range(1, 31) if ip.euler_phi(n) <= 8]
+        for _ in range(200):
+            scale = rng.choice([1, 2, 3, 5])
+            want = sorted(rng.choice(small) for _ in range(rng.randint(0, 3)))
+            c = (1, -(scale + 1))   # the root scale + 1 is no scale zeta
+            for n in want:
+                c = ip.poly_mul(c, _scaled(n, scale))
+            assert cyclotomic_orders(c, scale) == want, (c, scale)
+
+
 class TestIntpolyOracles:
     def test_power_sums_match_brute_force(self):
         # brute force with explicit roots of (T-1)(T-2)(T+3)
@@ -275,6 +318,18 @@ class TestIntpolyOracles:
         c = (1, -2, 51, -50, 625)
         s = ip.power_sums(c, 4)
         assert ip.poly_from_power_sums(s, 4) == c
+
+    def test_composed_product_of_linear_factors(self):
+        # (T - 2)(T - 3) x (T + 5) = (T + 10)(T + 15)
+        a = ip.poly_mul((1, -2), (1, -3))
+        assert ip.composed_product(a, (1, 5)) == ip.poly_mul((1, 10), (1, 15))
+        assert ip.composed_product((1, -7), (1, 2, 3)) == (1, 14, 147)
+
+    def test_composed_product_of_a_quadratic_with_itself(self):
+        # the roots alpha^2, beta^2 and alpha beta = 2 twice
+        h = (1, -1, 2)
+        assert ip.composed_product(h, h) == ip.poly_mul(
+            ip.poly_pow((1, -2), 2), ip.base_change_coeffs(h, 2))
 
     def test_cyclotomics(self):
         assert ip.cyclotomic(1) == (1, -1)
@@ -336,6 +391,22 @@ class TestIntegerCoreAgainstSympy:
             _, parts = sp.sqf_list(sp.Poly(c, y))
             want = {(tuple(int(x) for x in f.all_coeffs()), e) for f, e in parts}
             assert got == want, c
+
+    def test_composed_product_is_a_resultant(self):
+        # a x b = +-Res_y(a(y), y^m b(x/y)) for monic a and b, b(0) != 0
+        sp, y = self._sympy()
+        x = sp.Symbol("x")
+        rng = random.Random(15)
+        for _ in range(50):
+            a = self._random_poly(rng, rng.randint(1, 3), monic=True)
+            b = self._random_poly(rng, rng.randint(1, 3), monic=True)
+            if b[-1] == 0:
+                continue
+            m = ip.degree(b)
+            bxy = sum(c * x ** (m - i) * y ** i for i, c in enumerate(b))
+            res = sp.resultant(sp.Poly(a, y).as_expr(), bxy, y)
+            want = tuple(int(c) for c in sp.Poly(res, x).monic().all_coeffs())
+            assert ip.composed_product(a, b) == want, (a, b)
 
     def test_sturm_count_matches_real_roots(self):
         sp, y = self._sympy()
