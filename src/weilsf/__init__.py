@@ -1,8 +1,7 @@
 """Serre-Frobenius groups, angle ranks and Frobenius trace distributions of
 Weil polynomials over finite fields."""
 
-from .anglerank import (RelationLattice, angle_rank_numeric,
-                        torsion_order_structural)
+from .anglerank import RelationLattice, angle_rank_numeric
 from .classify import (GeometricDecomposition, Partial, SerreFrobeniusGroup,
                        classify, classify_elliptic, classify_prime_dim,
                        classify_surface, classify_threefold, report,
@@ -45,6 +44,5 @@ __all__ = [
     "exact_moments", "factor", "format_label", "from_middle", "histogram",
     "moment_report", "newton_polygon", "parse_label", "report", "roots",
     "sf_of_product", "stratify", "supersingular_match",
-    "supersingular_torsion_order", "torsion_order_structural",
-    "trace_sequence", "validate",
+    "supersingular_torsion_order", "trace_sequence", "validate",
 ]

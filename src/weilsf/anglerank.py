@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import lcm
 
 from ._intpoly import InvariantError, Record
-from .polyarith import base_change
 from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, mp, roots
 
 DENOMINATOR_BOUND = 72
@@ -351,14 +350,3 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
                            torsion_order=m, thetas=rs.thetas,
                            basis=tuple(tuple(r) for r in rbasis))
 
-
-def torsion_order_structural(P, bound=DENOMINATOR_BOUND,
-                             precision=DEFAULT_PRECISION):
-    """Smallest r with a torsion-free relation lattice after base change.
-
-    Cross-check oracle for the torsion order: equals angle_rank_numeric(P).m.
-    """
-    for r in range(1, bound + 1):
-        if angle_rank_numeric(base_change(P, r), precision).torsion_order == 1:
-            return r
-    raise DenominatorBoundExceeded("no torsion-free base change with r <= %d" % bound)

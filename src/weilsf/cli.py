@@ -22,7 +22,7 @@ import math
 import sys
 
 from . import _intpoly as ip
-from .anglerank import angle_rank_numeric, torsion_order_structural
+from .anglerank import angle_rank_numeric
 from .classify import Partial, classify, report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
@@ -198,11 +198,8 @@ def cmd_base_change(args):
 
 def cmd_angle_rank(args):
     def record(P):
-        lat = angle_rank_numeric(P, args.precision)
-        out = lat.to_json()
+        out = angle_rank_numeric(P, args.precision).to_json()
         out.update({"schema_version": 1, "label": P.label})
-        if args.structural_m:
-            out["m_structural"] = torsion_order_structural(P, precision=args.precision)
         return out
     return _emit_each(args, record)
 
@@ -344,8 +341,6 @@ def build_parser():
     p = sub.add_parser("angle-rank", parents=[common],
                        help="numeric angle rank and torsion order")
     add_inputs(p)
-    p.add_argument("--structural-m", action="store_true",
-                   help="also compute the torsion order by base-change search")
     p.set_defaults(func=cmd_angle_rank)
 
     p = sub.add_parser("histogram", parents=[common],

@@ -3,8 +3,8 @@ recognition of supersingular minimal polynomials.
 
 Factorization works on the real Weil transform H of P (degree g, real
 roots in [-2 sqrt(q), 2 sqrt(q)]) that `validate` stores as P.h.  Linear
-factors of H are its integer roots a with a^2 <= 4q, found by trial
-division; a remainder of degree <= 3 without them is irreducible, so for
+factors of H are its integer roots a with a^2 <= 4q, isolated by Sturm
+bisection; a remainder of degree <= 3 without them is irreducible, so for
 g <= 3 the factorization is exact arithmetic throughout.  Only a remainder
 of degree >= 4 is split by reconstructing candidate divisors from subsets
 of its high-precision real roots, kept only when they divide exactly.  The
@@ -56,23 +56,33 @@ def _split_real_rooted(h, q, precision):
     real and lie in [-2 sqrt(q), 2 sqrt(q)].
 
     A linear factor y - a of the monic h has an integer root a with
-    a^2 <= 4q, so trial division over that range strips every linear
-    factor exactly.  What is left has no linear factor, so it is
-    irreducible when its degree is at most 3.  Only a remainder of degree
-    >= 4 (g >= 4) is searched numerically: subsets of its roots are tried
-    smallest first, from size 2; the product over a subset is rounded to
-    integers and kept only if it divides what is left of h exactly.  The k
+    a^2 <= 4q.  Bisecting (-isqrt(4q) - 1, isqrt(4q)] by the Sturm chain of
+    h down to unit spans (lo, lo + 1] isolates every such a, so a division
+    by y - (lo + 1) only where a span holds a root strips every linear
+    factor exactly, with O(g log q) chain evaluations (a linear remainder
+    ends the search: it is a factor).  What is left has no linear factor,
+    so it is irreducible when its degree is at most 3.  Only a remainder of
+    degree >= 4 (g >= 4) is searched numerically: subsets of its roots are
+    tried smallest first, from size 2; the product over a subset is rounded
+    to integers and kept only if it divides what is left of h exactly.  The k
     roots where a kept factor of degree k is smallest (its own roots) then
     leave the search, so every kept factor has the least degree of any
     factor left and is irreducible, and so is a remainder with no factor of
     at most half its degree.
     """
     found = []
+    chain = ip._sturm_chain(h)
     bound = isqrt(4 * q)
-    for a in range(-bound, bound + 1):
-        rest = ip.poly_div_if_exact(h, (1, -a))
-        if rest is not None:
-            found.append((1, -a))
+    spans = [(-bound - 1, bound)]
+    while spans and ip.degree(h) > 1:   # (lo, hi] spans, the leftmost on top
+        lo, hi = spans.pop()
+        if not ip.chain_count(chain, lo, hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            spans += [(mid, hi), (lo, mid)]
+        elif (rest := ip.poly_div_if_exact(h, (1, -hi))) is not None:
+            found.append((1, -hi))
             h = rest
     if ip.degree(h) <= 3:
         return found + ([h] if ip.degree(h) else [])

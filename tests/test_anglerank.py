@@ -11,7 +11,7 @@ from weilsf import _intpoly as ip
 from weilsf.anglerank import (COEFF_BOUND_RAW, DENOMINATOR_BOUND, RelationLattice,
                               _nearest_fraction, angle_rank_numeric,
                               integer_kernel, lll_reduce, saturate_lattice,
-                              smith_normal_form, torsion_order_structural)
+                              smith_normal_form)
 from weilsf.polyarith import base_change
 from weilsf.weilpoly import DEFAULT_PRECISION, parse_label, roots, validate
 
@@ -249,20 +249,6 @@ def test_pslq_agrees_with_the_lattice(label):
 
 
 class TestStructuralTorsion:
-    def test_splits_over_quadratic(self):
-        assert torsion_order_structural(parse_label("2.5.a_ab")) == 2
-
-    def test_trivial_for_maximal_rank(self):
-        assert torsion_order_structural(parse_label("2.2.ab_b")) == 1
-
-    def test_xing_cube(self):
-        assert torsion_order_structural(validate((1, 0, 0, -2, 0, 0, 8), 2)) == 3
-
-    def test_agrees_with_numeric(self):
-        for label in ["2.3.ac_c", "2.2.ad_f", "1.2.a", "3.2.ac_b_a"]:
-            P = parse_label(label)
-            assert torsion_order_structural(P) == angle_rank_numeric(P).torsion_order
-
     def test_delta_invariant_under_base_change(self):
         for label in ["2.5.a_ab", "3.2.a_a_ac"]:
             P = parse_label(label)

@@ -4,13 +4,12 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from weilsf import cli
 from weilsf.anglerank import (DenominatorBoundExceeded, InconsistentLattice,
-                              UnverifiedRelation, torsion_order_structural)
+                              UnverifiedRelation)
 from weilsf.cli import main
 from weilsf.weilpoly import NonConvergence, parse_label
 
@@ -101,9 +100,9 @@ def test_base_change(capsys):
 
 
 def test_angle_rank(capsys):
-    code, out, _ = run(capsys, "angle-rank", "2.5.a_ab", "--structural-m")
+    code, out, _ = run(capsys, "angle-rank", "2.5.a_ab")
     data = json.loads(out)
-    assert (data["delta"], data["m"], data["m_structural"]) == (1, 2, 2)
+    assert (data["delta"], data["m"]) == (1, 2)
 
 
 def test_histogram_csv(capsys):
@@ -265,18 +264,6 @@ def test_oracle_failure_is_internal_error(capsys, monkeypatch, error):
     code, _, err = run(capsys, "angle-rank", "2.5.a_ab")
     assert code == 3
     assert err.startswith("error:") and "oracle gave up" in err
-
-
-def test_structural_torsion_failure_is_internal_error(capsys, monkeypatch):
-    # no base change up to the denominator bound turns torsion-free: an
-    # oracle inconsistency, not bad input
-    monkeypatch.setattr("weilsf.anglerank.angle_rank_numeric",
-                        lambda P, precision: SimpleNamespace(torsion_order=2))
-    with pytest.raises(DenominatorBoundExceeded):
-        torsion_order_structural(parse_label("2.5.a_ab"))
-    code, out, err = run(capsys, "angle-rank", "--structural-m", "2.5.a_ab")
-    assert code == 3 and json.loads(out)["kind"] == "internal"
-    assert "no torsion-free base change" in err
 
 
 def test_format_is_a_histogram_option(capsys):

@@ -97,6 +97,31 @@ class TestFactor:
         monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
         assert _pairs(parse_label(label)) == want
 
+    @pytest.mark.parametrize("s", [2, 3, 1 << 20])
+    def test_integer_roots_at_zero_and_both_ends_of_the_span(self, monkeypatch, s):
+        # H = (y + 2s) y (y - 2s) (y^2 - 2) over q = s^2: the roots -2 sqrt(q)
+        # and 2 sqrt(q) sit at the two ends of the span (-2s - 1, 2s] that
+        # the Sturm bisection starts from, 0 at its middle, and each is found
+        # while a quadratic is still left
+        monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
+        q = s * s
+        quartic = (1, 0, 2 * q - 2, 0, q * q)
+        P = validate(ip.poly_mul(ip.poly_mul(ip.poly_pow((1, 0, -q), 2), (1, 0, q)),
+                                 quartic), q)
+        assert P.h == ip.poly_mul((1, 0, -4 * q, 0), (1, 0, -2))
+        assert _pairs(P) == [((1, -s), 2), ((1, s), 2), ((1, 0, q), 1), (quartic, 1)]
+
+    def test_linear_factors_cost_log_q_divisions(self, count_calls):
+        # trial division over every a with a^2 <= 4q would make 2^21 + 1
+        # divisions here; the bisection divides only in the unit spans
+        # (-2, -1] and (1, 2] that hold the roots +-sqrt(2) of H = y^2 - 2
+        calls = count_calls("poly_div_if_exact")
+        q = 1 << 40
+        P = validate((1, 0, 2 * q - 2, 0, q * q), q)
+        assert P.h == (1, 0, -2)
+        assert _pairs(P) == [(P.coeffs, 1)]
+        assert len(calls) <= 4
+
     def test_corpus_factors_without_numeric_roots(self, monkeypatch, corpus):
         # every part of H has degree <= g <= 3 here
         monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)

@@ -3,15 +3,17 @@ equation, base-change laws, the supersingular triple equivalence, p-rank
 additivity and the mutual exclusivity of the surface splitting tests."""
 
 import random
+from math import gcd
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import classify
+from weilsf.classify import InvalidTrace, classify
+from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import base_change, factor
 from weilsf.weilpoly import parse_label, validate
 
-from conftest import PAPER_EXAMPLES
+from conftest import CORPUS_RANGES, PAPER_EXAMPLES
 
 
 def _sample(polys, k, seed):
@@ -53,6 +55,40 @@ def test_delta_invariant_under_base_change():
         d0 = angle_rank_numeric(P).delta
         for r in range(2, 7):
             assert angle_rank_numeric(base_change(P, r)).delta == d0, (label, r)
+
+
+def test_base_change_law(corpus):
+    # SF(P^(r)) = U(1)^delta x C_(m / gcd(m, r)): base change takes each
+    # normalized root to its r-th power, which keeps the free rank and maps
+    # C_m onto its r-th powers.  The law is group theory, so it holds for
+    # formal inputs too and no label is left out.  (delta, m) is classify(P).
+    # The classifier is checked at r = 2, 3 and m on every label and every
+    # elliptic curve over q <= 9; the oracle at r = m (a torsion-free base
+    # change) on every label with m > 1, at r = 2, 3 on every 8th label, and
+    # at r = 2..6 on eight paper examples and the curves 1.2.ab and 1.2.a.
+    labels = [(P, classify(P)) for gq in CORPUS_RANGES for P in corpus[gq]]
+    elliptic = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for P in enumerate_weil(1, q):
+            try:
+                elliptic.append((P, classify(P)))
+            except InvalidTrace:   # 1.8.ac and 1.8.c: no elliptic curve
+                pass
+    examples = [(P, classify(P)) for P in map(parse_label, (
+        "2.5.a_ab", "2.2.ab_b", "3.2.a_a_ac", "2.3.ac_c", "1.2.ab", "1.2.a",
+        "3.2.ad_f_ah", "2.2.ab_a", "2.2.ad_f", "3.2.ac_b_a"))]
+    checks = [(P, sf, r, classify) for P, sf in labels + elliptic
+              for r in {2, 3, sf.m}]
+    checks += [(P, sf, sf.m, angle_rank_numeric) for P, sf in labels if sf.m > 1]
+    checks += [(P, sf, r, angle_rank_numeric) for P, sf in labels[::8] for r in (2, 3)]
+    checks += [(P, sf, r, angle_rank_numeric) for P, sf in examples for r in range(2, 7)]
+    violations = []
+    for P, sf, r, route in checks:
+        got = route(base_change(P, r))
+        m = got.m if route is classify else got.torsion_order
+        if (got.delta, m) != (sf.delta, sf.m // gcd(sf.m, r)):
+            violations.append((P.label, r, route.__name__))
+    assert len(checks) == 4625 and violations == []
 
 
 def test_supersingular_triple_equivalence(corpus):

@@ -15,3 +15,28 @@ def test_no_assert_statements():
                 found.append("%s:%d" % (path.name, node.lineno))
     assert len(list(SRC.glob("*.py"))) >= 9
     assert found == []
+
+
+def _package_imports(path):
+    """The weilsf modules a source file imports, relative imports resolved."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("weilsf" + ("." + node.module if node.module else "")
+                      if node.level else node.module)
+            # `from . import m` and `from weilsf import m` import the module m
+            names = ([module + "." + a.name for a in node.names]
+                     if module == "weilsf" else [module])
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("weilsf."))
+    return found
+
+
+def test_oracle_imports_no_structural_module():
+    # the cross-check rests on two independent routes: the numeric oracle
+    # builds on the integer core and the root computation only, never on
+    # the factorization, base-change or classifier modules
+    assert _package_imports(SRC / "anglerank.py") == {"_intpoly", "weilpoly"}
