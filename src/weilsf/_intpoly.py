@@ -367,13 +367,26 @@ def squarefree_sturm_chain(c):
     return _sturm_chain(primitive(q))
 
 
-def _variations_at(chain, x):
+def scaled_value(c, x, k=0):
+    """2^(k deg c) c(x / 2^k) for an integer x: an integer of the sign of
+    c(x / 2^k), by Horner's rule on c_i 2^(k i)."""
+    v = 0
+    for i, ci in enumerate(c):
+        v = v * x + (ci << k * i)
+    return v
+
+
+def _variations_at(chain, x, k=0):
+    """Sign variations of the chain at x / 2^k (x an int, or a Fraction with
+    k = 0, or "+-inf")."""
     count = last = 0
     for i, poly in enumerate(chain):
         if x == "+inf":
             v = poly[0]
         elif x == "-inf":
             v = poly[0] if len(poly) % 2 else -poly[0]
+        elif k:
+            v = scaled_value(poly, x, k)
         else:
             v = 0
             for ci in poly:
@@ -397,3 +410,102 @@ def chain_count(chain, lo=None, hi=None):
     a = "-inf" if lo is None else lo
     b = "+inf" if hi is None else hi
     return _variations_at(chain, a) - _variations_at(chain, b)
+
+
+def isolate(chain, lo, hi, unit=False):
+    """Spans (l / 2^k, h / 2^k], as (l, h, k) from left to right, that hold
+    every root of the squarefree chain[0] in the integer span (lo, hi], one
+    root each; with unit=True, the unit spans (h - 1, h] (k = 0) that hold a
+    root, so that an integer root is the end h of its span.
+
+    A span that holds a root is bisected at the integer l + (h - l) // 2; a
+    unit span that must be split again is first taken to the scale 2^-(k+1).
+    Each end's sign variations are counted once.
+    """
+    out = []
+    spans = [(lo, hi, 0, _variations_at(chain, lo), _variations_at(chain, hi))]
+    while spans:                         # the leftmost span on top
+        l, h, k, vl, vh = spans.pop()
+        if vl == vh:
+            continue
+        if (h - l == 1) if unit else (vl - vh == 1):
+            out.append((l, h, k))
+            continue
+        if h - l == 1:
+            l, h, k = 2 * l, 2 * h, k + 1
+        m = (l + h) >> 1
+        vm = _variations_at(chain, m, k)
+        spans += [(m, h, k, vm, vh), (l, m, k, vl, vm)]
+    return out
+
+
+def _value_and_slope(c, x):
+    """c(x) and c'(x) by one Horner pass."""
+    v, dv = c[0], 0
+    for ci in c[1:]:
+        dv = dv * x + v
+        v = v * x + ci
+    return v, dv
+
+
+def _refine(cs, a, b, rising):
+    """Y with |Y - z| <= 2 for the root z in the open span (a, b) of the
+    integer polynomial cs, which is negative just right of a and positive
+    at b when `rising` (and the other way round otherwise).
+
+    Each step evaluates cs at Y and keeps the side of Y on which cs still
+    changes sign.  It then takes Newton's step Y - cs(Y) / cs'(Y) when that
+    stays inside and moves by less than a quarter of the span, bisects
+    otherwise, and probes two units towards the root once the step is at
+    most one unit.  A sign change across a span of width <= 4 certifies the
+    result; a zero of cs at Y is exact.
+    """
+    y = (a + b) >> 1
+    while b - a > 4:
+        v, dv = _value_and_slope(cs, y)
+        if not v:
+            return y
+        if (v > 0) == rising:
+            b = y
+        else:
+            a = y
+        step = (2 * v + dv) // (2 * dv) if dv else b - a   # nearest v / dv
+        if abs(step) <= 1:
+            y += 2 if (v > 0) != rising else -2
+        elif a < y - step < b and 4 * abs(step) < b - a:
+            y -= step
+        else:
+            y = (a + b) >> 1
+        y = min(max(y, a + 1), b - 1)
+    return (a + b) >> 1
+
+
+def real_roots(c, bound, bits):
+    """The real roots y of the squarefree monic integer polynomial c, which
+    all lie in (-bound, bound), ascending, in fixed point: integers Y with
+    |Y - 2^bits y| <= 2.
+
+    `isolate` puts each root in a span (l / 2^k, h / 2^k].  A root at h is
+    exact.  Otherwise `_refine` finds it on C(Y) = 2^(s n) c(Y / 2^s), n =
+    deg c, at the scale s = max(bits, k); its sign just right of l is that
+    of C(l), or of C'(l) where l is the root of the span to the left.
+    """
+    out = []
+    scaled = {}
+    for l, h, k in isolate(_sturm_chain(c), -bound, bound):
+        s = max(bits, k)
+        if s not in scaled:
+            scaled[s] = tuple([ci << (s * i) for i, ci in enumerate(c)])
+        cs = scaled[s]
+        a, b = l << (s - k), h << (s - k)
+        vb = scaled_value(cs, b)
+        if not vb:
+            y = b
+        else:
+            va, dva = _value_and_slope(cs, a)
+            if ((va or dva) > 0) == (vb > 0):
+                raise InvariantError("no sign change in an isolating span of %r" % (c,))
+            y = _refine(cs, a, b, vb > 0)
+        # to 2^-bits, rounding half up: |Y - 2^bits y| <= 2 still
+        out.append((y + (1 << (s - bits - 1))) >> (s - bits) if s > bits else y)
+    return out

@@ -3,28 +3,28 @@
 The multiplicative group U generated by the normalized Frobenius eigenvalues
 u_j = alpha_j/sqrt(q) is Z^delta + Z/m.  Writing theta_j for the angles,
 an element c of the relation lattice R = {c in Z^g : sum c_j theta_j in Z}
-is detected numerically: exact LLL reduction of the rows [e_j | N theta_j]
+is detected numerically: integral LLL reduction of the rows [e_j | N theta_j]
 and [0 | N] makes integer relations show up as short vectors.  Candidates are
 re-verified at doubled precision, the found lattice is saturated and its
 rational parts normalized with a denominator bound, and the Smith normal
 form of R then gives delta = g - rank(R) and m = largest elementary divisor.
 
-Everything after the angle computation is exact integer/rational linear
+The angles are exact dyadic Fractions within 2^-(precision + 32) of the
+true ones, and everything after them is exact integer/rational linear
 algebra, so the only numeric trust lives in the (doubly checked) residuals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 from ._intpoly import InvariantError, Record
-from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, mp, roots
+from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, roots
 
 DENOMINATOR_BOUND = 72
 COEFF_BOUND_PRESENTED = 12         # relations in the saturated presentation
 COEFF_BOUND_RAW = 12 * DENOMINATOR_BOUND
-LOVASZ = Fraction(99, 100)         # the delta of lll_reduce's Lovasz condition
 
 
 # Oracle failures are numeric or invariant failures, never bad input.
@@ -42,50 +42,94 @@ class InconsistentLattice(InvariantError):
 
 
 # ---------------------------------------------------------------------------
-# exact LLL on integer row bases
+# integral LLL on integer row bases
+
+
+def _nearest(a, b):
+    """The integer nearest a / b for b > 0, ties to even."""
+    r, rem = divmod(a, b)
+    return r + (2 * rem > b or 2 * rem == b and r & 1)
 
 
 def lll_reduce(rows):
-    """Exact LLL; Gram-Schmidt computed once, updated in place (Cohen, GTM 138, 2.6.3)."""
+    """LLL with Lovasz's delta = 99/100 on integer rows, in integers throughout
+    (Cohen, GTM 138, Alg. 2.6.7).
+
+    With Gram-Schmidt vectors b*_j, B_j = |b*_j|^2 and mu_ij, d_j is the
+    product of the nonzero B_i with i <= j (d_(-1) = 1) and lam[i][j] =
+    d_j mu_ij (mu_ij = 0 where B_j = 0).  Both are integers for dependent
+    rows too, because the nonzero b*_j are those of the rows outside the
+    span of the rows before them (as in MLLL, Alg. 2.6.8).  Each step
+    size-reduces row k against rows k-1, ..., 0 (mu rounded to the nearest
+    integer, ties to even), then tests Lovasz's condition and either
+    moves on or swaps rows k-1 and k; a swap with a dependent row k
+    (B_k = 0) has its own update.
+    """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
+    d = [1] * (n + 1)      # d[j] is d_(j-1): d[0] = d_(-1) = 1
+    zero = [False] * n     # B_j = 0
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = sum(x * y for x, y in zip(b[i], b[j])) - sum(
-                mu[i][t] * mu[j][t] * B[t] for t in range(j))
-            if j == i:
-                B[i] = Fraction(s)
-            elif B[j]:
-                mu[i][j] = s / B[j]
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = 0 if zero[j] else u
+            else:
+                zero[i] = not u
+                d[i + 1] = u or d[i]
 
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round(mu[k][j])
+            if not zero[j] and 2 * abs(lk[j]) > d[j + 1]:
+                r = _nearest(lk[j], d[j + 1])
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 for t in range(j):
-                    mu[k][t] -= r * mu[j][t]
-                mu[k][j] -= r
-        m = mu[k][k - 1]
-        if B[k] >= (LOVASZ - m ** 2) * B[k - 1]:
+                    lk[t] -= r * lam[j][t]
+                lk[j] -= r * d[j + 1]
+        lm = lk[k - 1]
+        if zero[k - 1]:     # mu = 0 and B_(k-1) = 0: the condition holds
             k += 1
+            continue
+        if zero[k]:         # 0 >= (delta - mu^2) B_(k-1)
+            keep = 100 * lm * lm >= 99 * d[k] ** 2
         else:
-            bn = B[k] + m ** 2 * B[k - 1]   # 0 only for a dependent b_k with m = 0
-            if bn:
-                mu[k][k - 1] = m * B[k - 1] / bn
-            B[k], B[k - 1] = B[k - 1] * B[k] / bn if bn else B[k - 1], bn
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+            keep = 100 * (d[k + 1] * d[k - 1] + lm * lm) >= 99 * d[k] ** 2
+        if keep:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        old = d[k]
+        if not zero[k]:
+            new = (d[k - 1] * d[k + 1] + lm * lm) // old
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-                if not B[k]:    # dependent b_k: keep mu[i][j] = 0 where B[j] = 0
-                    mu[i][k] = Fraction(0)
-            k = max(k - 1, 1)
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // old
+                lam[i][k - 1] = (new * t + lm * lam[i][k]) // d[k + 1]
+            d[k] = new
+        elif lm:
+            # the dependent row moves to k-1 with B = mu^2 B_(k-1), and the
+            # row it passes becomes dependent: d_j for j >= k-1 and
+            # lam[i][j] for j > k scale by mu^2
+            new = lm * lm // old
+            for i in range(k + 1, n):
+                lam[i][k - 1] = lm * lam[i][k - 1] // old
+                for j in range(k + 1, i):
+                    lam[i][j] = lam[i][j] * new // old
+            for j in range(k, n + 1):
+                d[j] = d[j] * new // old
+        else:
+            # the dependent row moves down: B_(k-1) = 0, B_k = old B_(k-1)
+            zero[k - 1], zero[k] = True, False
+            for i in range(k + 1, n):
+                lam[i][k], lam[i][k - 1] = lam[i][k - 1], 0
+            d[k] = d[k - 1]
+        k = max(k - 1, 1)
     return b
 
 
@@ -250,22 +294,20 @@ class RelationLattice(Record):
 
 
 def _residual_to_int(thetas, c):
-    x = mp.fsum(ci * t for ci, t in zip(c, thetas))
-    return abs(x - mp.nint(x))
+    x = sum(ci * t for ci, t in zip(c, thetas))
+    return abs(x - round(x))
 
 
 def _nearest_fraction(x, max_den):
     """Closest a/b to x mod 1 with 1 <= b <= max_den; (a, b, error).
 
-    The fraction comes from the exact binary value of x mod 1 by continued
+    The fraction comes from the exact value of x mod 1 by continued
     fractions (Fraction.limit_denominator), in lowest terms.
     """
-    xf = x - mp.floor(x)
-    man, exp = xf.man_exp
-    exact = Fraction(int(man) << max(exp, 0), 1 << max(-exp, 0))
-    best = exact.limit_denominator(max_den)
+    xf = x - floor(x)
+    best = xf.limit_denominator(max_den)
     a, b = best.numerator, best.denominator
-    return a % b, b, abs(xf - mp.mpf(a) / b)
+    return a % b, b, abs(xf - best)
 
 
 def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
@@ -273,80 +315,71 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g = P.g
-    rs = roots(P, precision)
-    with mp.workprec(precision + 32):
-        thetas = [mp.mpf(t) for t in rs.thetas]
-        n_scale = 1 << (precision // 2)
-        rows = []
-        for j in range(g):
-            row = [0] * g + [int(mp.nint(thetas[j] * n_scale))]
-            row[j] = 1
-            rows.append(row)
-        rows.append([0] * g + [n_scale])
-        reduced = lll_reduce(rows)
-        accept_tol = mp.mpf(2) ** (-(precision // 4))
-        candidates = []
-        for row in reduced:
-            c = tuple(row[:g])
-            if not any(c):
-                continue
-            norm1 = sum(abs(x) for x in c)
-            if max(abs(x) for x in c) > COEFF_BOUND_RAW:
-                continue
-            if _residual_to_int(thetas, c) < accept_tol * max(norm1, 1):
-                candidates.append(c)
+    thetas = roots(P, precision).thetas
+    n_scale = 1 << (precision // 2)
+    rows = []
+    for j in range(g):
+        row = [0] * g + [round(thetas[j] * n_scale)]
+        row[j] = 1
+        rows.append(row)
+    rows.append([0] * g + [n_scale])
+    accept_tol = Fraction(1, 1 << (precision // 4))
+    candidates = []
+    for row in lll_reduce(rows):
+        c = tuple(row[:g])
+        if not any(c) or max(abs(x) for x in c) > COEFF_BOUND_RAW:
+            continue
+        if _residual_to_int(thetas, c) < accept_tol * sum(abs(x) for x in c):
+            candidates.append(c)
     if not candidates:
         return RelationLattice(g=g, precision=precision, relations=(),
-                               rank=0, torsion_order=1, thetas=rs.thetas, basis=())
+                               rank=0, torsion_order=1, thetas=thetas, basis=())
     # doubled-precision verification of every accepted candidate
-    rs2 = roots(P, 2 * precision)
-    with mp.workprec(2 * precision + 32):
-        thetas2 = [mp.mpf(t) for t in rs2.thetas]
-        verify_tol = mp.mpf(2) ** (-precision)
-        for c in candidates:
-            if _residual_to_int(thetas2, c) >= verify_tol:
-                raise UnverifiedRelation(
-                    "candidate %r fails at doubled precision; raise precision" % (c,))
-        # saturate and attach rational parts
-        sat = saturate_lattice(candidates, g)
-        rank = len(sat)
-        presented = []
-        scaled_rows = []
-        denoms = []
-        for vec in sat:
-            x = mp.fsum(ci * t for ci, t in zip(vec, thetas2))
-            a, b, err = _nearest_fraction(x, DENOMINATOR_BOUND)
-            if err >= verify_tol:
-                raise DenominatorBoundExceeded(
-                    "relation %r has no denominator <= %d" % (vec, DENOMINATOR_BOUND))
-            if max(abs(t) for t in vec) > COEFF_BOUND_PRESENTED:
-                raise InconsistentLattice(
-                    "presented relation %r exceeds the coefficient bound" % (vec,))
-            presented.append((tuple(vec), a, b))
-            denoms.append(b)
-        # R = {c in span : value is an integer}: kernel of t -> sum t_i a_i/b_i mod 1
-        big_d = lcm(*denoms) if denoms else 1
-        kernel_rows = [[(presented[i][1] * big_d) // presented[i][2]
-                        for i in range(rank)] + [big_d]]
-        tker = integer_kernel(kernel_rows, rank + 1)
-        rbasis = []
-        for tv in tker:
-            coeffs = tv[:rank]
-            vec = [sum(coeffs[i] * sat[i][j] for i in range(rank)) for j in range(g)]
-            if any(vec):
-                rbasis.append(vec)
-        divisors, _ = smith_normal_form(rbasis, g)
-        if len(divisors) != rank:
-            raise InconsistentLattice("relation lattice rank drifted")
-        for d in divisors[:-1]:
-            if d != 1:
-                raise InconsistentLattice(
-                    "torsion is not cyclic: divisors %r" % (divisors,))
-        m = divisors[-1] if divisors else 1
-        if m > DENOMINATOR_BOUND:
-            raise DenominatorBoundExceeded("torsion order %d > %d" % (m, DENOMINATOR_BOUND))
+    thetas2 = roots(P, 2 * precision).thetas
+    verify_tol = Fraction(1, 1 << precision)
+    for c in candidates:
+        if _residual_to_int(thetas2, c) >= verify_tol:
+            raise UnverifiedRelation(
+                "candidate %r fails at doubled precision; raise precision" % (c,))
+    # saturate and attach rational parts
+    sat = saturate_lattice(candidates, g)
+    rank = len(sat)
+    presented = []
+    denoms = []
+    for vec in sat:
+        x = sum(ci * t for ci, t in zip(vec, thetas2))
+        a, b, err = _nearest_fraction(x, DENOMINATOR_BOUND)
+        if err >= verify_tol:
+            raise DenominatorBoundExceeded(
+                "relation %r has no denominator <= %d" % (vec, DENOMINATOR_BOUND))
+        if max(abs(t) for t in vec) > COEFF_BOUND_PRESENTED:
+            raise InconsistentLattice(
+                "presented relation %r exceeds the coefficient bound" % (vec,))
+        presented.append((tuple(vec), a, b))
+        denoms.append(b)
+    # R = {c in span : value is an integer}: kernel of t -> sum t_i a_i/b_i mod 1
+    big_d = lcm(*denoms) if denoms else 1
+    kernel_rows = [[(presented[i][1] * big_d) // presented[i][2]
+                    for i in range(rank)] + [big_d]]
+    tker = integer_kernel(kernel_rows, rank + 1)
+    rbasis = []
+    for tv in tker:
+        coeffs = tv[:rank]
+        vec = [sum(coeffs[i] * sat[i][j] for i in range(rank)) for j in range(g)]
+        if any(vec):
+            rbasis.append(vec)
+    divisors, _ = smith_normal_form(rbasis, g)
+    if len(divisors) != rank:
+        raise InconsistentLattice("relation lattice rank drifted")
+    for d in divisors[:-1]:
+        if d != 1:
+            raise InconsistentLattice(
+                "torsion is not cyclic: divisors %r" % (divisors,))
+    m = divisors[-1] if divisors else 1
+    if m > DENOMINATOR_BOUND:
+        raise DenominatorBoundExceeded("torsion order %d > %d" % (m, DENOMINATOR_BOUND))
     return RelationLattice(g=g, precision=precision,
                            relations=tuple(presented), rank=rank,
-                           torsion_order=m, thetas=rs.thetas,
+                           torsion_order=m, thetas=thetas,
                            basis=tuple(tuple(r) for r in rbasis))
 

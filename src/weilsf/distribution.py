@@ -31,7 +31,7 @@ from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
-from .weilpoly import DEFAULT_PRECISION, WeilError, mp, roots
+from .weilpoly import DEFAULT_PRECISION, WeilError, roots
 
 BLOCK = 1 << 16                 # samples per kernel pass and partial sum
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
@@ -57,9 +57,7 @@ def _fixed_point_angles(thetas, N, precision):
     if N > 1 << (eff - 32):
         raise PrecisionLoss(
             "N = %d loses angle accuracy at precision %d" % (N, precision))
-    with mp.workprec(precision + 32):
-        scale = mp.mpf(2) ** 64
-        return [int(mp.nint(t * scale)) % (1 << 64) for t in thetas]
+    return [round(t * (1 << 64)) % (1 << 64) for t in thetas]
 
 
 def _trace_chunks(ms, N):

@@ -7,7 +7,7 @@ factors of H are its integer roots a with a^2 <= 4q, isolated by Sturm
 bisection; a remainder of degree <= 3 without them is irreducible, so for
 g <= 3 the factorization is exact arithmetic throughout.  Only a remainder
 of degree >= 4 is split by reconstructing candidate divisors from subsets
-of its high-precision real roots, kept only when they divide exactly.  The
+of its fixed-point real roots, kept only when they divide exactly.  The
 factors of H are pulled back to the factors of P, whose product is checked
 against P.
 """
@@ -20,9 +20,9 @@ from math import isqrt, lcm
 
 from . import _intpoly as ip
 from .newton import newton_class
-from .weilpoly import (DEFAULT_PRECISION, WeilPolynomial, WeilError, _real_roots,
-                       factor_prime_power, mp, real_weil_transform, validate,
-                       weil_pullback)
+from .weilpoly import (DEFAULT_PRECISION, GUARD_BITS, WeilPolynomial, WeilError,
+                       factor_prime_power, real_roots_bound, real_weil_transform,
+                       validate, weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 TORSION_SEARCH_BOUND = 72
@@ -56,55 +56,51 @@ def _split_real_rooted(h, q, precision):
     real and lie in [-2 sqrt(q), 2 sqrt(q)].
 
     A linear factor y - a of the monic h has an integer root a with
-    a^2 <= 4q.  Bisecting (-isqrt(4q) - 1, isqrt(4q)] by the Sturm chain of
-    h down to unit spans (lo, lo + 1] isolates every such a, so a division
-    by y - (lo + 1) only where a span holds a root strips every linear
-    factor exactly, with O(g log q) chain evaluations (a linear remainder
-    ends the search: it is a factor).  What is left has no linear factor,
-    so it is irreducible when its degree is at most 3.  Only a remainder of
-    degree >= 4 (g >= 4) is searched numerically: subsets of its roots are
-    tried smallest first, from size 2; the product over a subset is rounded
-    to integers and kept only if it divides what is left of h exactly.  The k
+    a^2 <= 4q.  `_intpoly.isolate` bisects (-isqrt(4q) - 1, isqrt(4q)] by
+    the Sturm chain of h down to the unit spans (a - 1, a] that hold a root,
+    so a division by y - a only there strips every linear factor exactly,
+    with O(g log q) chain evaluations (a linear remainder takes no
+    division: it is a factor).  What is left has no linear factor, so it
+    is irreducible when its degree is at most 3.  Only a remainder of
+    degree >= 4 (g >= 4) is searched numerically, on its certified
+    fixed-point roots: subsets of them are tried smallest first, from size
+    2; the product over a subset is rounded to integers and kept only if it
+    divides what is left of h exactly.  The k
     roots where a kept factor of degree k is smallest (its own roots) then
     leave the search, so every kept factor has the least degree of any
     factor left and is irreducible, and so is a remainder with no factor of
     at most half its degree.
     """
     found = []
-    chain = ip._sturm_chain(h)
-    bound = isqrt(4 * q)
-    spans = [(-bound - 1, bound)]
-    while spans and ip.degree(h) > 1:   # (lo, hi] spans, the leftmost on top
-        lo, hi = spans.pop()
-        if not ip.chain_count(chain, lo, hi):
-            continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            spans += [(mid, hi), (lo, mid)]
-        elif (rest := ip.poly_div_if_exact(h, (1, -hi))) is not None:
-            found.append((1, -hi))
+    for _, a, _ in ip.isolate(ip._sturm_chain(h), -isqrt(4 * q) - 1, isqrt(4 * q),
+                              unit=True):
+        if ip.degree(h) > 1 and (rest := ip.poly_div_if_exact(h, (1, -a))) is not None:
+            found.append((1, -a))
             h = rest
     if ip.degree(h) <= 3:
         return found + ([h] if ip.degree(h) else [])
-    with mp.workprec(precision + 32):
-        ys = _real_roots(h, precision)
+    # roots Y / 2^bits within 2^(1 - bits); a product over k of them is
+    # 2^(-k bits) prod (2^bits T - Y), rounded to the nearest integers
+    bits = precision + GUARD_BITS
+    ys = ip.real_roots(h, real_roots_bound(q), bits)
+    k = 2
+    while k <= ip.degree(h) // 2:
+        for subset in itertools.combinations(ys, k):
+            cand = (1,)
+            for y in subset:
+                cand = ip.poly_mul(cand, (1 << bits, -y))
+            half = 1 << (k * bits - 1)
+            d = tuple([(c + half) >> (k * bits) for c in cand])
+            rest = ip.poly_div_if_exact(h, d)
+            if rest is not None:
+                break
+        else:
+            k += 1
+            continue
+        found.append(d)
+        h = rest
+        ys = sorted(ys, key=lambda y: abs(ip.scaled_value(d, y, bits)))[k:]
         k = 2
-        while k <= ip.degree(h) // 2:
-            for subset in itertools.combinations(ys, k):
-                cand = [mp.mpf(1)]
-                for y in subset:   # cand *= (T - y)
-                    cand = [a - y * b for a, b in zip(cand + [0], [0] + cand)]
-                d = tuple(int(mp.nint(c)) for c in cand)
-                rest = ip.poly_div_if_exact(h, d)
-                if rest is not None:
-                    break
-            else:
-                k += 1
-                continue
-            found.append(d)
-            h = rest
-            ys = sorted(ys, key=lambda y: abs(mp.polyval(d, y)))[k:]
-            k = 2
     return found + [h]
 
 
@@ -249,9 +245,16 @@ def _scaled_cyclotomic(m, scale):
 def _orders_upto(bound):
     """(n, phi(n)) for every n with phi(n) <= bound, ascending.  A prime
     power p^k exactly dividing n contributes p^(k-1) (p - 1) >= p^(k/2) to
-    phi(n), or 2^((k-1)/2) if p = 2, so phi(n) >= sqrt(n/2): n <= 2 bound^2."""
-    return tuple([(n, phi) for n in range(1, 2 * bound * bound + 1)
-                  if (phi := ip.euler_phi(n)) <= bound])
+    phi(n), or 2^((k-1)/2) if p = 2, so phi(n) >= sqrt(n/2): n <= 2 bound^2.
+    One sieve gives phi over that range: each prime p takes phi(m) to
+    phi(m) (1 - 1/p) at its multiples m."""
+    top = 2 * bound * bound
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    return tuple([(n, phi[n]) for n in range(1, top + 1) if phi[n] <= bound])
 
 
 def cyclotomic_orders(c, scale):

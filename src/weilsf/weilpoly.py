@@ -14,8 +14,9 @@ from __future__ import annotations
 import importlib.util
 import operator
 import sys
+from fractions import Fraction
 from functools import lru_cache
-from math import comb, log2
+from math import comb, isqrt, log2
 
 from . import _intpoly as ip
 
@@ -37,12 +38,8 @@ def _lazy(name):
     return module
 
 
-# mpmath serves only the numeric layer (roots, the factor search for g >= 4,
-# the LLL oracle, the trace angles): the exact classifier path never runs it.
-# The package binds it here alone; the other modules import this binding.
-mp = _lazy("mpmath")
-
 DEFAULT_PRECISION = 256
+GUARD_BITS = 32          # roots(P, precision) works with precision + 32 fractional bits
 
 
 class WeilError(ValueError):
@@ -327,23 +324,92 @@ def format_label(P):
 
 
 # ---------------------------------------------------------------------------
-# high-precision roots with the non-decreasing angle convention
+# fixed point: the integer X stands for X / 2^bits
+
+
+@lru_cache(maxsize=8)
+def _pi(bits):
+    """2^bits pi within one unit, from Machin's pi = 16 atan(1/5) - 4 atan(1/239)."""
+    b = bits + 20
+
+    def atan_inv(n):   # 2^b atan(1/n), within two units per term
+        total, power, j = 0, (1 << b) // n, 0
+        while power:
+            total += -(power // (2 * j + 1)) if j & 1 else power // (2 * j + 1)
+            power //= n * n
+            j += 1
+        return total
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> 20
+
+
+def _arg(x, s, bits):
+    """2^bits atan2(s, x) in [0, 2^bits pi] for integers s >= 0 and x, not
+    both 0, within one unit.
+
+    For x >= 0, k = bits.bit_length() halvings (x, s) -> (x + |(x, s)|, s)
+    take the angle below 2^-k, where the Taylor series of atan(s / x) needs
+    about bits / 2k terms; the k + 12 guard bits of the working scale f
+    absorb the factor 2^k on its rounding errors.
+    """
+    if x < 0:
+        return _pi(bits) - _arg(-x, s, bits)
+    k = bits.bit_length()
+    f = bits + k + 12
+    shift = max(0, f + 1 - max(x, s).bit_length())   # |(x, s)| >= 2^f
+    x, s = x << shift, s << shift
+    for _ in range(k):
+        x += isqrt(x * x + s * s)
+    t = (s << f) // x
+    t2 = t * t >> f
+    total, power, j = 0, t, 0
+    while power:
+        total += -(power // (2 * j + 1)) if j & 1 else power // (2 * j + 1)
+        power = power * t2 >> f
+        j += 1
+    return ((total << k) + (1 << (f - bits - 1))) >> (f - bits)
+
+
+def _cis(phi, bits):
+    """(2^bits cos(phi / 2^bits), 2^bits sin(phi / 2^bits)) for phi >= 0,
+    within a few units: the Taylor series at phi / 2^k, k = bits.bit_length(),
+    then k double-angle steps, which double the error each; the working
+    scale f carries k + 12 guard bits."""
+    k = bits.bit_length()
+    f = bits + k + 12
+    x = (phi << (f - bits)) >> k
+    c = s = j = 0
+    term = 1 << f                    # x^j / j!
+    while term:
+        if j & 1:
+            s += -term if j & 2 else term
+        else:
+            c += -term if j & 2 else term
+        j += 1
+        term = term * x // (j << f)
+    for _ in range(k):
+        c, s = (c * c - s * s) >> f, (c * s) >> (f - 1)
+    return c >> (f - bits), s >> (f - bits)
+
+
+# ---------------------------------------------------------------------------
+# certified roots with the non-decreasing angle convention
 
 
 class RootSystem(ip.Record):
-    """Roots of P at a fixed precision, paired and angle-ordered.
+    """The angles of the roots of P, paired and ordered, from the fixed
+    point computation at ``precision`` + GUARD_BITS fractional bits.
 
-    ``roots[j]`` for j < g are the representatives with angle in [0, 1/2],
-    sorted by non-decreasing angle, and ``roots[g+j] = q / roots[j]`` is the
-    complex conjugate partner.  ``angles[j]`` is theta_j in [0,1) with
-    ``roots[j] = sqrt(q) exp(2 pi i theta_j)``.
+    ``angles[j]`` for j < g is theta_j in [0, 1/2], non-decreasing, with
+    sqrt(q) exp(2 pi i theta_j) a root of P; ``angles[g+j]`` is the angle
+    1 - theta_j (0 for theta_j = 0) of its complex conjugate q / root.  Each
+    is an exact dyadic Fraction within 2^-(precision + GUARD_BITS) of the
+    true angle; 0 and 1/2, the angles of the real roots +-sqrt(q), are exact.
     """
 
     g: int
     q: int
     precision: int
-    roots: tuple      # 2g mpmath mpc values
-    angles: tuple     # 2g mpmath mpf values in [0, 1)
+    angles: tuple     # 2g Fractions in [0, 1)
 
     @property
     def thetas(self):
@@ -351,36 +417,59 @@ class RootSystem(ip.Record):
         return self.angles[:self.g]
 
 
-def _real_roots(c, precision):
-    """Roots of a squarefree, real-rooted monic integer polynomial at the
-    caller's working precision: none for a constant, exact for a linear c."""
-    if ip.degree(c) == 1:
-        return [mp.mpf(-c[1])]
-    # polyroots of a constant is empty
-    return [mp.re(y) for y in mp.polyroots([mp.mpf(x) for x in c],
-                                           maxsteps=200, extraprec=precision // 2)]
+def real_roots_bound(q):
+    """An integer bound on |y| over the roots y of H: 2 sqrt(q) < isqrt(4q) + 1."""
+    return isqrt(4 * q) + 1
 
 
-def _angles_of_part(part, q, precision):
+def _angles_of_part(part, q, bits):
     """Angles theta in [0, 1/2] of the roots y = 2 sqrt(q) cos(2 pi theta) of
-    one squarefree factor of H.
+    one squarefree factor of H, as Fractions with denominator 2^bits.
 
     The edge roots y = +-2 sqrt(q) (theta = 0, 1/2) are the roots of
-    gcd(part, y^2 - 4q) and are exact; the others are solved numerically.
+    gcd(part, y^2 - 4q) and are exact.  The resultant of the rest with
+    y^2 - 4q is a nonzero integer, so each of its n roots has
+    4q - y^2 >= (4q)^(1-n): sqrt(4q - y^2) = 2 sqrt(q) sin(2 pi theta) is at
+    least 2^-e, e = ((n - 1) bitlen(4q) + 1) // 2.  Solved within 2 units at
+    bits + e fractional bits, y leaves 2 pi theta within 2^(1 - bits) as the
+    angle of (y, sqrt(4q - y^2)).
     """
     edge = ip.poly_gcd(part, (1, 0, -4 * q))
     inner = ip.poly_div_if_exact(part, edge)
     thetas = []
     if ip.degree(edge) == 2:
-        thetas = [mp.mpf(0), mp.mpf(0.5)]
+        thetas = [Fraction(0), Fraction(1, 2)]
     elif ip.degree(edge) == 1:
-        thetas = [mp.mpf(0) if edge[1] < 0 else mp.mpf(0.5)]
-    # the clamp only absorbs rounding: Res(inner, y^2 - 4q) is a nonzero
-    # integer, so no inner root lies within (4q)^-g of the edge
-    two_sqrtq = 2 * mp.sqrt(q)
-    thetas += [mp.acos(max(-1, min(1, y / two_sqrtq))) / (2 * mp.pi)
-               for y in _real_roots(inner, precision)]
+        thetas = [Fraction(0) if edge[1] < 0 else Fraction(1, 2)]
+    if ip.degree(inner) == 0:
+        return thetas
+    n = ip.degree(inner)
+    s = bits + ((n - 1) * (4 * q).bit_length() + 1) // 2
+    four_q, f = 4 * q << 2 * s, bits + 8
+    pi = _pi(f)
+    for y in ip.real_roots(inner, real_roots_bound(q), s):
+        phi = _arg(y, isqrt(max(four_q - y * y, 0)), f)
+        # theta = phi / 2 pi, rounded to the nearest 2^-bits
+        thetas.append(Fraction(((phi << bits + 1) + 2 * pi) // (4 * pi), 1 << bits))
     return thetas
+
+
+def _residual_exceeds(P, thetas, precision):
+    """Whether |P(root)| >= 2^(-precision/2) q^g for one of the roots
+    sqrt(q) exp(2 pi i theta) rebuilt from the angles, in Gaussian fixed
+    point at precision + GUARD_BITS fractional bits."""
+    f = precision + GUARD_BITS
+    pi, sqrtq = _pi(f), isqrt(P.q << 2 * f)
+    tol = P.q ** P.g << (f - precision // 2)
+    for t in thetas:
+        c, s = _cis(2 * pi * t.numerator // t.denominator, f)
+        ar, ai = sqrtq * c >> f, sqrtq * s >> f
+        zr, zi = 0, 0
+        for a in P.coeffs:
+            zr, zi = ((zr * ar - zi * ai) >> f) + (a << f), (zr * ai + zi * ar) >> f
+        if zr * zr + zi * zi >= tol * tol:
+            return True
+    return False
 
 
 def roots(P, precision=DEFAULT_PRECISION):
@@ -390,28 +479,20 @@ def roots(P, precision=DEFAULT_PRECISION):
     y_j = 2 sqrt(q) cos(2 pi theta_j), one per conjugate pair of roots of P
     (Kedlaya's real-root reduction).  H is split into squarefree parts
     exactly; a root of a part of multiplicity e gives its angle e times.
+    Each root of a part is certified by an exact sign change (see
+    `_intpoly.real_roots`), and its angle is a fixed-point arctangent.
     Deterministic for fixed (P, precision); raises NonConvergence when the
-    residual of P at a computed root exceeds 2^(-precision/2) * q^g.
+    residual of P at a root rebuilt from its angle exceeds
+    2^(-precision/2) * q^g.
     """
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g, q = P.g, P.q
-    with mp.workprec(precision + 32):
-        thetas = sorted(t for part, mult in ip.squarefree_decomposition(P.h)
-                        for t in _angles_of_part(part, q, precision)
-                        for _ in range(mult))
-        sqrtq = mp.sqrt(q)
-        first = [sqrtq * mp.expjpi(2 * t) for t in thetas]
-        tol = mp.mpf(2) ** (-(precision // 2)) * mp.mpf(q) ** g
-        coeffs_mp = [mp.mpf(c) for c in P.coeffs]
-        for r in first:
-            residual = abs(mp.polyval(coeffs_mp, r))
-            if residual >= tol:
-                raise NonConvergence(
-                    "residual %s exceeds tolerance at precision %d"
-                    % (mp.nstr(residual), precision))
-        all_roots = tuple(first) + tuple(mp.conj(r) for r in first)
-        all_angles = tuple(thetas) + tuple(
-            (1 - t) if t > 0 else mp.mpf(0) for t in thetas)
-        return RootSystem(g=g, q=q, precision=precision,
-                          roots=all_roots, angles=all_angles)
+    thetas = sorted(t for part, mult in ip.squarefree_decomposition(P.h)
+                    for t in _angles_of_part(part, q, precision + GUARD_BITS)
+                    for _ in range(mult))
+    if _residual_exceeds(P, thetas, precision):
+        raise NonConvergence("a residual exceeds the tolerance at precision %d"
+                             % precision)
+    angles = tuple(thetas) + tuple(1 - t if t else t for t in thetas)
+    return RootSystem(g=g, q=q, precision=precision, angles=angles)

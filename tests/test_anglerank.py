@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,10 +19,9 @@ from weilsf.weilpoly import DEFAULT_PRECISION, parse_label, roots, validate
 
 def _relation_lattice_rows(P, precision):
     """The rows [e_j | N theta_j] and [0 | N] that angle_rank_numeric reduces."""
-    with mp.workprec(precision + 32):
-        n_scale = 1 << (precision // 2)
-        rows = [[int(i == j) for i in range(P.g)] + [int(mp.nint(mp.mpf(t) * n_scale))]
-                for j, t in enumerate(roots(P, precision).thetas)]
+    n_scale = 1 << (precision // 2)
+    rows = [[int(i == j) for i in range(P.g)] + [round(t * n_scale)]
+            for j, t in enumerate(roots(P, precision).thetas)]
     return rows + [[0] * P.g + [n_scale]]
 
 
@@ -179,16 +179,13 @@ class TestAngleRank:
             assert (a.delta, a.torsion_order) == (b.delta, b.torsion_order)
 
     def test_relations_verify_to_double_precision(self):
-        import mpmath as mp
-        from weilsf.weilpoly import roots
         P = parse_label("3.2.a_a_ac")
         lat = angle_rank_numeric(P, 256)
         rs = roots(P, 512)
-        with mp.workprec(544):
-            for c, a, b in lat.relations:
-                x = mp.fsum(ci * t for ci, t in zip(c, rs.thetas))
-                err = abs(x - mp.mpf(a) / b - mp.nint(x - mp.mpf(a) / b))
-                assert err < mp.mpf(2) ** -256
+        assert lat.relations
+        for c, a, b in lat.relations:
+            x = sum(ci * t for ci, t in zip(c, rs.thetas)) - Fraction(a, b)
+            assert abs(x - round(x)) < Fraction(1, 2 ** 256)
 
     def test_presented_coefficient_bound(self):
         for label, _, _ in KNOWN:
@@ -201,10 +198,10 @@ class TestAngleRank:
 def _nearest_fraction_by_search(x, max_den):
     """The search over every denominator that _nearest_fraction replaced."""
     best = None
-    xf = x - mp.floor(x)
+    xf = x - math.floor(x)
     for b in range(1, max_den + 1):
-        a = int(mp.nint(xf * b))
-        err = abs(xf - mp.mpf(a) / b)
+        a = round(xf * b)
+        err = abs(xf - Fraction(a, b))
         if best is None or err < best[2]:
             best = (a % b, b, err)
             if err == 0:
@@ -221,14 +218,13 @@ def test_nearest_fraction_matches_the_search(corpus, count_calls):
         angle_rank_numeric(P, DEFAULT_PRECISION)
     assert len(calls) >= 30
     rng = random.Random(5)
-    with mp.workprec(2 * DEFAULT_PRECISION + 32):
-        for b in range(1, DENOMINATOR_BOUND + 1):
-            for a in {0, 1, b // 2, b - 1, rng.randrange(b)}:
-                for noise in (0, 1, -1):
-                    x = mp.mpf(a) / b + rng.randrange(-3, 4) + noise * mp.mpf(2) ** -300
-                    calls.append((x, DENOMINATOR_BOUND))
-        for x, max_den in calls:
-            assert _nearest_fraction(x, max_den) == _nearest_fraction_by_search(x, max_den)
+    for b in range(1, DENOMINATOR_BOUND + 1):
+        for a in {0, 1, b // 2, b - 1, rng.randrange(b)}:
+            for noise in (0, 1, -1):
+                x = Fraction(a, b) + rng.randrange(-3, 4) + noise * Fraction(1, 2 ** 300)
+                calls.append((x, DENOMINATOR_BOUND))
+    for x, max_den in calls:
+        assert _nearest_fraction(x, max_den) == _nearest_fraction_by_search(x, max_den)
 
 
 @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))
@@ -239,7 +235,7 @@ def test_pslq_agrees_with_the_lattice(label):
     P = parse_label(label)
     lat = angle_rank_numeric(P, 256)
     with mp.workprec(256):
-        thetas = [mp.mpf(t) for t in roots(P, 256).thetas]
+        thetas = [mp.mpf(t.numerator) / t.denominator for t in roots(P, 256).thetas]
         # enough steps that None means no relation within maxcoeff
         rel = mp.pslq(thetas + [mp.mpf(1)], maxcoeff=COEFF_BOUND_RAW, maxsteps=10 ** 4)
     assert (rel is None) == (lat.rank == 0)

@@ -430,39 +430,22 @@ def test_classifier_path_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_exact_path_loads_no_mpmath():
-    # mpmath serves the numeric layer only and runs on its first use;
-    # "mpmath.libmp" is imported only when mpmath's own code runs
+def test_no_path_loads_mpmath():
+    # the numeric layer works on Python integers: neither the oracle, the
+    # trace functions nor the factor search for g >= 4 imports mpmath
     proc = fresh_python(textwrap.dedent("""
         import sys
         import weilsf, weilsf.cli
-        assert "mpmath.libmp" not in sys.modules, "import"
-        P = weilsf.parse_label("3.2.ad_f_ah")
-        assert weilsf.report(P)["provenance"] == "X-A"
-        assert "mpmath.libmp" not in sys.modules, "report on X-A"
-        Q = weilsf.parse_label("3.2.ac_b_a")
-        assert weilsf.report(Q)["provenance"] == "X-D:Table6:oracle"
-        assert "mpmath.libmp" not in sys.modules, "report on X-D"
-        weilsf.angle_rank_numeric(Q)
-        assert "mpmath.libmp" in sys.modules, "the oracle"
-        import mpmath
-        assert mpmath is weilsf.weilpoly.mp, "a second mpmath"
-    """))
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_one_mpmath_when_imported_first():
-    # an mpmath imported before weilsf is the one every module binds, so
-    # mp.workprec in a caller governs the package
-    proc = fresh_python(textwrap.dedent("""
-        import sys
-        import mpmath
-        import weilsf, weilsf.cli
-        weilsf.distribution.histogram   # run the lazily loaded trace layer too
-        bound = {name: vars(m)["mp"] for name, m in list(sys.modules.items())
-                 if name.startswith("weilsf") and "mp" in vars(m)}
-        assert {"weilsf.weilpoly", "weilsf.polyarith", "weilsf.anglerank",
-                "weilsf.distribution"} <= set(bound), bound
-        assert all(m is mpmath for m in bound.values()), bound
+        P = weilsf.parse_label("3.2.ac_b_a")
+        entry = weilsf.cli._verify_one(P, weilsf.DEFAULT_PRECISION)
+        assert (entry["status"], entry["node"]) == ("ok", "X-D:Table6:oracle"), entry
+        assert "mpmath" not in sys.modules, "verify on X-D"
+        weilsf.histogram(P, 1 << 12, 16)
+        weilsf.moment_report(P, 1 << 12, 4)
+        assert "mpmath" not in sys.modules, "histogram and moments"
+        Q = weilsf.from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3))
+        assert weilsf.angle_rank_numeric(Q).delta == 7
+        weilsf.factor(Q)
+        assert "mpmath" not in sys.modules, "oracle and factor for g = 7"
     """))
     assert proc.returncode == 0, proc.stderr

@@ -13,10 +13,11 @@ from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
                               IsogenyFactorization, NoSupersingularMatch,
+                              _orders_upto,
                               base_change, cyclotomic_orders, exterior_relation,
                               factor, supersingular_match,
                               supersingular_torsion_order)
-from weilsf.weilpoly import _real_roots as real_roots
+from weilsf._intpoly import real_roots
 from weilsf.weilpoly import WeilError, parse_label, validate
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
@@ -94,7 +95,7 @@ class TestFactor:
         ("3.3.af_r_abi", [((1, -2, 3), 2), ((1, -1, 3), 1)]),     # (y - 1)(y - 2)^2
     ])
     def test_parts_of_H_up_to_degree_3_are_exact(self, monkeypatch, label, want):
-        monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
+        monkeypatch.setattr("weilsf._intpoly.real_roots", _no_numeric_roots)
         assert _pairs(parse_label(label)) == want
 
     @pytest.mark.parametrize("s", [2, 3, 1 << 20])
@@ -103,7 +104,7 @@ class TestFactor:
         # and 2 sqrt(q) sit at the two ends of the span (-2s - 1, 2s] that
         # the Sturm bisection starts from, 0 at its middle, and each is found
         # while a quadratic is still left
-        monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
+        monkeypatch.setattr("weilsf._intpoly.real_roots", _no_numeric_roots)
         q = s * s
         quartic = (1, 0, 2 * q - 2, 0, q * q)
         P = validate(ip.poly_mul(ip.poly_mul(ip.poly_pow((1, 0, -q), 2), (1, 0, q)),
@@ -124,7 +125,7 @@ class TestFactor:
 
     def test_corpus_factors_without_numeric_roots(self, monkeypatch, corpus):
         # every part of H has degree <= g <= 3 here
-        monkeypatch.setattr("weilsf.polyarith._real_roots", _no_numeric_roots)
+        monkeypatch.setattr("weilsf._intpoly.real_roots", _no_numeric_roots)
         for polys in corpus.values():
             for P in polys:
                 factor(P)
@@ -134,10 +135,10 @@ class TestFactor:
         # quadratics, which only the root-subset search finds
         calls = []
 
-        def counted(h, precision):
+        def counted(h, bound, bits):
             calls.append(h)
-            return real_roots(h, precision)
-        monkeypatch.setattr("weilsf.polyarith._real_roots", counted)
+            return real_roots(h, bound, bits)
+        monkeypatch.setattr("weilsf._intpoly.real_roots", counted)
         P = validate(ip.poly_mul((1, 2, 2, 4, 4), (1, -2, 2, -4, 4)), 2)
         assert P.h == (1, 0, -8, 0, 4)
         assert _pairs(P) == [((1, -2, 2, -4, 4), 1), ((1, 2, 2, 4, 4), 1)]
@@ -328,6 +329,14 @@ class TestCyclotomicOrders:
             for n in want:
                 c = ip.poly_mul(c, _scaled(n, scale))
             assert cyclotomic_orders(c, scale) == want, (c, scale)
+
+    def test_order_sieve_matches_the_scan(self):
+        # the phi sieve of _orders_upto against euler_phi on every n
+        phi = [0] + [ip.euler_phi(n) for n in range(1, 2 * 120 * 120 + 1)]
+        for bound in range(121):
+            want = tuple((n, phi[n]) for n in range(1, 2 * bound * bound + 1)
+                         if phi[n] <= bound)
+            assert _orders_upto(bound) == want, bound
 
 
 class TestIntpolyOracles:

@@ -40,3 +40,9 @@ def test_oracle_imports_no_structural_module():
     # builds on the integer core and the root computation only, never on
     # the factorization, base-change or classifier modules
     assert _package_imports(SRC / "anglerank.py") == {"_intpoly", "weilpoly"}
+
+
+def test_no_module_names_mpmath():
+    # the numeric layer is exact-integer end to end; mpmath serves the
+    # tests as a reference only
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "mpmath" in p.read_text()] == []

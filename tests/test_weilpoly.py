@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -314,13 +315,73 @@ class TestWeilPullback:
             assert weil_pullback(h, P.q) == P.coeffs, label
 
 
+def _mpf(t):
+    """An exact dyadic angle as an mpf at the working precision."""
+    return mp.mpf(t.numerator) / t.denominator
+
+
+def _reference_thetas(P, precision):
+    """theta_1 <= ... <= theta_g from mpmath: polyroots on each squarefree
+    part of H, then acos.  At twice the precision plus 128 bits, so that
+    acos keeps precision + 64 bits at a root y = +-2 sqrt(q) too."""
+    with mp.workprec(2 * precision + 128):
+        two_sqrtq = 2 * mp.sqrt(P.q)
+        out = []
+        for part, mult in ip.squarefree_decomposition(P.h):
+            ys = ([mp.mpf(-part[1])] if ip.degree(part) == 1 else
+                  [mp.re(y) for y in mp.polyroots(part, maxsteps=200,
+                                                  extraprec=precision)])
+            out += [mp.acos(max(-1, min(1, y / two_sqrtq))) / (2 * mp.pi)
+                    for y in ys for _ in range(mult)]
+        return sorted(out)
+
+
+def _prime_dim_polys():
+    from test_classify import PRIME_DIM_INPUTS, _twist
+    return [validate(c, q) for coeffs, q in PRIME_DIM_INPUTS
+            for c in (coeffs, _twist(coeffs))]
+
+
 class TestRoots:
+    @pytest.mark.parametrize("precision", [256, 512])
+    def test_angles_match_mpmath(self, precision):
+        with open(CORPUS, newline="") as fh:
+            polys = [parse_label(row["label"])
+                     for row in csv.DictReader(fh, delimiter="\t")]
+        polys += _prime_dim_polys()
+        assert len(polys) == 1228
+        with mp.workprec(2 * precision + 128):
+            tol = mp.mpf(2) ** -(precision + 16)
+            for P in polys:
+                got = roots(P, precision).thetas
+                want = _reference_thetas(P, precision)
+                assert all(abs(_mpf(t) - w) < tol for t, w in zip(got, want)), P
+
+    @pytest.mark.parametrize("c, exact", [
+        (ip.poly_mul((1, -1), (1, -2)), [1, 2]),   # 2 on a span's left end 1
+        ((1, 0), [0]),                             # 0, the first midpoint
+        (ip.poly_mul((1, 0, -2), (1, 0)), [0]),    # +-sqrt(2) and 0
+        (ip.poly_mul((1, -3, 1), (1, -1)), [1]),   # (3 +- sqrt(5)) / 2, close to 0 and 3
+        ((1, 0, -200, 0, 9999), []),              # y^2 = 100 +- 1: two pairs 0.05 apart
+        (ip.poly_mul((1, 4), (1, 0, -5)), []),     # -4 inside its span
+    ])
+    @pytest.mark.parametrize("bits", [96, 288])
+    def test_real_roots_are_certified(self, c, exact, bits):
+        bound = 1 + max(abs(x) for x in c)
+        got = ip.real_roots(c, bound, bits)
+        with mp.workprec(2 * bits):
+            want = sorted(mp.re(y) for y in mp.polyroots(c, extraprec=2 * bits))
+            assert len(got) == len(want) == ip.degree(c)
+            assert all(abs(y - w * 2 ** bits) <= 2 for y, w in zip(got, want))
+        assert all(a << bits in got for a in exact)
+        for y in got:   # an exact root, or a sign change across [y - 2, y + 2]
+            lo, hi = (ip.scaled_value(c, y + e, bits) for e in (-2, 2))
+            assert ip.scaled_value(c, y, bits) == 0 or lo * hi < 0
+
     def test_pure_imaginary_angles(self):
+        # H = y: the root 0 gives the angle 1/4 exactly
         rs = roots(parse_label("1.2.a"), 128)
-        assert [mp.nstr(a, 6) for a in rs.angles] == ["0.25", "0.75"]
-        with mp.workprec(160):
-            u = rs.roots[0] / mp.sqrt(2)
-            assert abs(u - mp.mpc(0, 1)) < mp.mpf(2) ** -100
+        assert rs.angles == (Fraction(1, 4), Fraction(3, 4))
 
     def test_quartic_angles_and_half_sum(self):
         # derived by the power-sum identity: cos(4 pi theta_1) = s_2 / (2 q) = 1/10
@@ -328,46 +389,59 @@ class TestRoots:
         t1, t2 = rs.thetas
         with mp.workprec(300):
             expected = mp.acos(mp.mpf(1) / 10) / (4 * mp.pi)
-            assert abs(t1 - expected) < mp.mpf(2) ** -200
-            assert abs(t1 + t2 - mp.mpf("0.5")) < mp.mpf(2) ** -200
+            assert abs(_mpf(t1) - expected) < mp.mpf(2) ** -200
+            assert abs(_mpf(t1 + t2) - mp.mpf("0.5")) < mp.mpf(2) ** -200
 
     def test_arccos_closed_form(self):
         rs = roots(parse_label("1.2.ab"), 192)
         with mp.workprec(256):
             expected = mp.acos(1 / (2 * mp.sqrt(2))) / (2 * mp.pi)
-            assert abs(rs.thetas[0] - expected) < mp.mpf(2) ** -150
+            assert abs(_mpf(rs.thetas[0]) - expected) < mp.mpf(2) ** -150
 
     def test_angle_ordering_and_pairing(self):
         for label in ["3.2.ad_f_ah", "2.2.ab_b", "3.8.ai_bk_aeq"]:
             P = parse_label(label)
             rs = roots(P, 192)
             g = P.g
-            for j in range(g - 1):
-                assert rs.thetas[j] <= rs.thetas[j + 1]
-            for j in range(g):
-                assert abs(rs.roots[j] * rs.roots[g + j] - P.q) < mp.mpf(2) ** -90
+            assert list(rs.thetas) == sorted(rs.thetas)
+            assert all(0 <= t <= Fraction(1, 2) for t in rs.thetas)
+            assert all((t * 2 ** (192 + 32)).denominator == 1 for t in rs.thetas)
+            assert rs.angles[g:] == tuple(1 - t if t else t for t in rs.thetas)
+            with mp.workprec(256):
+                for t, u in zip(rs.angles[:g], rs.angles[g:]):
+                    root, partner = (mp.sqrt(P.q) * mp.expjpi(2 * _mpf(x)) for x in (t, u))
+                    assert abs(root * partner - P.q) < mp.mpf(2) ** -90
 
     def test_angle_sum_and_trace_identity(self):
         # sum of all 2g angles is 0 mod 1; sum of cosines recovers -a_1
         for label in ["2.2.ad_f", "3.2.ae_j_ap"]:
             P = parse_label(label)
             rs = roots(P, 192)
+            assert sum(rs.angles) % 1 == 0
             with mp.workprec(224):
-                total = mp.fsum(rs.angles)
-                assert abs(total - mp.nint(total)) < mp.mpf(2) ** -150
-                cos_sum = mp.fsum(2 * mp.sqrt(P.q) * mp.cos(2 * mp.pi * t)
+                cos_sum = mp.fsum(2 * mp.sqrt(P.q) * mp.cos(2 * mp.pi * _mpf(t))
                                   for t in rs.thetas)
                 assert abs(cos_sum + P.a(1)) < mp.mpf(2) ** -120
 
     def test_repeated_roots(self):
         P = validate((1, -2, 51, -50, 625), 25)   # (T^2 - T + 25)^2
         rs = roots(P, 192)
-        assert abs(rs.thetas[0] - rs.thetas[1]) < mp.mpf(2) ** -150
+        assert rs.thetas[0] == rs.thetas[1]
+        # H = (y - 1)(y - 2)^2: the part (y - 1)(y - 2) has its root 2 in
+        # a span whose left end is its root 1
+        P = parse_label("3.3.af_r_abi")
+        assert P.h == ip.poly_mul((1, -1), ip.poly_pow((1, -2), 2))
+        t1, t2, t3 = roots(P, 256).thetas
+        assert t1 == t2 < t3
+        with mp.workprec(320):
+            for t, y in ((t1, 2), (t3, 1)):
+                want = mp.acos(y / (2 * mp.sqrt(3))) / (2 * mp.pi)
+                assert abs(_mpf(t) - want) < mp.mpf(2) ** -280
 
     def test_determinism(self):
         a = roots(parse_label("3.2.ad_f_ah"), 256)
         b = roots(parse_label("3.2.ad_f_ah"), 256)
-        assert [mp.nstr(t, 60) for t in a.angles] == [mp.nstr(t, 60) for t in b.angles]
+        assert a.angles == b.angles
 
     def test_precision_floor(self):
         with pytest.raises(Exception):
@@ -375,20 +449,21 @@ class TestRoots:
 
     @pytest.mark.parametrize("coeffs, q, thetas", [
         ((1, -4, 4), 4, (0,)),                  # (T - 2)^2
-        ((1, 4, 4), 4, (mp.mpf(0.5),)),         # (T + 2)^2
-        ((1, 0, -4, 0, 4), 2, (0, mp.mpf(0.5))),  # (T^2 - 2)^2
-        ((1, 0, -6, 0, 9), 3, (0, mp.mpf(0.5))),  # (T^2 - 3)^2
+        ((1, 4, 4), 4, (Fraction(1, 2),)),      # (T + 2)^2
+        ((1, 0, -4, 0, 4), 2, (0, Fraction(1, 2))),  # (T^2 - 2)^2
+        ((1, 0, -6, 0, 9), 3, (0, Fraction(1, 2))),  # (T^2 - 3)^2
     ])
     @pytest.mark.parametrize("precision", [256, 512])
     def test_real_roots_have_exact_angles(self, coeffs, q, thetas, precision):
         assert roots(validate(coeffs, q), precision).thetas == thetas
 
     def test_residual_failure_raises(self, monkeypatch):
-        solve = mp.polyroots
+        # roots moved by 2^-20 leave a residual far above 2^-128 q^g
+        solve = ip.real_roots
 
-        def shifted(*args, **kwargs):
-            return [r + mp.mpf("1e-3") for r in solve(*args, **kwargs)]
-        monkeypatch.setattr(mp, "polyroots", shifted)
+        def shifted(c, bound, bits):
+            return [y + (1 << (bits - 20)) for y in solve(c, bound, bits)]
+        monkeypatch.setattr(ip, "real_roots", shifted)
         with pytest.raises(NonConvergence):
             roots(parse_label("2.5.a_ab"), 256)
 
