@@ -4,14 +4,17 @@ The multiplicative group U generated by the normalized Frobenius eigenvalues
 u_j = alpha_j/sqrt(q) is Z^delta + Z/m.  Writing theta_j for the angles,
 an element c of the relation lattice R = {c in Z^g : sum c_j theta_j in Z}
 is detected numerically: integral LLL reduction of the rows [e_j | N theta_j]
-and [0 | N] makes integer relations show up as short vectors.  Candidates are
-re-verified at doubled precision, the found lattice is saturated and its
-rational parts normalized with a denominator bound, and the Smith normal
-form of R then gives delta = g - rank(R) and m = largest elementary divisor.
+and [0 | N], N = 2^(precision/2), makes integer relations show up as short
+vectors.  Candidates are verified to 2^-precision, the found lattice is
+saturated and its rational parts normalized with a denominator bound, and
+the Smith normal form of R then gives delta = g - rank(R) and m = largest
+elementary divisor.
 
-The angles are exact dyadic Fractions within 2^-(precision + 32) of the
-true ones, and everything after them is exact integer/rational linear
-algebra, so the only numeric trust lives in the (doubly checked) residuals.
+The angles are solved once, at 2 * precision: exact dyadic Fractions
+within 2^-(2 precision + 32) of the true ones.  The LLL rows, the checks
+and the rational parts all read them, and everything after them is exact
+integer/rational linear algebra, so the only numeric trust lives in the
+residuals.
 """
 
 from __future__ import annotations
@@ -269,9 +272,9 @@ def smith_normal_form(rows, n):
 class RelationLattice(Record):
     """Verified multiplicative relations among the normalized eigenvalues.
 
-    ``thetas`` are the angles roots(P, precision).thetas that the LLL rows
-    came from, kept for the trace functions; they take no part in equality,
-    repr or JSON.
+    ``thetas`` are the angles roots(P, 2 * precision).thetas that the LLL
+    rows and the checks read, kept for the trace functions; they take no
+    part in equality, repr or JSON.
     """
 
     _hidden = ("thetas",)
@@ -315,7 +318,7 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g = P.g
-    thetas = roots(P, precision).thetas
+    thetas = roots(P, 2 * precision).thetas
     n_scale = 1 << (precision // 2)
     rows = []
     for j in range(g):
@@ -334,20 +337,18 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
     if not candidates:
         return RelationLattice(g=g, precision=precision, relations=(),
                                rank=0, torsion_order=1, thetas=thetas, basis=())
-    # doubled-precision verification of every accepted candidate
-    thetas2 = roots(P, 2 * precision).thetas
     verify_tol = Fraction(1, 1 << precision)
     for c in candidates:
-        if _residual_to_int(thetas2, c) >= verify_tol:
+        if _residual_to_int(thetas, c) >= verify_tol:
             raise UnverifiedRelation(
-                "candidate %r fails at doubled precision; raise precision" % (c,))
+                "candidate %r fails to 2^-%d; raise precision" % (c, precision))
     # saturate and attach rational parts
     sat = saturate_lattice(candidates, g)
     rank = len(sat)
     presented = []
     denoms = []
     for vec in sat:
-        x = sum(ci * t for ci, t in zip(vec, thetas2))
+        x = sum(ci * t for ci, t in zip(vec, thetas))
         a, b, err = _nearest_fraction(x, DENOMINATOR_BOUND)
         if err >= verify_tol:
             raise DenominatorBoundExceeded(

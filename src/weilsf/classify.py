@@ -24,7 +24,7 @@ from .newton import Stratum, newton_polygon, newton_polygon_of_factor, stratify
 from .polyarith import (_scaled_cyclotomic, cyclotomic_orders,
                         exterior_relation, factor, supersingular_match,
                         supersingular_torsion_order)
-from .weilpoly import DEFAULT_PRECISION, WeilError, _is_prime
+from .weilpoly import WeilError, _is_prime
 
 # allowed (delta -> torsion orders) per dimension.  The published elliptic
 # table folds the -2 sqrt(q) trace into C_1; the group there is C_2 (the
@@ -501,7 +501,7 @@ def _has_ratio_of_order(P, r):
                                 _scaled_cyclotomic(r, P.q)) is not None
 
 
-def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
+def classify_prime_dim(P, fac=None, stratum=None):
     g = P.g
     if g <= 3 or not _is_prime(g):
         raise WeilError("classify_prime_dim needs prime g > 3")
@@ -516,7 +516,7 @@ def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
         return _sf(g, 1, g, "ThmD(2)")
     if _is_prime(2 * g + 1) and _has_ratio_of_order(P, 2 * g + 1):
         return _sf(g, 1, 2 * g + 1, "ThmD(3)")
-    lattice = angle_rank_numeric(P, precision)
+    lattice = angle_rank_numeric(P)
     return Partial(g=g, absolutely_simple=True, delta=lattice.delta,
                    certified=False, provenance="ThmD(1):oracle-delta")
 
@@ -525,12 +525,11 @@ def classify_prime_dim(P, precision=DEFAULT_PRECISION, fac=None, stratum=None):
 # dispatch and reporting
 
 
-def classify(P, precision=DEFAULT_PRECISION, fac=None, stratum=None, split=None):
+def classify(P, fac=None, stratum=None, split=None):
     """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P),
     `stratum` its Newton stratum and `split` its split degree as in
     geometric_decomposition when the caller already has them; without them
-    the node that needs them computes them.  `precision` serves only the
-    oracle of the partial prime-dimension node."""
+    the node that needs them computes them."""
     if P.g == 1:
         return classify_elliptic(P)
     if P.g == 2:
@@ -538,7 +537,7 @@ def classify(P, precision=DEFAULT_PRECISION, fac=None, stratum=None, split=None)
     if P.g == 3:
         return classify_threefold(P, fac, stratum, split)
     if _is_prime(P.g):
-        return classify_prime_dim(P, precision, fac, stratum)
+        return classify_prime_dim(P, fac, stratum)
     raise WeilError("no classification implemented for g = %d" % P.g)
 
 
@@ -569,14 +568,14 @@ def geometric_decomposition(fac):
     return GeometricDecomposition(split_degree=split, factor_summaries=summaries)
 
 
-def report(P, precision=DEFAULT_PRECISION):
+def report(P):
     """Full JSON-ready classification report for one polynomial."""
     # one factorization, Newton polygon and split degree serve classify and
     # the record; a g that classify rejects gets that error, not factor's
     fac = factor(P) if P.g <= 3 or _is_prime(P.g) else None
     stratum = stratify(newton_polygon(P), P.g)
     dec = geometric_decomposition(fac) if fac is not None else None
-    sf = classify(P, precision, fac, stratum, dec and dec.split_degree)
+    sf = classify(P, fac, stratum, dec and dec.split_degree)
     out = {
         "schema_version": 1,
         "label": P.label,

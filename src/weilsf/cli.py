@@ -152,7 +152,7 @@ def _error_record(text, exc):
 
 
 def cmd_classify(args):
-    return _emit_each(args, lambda P: report(P, precision=args.precision))
+    return _emit_each(args, report)
 
 
 def _emit_records(results, csv=False):
@@ -209,7 +209,7 @@ def cmd_histogram(args):
     n = PAPER_SAMPLES if args.paper_scale else args.samples
     b = PAPER_BUCKETS if args.paper_scale else args.buckets
     def record(P):
-        h = histogram(P, n, b, precision=args.precision)
+        h = histogram(P, n, b)
         if args.format == "csv":
             return h.to_csv()
         out = h.to_json()
@@ -221,8 +221,7 @@ def cmd_histogram(args):
 def cmd_moments(args):
     from .distribution import moment_report
     def record(P):
-        repm = moment_report(P, args.samples, args.max_order,
-                             precision=args.precision)
+        repm = moment_report(P, args.samples, args.max_order)
         return {"schema_version": 1, "label": P.label, "moments": repm.to_json()}
     return _emit_each(args, record)
 
@@ -239,7 +238,7 @@ def _verify_one(P, precision):
     from .classify import InvalidTrace
     npd = newton_polygon(P)
     try:
-        sf = classify(P, precision, stratum=stratify(npd, P.g))
+        sf = classify(P, stratum=stratify(npd, P.g))
     except InvalidTrace as exc:
         # the enumerated corpus is a superset of the realizable classes;
         # g = 1 inputs outside the Waterhouse list are reported, not failed
@@ -296,8 +295,9 @@ def cmd_verify(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    # the oracle's precision, for the two verbs that print the oracle's output
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help="working precision in bits (>= 64)")
 
     top = argparse.ArgumentParser(
@@ -312,38 +312,33 @@ def build_parser():
         p.add_argument("--coeffs", help="comma-separated a_0..a_2g (a_0 = 1)")
         p.add_argument("--q", type=int, help="field size for --coeffs")
 
-    p = sub.add_parser("parse", parents=[common],
-                       help="decode labels to coefficient data")
+    p = sub.add_parser("parse", help="decode labels to coefficient data")
     add_inputs(p)
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="Serre-Frobenius group of each input")
+    p = sub.add_parser("classify", help="Serre-Frobenius group of each input")
     add_inputs(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("factor", parents=[common],
-                       help="irreducible factorization")
+    p = sub.add_parser("factor", help="irreducible factorization")
     add_inputs(p)
     p.set_defaults(func=cmd_factor)
 
-    p = sub.add_parser("newton", parents=[common],
-                       help="q-Newton polygon and stratum")
+    p = sub.add_parser("newton", help="q-Newton polygon and stratum")
     add_inputs(p)
     p.set_defaults(func=cmd_newton)
 
-    p = sub.add_parser("base-change", parents=[common],
-                       help="extension of scalars")
+    p = sub.add_parser("base-change", help="extension of scalars")
     add_inputs(p)
     p.add_argument("-r", type=int, required=True, help="extension degree")
     p.set_defaults(func=cmd_base_change)
 
-    p = sub.add_parser("angle-rank", parents=[common],
+    p = sub.add_parser("angle-rank", parents=[oracle],
                        help="numeric angle rank and torsion order")
     add_inputs(p)
     p.set_defaults(func=cmd_angle_rank)
 
-    p = sub.add_parser("histogram", parents=[common],
+    p = sub.add_parser("histogram",
                        help="bucketed counts of the trace sequence")
     add_inputs(p)
     p.add_argument("-N", "--samples", type=int, default=16 ** 4)
@@ -353,20 +348,20 @@ def build_parser():
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("moments", parents=[common],
+    p = sub.add_parser("moments",
                        help="empirical vs exact pushforward moments")
     add_inputs(p)
     p.add_argument("-N", "--samples", type=int, default=16 ** 4)
     p.add_argument("-K", "--max-order", type=int, default=8)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate",
                        help="all valid coefficient tuples as labels")
     p.add_argument("-g", type=int, required=True, choices=[1, 2, 3])
     p.add_argument("-q", type=int, required=True)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[oracle],
                        help="structural vs numeric cross-check over a corpus")
     add_inputs(p)
     p.add_argument("-g", type=int, help="enumerate dimension g instead of labels")
@@ -380,7 +375,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.precision < 64:
+        if getattr(args, "precision", DEFAULT_PRECISION) < 64:
             raise WeilError("precision must be >= 64")
         return args.func(args)
     except WeilError as exc:

@@ -31,7 +31,7 @@ from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
-from .weilpoly import DEFAULT_PRECISION, WeilError, roots
+from .weilpoly import WeilError, roots
 
 BLOCK = 1 << 16                 # samples per kernel pass and partial sum
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
@@ -48,15 +48,13 @@ class LatticeMissing(WeilError):
     pass
 
 
-def _fixed_point_angles(thetas, N, precision):
-    """The angles, solved at this precision, as 64-bit fixed point, once N
-    samples are known to keep their accuracy at it."""
+def _fixed_point_angles(thetas, N):
+    """The angles as 64-bit fixed point, once N <= 2^32 samples are known to
+    keep their accuracy in it (the angles are solved at 256 bits or more)."""
     if N < 1:
         raise WeilError("N must be positive")
-    eff = min(precision, 64)
-    if N > 1 << (eff - 32):
-        raise PrecisionLoss(
-            "N = %d loses angle accuracy at precision %d" % (N, precision))
+    if N > 1 << 32:
+        raise PrecisionLoss("N = %d loses angle accuracy in 64-bit fixed point" % N)
     return [round(t * (1 << 64)) % (1 << 64) for t in thetas]
 
 
@@ -84,9 +82,9 @@ def _trace_chunks(ms, N):
         yield x
 
 
-def trace_sequence(P, N, precision=DEFAULT_PRECISION):
-    """The vector (x_1, ..., x_N); deterministic for fixed (P, N, precision)."""
-    ms = _fixed_point_angles(roots(P, precision).thetas, N, precision)
+def trace_sequence(P, N):
+    """The vector (x_1, ..., x_N); deterministic for fixed (P, N)."""
+    ms = _fixed_point_angles(roots(P).thetas, N)
     out = np.empty(N, dtype=np.float64)
     for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N)):
         out[lo:lo + len(x)] = x
@@ -192,7 +190,7 @@ def _atom_candidates(lattice):
     return [(val, cnt / m) for val, cnt in sorted(out.items())]
 
 
-def histogram(P, N, B, precision=DEFAULT_PRECISION):
+def histogram(P, N, B):
     """Bucketed counts of (x_r)_{r<=N} over [-2g, 2g], plus detected atoms.
 
     Buckets are half-open with the last one closed.  For supersingular
@@ -208,7 +206,7 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
     counts = np.zeros(B, dtype=np.int64)
     if newton_polygon(P).is_supersingular():
         m = supersingular_torsion_order(P)
-        period = trace_sequence(P, m, precision)
+        period = trace_sequence(P, m)
         # x_j recurs at r = j, j + m, ...; (N - j) // m + 1 is 0 for j > N
         reps = (N - np.arange(1, m + 1, dtype=np.int64)) // m + 1
         atom_counter = {}
@@ -221,8 +219,8 @@ def histogram(P, N, B, precision=DEFAULT_PRECISION):
         return TraceHistogram(g=g, sample_count=N, bucket_count=B,
                               counts=tuple(int(c) for c in counts), atoms=atoms)
 
-    lattice = angle_rank_numeric(P, precision)
-    ms = _fixed_point_angles(lattice.thetas, N, precision)
+    lattice = angle_rank_numeric(P)
+    ms = _fixed_point_angles(lattice.thetas, N)
     cands = _atom_candidates(lattice)
     atom_counts = [0] * len(cands)
     for x in _trace_chunks(ms, N):
@@ -320,19 +318,18 @@ class MomentReport(Record):
                                       self.exact, self.abs_error)]
 
 
-def moment_report(P, N, K, precision=DEFAULT_PRECISION):
+def moment_report(P, N, K):
     """Empirical moments of (x_r)_{r<=N} against the exact group moments."""
     from .classify import classify
     if K < 1:
         raise WeilError("K must be positive")
-    group = classify(P, precision)
+    group = classify(P)
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")
     # the oracle runs only where the lattice is needed, and then its
     # angles serve the trace kernel too
-    lattice = angle_rank_numeric(P, precision) if group.delta < group.g else None
-    thetas = (lattice or roots(P, precision)).thetas
-    ms = _fixed_point_angles(thetas, N, precision)
+    lattice = angle_rank_numeric(P) if group.delta < group.g else None
+    ms = _fixed_point_angles((lattice or roots(P)).thetas, N)
     emp = _mean_powers(_trace_chunks(ms, N), N, K)
     exa = exact_moments(group, K, lattice)
     return MomentReport(orders=tuple(range(1, K + 1)),

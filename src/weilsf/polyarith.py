@@ -51,7 +51,7 @@ class IsogenyFactorization(ip.Record):
                 for h, e, cls in self.factors]
 
 
-def _split_real_rooted(h, q, precision):
+def _split_real_rooted(h, q):
     """Monic irreducible integer factors of a squarefree h whose roots are
     real and lie in [-2 sqrt(q), 2 sqrt(q)].
 
@@ -81,7 +81,7 @@ def _split_real_rooted(h, q, precision):
         return found + ([h] if ip.degree(h) else [])
     # roots Y / 2^bits within 2^(1 - bits); a product over k of them is
     # 2^(-k bits) prod (2^bits T - Y), rounded to the nearest integers
-    bits = precision + GUARD_BITS
+    bits = DEFAULT_PRECISION + GUARD_BITS
     ys = ip.real_roots(h, real_roots_bound(q), bits)
     k = 2
     while k <= ip.degree(h) // 2:
@@ -104,7 +104,7 @@ def _split_real_rooted(h, q, precision):
     return found + [h]
 
 
-def factor(P, precision=DEFAULT_PRECISION):
+def factor(P):
     """IsogenyFactorization of a validated WeilPolynomial.
 
     Factors the real Weil transform H = P.h (degree g, real roots
@@ -120,7 +120,7 @@ def factor(P, precision=DEFAULT_PRECISION):
         raise WeilError("factorization supports degree <= %d" % MAX_FACTOR_DEGREE)
     pairs = []
     for part, e in ip.squarefree_decomposition(P.h):
-        for h in _split_real_rooted(part, P.q, precision):
+        for h in _split_real_rooted(part, P.q):
             pairs += [(f, kf * e) for f, kf in
                       ip.squarefree_decomposition(weil_pullback(h, P.q))]
     pairs.sort(key=lambda fe: (ip.degree(fe[0]), fe[0]))

@@ -18,10 +18,11 @@ from weilsf.weilpoly import DEFAULT_PRECISION, parse_label, roots, validate
 
 
 def _relation_lattice_rows(P, precision):
-    """The rows [e_j | N theta_j] and [0 | N] that angle_rank_numeric reduces."""
+    """The rows [e_j | N theta_j] and [0 | N] that angle_rank_numeric reduces:
+    N = 2^(precision/2), on the angles it solves at 2 * precision."""
     n_scale = 1 << (precision // 2)
     rows = [[int(i == j) for i in range(P.g)] + [round(t * n_scale)]
-            for j, t in enumerate(roots(P, precision).thetas)]
+            for j, t in enumerate(roots(P, 2 * precision).thetas)]
     return rows + [[0] * P.g + [n_scale]]
 
 
@@ -146,10 +147,18 @@ class TestAngleRank:
             "relations": [{"c": [1, 1], "frac": "1/2"}]}
 
     @pytest.mark.parametrize("label", ["2.5.a_ab", "2.2.ab_b"])   # relations, none
+    def test_solves_the_roots_once(self, count_calls, label):
+        # the LLL rows, the checks and the rational parts all read the
+        # angles of one solve at twice the precision
+        calls = count_calls("roots")
+        angle_rank_numeric(parse_label(label), 256)
+        assert [(P.label, precision) for P, precision in calls] == [(label, 512)]
+
+    @pytest.mark.parametrize("label", ["2.5.a_ab", "2.2.ab_b"])   # relations, none
     def test_keeps_its_angles_out_of_sight(self, label):
         P = parse_label(label)
         lat = angle_rank_numeric(P, 192)
-        assert lat.thetas == roots(P, 192).thetas
+        assert lat.thetas == roots(P, 384).thetas
         copy = RelationLattice(g=lat.g, precision=lat.precision,
                                relations=lat.relations, rank=lat.rank,
                                torsion_order=lat.torsion_order, thetas=(),

@@ -234,8 +234,9 @@ def test_unreadable_file_is_input_error(capsys, tmp_path, verb, name):
     assert err.startswith("error: cannot read --file")
 
 
-def test_precision_below_64_rejected(capsys):
-    code, out, err = run(capsys, "classify", "--precision", "32", "1.2.a")
+@pytest.mark.parametrize("verb", ["angle-rank", "verify"])
+def test_precision_below_64_rejected(capsys, verb):
+    code, out, err = run(capsys, verb, "--precision", "32", "1.2.a")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "precision must be >= 64" in err
 
@@ -271,6 +272,15 @@ def test_format_is_a_histogram_option(capsys):
         main(["classify", "--format", "json", "1.2.a"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["classify", "factor", "histogram", "moments"])
+def test_precision_is_an_oracle_option(capsys, verb):
+    # only angle-rank and verify print what the oracle computes
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--precision", "512", "1.2.a"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,10 +325,10 @@ def test_moments_order_below_one_is_input_error(capsys, k):
 def test_classify_batch_isolates_failures(capsys, monkeypatch):
     real_report = cli.report
 
-    def report(P, precision):
+    def report(P):
         if P.label == "1.2.ab":
             raise NonConvergence("residual too large")
-        return real_report(P, precision=precision)
+        return real_report(P)
     monkeypatch.setattr("weilsf.cli.report", report)
     code, out, err = run(capsys, "classify", "1.2.a", "1.2.zz", "1.2.ab")
     records = [json.loads(line) for line in out.splitlines()]
@@ -386,7 +396,7 @@ def test_certificate_checks_survive_python_O():
         from weilsf.cli import main
         assert False, "asserts must be stripped in this interpreter"
         orig = polyarith._split_real_rooted
-        polyarith._split_real_rooted = lambda h, q, precision: orig(h, q, precision)[1:]
+        polyarith._split_real_rooted = lambda h, q: orig(h, q)[1:]
         sys.exit(main(["factor", "2.2.a_d"]))
     """)
     proc = fresh_python(script, "-O")

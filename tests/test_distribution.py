@@ -272,11 +272,11 @@ def _digest(obj):
                                  lambda P: moment_report(P, 1000, 4)],
                          ids=["histogram", "moment_report"])
 def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
-    # U(1)^2 x C_2: the oracle solves the angles at 256 and 512 bits, and
-    # the kernel takes them from its lattice instead of a third solve
+    # U(1)^2 x C_2: the oracle solves the angles once, at 512 bits, and
+    # the kernel takes them from its lattice instead of a second solve
     calls = count_calls("roots")
     run(parse_label("3.2.ab_b_b"))
-    assert [precision for _, precision in calls] == [256, 512]
+    assert [precision for _, precision in calls] == [512]
 
 
 class TestTraceKernelBlocks:

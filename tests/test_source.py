@@ -42,6 +42,19 @@ def test_oracle_imports_no_structural_module():
     assert _package_imports(SRC / "anglerank.py") == {"_intpoly", "weilpoly"}
 
 
+def test_precision_is_the_oracles_knob():
+    # working precision means something only where the oracle finds
+    # relations from approximate angles: `roots` and `angle_rank_numeric`
+    found = []
+    for name in ["classify.py", "polyarith.py", "distribution.py", "newton.py"]:
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # an ast.arg is a parameter of a function or lambda
+            if isinstance(node, ast.arg) and node.arg == "precision":
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+
+
 def test_no_module_names_mpmath():
     # the numeric layer is exact-integer end to end; mpmath serves the
     # tests as a reference only
