@@ -378,14 +378,10 @@ def scaled_value(c, x, k=0):
 
 def _variations_at(chain, x, k=0):
     """Sign variations of the chain at x / 2^k (x an int, or a Fraction with
-    k = 0, or "+-inf")."""
+    k = 0)."""
     count = last = 0
     for i, poly in enumerate(chain):
-        if x == "+inf":
-            v = poly[0]
-        elif x == "-inf":
-            v = poly[0] if len(poly) % 2 else -poly[0]
-        elif k:
+        if k:
             v = scaled_value(poly, x, k)
         else:
             v = 0
@@ -402,14 +398,12 @@ def _variations_at(chain, x, k=0):
     return count
 
 
-def chain_count(chain, lo=None, hi=None):
+def chain_count(chain, lo, hi):
     """Number of real roots of chain[0] in (lo, hi], from its Sturm chain;
-    None means +-infinity, and lo, hi are ints or Fractions.  On Euclid's
-    sequence on (c, c') it counts distinct roots wherever gcd(c, c') is
-    nonzero (the generalized Sturm theorem), and raises ValueError where not."""
-    a = "-inf" if lo is None else lo
-    b = "+inf" if hi is None else hi
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    lo and hi are ints or Fractions.  On Euclid's sequence on (c, c') it
+    counts distinct roots wherever gcd(c, c') is nonzero (the generalized
+    Sturm theorem), and raises ValueError where not."""
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def isolate(chain, lo, hi, unit=False):

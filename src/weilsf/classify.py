@@ -24,7 +24,7 @@ from .newton import Stratum, newton_polygon, newton_polygon_of_factor, stratify
 from .polyarith import (_scaled_cyclotomic, cyclotomic_orders,
                         exterior_relation, factor, supersingular_match,
                         supersingular_torsion_order)
-from .weilpoly import WeilError, _is_prime
+from .weilpoly import WeilError, _is_prime, factor_prime_power
 
 # allowed (delta -> torsion orders) per dimension.  The published elliptic
 # table folds the -2 sqrt(q) trace into C_1; the group there is C_2 (the
@@ -133,8 +133,12 @@ def classify_elliptic(P):
     is not the Frobenius polynomial of an elliptic curve (Waterhouse)."""
     if P.g != 1:
         raise WeilError("classify_elliptic needs g = 1")
-    q, p, d = P.q, P.p, P.d
-    t = P.trace
+    return _waterhouse(P.trace, P.q, P.p, P.d)
+
+
+def _waterhouse(t, q, p, d):
+    """The group of an elliptic curve of trace t over F_q, q = p^d, or
+    InvalidTrace when no such curve exists."""
     if t * t > 4 * q:
         raise InvalidTrace("|trace| exceeds the Weil bound")
     if gcd(t, p) == 1:
@@ -162,15 +166,14 @@ def classify_elliptic(P):
 
 
 def _is_elliptic_quadratic(h, q):
-    """True when the quadratic h is the Frobenius polynomial of an actual
-    elliptic curve over F_q (functional equation + Waterhouse trace)."""
+    """True when the monic quadratic h is the Frobenius polynomial of an
+    actual elliptic curve over F_q (functional equation + Waterhouse trace)."""
     if ip.degree(h) != 2 or h[2] != q:
         return False
-    from .weilpoly import validate
     try:
-        classify_elliptic(validate(h, q))
+        _waterhouse(-h[1], q, *factor_prime_power(q))
         return True
-    except WeilError:
+    except InvalidTrace:
         return False
 
 
@@ -310,7 +313,6 @@ def classify_surface(P, fac=None, stratum=None, split=None):
     fac = fac or factor(P)
 
     if stratum is Stratum.SUPERSINGULAR:
-        m = supersingular_torsion_order(P)
         # simple supersingular surfaces: irreducible quartic, or the square
         # of a quadratic Weil number that is not an elliptic trace
         if len(fac.factors) == 1:
@@ -318,9 +320,9 @@ def classify_surface(P, fac=None, stratum=None, split=None):
             if (e == 1 and ip.degree(h) == 4) or (
                     e == 2 and ip.degree(h) == 2
                     and not _is_elliptic_quadratic(h, q)):
-                fam = supersingular_match(h, q, p, d)
-                return _sf(2, 0, m, "S-F:%s:%s" % (fam.zhu_type, fam.normalized_family))
-        return _sf(2, 0, m, "S-G:lcm")
+                fam = supersingular_match(h, q)
+                return _sf(2, 0, fam.m, "S-F:%s:%s" % (fam.zhu_type, fam.normalized_family))
+        return _sf(2, 0, supersingular_torsion_order(P.coeffs, q), "S-G:lcm")
 
     if stratum is Stratum.ORDINARY:
         if fac.is_irreducible:
@@ -403,12 +405,11 @@ def classify_threefold(P, fac=None, stratum=None, split=None):
     fac = fac or factor(P)
 
     if stratum is Stratum.SUPERSINGULAR:
-        m = supersingular_torsion_order(P)
         # simple supersingular threefolds always have P irreducible
         if fac.is_irreducible:
-            fam = supersingular_match(P.coeffs, q, p, d)
-            return _sf(3, 0, m, "X-ss-simple:%s:%s" % (fam.zhu_type, fam.normalized_family))
-        return _sf(3, 0, m, "X-J:lcm")
+            fam = supersingular_match(P.coeffs, q)
+            return _sf(3, 0, fam.m, "X-ss-simple:%s:%s" % (fam.zhu_type, fam.normalized_family))
+        return _sf(3, 0, supersingular_torsion_order(P.coeffs, q), "X-J:lcm")
 
     if stratum is Stratum.ORDINARY:
         if fac.is_irreducible:

@@ -44,10 +44,6 @@ class PrecisionLoss(WeilError):
     pass
 
 
-class LatticeMissing(WeilError):
-    pass
-
-
 def _fixed_point_angles(thetas, N):
     """The angles as 64-bit fixed point, once N <= 2^32 samples are known to
     keep their accuracy in it (the angles are solved at 256 bits or more)."""
@@ -191,7 +187,8 @@ def _atom_candidates(lattice):
 
 
 def histogram(P, N, B):
-    """Bucketed counts of (x_r)_{r<=N} over [-2g, 2g], plus detected atoms.
+    """Bucketed counts of (x_r)_{r<=N} over [-2g, 2g], plus detected atoms,
+    for 1 <= B <= N buckets.
 
     Buckets are half-open with the last one closed.  For supersingular
     inputs the sequence is periodic and the counts are assembled exactly
@@ -202,10 +199,12 @@ def histogram(P, N, B):
     """
     if N < 1 or B < 1:
         raise WeilError("N and B must be positive")
+    if B > N:
+        raise WeilError("B = %d buckets exceed the N = %d samples" % (B, N))
     g = P.g
     counts = np.zeros(B, dtype=np.int64)
     if newton_polygon(P).is_supersingular():
-        m = supersingular_torsion_order(P)
+        m = supersingular_torsion_order(P.coeffs, P.q)
         period = trace_sequence(P, m)
         # x_j recurs at r = j, j + m, ...; (N - j) // m + 1 is 0 for j > N
         reps = (N - np.arange(1, m + 1, dtype=np.int64)) // m + 1
@@ -278,7 +277,7 @@ def _walk_step(walks, steps, mods):
 def exact_moments(group, K, lattice=None):
     """E[x^k], k = 1..K, for the Haar pushforward of the classified group,
     whose relation lattice `lattice` (from `angle_rank_numeric`) it needs
-    when delta < g.
+    when delta < g: without one, `_smith_coordinates` raises InvariantError.
 
     A character prod u_j^(c_j) is trivial on the group exactly when c lies
     in the relation lattice L, so by Haar orthogonality E[x^k] is the number
@@ -290,8 +289,6 @@ def exact_moments(group, K, lattice=None):
     E[x^(a+b)] = sum_s W_a(s) W_b(s).  delta = g (L = 0) needs no lattice.
     """
     g, delta, m = group.g, group.delta, group.m
-    if lattice is None and delta < g:
-        raise LatticeMissing("delta < g needs the relation lattice")
     divisors, v = _smith_coordinates(lattice.basis if lattice else (),
                                      g, delta, m)
     mods = divisors + [0] * delta

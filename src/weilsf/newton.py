@@ -26,7 +26,6 @@ class Stratum(Enum):
 
 
 class NewtonPolygonData(Record):
-    vertices: tuple       # ((i, Fraction), ...) lower-hull vertices
     slopes: tuple         # 2g Fractions, non-decreasing, with multiplicity
     p_rank: int
 
@@ -80,8 +79,7 @@ def newton_polygon_points(pts):
         s = Fraction(y2 - y1, x2 - x1)
         slopes.extend([s] * (x2 - x1))
     p_rank = sum(1 for s in slopes if s == 0)
-    return NewtonPolygonData(vertices=tuple(hull), slopes=tuple(slopes),
-                             p_rank=p_rank)
+    return NewtonPolygonData(slopes=tuple(slopes), p_rank=p_rank)
 
 
 def stratify(np_data, g):

@@ -20,12 +20,11 @@ from math import isqrt, lcm
 
 from . import _intpoly as ip
 from .newton import newton_class
-from .weilpoly import (DEFAULT_PRECISION, GUARD_BITS, WeilPolynomial, WeilError,
-                       factor_prime_power, real_roots_bound, real_weil_transform,
-                       validate, weil_pullback)
+from .weilpoly import (DEFAULT_PRECISION, GUARD_BITS, WeilError, factor_prime_power,
+                       real_roots_bound, real_weil_transform, validate,
+                       weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
-TORSION_SEARCH_BOUND = 72
 
 
 class BoundExceeded(WeilError):
@@ -195,29 +194,24 @@ def exterior_relation(P):
 # supersingular torsion order
 
 
-def supersingular_torsion_order(P_or_coeffs, q=None):
-    """Order of the group generated by the normalized roots of a polynomial
-    whose roots all have angles in 2 pi Q: the least r, even over a
-    non-square q, with alpha^r = q^(r/2), the lcm of the orders of
-    cyclotomic_orders(P, sqrt(q)), or over a non-square q twice that of the
-    orders of cyclotomic_orders(base_change(P, 2), q).  Raises BoundExceeded
-    when they miss a root (P is not supersingular) or r > TORSION_SEARCH_BOUND."""
-    if isinstance(P_or_coeffs, WeilPolynomial):
-        coeffs, q = P_or_coeffs.coeffs, P_or_coeffs.q
-    else:
-        coeffs = ip.normalize(tuple(P_or_coeffs))
-        if q is None:
-            raise ValueError("q is required with raw coefficients")
+def supersingular_torsion_order(coeffs, q):
+    """Order of the group generated by the normalized roots of the monic
+    integer polynomial `coeffs` over F_q, all of whose roots have angles in
+    2 pi Q: the least r, even over a non-square q, with alpha^r = q^(r/2),
+    the lcm of the orders of cyclotomic_orders(coeffs, sqrt(q)), or over a
+    non-square q twice that of the orders of the base change to F_(q^2) at
+    scale q.  The search is complete (see `cyclotomic_orders`), so it
+    raises BoundExceeded only when the orders miss a root: the input is not
+    supersingular."""
     if factor_prime_power(q)[1] % 2 == 0:
         c, scale, mult = coeffs, isqrt(q), 1
     else:
         c, scale, mult = ip.base_change_coeffs(coeffs, 2), q, 2
     orders = cyclotomic_orders(c, scale)
-    r = mult * lcm(*orders)
-    if sum(map(ip.euler_phi, orders)) < ip.degree(c) or r > TORSION_SEARCH_BOUND:
-        raise BoundExceeded("no torsion order <= %d; input is not supersingular"
-                            % TORSION_SEARCH_BOUND)
-    return r
+    if sum(map(ip.euler_phi, orders)) < ip.degree(c):
+        raise BoundExceeded("a root is not sqrt(q) times a root of unity; "
+                            "input is not supersingular")
+    return mult * lcm(*orders)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +273,7 @@ _Z3_FAMILIES = {5: (10, "Psi_{5,1}", (1, 1, 3, 1, 1)),
                 3: (36, "h_{3,3}", (1, 0, 0, 1, 0, 0, 1))}
 
 
-def supersingular_match(h, q, p=None, d=None):
+def supersingular_match(h, q):
     """Identify an irreducible all-slope-1/2 factor among the known families.
 
     Returns a SupersingularMatch carrying the Zhu type, the torsion order m
@@ -288,8 +282,7 @@ def supersingular_match(h, q, p=None, d=None):
     supersingularity precondition was violated.
     """
     h = ip.normalize(tuple(h))
-    if p is None or d is None:
-        p, d = factor_prime_power(q)
+    p, d = factor_prime_power(q)
     deg = ip.degree(h)
     if d % 2 == 0:
         orders = cyclotomic_orders(h, isqrt(q))

@@ -84,7 +84,7 @@ def test_criterion_1_elliptic_table():
             assert sf.group == want, (q, t, sf.group, want)
             if sf.delta == 0:
                 # independent oracle: exact base-change torsion order
-                assert sf.m == supersingular_torsion_order(P), (q, t)
+                assert sf.m == supersingular_torsion_order(P.coeffs, P.q), (q, t)
             checked += 1
     elapsed = time.monotonic() - t0
     assert checked > 450

@@ -68,7 +68,7 @@ class TestElliptic:
                 except Exception:
                     continue
                 if sf.delta == 0:
-                    assert sf.m == supersingular_torsion_order(P)
+                    assert sf.m == supersingular_torsion_order(P.coeffs, P.q)
 
 
 class TestSurface:
@@ -96,6 +96,18 @@ class TestSurface:
     def test_supersingular_split(self):
         sf = classify_surface(validate((1, 0, 0, 0, 4), 2))   # two C_8 curves
         assert sf.group == "C_8" and sf.provenance == "S-G:lcm"
+
+    def test_howe_zhu_agrees_with_the_split_degree(self, corpus):
+        # the coefficient tests are a fast path for ordinary quartics; the
+        # split degree answers the same question for every h
+        polys = [P for polys in corpus.values() for P in polys]
+        for g, q in [(2, 7), (2, 8), (2, 9), (2, 16), (3, 4)]:
+            polys += list(enumerate_weil(g, q))
+        quartics = {(h, P.q) for P in polys for h, _, cls in factor(P).factors
+                    if ip.degree(h) == 4 and cls == "ordinary"}
+        assert len(quartics) == 837
+        for h, q in quartics:
+            assert howe_zhu_split_degree(h[1], h[2], q) == _split_degree(h, q), (h, q)
 
     def test_almost_ordinary_split(self):
         c = ip.poly_mul((1, -1, 2), (1, 0, 2))
@@ -181,6 +193,16 @@ class TestThreefold:
         sf = classify_threefold(validate((1, 0, 0, 9, 0, 0, 27), 3))
         assert sf.group == "C_36"
         assert sf.provenance.startswith("X-ss-simple:Z3")
+
+
+@pytest.mark.parametrize("label, node, m", [
+    ("2.2.c_c", "S-F:Z3", 24), ("2.5.a_f", "S-F:Z2", 6),
+    ("3.3.a_a_j", "X-ss-simple", 36)])
+def test_simple_supersingular_nodes_read_m_from_the_match(count_calls, label, node, m):
+    calls = count_calls("supersingular_torsion_order")
+    sf = classify(parse_label(label))
+    assert sf.provenance.startswith(node + ":") and sf.m == m
+    assert calls == []
 
 
 class TestPaperExamples:

@@ -387,6 +387,17 @@ def test_histogram_bad_line_keeps_the_rest(capsys, fmt):
         assert out.splitlines()[1] == good.strip()
 
 
+def test_histogram_more_buckets_than_samples_keeps_the_batch(capsys):
+    # far more buckets than the default 65536 samples: an input error for
+    # each line, raised before any bucket is allocated
+    code, out, err = run(capsys, "histogram", "-B", "100000000000", "1.2.a", "1.2.ab")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["label"] for r in records] == ["1.2.a", "1.2.ab"]
+    assert all(r["kind"] == "input" and "buckets exceed" in r["error"]
+               for r in records)
+    assert code == 1 and err.count("error:") == 2 and "Traceback" not in err
+
+
 def test_certificate_checks_survive_python_O():
     # `python -O` strips asserts; a factorization that drops a factor must
     # still be refused, with exit code 3

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from weilsf import distribution
+from weilsf._intpoly import InvariantError
 from weilsf.anglerank import angle_rank_numeric, smith_normal_form
 from weilsf.classify import classify
-from weilsf.distribution import (BLOCK, LatticeMissing, PrecisionLoss,
+from weilsf.distribution import (BLOCK, PrecisionLoss,
                                  _atom_candidates, empirical_moments,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import parse_label, roots, validate
+from weilsf.weilpoly import WeilError, parse_label, roots, validate
 
 from conftest import PAPER_EXAMPLES
 
@@ -86,6 +87,16 @@ class TestHistogram:
         assert atoms[0.0] == pytest.approx(3 / 6)
         assert atoms[-2.0] == pytest.approx(2 / 6)
         assert atoms[2.0] == pytest.approx(1 / 6)
+
+    def test_supersingular_torsion_order_84(self):
+        # 5.4.c_a_a_q_bg = 2^6 Phi_7(T/2) 2^4 Phi_12(T/2), period lcm(7, 12)
+        h = histogram(parse_label("5.4.c_a_a_q_bg"), 1000, 8)
+        assert sum(h.counts) == 1000
+
+    @pytest.mark.parametrize("label", ["1.2.a", "1.2.ab"])
+    def test_more_buckets_than_samples_is_an_input_error(self, label):
+        with pytest.raises(WeilError, match="B = 1001 buckets exceed the N = 1000"):
+            histogram(parse_label(label), 1000, 1001)
 
     def test_half_mass_atom(self):
         h = histogram(parse_label("2.5.a_ab"), 100000, 64)
@@ -154,7 +165,7 @@ class TestMoments:
 
     def test_lattice_missing(self):
         grp = classify(parse_label("2.5.a_ab"))
-        with pytest.raises(LatticeMissing):
+        with pytest.raises(InvariantError, match=r"divisors \[\] for delta 1"):
             exact_moments(grp, 2)
 
     def test_moment_report_converges(self):

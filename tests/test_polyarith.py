@@ -182,15 +182,21 @@ class TestBaseChange:
 
 class TestSupersingular:
     def test_torsion_orders(self):
-        assert supersingular_torsion_order(parse_label("1.2.a")) == 4
+        assert supersingular_torsion_order((1, 0, 2), 2) == 4
         assert supersingular_torsion_order((1, -4, 4), 4) == 1
         assert supersingular_torsion_order((1, 4, 4), 4) == 2
         assert supersingular_torsion_order((1, 2, 2, 4, 4), 2) == 24
         assert supersingular_torsion_order((1, 0, 0, 9, 0, 0, 27), 3) == 36
 
+    def test_torsion_order_has_no_cap(self):
+        # 5.4.c_a_a_q_bg = 2^6 Phi_7(T/2) 2^4 Phi_12(T/2): m = lcm(7, 12) = 84
+        c = ip.poly_mul((1, 2, 4, 8, 16, 32, 64), (1, 0, -4, 0, 16))
+        assert c == parse_label("5.4.c_a_a_q_bg").coeffs
+        assert supersingular_torsion_order(c, 4) == 84
+
     def test_torsion_order_rejects_non_ss(self):
         with pytest.raises(BoundExceeded):
-            supersingular_torsion_order(parse_label("1.2.ab"))
+            supersingular_torsion_order((1, -1, 2), 2)    # 1.2.ab
 
     def test_match_z2_quartic(self):
         m = supersingular_match((1, 0, 0, 0, 25), 5)
@@ -375,9 +381,10 @@ class TestIntpolyOracles:
         assert prod == (1, 0, 0, 0, 0, 0, -1)   # T^6 - 1
 
     def test_sturm_counts(self):
-        assert ip.chain_count(ip._sturm_chain((1, 0, -8))) == 2
+        # Cauchy: the roots of a monic c lie in (-b, b), b = 1 + max |c_i|
+        assert ip.chain_count(ip._sturm_chain((1, 0, -8)), -9, 9) == 2
         assert ip.chain_count(ip._sturm_chain((1, 0, -8)), -1, 8) == 1
-        assert ip.chain_count(ip._sturm_chain((1, 0, 1))) == 0
+        assert ip.chain_count(ip._sturm_chain((1, 0, 1)), -2, 2) == 0
 
 
 class TestIntegerCoreAgainstSympy:
@@ -460,14 +467,15 @@ class TestIntegerCoreAgainstSympy:
             assert chain[0] == c
             # Euclid's sequence on (c (y - r), its derivative) ends in y - r
             euclid = ip._euclid(doubled, ip.poly_derivative(doubled))
-            # interval ends on roots, between them and unbounded
-            ends = [None] + roots + [Fraction(rng.randint(-20, 20), rng.randint(1, 4))]
-            for lo in ends:
-                for hi in ends:
-                    if lo is not None and hi is not None and lo >= hi:
+            # interval ends on roots, between them and at the Cauchy bound
+            # b, with every root of the monic c in (-b, b)
+            b = 1 + max(map(abs, c))
+            ends = roots + [Fraction(rng.randint(-20, 20), rng.randint(1, 4))]
+            for lo in [-b] + ends:
+                for hi in ends + [b]:
+                    if lo >= hi:
                         continue
-                    want = sum(1 for r in real
-                               if (lo is None or r > lo) and (hi is None or r <= hi))
+                    want = sum(1 for r in real if lo < r <= hi)
                     assert ip.chain_count(ip._sturm_chain(c), lo, hi) == want, (c, lo, hi)
                     assert ip.chain_count(chain, lo, hi) == want, (c, lo, hi)
                     if roots[0] in (lo, hi):
@@ -490,6 +498,6 @@ class TestIntegerCoreAgainstSympy:
 
     def test_sturm_count_rejects_repeated_roots(self):
         with pytest.raises(ValueError):
-            ip.chain_count(ip._sturm_chain((1, 0, -2, 0, 1)))   # (T^2 - 1)^2
+            ip.chain_count(ip._sturm_chain((1, 0, -2, 0, 1)), -3, 3)   # (T^2 - 1)^2
         with pytest.raises(ValueError):
             ip.chain_count(ip._sturm_chain(ip.poly_mul((1, -1), (1, -2, 1))), 0, 5)

@@ -153,7 +153,7 @@ def test_supersingular_match_agrees_with_torsion_on_corpus(corpus):
             for h, e, cls in factor(P).factors:
                 assert cls == "ss"
                 try:
-                    m = supersingular_match(h, P.q, P.p, P.d)
+                    m = supersingular_match(h, P.q)
                 except NoSupersingularMatch:
                     # only the named exceptional families are recognized; the
                     # remaining cases are quadratics of elliptic curves with
