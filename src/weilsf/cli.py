@@ -29,8 +29,6 @@ from .polyarith import base_change, factor
 from .weilpoly import (DEFAULT_PRECISION, NonConvergence, RootOffCircle, WeilError,
                        factor_prime_power, from_middle, parse_label, validate)
 
-PAPER_SAMPLES = 16 ** 6
-PAPER_BUCKETS = 4 ** 6
 EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
 # what fails one input of a batch; _error_record maps each to a record
 _FAILURES = (WeilError, NonConvergence, ip.InvariantError)
@@ -206,10 +204,8 @@ def cmd_angle_rank(args):
 
 def cmd_histogram(args):
     from .distribution import histogram   # numpy is loaded on first use
-    n = PAPER_SAMPLES if args.paper_scale else args.samples
-    b = PAPER_BUCKETS if args.paper_scale else args.buckets
     def record(P):
-        h = histogram(P, n, b)
+        h = histogram(P, args.samples, args.buckets)
         if args.format == "csv":
             return h.to_csv()
         out = h.to_json()
@@ -343,8 +339,6 @@ def build_parser():
     add_inputs(p)
     p.add_argument("-N", "--samples", type=int, default=16 ** 4)
     p.add_argument("-B", "--buckets", type=int, default=4 ** 3)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="16^6 samples into 4^6 buckets")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_histogram)
 

@@ -14,28 +14,28 @@ slices, so they hold one BLOCK of samples (`moment_report` also one of
 powers, summed per BLOCK and merged with math.fsum) whatever N is;
 `trace_sequence` alone builds all N samples.  `exact_moments` holds no
 grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation lattice
-in a dict of exact integers.  The atoms are decided exactly as well, from the
-same Smith coordinates of the relation lattice, by division by a cyclotomic
-polynomial; only their values are floats.
+in a dict of exact integers.  The atoms depend only on r mod m, since u^m
+lies in the identity component of U(1)^delta x C_m: `histogram` decides
+them once per residue, exactly, and counts and buckets them by arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from ._intpoly import InvariantError, Record, cyclotomic, poly_div_if_exact
+from ._intpoly import InvariantError, Record, cyclotomic
 from .anglerank import angle_rank_numeric, smith_normal_form
 from .classify import SerreFrobeniusGroup
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
-from .weilpoly import WeilError, roots
+from .weilpoly import WeilError, _cis, _pi, roots
 
 BLOCK = 1 << 16                 # samples per kernel pass and partial sum
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
-ATOM_MATCH_TOL = 1e-9
+_COS_SUM_ERROR = 2              # units of 2^-64 in a non-integer atom value
 
 _TWO_PI_OVER_2_64 = 2.0 * math.pi / 2.0 ** 64
 
@@ -119,117 +119,122 @@ class TraceHistogram(Record):
         return "\n".join(lines) + "\n"
 
 
-def _bucket_index(x, g, B):
-    """Bucket of each sample as int64, clipped to [0, B); overwrites x."""
+def _bucket_index(x, g, B, spare):
+    """Bucket of each sample as int64, clipped to [0, B), or B where the
+    boolean `spare` is set; overwrites x."""
     np.add(x, 2.0 * g, out=x)
     x *= B / (4.0 * g)
     np.floor(x, out=x)
     idx = x.astype(np.int64)
     np.clip(idx, 0, B - 1, out=idx)
+    np.putmask(idx, spare, B)
     return idx
 
 
 def _smith_coordinates(basis, g, delta, m):
     """(d, V) = smith_normal_form(basis, g) for the relation lattice of
-    U(1)^delta x C_m, once g - len(d) = delta and d_r = m are checked."""
+    U(1)^delta x C_m, once g - len(d) = delta and d = (1, ..., 1, m) are checked."""
     divisors, v = smith_normal_form(basis, g)
-    if g - len(divisors) != delta or (divisors[-1] if divisors else 1) != m:
+    if (g - len(divisors) != delta or math.prod(divisors) != m
+            or (divisors[-1] if divisors else 1) != m):
         raise InvariantError("divisors %r for delta %d, torsion order %d"
                              % (divisors, delta, m))
     return divisors, v
 
 
-def _vanishes(exponents, m):
-    """Whether the sum of exp(2 pi i a / m) over the integers a is 0: exactly
-    when Phi_m divides sum T^(a mod m)."""
-    c = [0] * m
+def _cyclotomic_residue(exponents, m):
+    """sum T^(a mod m) over the integers a, mod Phi_m: sum exp(2 pi i a / m)
+    in Z[zeta_m], highest power first, so it is 0 exactly when the tuple is
+    and the integer n exactly when the tuple is (0, ..., 0, n)."""
+    phi, c = cyclotomic(m), [0] * m
     for a in exponents:
         c[-1 - a % m] += 1
-    return poly_div_if_exact(tuple(c), cyclotomic(m)) is not None
+    d = len(phi) - 1
+    for i in range(m - d):
+        for k in range(1, d + 1):
+            c[i + k] -= c[i] * phi[k]
+    return tuple(c[m - d:])
 
 
-def _atom_candidates(lattice):
-    """Values where a whole component of the group maps to one point, with
-    mass 1/m per component.
+def _atom_residues(m, thetas, torus):
+    """{j: (key, v, err)} over the j in Z/m where x_r is an atom for r = j
+    mod m: key is the atom exactly, 2^-64 v is it within err units (0 for an
+    integer).  The angles lie on a coset f + M t of the torus (M = torus,
+    m f integral), and r theta on r f + M t, where x has at each frequency
+    +-w != 0 of t the coefficient sum e(r s_i f_i) over M_i = s_i w: a unit
+    times sum e(r b_i / m), b_i = m (s_i theta_i - s_1 theta_1).  So x is an
+    atom exactly when Phi_m divides each sum T^(j b_i), and the atom is
+    sum 2 cos(2 pi j a_i / m) over the a_i = m theta_i with M_i = 0."""
+    classes = {}        # w up to sign -> (s_1 theta_1, [b_i]); (0, [a_i]) for w = 0
+    for theta, row in zip(thetas, torus):
+        w, neg = tuple(row), tuple(-x for x in row)
+        st = theta if w >= neg else -theta
+        anchor, bs = classes.setdefault(max(w, neg), (st if any(w) else 0, []))
+        b = round(m * (st - anchor))
+        if abs(m * (st - anchor) - b) >= Fraction(1, 1 << 64):
+            raise InvariantError("angle %s is not in Z/%d" % (float(st - anchor), m))
+        bs.append(b)
+    fixed = classes.pop((0,) * len(torus[0]), (0, []))[1]
+    pi, out = _pi(96), {}
+    for j in range(m):
+        if any(any(_cyclotomic_residue([j * b for b in bs], m))
+               for _, bs in classes.values()):
+            continue
+        exps = [j * a for a in fixed]
+        key = _cyclotomic_residue(exps + [-e for e in exps], m)
+        # each cosine within a few units of 2^-96, then floored to 2^-64
+        v = 2 * sum(_cis(2 * pi * (e % m) // m, 96)[0] for e in exps) >> 32
+        out[j] = (key, v, _COS_SUM_ERROR) if any(key[:-1]) else (key, key[-1] << 64, 0)
+    return out
 
-    With (d, V) = smith_normal_form(basis, g) and M = V[:, r:], the group is
-    the union over k in Z/d_1 x ... x Z/d_r of the cosets theta = f + M t,
-    f_j = sum_i k_i V[j][i] / d_i.  On a coset, x = sum_j 2 cos(2 pi theta_j)
-    has at each frequency +-w != 0 the coefficient sum_(M_j = w) e(f_j) +
-    sum_(M_j = -w) e(-f_j), a sum of m-th roots of unity, so x is constant
-    there exactly when every such sum vanishes.  The value is summed in
-    floats, left to right from 0.0, from the unreduced phases f_j: reducing
-    them mod 1 can turn a value of 0.0 into -0.0.
-    """
-    g, m = lattice.g, lattice.torsion_order
-    divisors, v = _smith_coordinates(lattice.basis, g, lattice.delta, m)
-    if math.prod(divisors) != m:
-        raise InvariantError("%d cosets for torsion order %d"
-                             % (math.prod(divisors), m))
-    r = len(divisors)
-    classes = {}            # w up to sign -> [(j, sign of M_j against w)]
-    for j, row in enumerate(v):
-        w, neg = tuple(row[r:]), tuple(-x for x in row[r:])
-        if any(w):
-            classes.setdefault(max(w, neg), []).append((j, 1 if w > neg else -1))
-    # e_j = m f_j as integers
-    scales = [m // d for d in divisors]
-    out = {}
-    for k in itertools.product(*map(range, divisors)):
-        e = [sum(a * b * s for a, b, s in zip(k, row, scales)) for row in v]
-        if all(_vanishes([s * e[j] for j, s in cls], m) for cls in classes.values()):
-            x = 0.0
-            for ej in e:
-                x += 2.0 * math.cos(2.0 * math.pi * (ej / m))
-            val = round(x, 9)
-            out[val] = out.get(val, 0) + 1
-    return [(val, cnt / m) for val, cnt in sorted(out.items())]
+
+def _atom_bucket(v, err, g, B):
+    """Bucket of 2^-64 v, known within err units; InvariantError if an edge
+    lies within err of it."""
+    lo, hi = (((v + e + (2 * g << 64)) * B) // (4 * g << 64) for e in (-err, err))
+    if lo != hi:
+        raise InvariantError("atom %r is within 2^-64 of a bucket edge" % (v / 2 ** 64))
+    return min(lo, B - 1)
 
 
 def histogram(P, N, B):
-    """Bucketed counts of (x_r)_{r<=N} over [-2g, 2g], plus detected atoms,
-    for 1 <= B <= N buckets.
+    """Bucketed counts of (x_r)_{r<=N} over [-2g, 2g], plus the atoms above
+    ATOM_THRESHOLD, for 1 <= B <= N buckets, half-open but the last.
 
-    Buckets are half-open with the last one closed.  For supersingular
-    inputs the sequence is periodic and the counts are assembled exactly
-    from one period; atoms are then exact value classes.  Otherwise the
-    atom values are those of the cosets of the group on which the trace is
-    constant, decided exactly by `_atom_candidates`, and their masses are
-    counted empirically.
+    The group gives m, the angles and the torus rows of its Smith form
+    (none, and no oracle run, for a supersingular input).  An atom residue
+    j of `_atom_residues` counts its (N - j) // m + 1 samples (j = m for 0)
+    in its `_atom_bucket`; only the other r are bucketed from the kernel.
     """
     if N < 1 or B < 1:
         raise WeilError("N and B must be positive")
     if B > N:
         raise WeilError("B = %d buckets exceed the N = %d samples" % (B, N))
     g = P.g
-    counts = np.zeros(B, dtype=np.int64)
     if newton_polygon(P).is_supersingular():
-        m = supersingular_torsion_order(P.coeffs, P.q)
-        period = trace_sequence(P, m)
-        # x_j recurs at r = j, j + m, ...; (N - j) // m + 1 is 0 for j > N
-        reps = (N - np.arange(1, m + 1, dtype=np.int64)) // m + 1
-        atom_counter = {}
-        for val, c in zip(period, reps.tolist()):
-            key = round(float(val), 9)
-            atom_counter[key] = atom_counter.get(key, 0) + c
-        np.add.at(counts, _bucket_index(period, g, B), reps)
-        atoms = tuple((v, c / N) for v, c in sorted(atom_counter.items())
-                      if c / N > ATOM_THRESHOLD)
-        return TraceHistogram(g=g, sample_count=N, bucket_count=B,
-                              counts=tuple(int(c) for c in counts), atoms=atoms)
-
-    lattice = angle_rank_numeric(P)
-    ms = _fixed_point_angles(lattice.thetas, N)
-    cands = _atom_candidates(lattice)
-    atom_counts = [0] * len(cands)
-    for x in _trace_chunks(ms, N):
-        for i, (v, _) in enumerate(cands):
-            atom_counts[i] += int(np.count_nonzero(np.abs(x - v) < ATOM_MATCH_TOL))
-        counts += np.bincount(_bucket_index(x, g, B), minlength=B)
-    atoms = tuple((v, c / N) for (v, _), c in zip(cands, atom_counts)
-                  if c / N > ATOM_THRESHOLD)
+        m, thetas = supersingular_torsion_order(P.coeffs, P.q), roots(P).thetas
+        torus = [()] * g
+    else:
+        lattice = angle_rank_numeric(P)
+        m, thetas = lattice.torsion_order, lattice.thetas
+        divisors, smith = _smith_coordinates(lattice.basis, g, lattice.delta, m)
+        torus = [row[len(divisors):] for row in smith]
+    atoms = _atom_residues(m, thetas, torus)
+    counts, masses = np.zeros(B + 1, dtype=np.int64), {}
+    for j, (key, v, err) in atoms.items():
+        c = (N - (j or m)) // m + 1          # 0 for j > N
+        counts[_atom_bucket(v, err, g, B)] += c
+        masses.setdefault(key, [v, 0])[1] += c
+    if len(atoms) < m:
+        # on[lo % m + i]: r = lo + 1 + i is an atom, counted above: bucket B
+        on = np.tile([(t + 1) % m in atoms for t in range(m)], min(BLOCK, N) // m + 2)
+        ms = _fixed_point_angles(thetas, N)
+        for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N)):
+            np.add.at(counts, _bucket_index(x, g, B, on[lo % m:lo % m + len(x)]), 1)
+    atoms = tuple(sorted((v / 2 ** 64, c / N) for v, c in masses.values()
+                         if c / N > ATOM_THRESHOLD))
     return TraceHistogram(g=g, sample_count=N, bucket_count=B,
-                          counts=tuple(int(c) for c in counts), atoms=atoms)
+                          counts=tuple(int(c) for c in counts[:B]), atoms=atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,17 @@ def test_histogram_csv(capsys):
     assert sum(int(l.split(",")[2]) for l in lines[1:]) == 400
 
 
+def test_histogram_takes_its_sizes(capsys):
+    # -N and -B are honoured, and the edge atoms 0 and 2 of 1.2.a each land
+    # in one bucket
+    code, out, _ = run(capsys, "histogram", "1.2.a", "-N", "100", "-B", "4")
+    data = json.loads(out)
+    assert (code, data["sample_count"], data["bucket_count"]) == (0, 100, 4)
+    code, out, _ = run(capsys, "histogram", "1.2.a", "-N", "100", "-B", "4",
+                       "--format", "csv")
+    assert [int(l.split(",")[2]) for l in out.strip().split("\n")[1:]] == [25, 0, 50, 25]
+
+
 def test_moments(capsys):
     code, out, _ = run(capsys, "moments", "1.2.ab", "-N", "20000", "-K", "2")
     data = json.loads(out)

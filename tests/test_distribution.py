@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -15,8 +17,8 @@ from weilsf import distribution
 from weilsf._intpoly import InvariantError
 from weilsf.anglerank import angle_rank_numeric, smith_normal_form
 from weilsf.classify import classify
-from weilsf.distribution import (BLOCK, PrecisionLoss,
-                                 _atom_candidates, empirical_moments,
+from weilsf.distribution import (BLOCK, PrecisionLoss, _atom_bucket,
+                                 _atom_residues, empirical_moments,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
 from weilsf.polyarith import base_change
@@ -25,6 +27,14 @@ from weilsf.weilpoly import WeilError, parse_label, roots, validate
 from conftest import PAPER_EXAMPLES
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
+
+
+def _atoms_per_component(P):
+    """[(value, k / m)] for the atoms of P over one period r = 1..m, where
+    each value of the trace on k of the m components of the group is an
+    atom: histogram(P, m, 1) counts every residue once."""
+    m = angle_rank_numeric(P).torsion_order
+    return list(histogram(P, m, 1).atoms)
 
 
 class TestTraceSequence:
@@ -87,6 +97,33 @@ class TestHistogram:
         assert atoms[0.0] == pytest.approx(3 / 6)
         assert atoms[-2.0] == pytest.approx(2 / 6)
         assert atoms[2.0] == pytest.approx(1 / 6)
+
+    def test_edge_atoms_land_in_one_bucket(self):
+        # x_r = 0, -2, 0, 2: the atoms 0 and 2 sit on bucket edges, where
+        # the float noise of the kernel would split the zeros over buckets
+        # 1 and 2
+        assert histogram(parse_label("1.2.a"), 100, 4).counts == (25, 0, 50, 25)
+
+    def test_atoms_exact_and_the_rest_from_the_kernel(self):
+        # x_r = 0 exactly at odd r: all 5000 in [0, 2), and the even r as
+        # the trace sequence buckets them
+        P, n = parse_label("2.5.a_ab"), 10 ** 4
+        h = histogram(P, n, 4)
+        even = trace_sequence(P, n)[1::2]
+        want = np.bincount(np.clip(np.floor((even + 4.0) * 0.5).astype(int), 0, 3),
+                           minlength=4)
+        want[2] += 5000
+        assert list(h.counts) == want.tolist()
+
+    def test_atom_masses_are_residue_counts(self):
+        h = histogram(parse_label("2.5.a_ab"), 10001, 8)
+        assert h.atoms == ((0.0, 5001 / 10001),)
+
+    @pytest.mark.parametrize("label", ["1.2.a", "2.2.ae_i"])
+    def test_supersingular_runs_no_oracle_and_no_kernel(self, count_calls, label):
+        oracle, kernel = count_calls("angle_rank_numeric"), count_calls("_trace_chunks")
+        h = histogram(parse_label(label), 1000, 8)
+        assert (oracle, kernel, sum(h.counts)) == ([], [], 1000)
 
     def test_supersingular_torsion_order_84(self):
         # 5.4.c_a_a_q_bg = 2^6 Phi_7(T/2) 2^4 Phi_12(T/2), period lcm(7, 12)
@@ -195,9 +232,10 @@ class TestMoments:
             assert abs(m_k - ref) <= 1e-12 * scale
 
     def test_exact_moments_pinned(self):
-        # exact_moments(group, 8, lattice), and the SHA-256 of
-        # repr(_atom_candidates(lattice)) taken before the quadrature grid
-        # was built in place: delta = 1 with C_2, delta = 2 with C_2, delta = 2
+        # exact_moments(group, 8, lattice), and the SHA-256 of the repr of
+        # the atoms per component (a list of (value, k / m)) taken before the
+        # quadrature grid was built in place: delta = 1 with C_2, delta = 2
+        # with C_2, delta = 2
         pinned = {
             "2.5.a_ab": ([0.0, 4.0, 0.0, 48.0, 0.0, 640.0, 0.0, 8960.0],
                          "085996ebfe77ceeae742c7f65a0934e9a769df8062966ab83ce965214f6a4e3e"),
@@ -210,7 +248,7 @@ class TestMoments:
             P = parse_label(label)
             lattice = angle_rank_numeric(P)
             assert exact_moments(classify(P), 8, lattice) == moments
-            assert _digest(_atom_candidates(lattice)) == atoms
+            assert _digest(_atoms_per_component(P)) == atoms
 
     @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))
     def test_walk_counts_match_plain_relations(self, label):
@@ -254,7 +292,12 @@ class TestMoments:
 # which moves the last bits of the empirical moments of 2.2.ab_b, 3.2.ad_f_ah
 # and 2.5.a_ab.  The moment digests of 2.5.a_ab and 2.2.ae_i were re-taken
 # once the exact moments became integer walk counts: their odd `exact`
-# entries are now 0.0 and their odd `abs_error` entries follow.  PIN_N spans
+# entries are now 0.0 and their odd `abs_error` entries follow.  The
+# histogram digests of 2.5.a_ab and 2.2.ae_i were re-taken once the atoms
+# were counted per residue of r mod m and bucketed exactly: the atom at 0,
+# split before by float noise over buckets 2047 and 2048, is now all in
+# 2048, and the atoms +-2 sqrt 2 of 2.2.ae_i are no longer rounded to 9
+# decimals; the atom masses did not move.  PIN_N spans
 # many BLOCKs and ends on a ragged block.  The moments depend on numpy's
 # float64 cos to the last bit, so these digests hold for one numpy build and
 # CPU family.
@@ -267,10 +310,10 @@ PINNED = {
     "3.2.ad_f_ah": ("817e1e4d8e55c0bab96423a9c3bb38959fe6073e1e0f7315e9da3cdfcbe0fb9f",
                     "c3f7c0d82449263b410f105695131bac246db91bdca18671d81863159499ace5"),
     # U(1) x C_2, one atom at 0
-    "2.5.a_ab": ("330abf609843f03c2ac7e1164bdf5d374c12e70ac6fe077ce4d34bf9ae2948d9",
+    "2.5.a_ab": ("7d816f6cf3990ae4164522747bdf29500e6044090842197994c8b398ec014fd8",
                  "2bd0543071c6ff7d5f9203909a61e003bbef57616911ab3a6ebedbdb5e570b59"),
     # supersingular, C_8, five atoms
-    "2.2.ae_i": ("1d2b6f4d6a319eff01eaf4f367ba47c3a27887c903fa7beaeb278212ae554e2d",
+    "2.2.ae_i": ("37110c382a6d4947907416aec562702b63a29441d6a0dd9da97085e11b1569f9",
                  "c37cb5860c31f882fd9a6cc8f73a8b1b8a8693cabee067a3ef7341d48cf2f0ed"),
 }
 
@@ -342,8 +385,8 @@ class TestBaseChangeTraceIdentity:
 
 class TestExactAtoms:
     def test_atoms_match_corpus(self):
-        # atom values, coset counts and the sign of zero as in the corpus
-        # `atoms` column, on every label with 0 < delta < g
+        # atom values within 1e-9 and the same component counts as the
+        # corpus `atoms` column, on every label with 0 < delta < g
         with open(CORPUS, newline="") as fh:
             rows = [row for row in csv.DictReader(fh, delimiter="\t")
                     if 0 < int(row["n_delta"]) < int(row["g"])]
@@ -351,9 +394,13 @@ class TestExactAtoms:
         differing = []
         for row in rows:
             m = int(row["n_m"])
-            atoms = _atom_candidates(angle_rank_numeric(parse_label(row["label"])))
-            text = ";".join("%.9f:%d" % (v, round(f * m)) for v, f in atoms) or "none"
-            if text != row["atoms"]:
+            want = [] if row["atoms"] == "none" else [
+                (float(v), int(k)) for v, k in
+                (item.split(":") for item in row["atoms"].split(";"))]
+            got = _atoms_per_component(parse_label(row["label"]))
+            if (len(got) != len(want)
+                    or any(abs(v - w) > 1e-9 or round(f * m) != k
+                           for (v, f), (w, k) in zip(got, want))):
                 differing.append(row["label"])
         assert differing == []
 
@@ -388,12 +435,50 @@ class TestExactAtoms:
                     found[val] = found.get(val, 0) + 1
                 else:
                     assert spread > 1e-6, (label, k)
-        atoms = _atom_candidates(lattice)
+        atoms = _atoms_per_component(parse_label(label))
         assert [c / m for _, c in sorted(found.items())] == [f for _, f in atoms]
         for (want, _), (got, _) in zip(sorted(found.items()), atoms):
             assert abs(want - got) < 1e-9
 
     def test_atom_step_uses_no_numpy(self, monkeypatch):
+        # U(1) x C_3: x_r is the atom 0 exactly when 3 does not divide r
         monkeypatch.setattr(distribution, "np", None)
         lattice = angle_rank_numeric(parse_label("3.2.a_a_ac"))
-        assert repr(_atom_candidates(lattice)) == "[(-0.0, 0.6666666666666666)]"
+        divisors, v = smith_normal_form(lattice.basis, 3)
+        atoms = _atom_residues(3, lattice.thetas, [row[len(divisors):] for row in v])
+        values = {(val / 2 ** 64, err) for _, val, err in atoms.values()}
+        assert repr((values, len(atoms) / 3)) == "({(0.0, 0)}, 0.6666666666666666)"
+
+    def test_non_integer_atom_off_the_edges(self):
+        # 2.2.ae_i: x_r = 4 cos(pi r / 4), so +-2 sqrt 2 at odd r, each in
+        # the bucket of its value, and the integers 4, 0, -4 on edges go up
+        h = histogram(parse_label("2.2.ae_i"), 8 * 1000, 16)
+        want = [0] * 16
+        for x, c in [(-4, 1000), (-2 * math.sqrt(2), 2000), (0, 2000),
+                     (2 * math.sqrt(2), 2000), (4, 1000)]:
+            want[min(math.floor((x + 4) * 2), 15)] += c
+        assert list(h.counts) == want
+
+    def test_atom_near_an_edge_is_refused(self):
+        # values 2^-64 v within err units, g = 1 and B = 4: the edge 0 is
+        # the left end of bucket 2, and 2 = 2g falls in the closed last one
+        assert _atom_bucket(0, 0, 1, 4) == 2
+        assert _atom_bucket(2 << 64, 0, 1, 4) == 3
+        assert (_atom_bucket(-3, 2, 1, 4), _atom_bucket(3, 2, 1, 4)) == (1, 2)
+        with pytest.raises(InvariantError, match="bucket edge"):
+            _atom_bucket(1, 2, 1, 4)
+
+
+def test_benchmark_trace_checks_pass(monkeypatch):
+    # the `traces` benchmark's own checks (paper-scale histogram, moments,
+    # atoms and the histogram moments at bucket midpoints) on the labels
+    # with edge atoms and the tightest histogram-moment margins; the module
+    # is loaded from perfbench/ as it is, and writes no bytecode there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = CORPUS.parent.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    rows = {row["label"]: row for row in wl.load_corpus()}
+    for label in ("2.3.a_ac", "3.3.a_a_f", "3.3.d_h_m"):
+        assert wl.run_traces(parse_label(label), rows[label]) is None, label
