@@ -370,9 +370,10 @@ def squarefree_sturm_chain(c):
 def scaled_value(c, x, k=0):
     """2^(k deg c) c(x / 2^k) for an integer x: an integer of the sign of
     c(x / 2^k), by Horner's rule on c_i 2^(k i)."""
-    v = 0
-    for i, ci in enumerate(c):
-        v = v * x + (ci << k * i)
+    v = s = 0
+    for ci in c:
+        v = v * x + (ci << s)
+        s += k
     return v
 
 
@@ -381,12 +382,7 @@ def _variations_at(chain, x, k=0):
     k = 0)."""
     count = last = 0
     for i, poly in enumerate(chain):
-        if k:
-            v = scaled_value(poly, x, k)
-        else:
-            v = 0
-            for ci in poly:
-                v = v * x + ci
+        v = scaled_value(poly, x, k)
         if i & 2:
             v = -v
         if v:

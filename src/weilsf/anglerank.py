@@ -55,23 +55,20 @@ def _nearest(a, b):
 
 
 def lll_reduce(rows):
-    """LLL with Lovasz's delta = 99/100 on integer rows, in integers throughout
-    (Cohen, GTM 138, Alg. 2.6.7).
+    """LLL with Lovasz's delta = 99/100 on linearly independent integer rows,
+    in integers throughout (Cohen, GTM 138, Alg. 2.6.7).
 
-    With Gram-Schmidt vectors b*_j, B_j = |b*_j|^2 and mu_ij, d_j is the
-    product of the nonzero B_i with i <= j (d_(-1) = 1) and lam[i][j] =
-    d_j mu_ij (mu_ij = 0 where B_j = 0).  Both are integers for dependent
-    rows too, because the nonzero b*_j are those of the rows outside the
-    span of the rows before them (as in MLLL, Alg. 2.6.8).  Each step
-    size-reduces row k against rows k-1, ..., 0 (mu rounded to the nearest
-    integer, ties to even), then tests Lovasz's condition and either
-    moves on or swaps rows k-1 and k; a swap with a dependent row k
-    (B_k = 0) has its own update.
+    With Gram-Schmidt vectors b*_j, B_j = |b*_j|^2 and mu_ij, d_j =
+    B_0 ... B_j (d_(-1) = 1) and lam[i][j] = d_j mu_ij are integers.  Each
+    step size-reduces row k against rows k-1, ..., 0 (mu rounded to the
+    nearest integer, ties to even), then tests Lovasz's condition and either
+    moves on or swaps rows k-1 and k.  A zero B_j, from dependent rows,
+    raises InvariantError; the oracle's rows [e_j | N theta_j] and [0 | N]
+    are upper triangular with determinant N, so independent.
     """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     d = [1] * (n + 1)      # d[j] is d_(j-1): d[0] = d_(-1) = 1
-    zero = [False] * n     # B_j = 0
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
@@ -79,59 +76,35 @@ def lll_reduce(rows):
             for t in range(j):
                 u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
-                lam[i][j] = 0 if zero[j] else u
+                lam[i][j] = u
+            elif u:
+                d[i + 1] = u
             else:
-                zero[i] = not u
-                d[i + 1] = u or d[i]
+                raise InvariantError("LLL rows are linearly dependent")
 
     k = 1
     while k < n:
         lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if not zero[j] and 2 * abs(lk[j]) > d[j + 1]:
+            if 2 * abs(lk[j]) > d[j + 1]:
                 r = _nearest(lk[j], d[j + 1])
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 for t in range(j):
                     lk[t] -= r * lam[j][t]
                 lk[j] -= r * d[j + 1]
         lm = lk[k - 1]
-        if zero[k - 1]:     # mu = 0 and B_(k-1) = 0: the condition holds
-            k += 1
-            continue
-        if zero[k]:         # 0 >= (delta - mu^2) B_(k-1)
-            keep = 100 * lm * lm >= 99 * d[k] ** 2
-        else:
-            keep = 100 * (d[k + 1] * d[k - 1] + lm * lm) >= 99 * d[k] ** 2
-        if keep:
+        if 100 * (d[k + 1] * d[k - 1] + lm * lm) >= 99 * d[k] ** 2:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
         lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
         old = d[k]
-        if not zero[k]:
-            new = (d[k - 1] * d[k + 1] + lm * lm) // old
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // old
-                lam[i][k - 1] = (new * t + lm * lam[i][k]) // d[k + 1]
-            d[k] = new
-        elif lm:
-            # the dependent row moves to k-1 with B = mu^2 B_(k-1), and the
-            # row it passes becomes dependent: d_j for j >= k-1 and
-            # lam[i][j] for j > k scale by mu^2
-            new = lm * lm // old
-            for i in range(k + 1, n):
-                lam[i][k - 1] = lm * lam[i][k - 1] // old
-                for j in range(k + 1, i):
-                    lam[i][j] = lam[i][j] * new // old
-            for j in range(k, n + 1):
-                d[j] = d[j] * new // old
-        else:
-            # the dependent row moves down: B_(k-1) = 0, B_k = old B_(k-1)
-            zero[k - 1], zero[k] = True, False
-            for i in range(k + 1, n):
-                lam[i][k], lam[i][k - 1] = lam[i][k - 1], 0
-            d[k] = d[k - 1]
+        new = (d[k - 1] * d[k + 1] + lm * lm) // old
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // old
+            lam[i][k - 1] = (new * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = new
         k = max(k - 1, 1)
     return b
 

@@ -93,9 +93,11 @@ def enumerate_weil(g, q):
 
     A superset of the isogeny classes that actually occur (existence of an
     abelian variety is not checked).  Candidate tuples are pruned by the
-    exact power-sum bounds before the full root-modulus validation.  A q
-    that is not a prime power raises NotPrimePower at the call.
+    exact power-sum bounds before the full root-modulus validation.  A g < 1
+    raises WeilError, and a q that is not a prime power NotPrimePower.
     """
+    if g < 1:
+        raise WeilError("g must be positive, got %d" % g)
     factor_prime_power(q)
     bounds = [math.floor(math.comb(2 * g, i) * q ** (i / 2.0))
               for i in range(1, g + 1)]

@@ -16,7 +16,8 @@ powers, summed per BLOCK and merged with math.fsum) whatever N is;
 grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation lattice
 in a dict of exact integers.  The atoms depend only on r mod m, since u^m
 lies in the identity component of U(1)^delta x C_m: `histogram` decides
-them once per residue, exactly, and counts and buckets them by arithmetic.
+them once per residue, exactly, and counts and buckets them by arithmetic;
+the kernel runs only at the other residues, r stepping by m.
 """
 
 from __future__ import annotations
@@ -54,17 +55,19 @@ def _fixed_point_angles(thetas, N):
     return [round(t * (1 << 64)) % (1 << 64) for t in thetas]
 
 
-def _trace_chunks(ms, N):
-    """x_1, ..., x_N as consecutive slices of one reused buffer of at most
-    BLOCK samples, each overwritten by the next.  Every x_r sees the same
-    float operations in the same order whatever the block size."""
-    n = min(BLOCK, N)
-    r = np.arange(1, n + 1, dtype=np.uint64)
+def _trace_chunks(ms, N, j, m):
+    """x_r for r = j, j + m, ... <= N as consecutive slices of one reused
+    buffer of at most BLOCK samples, each overwritten by the next.  Every
+    x_r sees the same float operations in the same order whatever the block
+    size and the stride."""
+    count = (N - j) // m + 1
+    n = min(BLOCK, count)
+    r = np.arange(j, j + m * n, m, dtype=np.uint64)
     ph = np.empty(n, dtype=np.uint64)
     w = np.empty(n, dtype=np.float64)
     buf = np.empty(n, dtype=np.float64)
-    for lo in range(0, N, BLOCK):
-        k = min(BLOCK, N - lo)
+    for lo in range(0, count, BLOCK):
+        k = min(BLOCK, count - lo)
         x, rb, pb, wb = buf[:k], r[:k], ph[:k], w[:k]
         x.fill(0.0)
         with np.errstate(over="ignore"):
@@ -74,7 +77,7 @@ def _trace_chunks(ms, N):
                 np.cos(wb, out=wb)
                 wb *= 2.0
                 x += wb
-            r += np.uint64(BLOCK)
+            r += np.uint64(m * BLOCK)
         yield x
 
 
@@ -82,7 +85,7 @@ def trace_sequence(P, N):
     """The vector (x_1, ..., x_N); deterministic for fixed (P, N)."""
     ms = _fixed_point_angles(roots(P).thetas, N)
     out = np.empty(N, dtype=np.float64)
-    for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N)):
+    for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N, 1, 1)):
         out[lo:lo + len(x)] = x
     return out
 
@@ -119,15 +122,13 @@ class TraceHistogram(Record):
         return "\n".join(lines) + "\n"
 
 
-def _bucket_index(x, g, B, spare):
-    """Bucket of each sample as int64, clipped to [0, B), or B where the
-    boolean `spare` is set; overwrites x."""
+def _bucket_index(x, g, B):
+    """Bucket of each sample as int64, clipped to [0, B); overwrites x."""
     np.add(x, 2.0 * g, out=x)
     x *= B / (4.0 * g)
     np.floor(x, out=x)
     idx = x.astype(np.int64)
     np.clip(idx, 0, B - 1, out=idx)
-    np.putmask(idx, spare, B)
     return idx
 
 
@@ -204,7 +205,8 @@ def histogram(P, N, B):
     The group gives m, the angles and the torus rows of its Smith form
     (none, and no oracle run, for a supersingular input).  An atom residue
     j of `_atom_residues` counts its (N - j) // m + 1 samples (j = m for 0)
-    in its `_atom_bucket`; only the other r are bucketed from the kernel.
+    in its `_atom_bucket`; the kernel evaluates and buckets only the r of
+    the other residues, r = j, j + m, ... <= N for each.
     """
     if N < 1 or B < 1:
         raise WeilError("N and B must be positive")
@@ -220,21 +222,21 @@ def histogram(P, N, B):
         divisors, smith = _smith_coordinates(lattice.basis, g, lattice.delta, m)
         torus = [row[len(divisors):] for row in smith]
     atoms = _atom_residues(m, thetas, torus)
-    counts, masses = np.zeros(B + 1, dtype=np.int64), {}
+    counts, masses = np.zeros(B, dtype=np.int64), {}
     for j, (key, v, err) in atoms.items():
         c = (N - (j or m)) // m + 1          # 0 for j > N
         counts[_atom_bucket(v, err, g, B)] += c
         masses.setdefault(key, [v, 0])[1] += c
     if len(atoms) < m:
-        # on[lo % m + i]: r = lo + 1 + i is an atom, counted above: bucket B
-        on = np.tile([(t + 1) % m in atoms for t in range(m)], min(BLOCK, N) // m + 2)
         ms = _fixed_point_angles(thetas, N)
-        for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N)):
-            np.add.at(counts, _bucket_index(x, g, B, on[lo % m:lo % m + len(x)]), 1)
+        for j in range(1, min(m, N) + 1):
+            if j % m not in atoms:
+                for x in _trace_chunks(ms, N, j, m):
+                    np.add.at(counts, _bucket_index(x, g, B), 1)
     atoms = tuple(sorted((v / 2 ** 64, c / N) for v, c in masses.values()
                          if c / N > ATOM_THRESHOLD))
     return TraceHistogram(g=g, sample_count=N, bucket_count=B,
-                          counts=tuple(int(c) for c in counts[:B]), atoms=atoms)
+                          counts=tuple(int(c) for c in counts), atoms=atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,7 @@ def moment_report(P, N, K):
     # angles serve the trace kernel too
     lattice = angle_rank_numeric(P) if group.delta < group.g else None
     ms = _fixed_point_angles((lattice or roots(P)).thetas, N)
-    emp = _mean_powers(_trace_chunks(ms, N), N, K)
+    emp = _mean_powers(_trace_chunks(ms, N, 1, 1), N, K)
     exa = exact_moments(group, K, lattice)
     return MomentReport(orders=tuple(range(1, K + 1)),
                         empirical=tuple(emp), exact=tuple(exa),

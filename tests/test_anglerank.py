@@ -74,6 +74,10 @@ class TestLinearAlgebra:
                     a, b = rng.randint(-3, 3), rng.randint(-3, 3)
                     rows[i] = [a * x + b * y for x, y in
                                zip(rows[rng.randrange(i)], rows[rng.randrange(i)])]
+            if len(_divisors(rows, dim)) < n:
+                with pytest.raises(ip.InvariantError, match="linearly dependent"):
+                    lll_reduce(rows)
+                continue
             red = lll_reduce(rows)
             assert len(red) == n
             assert (_divisors(red, dim) == _divisors(rows, dim)
@@ -83,12 +87,18 @@ class TestLinearAlgebra:
             assert all(B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
                        for k in range(1, n)), rows
 
-    @pytest.mark.parametrize("rows,reduced", [
-        ([[1, 2], [2, 4]], [[0, 0], [1, 2]]),
-        ([[2, 4], [1, 2], [0, 1]], [[0, 0], [0, 1], [1, 0]]),
-        ([[0, 0], [1, 1]], [[0, 0], [1, 1]])])
-    def test_lll_dependent_rows(self, rows, reduced):
-        assert lll_reduce(rows) == reduced
+    def test_lll_dependent_rows_raise(self):
+        for rows in ([[1, 2], [2, 4]], [[2, 4], [1, 2], [0, 1]], [[0, 0], [1, 1]],
+                     [[1, 0], [0, 1], [1, 1]]):
+            with pytest.raises(ip.InvariantError, match="linearly dependent"):
+                lll_reduce(rows)
+
+    def test_oracle_rows_are_independent(self, corpus):
+        # [e_j | round(N theta_j)] and [0 | N] are upper triangular with
+        # determinant N: rank g + 1 and Smith divisors of product N
+        for P in corpus[(3, 2)]:
+            divisors = _divisors(_relation_lattice_rows(P, 256), P.g + 1)
+            assert len(divisors) == P.g + 1 and math.prod(divisors) == 1 << 128
 
     def test_snf_divisor_chain(self):
         divisors, _ = smith_normal_form([[2, 0], [0, 3]], 2)

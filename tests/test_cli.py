@@ -146,6 +146,12 @@ def test_non_prime_power_q_rejected(capsys, verb):
     assert err.startswith("error:") and "not a prime power" in err
 
 
+@pytest.mark.parametrize("g", ["0", "-1"])
+def test_verify_g_below_one_is_input_error(capsys, g):
+    code, out, err = run(capsys, "verify", "-g", g, "-q", "2")
+    assert (code, out, err) == (1, "", "error: g must be positive, got %s\n" % g)
+
+
 def test_enumerate_g2_q2_classifies_cleanly(capsys):
     code, out, _ = run(capsys, "enumerate", "-g", "2", "-q", "2")
     labels = out.strip().split("\n")

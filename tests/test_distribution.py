@@ -115,6 +115,20 @@ class TestHistogram:
         want[2] += 5000
         assert list(h.counts) == want.tolist()
 
+    def test_kernel_runs_only_at_non_atom_residues(self, monkeypatch):
+        # m = 2 and x_r = 0 exactly at odd r: the kernel evaluates the N/2
+        # even r alone, each to the bits of the trace sequence
+        real, seen = distribution._trace_chunks, []
+
+        def chunks(*args):
+            for x in real(*args):
+                seen.append(x.copy())
+                yield x
+        monkeypatch.setattr(distribution, "_trace_chunks", chunks)
+        P, n = parse_label("2.5.a_ab"), 2 * BLOCK + 10
+        histogram(P, n, 4)
+        assert np.concatenate(seen).tobytes() == trace_sequence(P, n)[1::2].tobytes()
+
     def test_atom_masses_are_residue_counts(self):
         h = histogram(parse_label("2.5.a_ab"), 10001, 8)
         assert h.atoms == ((0.0, 5001 / 10001),)

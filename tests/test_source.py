@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "weilsf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weilsf"
 
 
 def test_no_assert_statements():
@@ -59,3 +60,21 @@ def test_no_module_names_mpmath():
     # the numeric layer is exact-integer end to end; mpmath serves the
     # tests as a reference only
     assert [p.name for p in sorted(SRC.glob("*.py")) if "mpmath" in p.read_text()] == []
+
+
+def test_traced_functions_exist():
+    # the benchmark tracer wraps each (module, function) of its TARGETS with
+    # getattr, so a target that is renamed or deleted ends every traced run
+    path = ROOT / "perfbench" / "tracing.py"
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert len(targets) >= 10
+    missing = []
+    for module, name in targets:
+        tree = ast.parse((SRC / (module + ".py")).read_text())
+        if not any(isinstance(node, ast.FunctionDef) and node.name == name
+                   for node in tree.body):
+            missing.append((module, name))
+    assert missing == []
