@@ -87,11 +87,22 @@ class TestLinearAlgebra:
             assert all(B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
                        for k in range(1, n)), rows
 
-    def test_lll_dependent_rows_raise(self):
-        for rows in ([[1, 2], [2, 4]], [[2, 4], [1, 2], [0, 1]], [[0, 0], [1, 1]],
-                     [[1, 0], [0, 1], [1, 1]]):
-            with pytest.raises(ip.InvariantError, match="linearly dependent"):
-                lll_reduce(rows)
+    @pytest.mark.parametrize("rows,reduced", [
+        ([[1, 2], [2, 4]], [[0, 0], [1, 2]]),
+        ([[2, 4], [1, 2], [0, 1]], [[0, 0], [0, 1], [1, 0]]),
+        ([[0, 0], [1, 1]], [[0, 0], [1, 1]]),
+        ([[1, 0], [0, 1], [1, 1]], [[0, 0], [1, 0], [0, 1]])])
+    def test_lll_dependent_rows(self, rows, reduced):
+        # `reduced` is the MLLL (Alg. 2.6.8) output: dependent rows are
+        # refused, and its nonzero rows are an independent reduced basis
+        # of the same lattice that lll_reduce returns unchanged
+        with pytest.raises(ip.InvariantError, match="linearly dependent"):
+            lll_reduce(rows)
+        basis = [r for r in reduced if any(r)]
+        dim = len(rows[0])
+        assert len(_divisors(basis, dim)) == len(basis)
+        assert _divisors(basis, dim) == _divisors(rows, dim)
+        assert lll_reduce(basis) == basis
 
     def test_oracle_rows_are_independent(self, corpus):
         # [e_j | round(N theta_j)] and [0 | N] are upper triangular with
