@@ -99,8 +99,7 @@ def enumerate_weil(g, q):
     if g < 1:
         raise WeilError("g must be positive, got %d" % g)
     factor_prime_power(q)
-    bounds = [math.floor(math.comb(2 * g, i) * q ** (i / 2.0))
-              for i in range(1, g + 1)]
+    bounds = [math.isqrt(math.comb(2 * g, i) ** 2 * q ** i) for i in range(1, g + 1)]
 
     def rec(prefix):
         k = len(prefix) + 1
@@ -353,7 +352,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate",
                        help="all valid coefficient tuples as labels")
-    p.add_argument("-g", type=int, required=True, choices=[1, 2, 3])
+    p.add_argument("-g", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.set_defaults(func=cmd_enumerate)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._intpoly import InvariantError, Record, cyclotomic
 from .anglerank import angle_rank_numeric, smith_normal_form
-from .classify import SerreFrobeniusGroup
+from .classify import SerreFrobeniusGroup, classify
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
 from .weilpoly import WeilError, _cis, _pi, roots
@@ -324,7 +324,6 @@ class MomentReport(Record):
 
 def moment_report(P, N, K):
     """Empirical moments of (x_r)_{r<=N} against the exact group moments."""
-    from .classify import classify
     if K < 1:
         raise WeilError("K must be positive")
     group = classify(P)

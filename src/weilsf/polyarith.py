@@ -5,11 +5,13 @@ Factorization works on the real Weil transform H of P (degree g, real
 roots in [-2 sqrt(q), 2 sqrt(q)]) that `validate` stores as P.h.  Linear
 factors of H are its integer roots a with a^2 <= 4q, isolated by Sturm
 bisection; a remainder of degree <= 3 without them is irreducible, so for
-g <= 3 the factorization is exact arithmetic throughout.  Only a remainder
-of degree >= 4 is split by reconstructing candidate divisors from subsets
-of its fixed-point real roots, kept only when they divide exactly.  The
-factors of H are pulled back to the factors of P, whose product is checked
-against P.
+g <= 3 no root is approximated.  A remainder of degree n >= 4 is split by
+rounding products over subsets of its fixed-point real roots, kept only
+when they divide exactly.  The roots are solved to a width proven from n
+and q, at which rounding recovers every integer factor from its roots, so
+"no candidate divides" proves irreducibility and the factorization is exact
+for every g.  The factors of H are pulled back to the factors of P, whose
+product is checked against P.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from math import isqrt, lcm
 
 from . import _intpoly as ip
 from .newton import newton_class
-from .weilpoly import (DEFAULT_PRECISION, GUARD_BITS, WeilError, factor_prime_power,
-                       real_roots_bound, real_weil_transform, validate,
-                       weil_pullback)
+from .weilpoly import (WeilError, factor_prime_power, real_roots_bound,
+                       real_weil_transform, validate, weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 
@@ -60,15 +61,20 @@ def _split_real_rooted(h, q):
     so a division by y - a only there strips every linear factor exactly,
     with O(g log q) chain evaluations (a linear remainder takes no
     division: it is a factor).  What is left has no linear factor, so it
-    is irreducible when its degree is at most 3.  Only a remainder of
-    degree >= 4 (g >= 4) is searched numerically, on its certified
-    fixed-point roots: subsets of them are tried smallest first, from size
-    2; the product over a subset is rounded to integers and kept only if it
-    divides what is left of h exactly.  The k
-    roots where a kept factor of degree k is smallest (its own roots) then
-    leave the search, so every kept factor has the least degree of any
-    factor left and is irreducible, and so is a remainder with no factor of
-    at most half its degree.
+    is irreducible when its degree is at most 3.
+
+    A remainder of degree n >= 4 is searched on its fixed-point roots
+    Y / 2^b, each within 2^(1-b) of a root y with |y| < B =
+    `real_roots_bound(q)`.  The product over k of them differs from the
+    product over the k true roots by at most j C(k, j) 2^(1-b) (B + 1)^(j-1)
+    <= k 2^(k-b) (B + 1)^(k-1) in its coefficient of degree k - j, which
+    b = (n // 2) (bitlen(B + 1) + 2) + 2 keeps below 1/2 for every
+    k <= n / 2.  Rounding therefore recovers every monic integer factor of
+    degree k exactly from its roots.  Subsets are tried by size k from 2,
+    and a rounded product is kept when it divides h exactly; the roots of
+    the quotient are solved again.  Every factor of degree less than k has
+    been ruled out, so each kept factor is irreducible, and a remainder
+    with no factor of at most half its degree is proven irreducible.
     """
     found = []
     for _, a, _ in ip.isolate(ip._sturm_chain(h), -isqrt(4 * q) - 1, isqrt(4 * q),
@@ -76,30 +82,26 @@ def _split_real_rooted(h, q):
         if ip.degree(h) > 1 and (rest := ip.poly_div_if_exact(h, (1, -a))) is not None:
             found.append((1, -a))
             h = rest
-    if ip.degree(h) <= 3:
-        return found + ([h] if ip.degree(h) else [])
-    # roots Y / 2^bits within 2^(1 - bits); a product over k of them is
-    # 2^(-k bits) prod (2^bits T - Y), rounded to the nearest integers
-    bits = DEFAULT_PRECISION + GUARD_BITS
-    ys = ip.real_roots(h, real_roots_bound(q), bits)
-    k = 2
-    while k <= ip.degree(h) // 2:
+    bound = real_roots_bound(q)
+    k, ys = 2, None
+    while 2 * k <= ip.degree(h):
+        if ys is None:
+            bits = ip.degree(h) // 2 * ((bound + 1).bit_length() + 2) + 2
+            ys = ip.real_roots(h, bound, bits)
+        # a product over k roots is 2^(-k bits) prod (2^bits T - Y)
+        half = 1 << (k * bits - 1)
         for subset in itertools.combinations(ys, k):
             cand = (1,)
             for y in subset:
                 cand = ip.poly_mul(cand, (1 << bits, -y))
-            half = 1 << (k * bits - 1)
             d = tuple([(c + half) >> (k * bits) for c in cand])
             rest = ip.poly_div_if_exact(h, d)
             if rest is not None:
+                found.append(d)
+                h, ys = rest, None
                 break
         else:
             k += 1
-            continue
-        found.append(d)
-        h = rest
-        ys = sorted(ys, key=lambda y: abs(ip.scaled_value(d, y, bits)))[k:]
-        k = 2
     return found + [h]
 
 
@@ -107,7 +109,7 @@ def factor(P):
     """IsogenyFactorization of a validated WeilPolynomial.
 
     Factors the real Weil transform H = P.h (degree g, real roots
-    y = alpha + q/alpha; exactly for g <= 3, see `_split_real_rooted`) and
+    y = alpha + q/alpha; exactly for every g, see `_split_real_rooted`) and
     pulls each irreducible factor h of H back to f = T^k h(T + q/T),
     k = deg h.  For a root y of h other than +-2 sqrt(q) the roots of f are
     a non-real alpha and q/alpha = conj(alpha), with [Q(alpha):Q(y)] = 2,

@@ -146,10 +146,18 @@ def test_non_prime_power_q_rejected(capsys, verb):
     assert err.startswith("error:") and "not a prime power" in err
 
 
+@pytest.mark.parametrize("verb", ["verify", "enumerate"])
 @pytest.mark.parametrize("g", ["0", "-1"])
-def test_verify_g_below_one_is_input_error(capsys, g):
-    code, out, err = run(capsys, "verify", "-g", g, "-q", "2")
+def test_verify_g_below_one_is_input_error(capsys, verb, g):
+    code, out, err = run(capsys, verb, "-g", g, "-q", "2")
     assert (code, out, err) == (1, "", "error: g must be positive, got %s\n" % g)
+
+
+def test_enumerate_bounds_are_exact_beyond_float_range():
+    # |a_1| <= isqrt(4q) = 2^551: q^(1/2) is past the float range, and the
+    # first polynomial is (T - 2^550)^2
+    P = next(cli.enumerate_weil(1, 2 ** 1100))
+    assert P.coeffs == (1, -2 ** 551, 2 ** 1100)
 
 
 def test_enumerate_g2_q2_classifies_cleanly(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import _split_degree, classify
+from weilsf.classify import NotSimple, _split_degree, classify
 from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
@@ -18,9 +18,16 @@ from weilsf.polyarith import (MAX_FACTOR_DEGREE, BoundExceeded,
                               factor, supersingular_match,
                               supersingular_torsion_order)
 from weilsf._intpoly import real_roots
-from weilsf.weilpoly import WeilError, parse_label, validate
+from weilsf.weilpoly import WeilError, parse_label, validate, weil_pullback
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
+
+# parts of H over F_(2^600) that split only into quadratics and a cubic,
+# with no integer root: (y^2 - (3 2^599 + 1))(y^2 - (2^599 + 5)), g = 4, and
+# the ordinary (y^2 - y - (2^599 + 1))(y^3 - 3 2^597 y + 1), g = 5
+Q600 = 2 ** 600
+H600_G4 = ip.poly_mul((1, 0, -(3 * 2 ** 599 + 1)), (1, 0, -(2 ** 599 + 5)))
+H600_G5 = ip.poly_mul((1, -1, -(2 ** 599 + 1)), (1, 0, -3 * 2 ** 597, 1))
 
 
 def _pairs(P):
@@ -143,6 +150,47 @@ class TestFactor:
         assert P.h == (1, 0, -8, 0, 4)
         assert _pairs(P) == [((1, -2, 2, -4, 4), 1), ((1, 2, 2, 4, 4), 1)]
         assert calls == [P.h]
+
+    @pytest.mark.parametrize("H, degrees", [(H600_G4, [4, 4]), (H600_G5, [4, 6])],
+                             ids=["g4", "g5"])
+    def test_subset_search_width_grows_with_q(self, H, degrees):
+        # a width that does not grow with q (288 bits) rounds the products of
+        # the true root pairs to non-factors above q ~ 2^576, and H passed
+        # for irreducible
+        P = validate(weil_pullback(H, Q600), Q600)
+        assert [ip.degree(f) for f, e in _pairs(P)] == degrees
+
+    def test_reducible_g5_over_a_large_field_is_not_simple(self):
+        with pytest.raises(NotSimple):
+            classify(validate(weil_pullback(H600_G5, Q600), Q600))
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_subset_search_recovers_every_piece(self, p):
+        # H = a product of distinct linear pieces y - r and irreducible
+        # quadratic pieces y^2 - s y - t, all roots inside (-2 sqrt(q),
+        # 2 sqrt(q)), at least two quadratics, deg H <= 8 and q up to 2^900:
+        # the factors of P are the pullbacks of the pieces
+        rng = random.Random(p)
+        for _ in range(6):
+            q = p ** rng.randint(8, int(900 / math.log2(p)))
+            edge = math.isqrt(16 * q)       # 4 sqrt(q) - 1 < edge <= 4 sqrt(q)
+            pieces = set()
+            n_quadratic = rng.randint(2, 4)
+            n_pieces = n_quadratic + rng.randint(0, 8 - 2 * n_quadratic)
+            while len(pieces) < n_quadratic:
+                s = rng.randint(-edge // 2, edge // 2)
+                # sqrt(D) < edge - |s|, so both roots (s +- sqrt(D)) / 2 lie inside
+                D = s * s % 4 + 4 * rng.randint(1, (edge - abs(s) - 1) ** 2 // 4)
+                if math.isqrt(D) ** 2 != D:
+                    pieces.add((1, -s, (s * s - D) // 4))
+            while len(pieces) < n_pieces:
+                pieces.add((1, -rng.randint(-edge // 2 + 1, edge // 2 - 1)))
+            H = (1,)
+            for piece in pieces:
+                H = ip.poly_mul(H, piece)
+            want = sorted(((weil_pullback(piece, q), 1) for piece in pieces),
+                          key=lambda fe: (ip.degree(fe[0]), fe[0]))
+            assert _pairs(validate(weil_pullback(H, q), q)) == want, (q, pieces)
 
     def test_json_schema(self):
         fac = factor(parse_label("2.25.ac_bz"))

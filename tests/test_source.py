@@ -56,6 +56,23 @@ def test_precision_is_the_oracles_knob():
     assert found == []
 
 
+def test_structural_modules_are_integer_exact():
+    # the structural side takes no width from the oracle and computes in
+    # integers and Fractions only: no float constant and no true division
+    knobs = {"DEFAULT_PRECISION", "GUARD_BITS"}
+    found = []
+    for name in ["_intpoly.py", "polyarith.py", "classify.py", "newton.py"]:
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Name) and node.id in knobs
+                    or isinstance(node, ast.alias) and node.name in knobs
+                    or isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    or isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)):
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+
+
 def test_no_module_names_mpmath():
     # the numeric layer is exact-integer end to end; mpmath serves the
     # tests as a reference only
