@@ -8,11 +8,13 @@ resulting angle error is below 2^-40 even at the full paper sampling scale,
 far inside every tolerance used here.  No randomness anywhere: the sequence,
 the bucketing and the summation order are all fixed.
 
-Memory: the trace kernel works BLOCK samples at a time on buffers it
-allocates once per call.  `histogram` and `moment_report` stream BLOCK-sized
-slices, so they hold one BLOCK of samples (`moment_report` also one of
-powers, summed per BLOCK and merged with math.fsum) whatever N is;
-`trace_sequence` alone builds all N samples.  `exact_moments` holds no
+Memory: the trace kernel yields BLOCK samples at a time from one buffer it
+allocates once per call, and fills it SLICE samples at a time, so its
+scratch (r, phases, cosines) holds SLICE entries each.  `histogram` holds
+that scratch, one BLOCK of samples and one of bucket indices;
+`moment_report` the scratch, one BLOCK of samples and one of powers (summed
+per BLOCK and merged with math.fsum), whatever N is.  `trace_sequence`
+alone builds all N samples.  `exact_moments` holds no
 grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation lattice
 in a dict of exact integers.  The atoms depend only on r mod m, since u^m
 lies in the identity component of U(1)^delta x C_m: `histogram` decides
@@ -35,6 +37,13 @@ from .polyarith import supersingular_torsion_order
 from .weilpoly import WeilError, _cis, _pi, roots
 
 BLOCK = 1 << 16                 # samples per kernel pass and partial sum
+# Samples per kernel sweep over the angles.  The four arrays of a slice
+# (r, phase, cosine, sum) take 32 * SLICE bytes, 256 KiB here, well
+# inside a 2 MiB L2.  A sweep of 2^11 ... 2^16 on a 2-vCPU Xeon kept the
+# kernel time flat from 2^13 up and slower below it, where the g numpy
+# calls per slice start to cost; 2^13 is the smallest width on the flat
+# part, so it saves the most memory (BENCH_kernel.json).
+SLICE = 1 << 13
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
 _COS_SUM_ERROR = 2              # units of 2^-64 in a non-integer atom value
 
@@ -57,27 +66,31 @@ def _fixed_point_angles(thetas, N):
 
 def _trace_chunks(ms, N, j, m):
     """x_r for r = j, j + m, ... <= N as consecutive slices of one reused
-    buffer of at most BLOCK samples, each overwritten by the next.  Every
-    x_r sees the same float operations in the same order whatever the block
-    size and the stride."""
+    buffer of at most BLOCK samples, each overwritten by the next.  Each
+    block is filled SLICE samples at a time, so the scratch arrays hold
+    SLICE entries.  Every x_r sees the same float operations in the same
+    order whatever the block size, the slice width and the stride."""
     count = (N - j) // m + 1
-    n = min(BLOCK, count)
+    n = min(SLICE, count)
     r = np.arange(j, j + m * n, m, dtype=np.uint64)
     ph = np.empty(n, dtype=np.uint64)
     w = np.empty(n, dtype=np.float64)
-    buf = np.empty(n, dtype=np.float64)
+    buf = np.empty(min(BLOCK, count), dtype=np.float64)
     for lo in range(0, count, BLOCK):
-        k = min(BLOCK, count - lo)
-        x, rb, pb, wb = buf[:k], r[:k], ph[:k], w[:k]
-        x.fill(0.0)
+        x = buf[:min(BLOCK, count - lo)]
         with np.errstate(over="ignore"):
-            for m_j in ms:
-                np.multiply(rb, np.uint64(m_j), out=pb)
-                np.multiply(pb, _TWO_PI_OVER_2_64, out=wb)
-                np.cos(wb, out=wb)
-                wb *= 2.0
-                x += wb
-            r += np.uint64(m * BLOCK)
+            for a in range(0, len(x), SLICE):
+                xs = x[a:a + SLICE]
+                k = len(xs)
+                rs, ps, ws = r[:k], ph[:k], w[:k]
+                xs.fill(0.0)
+                for m_j in ms:
+                    np.multiply(rs, np.uint64(m_j), out=ps)
+                    np.multiply(ps, _TWO_PI_OVER_2_64, out=ws)
+                    np.cos(ws, out=ws)
+                    ws *= 2.0
+                    xs += ws
+                r += np.uint64(m * SLICE)
         yield x
 
 
@@ -263,6 +276,8 @@ def empirical_moments(xs, K):
     Partial sums are accumulated per BLOCK and merged with math.fsum, as in
     `moment_report`, so both give the same bits for the same samples.
     """
+    if K < 1:
+        raise WeilError("K must be positive")
     xs = np.asarray(xs, dtype=np.float64)
     n = len(xs)
     if n == 0:
@@ -295,6 +310,8 @@ def exact_moments(group, K, lattice=None):
     W_b of b-step walks, and walks of ceil(K/2) steps give every moment:
     E[x^(a+b)] = sum_s W_a(s) W_b(s).  delta = g (L = 0) needs no lattice.
     """
+    if K < 1:
+        raise WeilError("K must be positive")
     g, delta, m = group.g, group.delta, group.m
     divisors, v = _smith_coordinates(lattice.basis if lattice else (),
                                      g, delta, m)

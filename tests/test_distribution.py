@@ -17,8 +17,9 @@ from weilsf import distribution
 from weilsf._intpoly import InvariantError
 from weilsf.anglerank import angle_rank_numeric, smith_normal_form
 from weilsf.classify import classify
-from weilsf.distribution import (BLOCK, PrecisionLoss, _atom_bucket,
-                                 _atom_residues, empirical_moments,
+from weilsf.distribution import (BLOCK, SLICE, PrecisionLoss, _atom_bucket,
+                                 _atom_residues, _fixed_point_angles,
+                                 _trace_chunks, empirical_moments,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
 from weilsf.polyarith import base_change
@@ -219,6 +220,16 @@ class TestMoments:
         with pytest.raises(InvariantError, match=r"divisors \[\] for delta 1"):
             exact_moments(grp, 2)
 
+    @pytest.mark.parametrize("K", [0, -2, -3])
+    def test_empirical_moments_need_positive_order(self, K):
+        with pytest.raises(WeilError, match="K must be positive"):
+            empirical_moments(np.ones(10), K)
+
+    @pytest.mark.parametrize("K", [0, -2, -3])
+    def test_exact_moments_need_positive_order(self, K):
+        with pytest.raises(WeilError, match="K must be positive"):
+            exact_moments(classify(parse_label("1.2.ab")), K)
+
     def test_moment_report_converges(self):
         rep = moment_report(parse_label("2.5.a_ab"), 50000, 4)
         assert all(a < 0.05 for a in rep.abs_error)
@@ -355,6 +366,30 @@ class TestTraceKernelBlocks:
         rep = moment_report(P, PIN_N, 8)
         assert (_digest((h.counts, h.atoms)), _digest(rep.to_json())) == PINNED[label]
 
+    # N straddles the SLICE and BLOCK boundaries, and the last case is a
+    # single sample (m > N - j)
+    @pytest.mark.parametrize("N, j, m", [(BLOCK + SLICE + 3, 1, 1),
+                                         (3 * BLOCK + 5, 2, 3),
+                                         (SLICE - 1, 1, 1), (2 * SLICE, 4, 7),
+                                         (SLICE + 10, 3, SLICE + 8)])
+    def test_slices_match_per_sample_evaluation(self, N, j, m):
+        # x_r one r at a time with the kernel's float operations: uint64
+        # wraparound product, times 2 pi / 2^64, cos, times 2, summed over
+        # the angles in order
+        P = parse_label("3.2.ad_f_ah")
+        ms = _fixed_point_angles(roots(P).thetas, N)
+        chunks = [x.copy() for x in _trace_chunks(ms, N, j, m)]
+        assert all(len(x) == BLOCK for x in chunks[:-1]) and len(chunks[-1]) <= BLOCK
+        got = np.concatenate(chunks)
+        angles, scale = np.array(ms, dtype=np.uint64), 2.0 * math.pi / 2.0 ** 64
+        want = []
+        for r in range(j, N + 1, m):
+            x = 0.0
+            for c in np.cos(angles * np.uint64(r) * scale) * 2.0:
+                x += float(c)
+            want.append(x)
+        assert got.tobytes() == np.array(want).tobytes()
+
     @staticmethod
     def _peak_mb(f):
         tracemalloc.start()
@@ -364,15 +399,17 @@ class TestTraceKernelBlocks:
         finally:
             tracemalloc.stop()
 
+    # one BLOCK of samples and one of indices or powers (1 MiB) plus the
+    # kernel's three SLICE-sized scratch arrays (192 KiB)
     def test_histogram_holds_one_block(self):
         P = parse_label("3.2.ad_f_ah")
         histogram(P, 100, 16)   # one-time imports and caches stay out of the peak
-        assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 8
+        assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 1.75
 
     def test_moment_report_holds_one_block(self):
         P = parse_label("3.2.ad_f_ah")
         moment_report(P, 100, 8)
-        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 8
+        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 1.75
 
     def test_exact_moments_walk_counts_stay_small(self):
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
