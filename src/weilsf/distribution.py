@@ -8,18 +8,16 @@ resulting angle error is below 2^-40 even at the full paper sampling scale,
 far inside every tolerance used here.  No randomness anywhere: the sequence,
 the bucketing and the summation order are all fixed.
 
-Memory: the trace kernel yields BLOCK samples at a time from one buffer it
-allocates once per call, and fills it SLICE samples at a time, so its
-scratch (r, phases, cosines) holds SLICE entries each.  `histogram` holds
-that scratch, one BLOCK of samples and one of bucket indices;
-`moment_report` the scratch, one BLOCK of samples and one of powers (summed
-per BLOCK and merged with math.fsum), whatever N is.  `trace_sequence`
-alone builds all N samples.  `exact_moments` holds no
-grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation lattice
-in a dict of exact integers.  The atoms depend only on r mod m, since u^m
-lies in the identity component of U(1)^delta x C_m: `histogram` decides
-them once per residue, exactly, and counts and buckets them by arithmetic;
-the kernel runs only at the other residues, r stepping by m.
+Memory: the trace kernel yields SLICE samples at a time from one buffer it
+allocates once per call, beside its scratch (r, phases, cosines) of SLICE
+entries each.  `histogram` turns each slice into bucket indices in place;
+`moment_report` holds one SLICE of powers more and one partial sum per slice
+and power.  `trace_sequence` alone builds all N samples.  `exact_moments`
+holds no grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation
+lattice in a dict of exact integers.  The atoms depend only on r mod m,
+since u^m lies in the identity component of U(1)^delta x C_m: `histogram`
+decides them once per residue, exactly, and counts and buckets them by
+arithmetic; the kernel runs only at the other residues, r stepping by m.
 """
 
 from __future__ import annotations
@@ -36,9 +34,8 @@ from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
 from .weilpoly import WeilError, _cis, _pi, roots
 
-BLOCK = 1 << 16                 # samples per kernel pass and partial sum
-# Samples per kernel sweep over the angles.  The four arrays of a slice
-# (r, phase, cosine, sum) take 32 * SLICE bytes, 256 KiB here, well
+# Samples per kernel sweep, bucketing and partial sum.  The four arrays of a
+# slice (r, phase, cosine, sum) take 32 * SLICE bytes, 256 KiB here, well
 # inside a 2 MiB L2.  A sweep of 2^11 ... 2^16 on a 2-vCPU Xeon kept the
 # kernel time flat from 2^13 up and slower below it, where the g numpy
 # calls per slice start to cost; 2^13 is the smallest width on the flat
@@ -54,51 +51,50 @@ class PrecisionLoss(WeilError):
     pass
 
 
-def _fixed_point_angles(thetas, N):
-    """The angles as 64-bit fixed point, once N <= 2^32 samples are known to
-    keep their accuracy in it (the angles are solved at 256 bits or more)."""
+def _check_samples(N):
+    """1 <= N <= 2^32, past which the 64-bit fixed-point angles lose accuracy."""
     if N < 1:
         raise WeilError("N must be positive")
     if N > 1 << 32:
         raise PrecisionLoss("N = %d loses angle accuracy in 64-bit fixed point" % N)
+
+
+def _fixed_point_angles(thetas):
     return [round(t * (1 << 64)) % (1 << 64) for t in thetas]
 
 
 def _trace_chunks(ms, N, j, m):
     """x_r for r = j, j + m, ... <= N as consecutive slices of one reused
-    buffer of at most BLOCK samples, each overwritten by the next.  Each
-    block is filled SLICE samples at a time, so the scratch arrays hold
-    SLICE entries.  Every x_r sees the same float operations in the same
-    order whatever the block size, the slice width and the stride."""
+    buffer of at most SLICE samples, each overwritten by the next.  Every
+    x_r sees the same float operations in the same order whatever the slice
+    width and the stride."""
     count = (N - j) // m + 1
     n = min(SLICE, count)
     r = np.arange(j, j + m * n, m, dtype=np.uint64)
     ph = np.empty(n, dtype=np.uint64)
     w = np.empty(n, dtype=np.float64)
-    buf = np.empty(min(BLOCK, count), dtype=np.float64)
-    for lo in range(0, count, BLOCK):
-        x = buf[:min(BLOCK, count - lo)]
+    buf = np.empty(n, dtype=np.float64)
+    for lo in range(0, count, SLICE):
+        k = min(SLICE, count - lo)
+        x, rs, ps, ws = buf[:k], r[:k], ph[:k], w[:k]
+        x.fill(0.0)
         with np.errstate(over="ignore"):
-            for a in range(0, len(x), SLICE):
-                xs = x[a:a + SLICE]
-                k = len(xs)
-                rs, ps, ws = r[:k], ph[:k], w[:k]
-                xs.fill(0.0)
-                for m_j in ms:
-                    np.multiply(rs, np.uint64(m_j), out=ps)
-                    np.multiply(ps, _TWO_PI_OVER_2_64, out=ws)
-                    np.cos(ws, out=ws)
-                    ws *= 2.0
-                    xs += ws
-                r += np.uint64(m * SLICE)
+            for m_j in ms:
+                np.multiply(rs, np.uint64(m_j), out=ps)
+                np.multiply(ps, _TWO_PI_OVER_2_64, out=ws)
+                np.cos(ws, out=ws)
+                ws *= 2.0
+                x += ws
+        r += np.uint64(m * SLICE)
         yield x
 
 
 def trace_sequence(P, N):
     """The vector (x_1, ..., x_N); deterministic for fixed (P, N)."""
-    ms = _fixed_point_angles(roots(P).thetas, N)
+    _check_samples(N)
+    ms = _fixed_point_angles(roots(P).thetas)
     out = np.empty(N, dtype=np.float64)
-    for lo, x in zip(range(0, N, BLOCK), _trace_chunks(ms, N, 1, 1)):
+    for lo, x in zip(range(0, N, SLICE), _trace_chunks(ms, N, 1, 1)):
         out[lo:lo + len(x)] = x
     return out
 
@@ -136,11 +132,13 @@ class TraceHistogram(Record):
 
 
 def _bucket_index(x, g, B):
-    """Bucket of each sample as int64, clipped to [0, B); overwrites x."""
+    """Bucket of each sample, clipped to [0, B), as an int64 view of x,
+    which it overwrites: the slice buffer is the index buffer too."""
     np.add(x, 2.0 * g, out=x)
     x *= B / (4.0 * g)
     np.floor(x, out=x)
-    idx = x.astype(np.int64)
+    idx = x.view(np.int64)
+    np.copyto(idx, x, casting="unsafe")
     np.clip(idx, 0, B - 1, out=idx)
     return idx
 
@@ -241,7 +239,8 @@ def histogram(P, N, B):
         counts[_atom_bucket(v, err, g, B)] += c
         masses.setdefault(key, [v, 0])[1] += c
     if len(atoms) < m:
-        ms = _fixed_point_angles(thetas, N)
+        _check_samples(N)
+        ms = _fixed_point_angles(thetas)
         for j in range(1, min(m, N) + 1):
             if j % m not in atoms:
                 for x in _trace_chunks(ms, N, j, m):
@@ -256,16 +255,16 @@ def histogram(P, N, B):
 # moments
 
 
-def _mean_powers(blocks, n, K):
-    """Means of x^k, k = 1..K, over the n samples given as blocks of at
-    most BLOCK: one np.sum per block and power, merged with math.fsum."""
+def _mean_powers(slices, n, K):
+    """Means of x^k, k = 1..K, over the n samples given as slices of at
+    most SLICE: one np.sum per slice and power, merged with math.fsum."""
     partials = [[] for _ in range(K)]
-    p = np.empty(min(n, BLOCK), dtype=np.float64)
-    for block in blocks:
-        q = p[:len(block)]
+    p = np.empty(min(n, SLICE), dtype=np.float64)
+    for x in slices:
+        q = p[:len(x)]
         q.fill(1.0)
         for parts in partials:
-            np.multiply(q, block, out=q)
+            np.multiply(q, x, out=q)
             parts.append(float(np.sum(q)))
     return [math.fsum(parts) / n for parts in partials]
 
@@ -273,7 +272,7 @@ def _mean_powers(blocks, n, K):
 def empirical_moments(xs, K):
     """Means of x^k for k = 1..K with compensated summation.
 
-    Partial sums are accumulated per BLOCK and merged with math.fsum, as in
+    Partial sums are accumulated per SLICE and merged with math.fsum, as in
     `moment_report`, so both give the same bits for the same samples.
     """
     if K < 1:
@@ -282,7 +281,7 @@ def empirical_moments(xs, K):
     n = len(xs)
     if n == 0:
         raise WeilError("empty sequence")
-    return _mean_powers((xs[s:s + BLOCK] for s in range(0, n, BLOCK)), n, K)
+    return _mean_powers((xs[s:s + SLICE] for s in range(0, n, SLICE)), n, K)
 
 
 def _walk_step(walks, steps, mods):
@@ -343,13 +342,14 @@ def moment_report(P, N, K):
     """Empirical moments of (x_r)_{r<=N} against the exact group moments."""
     if K < 1:
         raise WeilError("K must be positive")
+    _check_samples(N)
     group = classify(P)
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")
     # the oracle runs only where the lattice is needed, and then its
     # angles serve the trace kernel too
     lattice = angle_rank_numeric(P) if group.delta < group.g else None
-    ms = _fixed_point_angles((lattice or roots(P)).thetas, N)
+    ms = _fixed_point_angles((lattice or roots(P)).thetas)
     emp = _mean_powers(_trace_chunks(ms, N, 1, 1), N, K)
     exa = exact_moments(group, K, lattice)
     return MomentReport(orders=tuple(range(1, K + 1)),

@@ -17,7 +17,7 @@ from weilsf import distribution
 from weilsf._intpoly import InvariantError
 from weilsf.anglerank import angle_rank_numeric, smith_normal_form
 from weilsf.classify import classify
-from weilsf.distribution import (BLOCK, SLICE, PrecisionLoss, _atom_bucket,
+from weilsf.distribution import (SLICE, PrecisionLoss, _atom_bucket,
                                  _atom_residues, _fixed_point_angles,
                                  _trace_chunks, empirical_moments,
                                  exact_moments, histogram, moment_report,
@@ -63,9 +63,9 @@ class TestTraceSequence:
 
     def test_block_boundary_matches_direct_evaluation(self):
         # x_r from the exact fixed-point phase (r M mod 2^64) one r at a time,
-        # across the first BLOCK boundary
+        # over many slices and a ragged last one
         P = parse_label("3.2.ad_f_ah")
-        n = BLOCK + 3
+        n = (1 << 16) + 3
         with mp.workprec(288):
             ms = [int(mp.nint(t * 2 ** 64)) % 2 ** 64 for t in roots(P, 256).thetas]
         xs = trace_sequence(P, n)
@@ -126,7 +126,7 @@ class TestHistogram:
                 seen.append(x.copy())
                 yield x
         monkeypatch.setattr(distribution, "_trace_chunks", chunks)
-        P, n = parse_label("2.5.a_ab"), 2 * BLOCK + 10
+        P, n = parse_label("2.5.a_ab"), 2 * (1 << 16) + 10
         histogram(P, n, 4)
         assert np.concatenate(seen).tobytes() == trace_sequence(P, n)[1::2].tobytes()
 
@@ -239,10 +239,9 @@ class TestMoments:
         m = empirical_moments(xs, 5)
         assert abs(m[0]) < 0.01 and abs(m[2]) < 0.05 and abs(m[4]) < 0.3
 
-    # delta = g and delta < g; several BLOCKs ending on a ragged one, and
-    # less than one BLOCK
+    # delta = g and delta < g; many slices ending on a ragged one
     @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab"])
-    @pytest.mark.parametrize("n", [3 * BLOCK + 123, BLOCK - 1])
+    @pytest.mark.parametrize("n", [3 * (1 << 16) + 123, (1 << 16) - 1])
     def test_streamed_moments_match_array_path(self, label, n):
         P = parse_label(label)
         xs = trace_sequence(P, n)
@@ -313,7 +312,7 @@ class TestMoments:
 # SHA-256 of repr((counts, atoms)) of histogram(P, PIN_N, 4096) and of
 # repr(moment_report(P, PIN_N, 8).to_json()).  The histogram digests were
 # taken before the trace kernel worked in blocks.  The moment digests were
-# taken once the moments were summed per BLOCK instead of per 2^20 samples,
+# taken once the moments were summed per 2^16 instead of per 2^20 samples,
 # which moves the last bits of the empirical moments of 2.2.ab_b, 3.2.ad_f_ah
 # and 2.5.a_ab.  The moment digests of 2.5.a_ab and 2.2.ae_i were re-taken
 # once the exact moments became integer walk counts: their odd `exact`
@@ -322,24 +321,26 @@ class TestMoments:
 # were counted per residue of r mod m and bucketed exactly: the atom at 0,
 # split before by float noise over buckets 2047 and 2048, is now all in
 # 2048, and the atoms +-2 sqrt 2 of 2.2.ae_i are no longer rounded to 9
-# decimals; the atom masses did not move.  PIN_N spans
-# many BLOCKs and ends on a ragged block.  The moments depend on numpy's
-# float64 cos to the last bit, so these digests hold for one numpy build and
-# CPU family.
+# decimals; the atom masses did not move.  The moment digests were re-taken
+# once the moments were summed per slice of 2^13 instead of per 2^16
+# samples: every even moment kept its bits, and the odd ones, sums near 0,
+# moved by at most 4e-16.  PIN_N spans many slices and ends on a ragged
+# one.  The moments depend on numpy's float64 cos to the last bit, so these
+# digests hold for one numpy build and CPU family.
 PIN_N = (1 << 21) + 12345
 PINNED = {
     # g = 2, U(1)^2, no atoms
     "2.2.ab_b": ("b25d2be2a1d5a46bb91f86d7bda143fbb74a0d65ae05f0bc7ab8b85963153ea5",
-                 "9f6fc1deee53acb70070625b2f770b85524f4e255ea0c82cbd673bcb6092b653"),
+                 "65ccc4d3cfc7e1f35d5fbf28376df66c8cfbdf032dff9e6b27dbe1818aeed38d"),
     # g = 3, U(1)^3
     "3.2.ad_f_ah": ("817e1e4d8e55c0bab96423a9c3bb38959fe6073e1e0f7315e9da3cdfcbe0fb9f",
-                    "c3f7c0d82449263b410f105695131bac246db91bdca18671d81863159499ace5"),
+                    "cc353ec3f99cd18230b424d844bd930d31e4966b59342dea37cdd699a256ecde"),
     # U(1) x C_2, one atom at 0
     "2.5.a_ab": ("7d816f6cf3990ae4164522747bdf29500e6044090842197994c8b398ec014fd8",
-                 "2bd0543071c6ff7d5f9203909a61e003bbef57616911ab3a6ebedbdb5e570b59"),
+                 "27f9a11c5adac42e4cba6f556d91bedc2d3a1dba0d5744a170179647197c22ef"),
     # supersingular, C_8, five atoms
     "2.2.ae_i": ("37110c382a6d4947907416aec562702b63a29441d6a0dd9da97085e11b1569f9",
-                 "c37cb5860c31f882fd9a6cc8f73a8b1b8a8693cabee067a3ef7341d48cf2f0ed"),
+                 "8b05d972592bdde269d33e3cd7d4f47e7c644aaa60ec89c20d3d4502ff4d70ed"),
 }
 
 
@@ -358,6 +359,20 @@ def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
     assert [precision for _, precision in calls] == [512]
 
 
+@pytest.mark.parametrize("run, error, message", [
+    (lambda P: moment_report(P, 0, 8), WeilError, "N must be positive"),
+    (lambda P: moment_report(P, 1 << 33, 8), PrecisionLoss, "loses angle accuracy"),
+    (lambda P: trace_sequence(P, 0), WeilError, "N must be positive"),
+    (lambda P: trace_sequence(P, 1 << 33), PrecisionLoss, "loses angle accuracy"),
+], ids=["moments-0", "moments-2^33", "sequence-0", "sequence-2^33"])
+def test_sample_count_checked_before_any_solve(count_calls, run, error, message):
+    P = parse_label("3.2.ab_b_b")
+    oracle, solves = count_calls("angle_rank_numeric"), count_calls("roots")
+    with pytest.raises(error, match=message):
+        run(P)
+    assert (oracle, solves) == ([], [])
+
+
 class TestTraceKernelBlocks:
     @pytest.mark.parametrize("label", sorted(PINNED))
     def test_outputs_bit_identical(self, label):
@@ -366,10 +381,24 @@ class TestTraceKernelBlocks:
         rep = moment_report(P, PIN_N, 8)
         assert (_digest((h.counts, h.atoms)), _digest(rep.to_json())) == PINNED[label]
 
-    # N straddles the SLICE and BLOCK boundaries, and the last case is a
-    # single sample (m > N - j)
-    @pytest.mark.parametrize("N, j, m", [(BLOCK + SLICE + 3, 1, 1),
-                                         (3 * BLOCK + 5, 2, 3),
+    # the histogram buckets each slice as it comes and the moments sum per
+    # slice: the counts and atoms do not move with the width, and the
+    # streamed moments stay those of the sequence sliced the same way
+    @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab"])
+    def test_slice_width_moves_no_count(self, monkeypatch, label):
+        P, n = parse_label(label), 3 * (1 << 16) + 123
+        h = histogram(P, n, 4096)
+        for width in (1 << 10, 1 << 15):
+            monkeypatch.setattr(distribution, "SLICE", width)
+            got = histogram(P, n, 4096)
+            assert repr((got.counts, got.atoms)) == repr((h.counts, h.atoms))
+            want = empirical_moments(trace_sequence(P, n), 8)
+            assert moment_report(P, n, 8).empirical == tuple(want)
+
+    # many slices ending on a ragged one, less than one slice, exactly two,
+    # and a single sample (m > N - j)
+    @pytest.mark.parametrize("N, j, m", [((1 << 16) + SLICE + 3, 1, 1),
+                                         (3 * (1 << 16) + 5, 2, 3),
                                          (SLICE - 1, 1, 1), (2 * SLICE, 4, 7),
                                          (SLICE + 10, 3, SLICE + 8)])
     def test_slices_match_per_sample_evaluation(self, N, j, m):
@@ -377,9 +406,9 @@ class TestTraceKernelBlocks:
         # wraparound product, times 2 pi / 2^64, cos, times 2, summed over
         # the angles in order
         P = parse_label("3.2.ad_f_ah")
-        ms = _fixed_point_angles(roots(P).thetas, N)
+        ms = _fixed_point_angles(roots(P).thetas)
         chunks = [x.copy() for x in _trace_chunks(ms, N, j, m)]
-        assert all(len(x) == BLOCK for x in chunks[:-1]) and len(chunks[-1]) <= BLOCK
+        assert all(len(x) == SLICE for x in chunks[:-1]) and len(chunks[-1]) <= SLICE
         got = np.concatenate(chunks)
         angles, scale = np.array(ms, dtype=np.uint64), 2.0 * math.pi / 2.0 ** 64
         want = []
@@ -399,17 +428,18 @@ class TestTraceKernelBlocks:
         finally:
             tracemalloc.stop()
 
-    # one BLOCK of samples and one of indices or powers (1 MiB) plus the
-    # kernel's three SLICE-sized scratch arrays (192 KiB)
-    def test_histogram_holds_one_block(self):
+    # the kernel's four arrays of SLICE entries (256 KiB), the moments' one
+    # of powers, and numpy's cast buffer for the uint64 phases (64 KiB);
+    # the histogram's bucket indices overwrite the samples
+    def test_histogram_holds_one_slice(self):
         P = parse_label("3.2.ad_f_ah")
         histogram(P, 100, 16)   # one-time imports and caches stay out of the peak
-        assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 1.75
+        assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 0.75
 
-    def test_moment_report_holds_one_block(self):
+    def test_moment_report_holds_one_slice(self):
         P = parse_label("3.2.ad_f_ah")
         moment_report(P, 100, 8)
-        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 1.75
+        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 0.75
 
     def test_exact_moments_walk_counts_stay_small(self):
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
