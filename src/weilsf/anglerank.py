@@ -5,10 +5,10 @@ u_j = alpha_j/sqrt(q) is Z^delta + Z/m.  Writing theta_j for the angles,
 an element c of the relation lattice R = {c in Z^g : sum c_j theta_j in Z}
 is detected numerically: integral LLL reduction of the rows [e_j | N theta_j]
 and [0 | N], N = 2^(precision/2), makes integer relations show up as short
-vectors.  Candidates are verified to 2^-precision, the found lattice is
-saturated and its rational parts normalized with a denominator bound, and
-the Smith normal form of R then gives delta = g - rank(R) and m = largest
-elementary divisor.
+vectors.  Candidates are verified to 2^-precision.  As rows of an LLL basis
+they span a primitive lattice, so they are a basis of R, and their Smith
+normal form gives delta = g - rank(R) and m = largest elementary divisor.
+R is presented by its saturation S, on which sum c_j theta_j is a/m mod 1.
 
 The angles are solved once, at 2 * precision: exact dyadic Fractions
 within 2^-(2 precision + 32) of the true ones.  The LLL rows, the checks
@@ -20,7 +20,7 @@ residuals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import gcd
 
 from ._intpoly import InvariantError, Record
 from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, roots
@@ -245,9 +245,10 @@ def smith_normal_form(rows, n):
 class RelationLattice(Record):
     """Verified multiplicative relations among the normalized eigenvalues.
 
-    ``thetas`` are the angles roots(P, 2 * precision).thetas that the LLL
-    rows and the checks read, kept for the trace functions; they take no
-    part in equality, repr or JSON.
+    ``basis`` is the verified LLL rows, a basis of R.  ``thetas`` are the
+    angles roots(P, 2 * precision).thetas that the LLL rows and the checks
+    read, kept for the trace functions; they take no part in equality,
+    repr or JSON.
     """
 
     _hidden = ("thetas",)
@@ -257,7 +258,7 @@ class RelationLattice(Record):
     rank: int                 # = g - delta
     torsion_order: int        # = m
     thetas: tuple
-    basis: tuple = ()         # rows of R = {c : sum c th in Z}
+    basis: tuple = ()         # a basis of R = {c : sum c th in Z}
 
     @property
     def delta(self):
@@ -272,18 +273,6 @@ class RelationLattice(Record):
 def _residual_to_int(thetas, c):
     x = sum(ci * t for ci, t in zip(c, thetas))
     return abs(x - round(x))
-
-
-def _nearest_fraction(x, max_den):
-    """Closest a/b to x mod 1 with 1 <= b <= max_den; (a, b, error).
-
-    The fraction comes from the exact value of x mod 1 by continued
-    fractions (Fraction.limit_denominator), in lowest terms.
-    """
-    xf = x - floor(x)
-    best = xf.limit_denominator(max_den)
-    a, b = best.numerator, best.denominator
-    return a % b, b, abs(xf - best)
 
 
 def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
@@ -315,45 +304,33 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
         if _residual_to_int(thetas, c) >= verify_tol:
             raise UnverifiedRelation(
                 "candidate %r fails to 2^-%d; raise precision" % (c, precision))
-    # saturate and attach rational parts
-    sat = saturate_lattice(candidates, g)
-    rank = len(sat)
-    presented = []
-    denoms = []
-    for vec in sat:
-        x = sum(ci * t for ci, t in zip(vec, thetas))
-        a, b, err = _nearest_fraction(x, DENOMINATOR_BOUND)
-        if err >= verify_tol:
-            raise DenominatorBoundExceeded(
-                "relation %r has no denominator <= %d" % (vec, DENOMINATOR_BOUND))
-        if max(abs(t) for t in vec) > COEFF_BOUND_PRESENTED:
-            raise InconsistentLattice(
-                "presented relation %r exceeds the coefficient bound" % (vec,))
-        presented.append((tuple(vec), a, b))
-        denoms.append(b)
-    # R = {c in span : value is an integer}: kernel of t -> sum t_i a_i/b_i mod 1
-    big_d = lcm(*denoms) if denoms else 1
-    kernel_rows = [[(presented[i][1] * big_d) // presented[i][2]
-                    for i in range(rank)] + [big_d]]
-    tker = integer_kernel(kernel_rows, rank + 1)
-    rbasis = []
-    for tv in tker:
-        coeffs = tv[:rank]
-        vec = [sum(coeffs[i] * sat[i][j] for i in range(rank)) for j in range(g)]
-        if any(vec):
-            rbasis.append(vec)
-    divisors, _ = smith_normal_form(rbasis, g)
-    if len(divisors) != rank:
-        raise InconsistentLattice("relation lattice rank drifted")
+    # the verified rows are part of an LLL basis, so they span a primitive
+    # lattice, R itself: one Smith form of them gives delta and m
+    divisors, _ = smith_normal_form(candidates, g)
+    if len(divisors) != len(candidates):
+        raise InconsistentLattice("verified relations are dependent")
     for d in divisors[:-1]:
         if d != 1:
             raise InconsistentLattice(
                 "torsion is not cyclic: divisors %r" % (divisors,))
-    m = divisors[-1] if divisors else 1
+    m = divisors[-1]
     if m > DENOMINATOR_BOUND:
         raise DenominatorBoundExceeded("torsion order %d > %d" % (m, DENOMINATOR_BOUND))
+    # present the saturation S: m S lies in R, so each value is a/m mod 1
+    presented = []
+    for vec in saturate_lattice(candidates, g):
+        x = sum(ci * t for ci, t in zip(vec, thetas))
+        a = round(m * x) % m
+        err = x - Fraction(a, m)
+        if abs(err - round(err)) >= verify_tol:
+            raise DenominatorBoundExceeded(
+                "relation %r is not a multiple of 1/%d" % (vec, m))
+        if max(abs(t) for t in vec) > COEFF_BOUND_PRESENTED:
+            raise InconsistentLattice(
+                "presented relation %r exceeds the coefficient bound" % (vec,))
+        k = gcd(a, m)
+        presented.append((tuple(vec), a // k, m // k))
     return RelationLattice(g=g, precision=precision,
-                           relations=tuple(presented), rank=rank,
-                           torsion_order=m, thetas=thetas,
-                           basis=tuple(tuple(r) for r in rbasis))
+                           relations=tuple(presented), rank=len(candidates),
+                           torsion_order=m, thetas=thetas, basis=tuple(candidates))
 

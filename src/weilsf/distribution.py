@@ -11,8 +11,8 @@ the bucketing and the summation order are all fixed.
 Memory: the trace kernel yields SLICE samples at a time from one buffer it
 allocates once per call, beside its scratch (r, phases, cosines) of SLICE
 entries each.  `histogram` turns each slice into bucket indices in place;
-`moment_report` holds one SLICE of powers more and one partial sum per slice
-and power.  `trace_sequence` alone builds all N samples.  `exact_moments`
+`moment_report` holds one SLICE of powers more and a few exact partials per
+power.  `trace_sequence` alone builds all N samples.  `exact_moments`
 holds no grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation
 lattice in a dict of exact integers.  The atoms depend only on r mod m,
 since u^m lies in the identity component of U(1)^delta x C_m: `histogram`
@@ -255,18 +255,42 @@ def histogram(P, N, B):
 # moments
 
 
+def _fsum_add(partials, specials, x):
+    """Add x as math.fsum does: a finite x joins the exact non-overlapping
+    partials of Shewchuk's msum, a nonfinite one is kept by kind and resets
+    them, so fsum(specials + partials) is fsum of every x added so far."""
+    i, item = 0, x
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    if math.isfinite(x):
+        partials[i:] = [x] if x else []
+    elif math.isfinite(item):
+        raise OverflowError("intermediate overflow in fsum")
+    else:
+        specials[repr(item)] = item
+        partials.clear()
+
+
 def _mean_powers(slices, n, K):
     """Means of x^k, k = 1..K, over the n samples given as slices of at
-    most SLICE: one np.sum per slice and power, merged with math.fsum."""
-    partials = [[] for _ in range(K)]
+    most SLICE: one np.sum per slice and power, merged by `_fsum_add`."""
+    sums = [([], {}) for _ in range(K)]
     p = np.empty(min(n, SLICE), dtype=np.float64)
     for x in slices:
         q = p[:len(x)]
         q.fill(1.0)
-        for parts in partials:
+        for partials, specials in sums:
             np.multiply(q, x, out=q)
-            parts.append(float(np.sum(q)))
-    return [math.fsum(parts) / n for parts in partials]
+            _fsum_add(partials, specials, float(np.sum(q)))
+    return [math.fsum([*specials.values(), *partials]) / n
+            for partials, specials in sums]
 
 
 def empirical_moments(xs, K):

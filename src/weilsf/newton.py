@@ -56,16 +56,14 @@ def newton_polygon(P):
 
 
 def newton_polygon_of_factor(coeffs, p, d):
-    """Polygon of a (not necessarily functional-equation) integer factor."""
-    pts = [(i, Fraction(_vp(abs(a), p), d))
-           for i, a in enumerate(coeffs) if a != 0]
-    return newton_polygon_points(pts)
+    """Polygon of a (not necessarily functional-equation) integer factor.
 
-
-def newton_polygon_points(pts):
-    # monotone chain, lower hull only; pts are already sorted by abscissa
+    The lower hull (monotone chain) runs on the integer points
+    (i, v_p(a_i)); dividing every ordinate by d moves no point across a
+    segment, so only the slopes are scaled, each made a Fraction once.
+    """
     hull = []
-    for pt in pts:
+    for pt in [(i, _vp(abs(a), p)) for i, a in enumerate(coeffs) if a != 0]:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # drop hull[-1] if it lies on or above the segment hull[-2]..pt
@@ -76,8 +74,7 @@ def newton_polygon_points(pts):
         hull.append(pt)
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y2 - y1, x2 - x1)
-        slopes.extend([s] * (x2 - x1))
+        slopes.extend([Fraction(y2 - y1, (x2 - x1) * d)] * (x2 - x1))
     p_rank = sum(1 for s in slopes if s == 0)
     return NewtonPolygonData(slopes=tuple(slopes), p_rank=p_rank)
 

@@ -9,12 +9,12 @@ import pytest
 
 from conftest import PAPER_EXAMPLES
 from weilsf import _intpoly as ip
-from weilsf.anglerank import (COEFF_BOUND_RAW, DENOMINATOR_BOUND, RelationLattice,
-                              _nearest_fraction, angle_rank_numeric,
+from weilsf.anglerank import (COEFF_BOUND_RAW, DenominatorBoundExceeded,
+                              RelationLattice, angle_rank_numeric,
                               integer_kernel, lll_reduce, saturate_lattice,
                               smith_normal_form)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import DEFAULT_PRECISION, parse_label, roots, validate
+from weilsf.weilpoly import parse_label, roots, validate
 
 
 def _relation_lattice_rows(P, precision):
@@ -191,6 +191,11 @@ class TestAngleRank:
         lat = angle_rank_numeric(validate((1, 2, 2, 4, 4), 2))
         assert (lat.delta, lat.torsion_order) == (0, 24)
 
+    def test_torsion_order_above_the_bound_is_refused(self):
+        # 5.4.c_a_a_q_bg = 2^6 Phi_7(T/2) 2^4 Phi_12(T/2): m = 84 > 72
+        with pytest.raises(DenominatorBoundExceeded, match="torsion order 84 > 72"):
+            angle_rank_numeric(parse_label("5.4.c_a_a_q_bg"))
+
     def test_trace_minus_two_sqrt_q_has_order_two(self):
         lat = angle_rank_numeric(parse_label("1.4.e"))
         assert (lat.delta, lat.torsion_order) == (0, 2)
@@ -225,36 +230,33 @@ class TestAngleRank:
                 assert 1 <= b <= 72
 
 
-def _nearest_fraction_by_search(x, max_den):
-    """The search over every denominator that _nearest_fraction replaced."""
-    best = None
-    xf = x - math.floor(x)
-    for b in range(1, max_den + 1):
-        a = round(xf * b)
-        err = abs(xf - Fraction(a, b))
-        if best is None or err < best[2]:
-            best = (a % b, b, err)
-            if err == 0:
-                break
-    return best
+def test_oracle_json_over_the_corpus_is_pinned(corpus):
+    # delta, m and the presented relations of every corpus label; digest
+    # taken with the kernel rebuild and the denominator search over b <= 72
+    out = [angle_rank_numeric(P).to_json() for key in sorted(corpus) for P in corpus[key]]
+    digest = hashlib.sha256(json.dumps(out, separators=(",", ":")).encode())
+    assert len(out) == 1220
+    assert digest.hexdigest() == (
+        "0e8e91c2708dfcfd6bc2340411b33dc18803f9be198b5dede7bbe3c46e15dce7")
 
 
-def test_nearest_fraction_matches_the_search(corpus, count_calls):
-    # the values the oracle rounds on every 25th corpus polynomial, and
-    # fractions near and at every denominator; each lies within 2^-256 of
-    # its fraction, so the closest fraction is unique
-    calls = count_calls("_nearest_fraction")
-    for P in [P for key in sorted(corpus) for P in corpus[key]][::25]:
-        angle_rank_numeric(P, DEFAULT_PRECISION)
-    assert len(calls) >= 30
-    rng = random.Random(5)
-    for b in range(1, DENOMINATOR_BOUND + 1):
-        for a in {0, 1, b // 2, b - 1, rng.randrange(b)}:
-            for noise in (0, 1, -1):
-                x = Fraction(a, b) + rng.randrange(-3, 4) + noise * Fraction(1, 2 ** 300)
-                calls.append((x, DENOMINATOR_BOUND))
-    for x, max_den in calls:
-        assert _nearest_fraction(x, max_den) == _nearest_fraction_by_search(x, max_den)
+def test_basis_is_verified_lll_rows(corpus):
+    # the relation lattice is spanned by the verified rows of the reduced
+    # basis themselves, not rebuilt from its saturation
+    for P in [P for key in sorted(corpus) for P in corpus[key]]:
+        lat = angle_rank_numeric(P, 256)
+        rows = {tuple(r[:P.g]) for r in lll_reduce(_relation_lattice_rows(P, 256))}
+        assert len(lat.basis) == lat.rank and set(lat.basis) <= rows, P.label
+
+
+@pytest.mark.parametrize("label", ["2.5.a_ab", "3.2.a_a_ac"])
+def test_oracle_calls_each_traced_layer(count_calls, label):
+    # one Smith form of the basis and two for the saturation's double
+    # kernel: the layers the benchmark traces must keep their calls
+    saturations = count_calls("saturate_lattice")
+    smith_forms = count_calls("smith_normal_form")
+    angle_rank_numeric(parse_label(label))
+    assert (len(saturations), len(smith_forms)) == (1, 3)
 
 
 @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))

@@ -441,6 +441,40 @@ class TestTraceKernelBlocks:
         moment_report(P, 100, 8)
         assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 0.75
 
+    def test_mean_powers_memory_is_bounded(self):
+        # 2^16 one-sample slices, the slice count of N = 2^29: a float per
+        # slice and power would take about 16 MiB.  Samples on a 2^-10 grid
+        # keep each power's partials to a few floats, so the run under
+        # tracemalloc stays short
+        xs = np.round(np.sin(np.arange(1 << 16)) * 3 * 1024) / 1024
+        slices = [xs[r:r + 1] for r in range(len(xs))]
+        distribution._mean_powers(iter(slices[:2]), 2, 8)   # numpy's first-call setup
+        assert self._peak_mb(lambda: distribution._mean_powers(iter(slices), len(xs), 8)) < 1
+
+    def test_fsum_add_is_fsum(self):
+        # the running partials give math.fsum's value, overflow and
+        # nonfinite items included, in every order of the same items
+        rng = random.Random(11)
+        special = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 0.0, 5e-324]
+
+        def outcome(f, xs):
+            try:
+                return repr(f(xs))
+            except (OverflowError, ValueError) as e:
+                return type(e).__name__
+
+        def running(xs):
+            partials, specials = [], {}
+            for x in xs:
+                distribution._fsum_add(partials, specials, x)
+            return math.fsum([*specials.values(), *partials])
+
+        for _ in range(3000):
+            xs = [rng.choice(special) if rng.random() < 0.05 else
+                  rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60)
+                  for _ in range(rng.randint(0, 30))]
+            assert outcome(running, xs) == outcome(math.fsum, xs), xs
+
     def test_exact_moments_walk_counts_stay_small(self):
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
         # hundred dict entries, not a grid
