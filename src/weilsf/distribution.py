@@ -1,23 +1,22 @@
 """Deterministic trace sequences, histograms and moment comparisons.
 
 The normalized trace of the r-th Frobenius power is
-x_r = sum_j 2 cos(2 pi r theta_j) in [-2g, 2g].  The sequence is evaluated
-for r = 1..N with the angles frozen to 64-bit fixed point (theta ~ M/2^64),
+x_r = sum_j 2 cos(2 pi r theta_j) in [-2g, 2g].  The trace kernel evaluates
+it for r <= N with the angles frozen to 64-bit fixed point (theta ~ M/2^64),
 so r*theta mod 1 is computed by exact wraparound of uint64 products; the
 resulting angle error is below 2^-40 even at the full paper sampling scale,
 far inside every tolerance used here.  No randomness anywhere: the sequence,
 the bucketing and the summation order are all fixed.
 
-Memory: the trace kernel yields SLICE samples at a time from one buffer it
+Memory: the kernel yields SLICE samples at a time from one buffer it
 allocates once per call, beside its scratch (r, phases, cosines) of SLICE
-entries each.  `histogram` turns each slice into bucket indices in place;
-`moment_report` holds one SLICE of powers more and a few exact partials per
-power.  `trace_sequence` alone builds all N samples.  `exact_moments`
-holds no grid: it counts walks of ceil(K/2) steps on Z^g modulo the relation
-lattice in a dict of exact integers.  The atoms depend only on r mod m,
-since u^m lies in the identity component of U(1)^delta x C_m: `histogram`
-decides them once per residue, exactly, and counts and buckets them by
-arithmetic; the kernel runs only at the other residues, r stepping by m.
+entries each; `histogram` turns each slice into bucket indices in place,
+and `trace_sequence` alone builds all N samples.  The atoms depend only on
+r mod m, since u^m lies in the identity component of U(1)^delta x C_m:
+`histogram` decides them once per residue, exactly, and counts and buckets
+them by arithmetic; the kernel runs only at the other residues.  The
+moments take no sample: `exact_moments` and `moment_report` walk on Z^g
+modulo the relation lattice with exact integer counts, whatever N is.
 """
 
 from __future__ import annotations
@@ -34,12 +33,13 @@ from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
 from .weilpoly import WeilError, _cis, _pi, roots
 
-# Samples per kernel sweep, bucketing and partial sum.  The four arrays of a
-# slice (r, phase, cosine, sum) take 32 * SLICE bytes, 256 KiB here, well
-# inside a 2 MiB L2.  A sweep of 2^11 ... 2^16 on a 2-vCPU Xeon kept the
-# kernel time flat from 2^13 up and slower below it, where the g numpy
-# calls per slice start to cost; 2^13 is the smallest width on the flat
-# part, so it saves the most memory (BENCH_kernel.json).
+# Samples per kernel sweep and bucketing, and per partial sum of
+# `empirical_moments`.  The kernel's four arrays of a slice (r, phase,
+# cosine, sum) take 32 * SLICE bytes, 256 KiB here, well inside a 2 MiB L2.
+# A sweep of 2^11 ... 2^16 on a 2-vCPU Xeon kept the kernel time flat from
+# 2^13 up and slower below it, where the g numpy calls per slice start to
+# cost; 2^13 is the smallest width on the flat part, so it saves the most
+# memory (BENCH_kernel.json).
 SLICE = 1 << 13
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
 _COS_SUM_ERROR = 2              # units of 2^-64 in a non-integer atom value
@@ -255,62 +255,40 @@ def histogram(P, N, B):
 # moments
 
 
-def _fsum_add(partials, specials, x):
-    """Add x as math.fsum does: a finite x joins the exact non-overlapping
-    partials of Shewchuk's msum, a nonfinite one is kept by kind and resets
-    them, so fsum(specials + partials) is fsum of every x added so far."""
-    i, item = 0, x
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    if math.isfinite(x):
-        partials[i:] = [x] if x else []
-    elif math.isfinite(item):
-        raise OverflowError("intermediate overflow in fsum")
-    else:
-        specials[repr(item)] = item
-        partials.clear()
-
-
-def _mean_powers(slices, n, K):
-    """Means of x^k, k = 1..K, over the n samples given as slices of at
-    most SLICE: one np.sum per slice and power, merged by `_fsum_add`."""
-    sums = [([], {}) for _ in range(K)]
-    p = np.empty(min(n, SLICE), dtype=np.float64)
-    for x in slices:
-        q = p[:len(x)]
-        q.fill(1.0)
-        for partials, specials in sums:
-            np.multiply(q, x, out=q)
-            _fsum_add(partials, specials, float(np.sum(q)))
-    return [math.fsum([*specials.values(), *partials]) / n
-            for partials, specials in sums]
-
-
 def empirical_moments(xs, K):
-    """Means of x^k for k = 1..K with compensated summation.
-
-    Partial sums are accumulated per SLICE and merged with math.fsum, as in
-    `moment_report`, so both give the same bits for the same samples.
-    """
+    """Means of x^k, k = 1..K, of a caller's samples xs: each power summed
+    one SLICE at a time with np.sum, and its slice sums with one math.fsum."""
     if K < 1:
         raise WeilError("K must be positive")
     xs = np.asarray(xs, dtype=np.float64)
     n = len(xs)
     if n == 0:
         raise WeilError("empty sequence")
-    return _mean_powers((xs[s:s + SLICE] for s in range(0, n, SLICE)), n, K)
+    sums = [[] for _ in range(K)]
+    for lo in range(0, n, SLICE):
+        x = xs[lo:lo + SLICE]
+        p = np.ones_like(x)
+        for s in sums:
+            p *= x
+            s.append(float(np.sum(p)))
+    return [math.fsum(s) / n for s in sums]
+
+
+def _walk_steps(group, lattice):
+    """(steps, mods) of the walks on Z^g modulo the relation lattice L: with
+    (d, V) = smith_normal_form(basis, g), c is in L iff cV lies in
+    d_1 Z + ... + d_r Z + 0, so a state is cV with entry i mod mods[i] (kept
+    whole where it is 0), and the steps +e_1, -e_1, +e_2, ... add +-(row j of V)."""
+    divisors, v = _smith_coordinates(lattice.basis if lattice else (),
+                                     group.g, group.delta, group.m)
+    mods = divisors + [0] * group.delta
+    steps = [tuple(sign * x % d if d else sign * x for x, d in zip(row, mods))
+             for row in v for sign in (1, -1)]
+    return steps, mods
 
 
 def _walk_step(walks, steps, mods):
-    """Walk counts one step further: each state moves by each step, with
-    entry i reduced mod mods[i] (kept as an integer where mods[i] is 0)."""
+    """Walk counts one step further: each state moves by each step."""
     out = {}
     for s, c in walks.items():
         for t in steps:
@@ -326,28 +304,56 @@ def exact_moments(group, K, lattice=None):
 
     A character prod u_j^(c_j) is trivial on the group exactly when c lies
     in the relation lattice L, so by Haar orthogonality E[x^k] is the number
-    of k-step walks on Z^g with steps +-e_j that end in L: an integer.  With
-    (d, V) = smith_normal_form(basis, g), c is in L iff cV lies in
-    d_1 Z + ... + d_r Z + 0, so a walk's state is cV with entry i reduced
-    mod d_i.  The steps are symmetric, so W_b(-s) = W_b(s) for the counts
-    W_b of b-step walks, and walks of ceil(K/2) steps give every moment:
-    E[x^(a+b)] = sum_s W_a(s) W_b(s).  delta = g (L = 0) needs no lattice.
+    of k-step walks of `_walk_steps` that end in state 0, an integer.  The
+    steps are symmetric, so W_b(-s) = W_b(s) for the counts W_b of b-step
+    walks, and ceil(K/2) steps give E[x^(a+b)] = sum_s W_a(s) W_b(s).
     """
     if K < 1:
         raise WeilError("K must be positive")
-    g, delta, m = group.g, group.delta, group.m
-    divisors, v = _smith_coordinates(lattice.basis if lattice else (),
-                                     g, delta, m)
-    mods = divisors + [0] * delta
-    # the step +-e_j moves the state by +-(row j of V)
-    steps = [tuple(sign * x % d if d else sign * x for x, d in zip(row, mods))
-             for row in v for sign in (1, -1)]
-    walks, out = {(0,) * g: 1}, []
+    steps, mods = _walk_steps(group, lattice)
+    walks, out = {(0,) * group.g: 1}, []
     for _ in range((K + 1) // 2):
         prev, walks = walks, _walk_step(walks, steps, mods)
         out.append(sum(c * prev.get(s, 0) for s, c in walks.items()))
         out.append(sum(c * c for c in walks.values()))
     return [float(c) for c in out[:K]]
+
+
+def _sin_pi(u, one):
+    """sin(pi u / one), its argument reduced in integers to [0, 1/2]."""
+    sign, u = -1.0 if u % (2 * one) >= one else 1.0, u % one
+    return sign * math.sin(math.pi * (min(u, one - u) / one))
+
+
+def _dirichlet(a, one, N):
+    """D_N(phi) = (1/N) sum_{r<=N} cos(2 pi r phi) at phi = a / one, which
+    is sin(pi N phi) cos(pi (N + 1) phi) / (N sin(pi phi)), or 1 for phi in Z."""
+    if not a % one:
+        return 1.0
+    return (_sin_pi(N * a, one) * _sin_pi(2 * (N + 1) * a + one, 2 * one)
+            / (N * _sin_pi(a, one)))
+
+
+def _closed_form_moments(steps, mods, thetas, N, K):
+    """Means of x_r^k over r <= N, k = 1..K: x_r^k sums e(r <c, theta>) over
+    the ends c of the k-step walks on Z^g, and L has integral phases, so the
+    mean is sum_s W_k(s) D_N(<c, theta>) over the states s of `_walk_steps`,
+    the phase an integer in units of 1/one from the state that first reached s."""
+    one = math.lcm(*(t.denominator for t in thetas))
+    turns = [sign * int(t * one) for t in thetas for sign in (1, -1)]
+    walks, seen, out = {(0,) * len(mods): 1}, {(0,) * len(mods): (0, 1.0)}, []
+    for _ in range(K):
+        nxt = {}
+        for s, c in walks.items():
+            phase = seen[s][0]
+            for t, turn in zip(steps, turns):
+                u = tuple((a + b) % d if d else a + b for a, b, d in zip(s, t, mods))
+                nxt[u] = nxt.get(u, 0) + c
+                if u not in seen:
+                    seen[u] = (phase + turn, _dirichlet(phase + turn, one, N))
+        walks = nxt
+        out.append(math.fsum(c * seen[s][1] for s, c in walks.items()))
+    return out
 
 
 class MomentReport(Record):
@@ -363,18 +369,19 @@ class MomentReport(Record):
 
 
 def moment_report(P, N, K):
-    """Empirical moments of (x_r)_{r<=N} against the exact group moments."""
+    """Means of x_r^k over r <= N against the exact group moments, k = 1..K:
+    `_closed_form_moments` on the oracle's angles where the lattice is
+    needed (delta < g) and on those of `roots` otherwise, with no sample."""
     if K < 1:
         raise WeilError("K must be positive")
-    _check_samples(N)
+    if not 1 <= N < 1 << 1023:       # N is a float in D_N
+        raise WeilError("N must be positive and below 2^1023")
     group = classify(P)
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")
-    # the oracle runs only where the lattice is needed, and then its
-    # angles serve the trace kernel too
     lattice = angle_rank_numeric(P) if group.delta < group.g else None
-    ms = _fixed_point_angles((lattice or roots(P)).thetas)
-    emp = _mean_powers(_trace_chunks(ms, N, 1, 1), N, K)
+    emp = _closed_form_moments(*_walk_steps(group, lattice),
+                               (lattice or roots(P)).thetas, N, K)
     exa = exact_moments(group, K, lattice)
     return MomentReport(orders=tuple(range(1, K + 1)),
                         empirical=tuple(emp), exact=tuple(exa),

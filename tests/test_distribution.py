@@ -234,6 +234,33 @@ class TestMoments:
         rep = moment_report(parse_label("2.5.a_ab"), 50000, 4)
         assert all(a < 0.05 for a in rep.abs_error)
 
+    # delta = g, delta < g, U(1)^2 x C_2, supersingular, and the g = 5
+    # ThmD(2) input T^10 - 3 T^5 + 32 over F_2, a sum of whose angles is
+    # within 2^-540 of 1 (a reduction mod 1 by floor alone turns that phase
+    # into the float 1.0).  On 2.2.ae_i (C_8, 8 | N) N phi can lie just
+    # below an even integer, where a reduction mod 2 alone gives the float
+    # 2.0 and sin(2 pi) = -2.4e-16: E x^15 came out 3.7e-11 instead of 0.
+    @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab", "3.2.ab_b_b",
+                                       "2.2.ae_i", "5.2.a_a_a_a_ad"])
+    def test_moment_report_matches_mpmath(self, label):
+        # the mean of x_r^k over r <= N at 200 bits, from the same angles
+        P, n, K = parse_label(label), 5000, 16
+        lattice = angle_rank_numeric(P)
+        thetas = lattice.thetas if lattice.delta < P.g else roots(P).thetas
+        got = moment_report(P, n, K).empirical
+        with mp.workprec(200):
+            sums = [mp.mpf(0)] * K
+            for r in range(1, n + 1):
+                x = mp.fsum(2 * mp.cospi(2 * mp.mpf((r * t % 1).numerator)
+                                         / (r * t % 1).denominator) for t in thetas)
+                p = mp.mpf(1)
+                for k in range(K):
+                    p *= x
+                    sums[k] += p
+            ref = [float(s / n) for s in sums]
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
     def test_odd_moments_vanish_for_connected_groups(self):
         xs = trace_sequence(parse_label("1.2.ab"), 200000)
         m = empirical_moments(xs, 5)
@@ -246,7 +273,15 @@ class TestMoments:
         P = parse_label(label)
         xs = trace_sequence(P, n)
         got = empirical_moments(xs, 8)
-        assert moment_report(P, n, 8).empirical == tuple(got)
+        # the closed form against the sampled moments of the 64-bit kernel,
+        # within a bound on the kernel's error (at most 7.3e-12 measured),
+        # relative to the size of x^k: |E x^k| for even k and
+        # sqrt(E x^(k-1) E x^(k+1)) for odd k, as perfbench's moment_scale
+        rep = moment_report(P, n, 8)
+        ex = (1.0,) + rep.exact
+        for k, (a, b) in enumerate(zip(rep.empirical, got), 1):
+            scale = abs(ex[k]) if k % 2 == 0 else math.sqrt(abs(ex[k - 1] * ex[k + 1]))
+            assert abs(a - b) <= 1e-10 * scale
         # against a correctly rounded sum of the same float products
         p = np.ones_like(xs)
         for m_k in got:
@@ -323,24 +358,28 @@ class TestMoments:
 # 2048, and the atoms +-2 sqrt 2 of 2.2.ae_i are no longer rounded to 9
 # decimals; the atom masses did not move.  The moment digests were re-taken
 # once the moments were summed per slice of 2^13 instead of per 2^16
-# samples: every even moment kept its bits, and the odd ones, sums near 0,
-# moved by at most 4e-16.  PIN_N spans many slices and ends on a ragged
-# one.  The moments depend on numpy's float64 cos to the last bit, so these
-# digests hold for one numpy build and CPU family.
+# samples (the odd moments moved by at most 4e-16), and again once the
+# empirical moments came in closed form from the exact angles instead of
+# from the samples of the 64-bit kernel: they moved by at most 2.7e-13
+# (2.2.ab_b), 7.3e-12 (3.2.ad_f_ah), 1.8e-12 (2.5.a_ab) and 6.8e-13
+# (2.2.ae_i).  PIN_N spans many slices and ends on a ragged one.  The
+# histograms depend on numpy's float64 cos and the moments on math.sin to
+# the last bit, so these digests hold for one numpy and libm build and CPU
+# family.
 PIN_N = (1 << 21) + 12345
 PINNED = {
     # g = 2, U(1)^2, no atoms
     "2.2.ab_b": ("b25d2be2a1d5a46bb91f86d7bda143fbb74a0d65ae05f0bc7ab8b85963153ea5",
-                 "65ccc4d3cfc7e1f35d5fbf28376df66c8cfbdf032dff9e6b27dbe1818aeed38d"),
+                 "f33139e9c8fb82ece54d4033c34471d43f1390aee8630ea0c957c7a59b247705"),
     # g = 3, U(1)^3
     "3.2.ad_f_ah": ("817e1e4d8e55c0bab96423a9c3bb38959fe6073e1e0f7315e9da3cdfcbe0fb9f",
-                    "cc353ec3f99cd18230b424d844bd930d31e4966b59342dea37cdd699a256ecde"),
+                    "32fe587f3022ef652ab0a9ebf01d2bcb9955eee2e9530f4e80ee803a23765311"),
     # U(1) x C_2, one atom at 0
     "2.5.a_ab": ("7d816f6cf3990ae4164522747bdf29500e6044090842197994c8b398ec014fd8",
-                 "27f9a11c5adac42e4cba6f556d91bedc2d3a1dba0d5744a170179647197c22ef"),
+                 "73c78c0fc72bf021a9a0fdf66f371a7a11029fa73d5fe7b13489526ecc9cba32"),
     # supersingular, C_8, five atoms
     "2.2.ae_i": ("37110c382a6d4947907416aec562702b63a29441d6a0dd9da97085e11b1569f9",
-                 "8b05d972592bdde269d33e3cd7d4f47e7c644aaa60ec89c20d3d4502ff4d70ed"),
+                 "7bcf4217b63a8fbd5530bf67ffbba682fb9e88549829d31fde93a23dc91a7993"),
 }
 
 
@@ -353,7 +392,8 @@ def _digest(obj):
                          ids=["histogram", "moment_report"])
 def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
     # U(1)^2 x C_2: the oracle solves the angles once, at 512 bits, and
-    # the kernel takes them from its lattice instead of a second solve
+    # the kernel and the closed-form moments take them from its lattice
+    # instead of a second solve
     calls = count_calls("roots")
     run(parse_label("3.2.ab_b_b"))
     assert [precision for _, precision in calls] == [512]
@@ -361,16 +401,27 @@ def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
 
 @pytest.mark.parametrize("run, error, message", [
     (lambda P: moment_report(P, 0, 8), WeilError, "N must be positive"),
-    (lambda P: moment_report(P, 1 << 33, 8), PrecisionLoss, "loses angle accuracy"),
+    (lambda P: moment_report(P, 1 << 1023, 8), WeilError, r"below 2\^1023"),
     (lambda P: trace_sequence(P, 0), WeilError, "N must be positive"),
     (lambda P: trace_sequence(P, 1 << 33), PrecisionLoss, "loses angle accuracy"),
-], ids=["moments-0", "moments-2^33", "sequence-0", "sequence-2^33"])
+], ids=["moments-0", "moments-2^1023", "sequence-0", "sequence-2^33"])
 def test_sample_count_checked_before_any_solve(count_calls, run, error, message):
     P = parse_label("3.2.ab_b_b")
     oracle, solves = count_calls("angle_rank_numeric"), count_calls("roots")
     with pytest.raises(error, match=message):
         run(P)
     assert (oracle, solves) == ([], [])
+
+
+@pytest.mark.parametrize("label", ["3.2.ad_f_ah", "3.2.ab_b_b", "2.2.ae_i"])
+def test_moment_report_samples_no_trace(count_calls, label):
+    # delta = g, 0 < delta < g and delta = 0: no kernel, one exact_moments
+    # call (perfbench's moment layer) and at most one solve of the angles
+    kernel, exact = count_calls("_trace_chunks"), count_calls("exact_moments")
+    oracle, solves = count_calls("angle_rank_numeric"), count_calls("roots")
+    moment_report(parse_label(label), 1000, 8)
+    assert (len(kernel), len(exact)) == (0, 1)
+    assert len(oracle) <= 1 and len(solves) <= 1
 
 
 class TestTraceKernelBlocks:
@@ -381,9 +432,8 @@ class TestTraceKernelBlocks:
         rep = moment_report(P, PIN_N, 8)
         assert (_digest((h.counts, h.atoms)), _digest(rep.to_json())) == PINNED[label]
 
-    # the histogram buckets each slice as it comes and the moments sum per
-    # slice: the counts and atoms do not move with the width, and the
-    # streamed moments stay those of the sequence sliced the same way
+    # the histogram buckets each slice as it comes: the counts and atoms do
+    # not move with the width
     @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab"])
     def test_slice_width_moves_no_count(self, monkeypatch, label):
         P, n = parse_label(label), 3 * (1 << 16) + 123
@@ -392,8 +442,6 @@ class TestTraceKernelBlocks:
             monkeypatch.setattr(distribution, "SLICE", width)
             got = histogram(P, n, 4096)
             assert repr((got.counts, got.atoms)) == repr((h.counts, h.atoms))
-            want = empirical_moments(trace_sequence(P, n), 8)
-            assert moment_report(P, n, 8).empirical == tuple(want)
 
     # many slices ending on a ragged one, less than one slice, exactly two,
     # and a single sample (m > N - j)
@@ -428,52 +476,20 @@ class TestTraceKernelBlocks:
         finally:
             tracemalloc.stop()
 
-    # the kernel's four arrays of SLICE entries (256 KiB), the moments' one
-    # of powers, and numpy's cast buffer for the uint64 phases (64 KiB);
-    # the histogram's bucket indices overwrite the samples
+    # the kernel's four arrays of SLICE entries (256 KiB) and numpy's cast
+    # buffer for the uint64 phases (64 KiB); the histogram's bucket indices
+    # overwrite the samples
     def test_histogram_holds_one_slice(self):
         P = parse_label("3.2.ad_f_ah")
         histogram(P, 100, 16)   # one-time imports and caches stay out of the peak
         assert self._peak_mb(lambda: histogram(P, 1 << 22, 4096)) < 0.75
 
-    def test_moment_report_holds_one_slice(self):
+    # the closed form holds the walk states and their phases, whatever N
+    def test_moment_report_cost_does_not_grow_with_n(self):
         P = parse_label("3.2.ad_f_ah")
         moment_report(P, 100, 8)
-        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 0.75
-
-    def test_mean_powers_memory_is_bounded(self):
-        # 2^16 one-sample slices, the slice count of N = 2^29: a float per
-        # slice and power would take about 16 MiB.  Samples on a 2^-10 grid
-        # keep each power's partials to a few floats, so the run under
-        # tracemalloc stays short
-        xs = np.round(np.sin(np.arange(1 << 16)) * 3 * 1024) / 1024
-        slices = [xs[r:r + 1] for r in range(len(xs))]
-        distribution._mean_powers(iter(slices[:2]), 2, 8)   # numpy's first-call setup
-        assert self._peak_mb(lambda: distribution._mean_powers(iter(slices), len(xs), 8)) < 1
-
-    def test_fsum_add_is_fsum(self):
-        # the running partials give math.fsum's value, overflow and
-        # nonfinite items included, in every order of the same items
-        rng = random.Random(11)
-        special = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 0.0, 5e-324]
-
-        def outcome(f, xs):
-            try:
-                return repr(f(xs))
-            except (OverflowError, ValueError) as e:
-                return type(e).__name__
-
-        def running(xs):
-            partials, specials = [], {}
-            for x in xs:
-                distribution._fsum_add(partials, specials, x)
-            return math.fsum([*specials.values(), *partials])
-
-        for _ in range(3000):
-            xs = [rng.choice(special) if rng.random() < 0.05 else
-                  rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60)
-                  for _ in range(rng.randint(0, 30))]
-            assert outcome(running, xs) == outcome(math.fsum, xs), xs
+        for n in (1 << 21, 1 << 40):
+            assert self._peak_mb(lambda: moment_report(P, n, 8)) < 0.5
 
     def test_exact_moments_walk_counts_stay_small(self):
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
