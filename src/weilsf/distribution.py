@@ -14,9 +14,11 @@ entries each; `histogram` turns each slice into bucket indices in place,
 and `trace_sequence` alone builds all N samples.  The atoms depend only on
 r mod m, since u^m lies in the identity component of U(1)^delta x C_m:
 `histogram` decides them once per residue, exactly, and counts and buckets
-them by arithmetic; the kernel runs only at the other residues.  The
-moments take no sample: `exact_moments` and `moment_report` walk on Z^g
-modulo the relation lattice with exact integer counts, whatever N is.
+them by arithmetic; the kernel runs only at the other residues.
+`exact_moments` walks on Z^g modulo the relation lattice with exact
+integer counts, and `moment_report` takes its means over r <= N from the
+same walk in closed form, at a cost that grows with g and K but not N, as
+long as that costs less than sampling; past that it samples.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
 from .weilpoly import WeilError, _cis, _pi, roots
 
-# Samples per kernel sweep and bucketing, and per partial sum of
-# `empirical_moments`.  The kernel's four arrays of a slice (r, phase,
+# Samples per kernel sweep and bucketing, and per partial sum of the
+# sampled moments.  The kernel's four arrays of a slice (r, phase,
 # cosine, sum) take 32 * SLICE bytes, 256 KiB here, well inside a 2 MiB L2.
 # A sweep of 2^11 ... 2^16 on a 2-vCPU Xeon kept the kernel time flat from
 # 2^13 up and slower below it, where the g numpy calls per slice start to
@@ -43,6 +45,14 @@ from .weilpoly import WeilError, _cis, _pi, roots
 SLICE = 1 << 13
 ATOM_THRESHOLD = 0.01           # single values carrying > 1% of the mass
 _COS_SUM_ERROR = 2              # units of 2^-64 in a non-integer atom value
+# The closed form of `moment_report` takes 1.5-3.5 us per move (a walk
+# state taking one step) and 0.5 KB per state; sampling takes 30-130 ns per
+# sample, about (8 g + K) / 1536 of a move on the same host.  So it walks
+# while its moves stay within N (8 g + K) / MOVE_COST, about the time
+# sampling would take, and within MAX_MOVES (3 s, 20 MB), and samples past
+# either (BENCH_closedform.json).
+MOVE_COST = 1536
+MAX_MOVES = 1 << 20
 
 _TWO_PI_OVER_2_64 = 2.0 * math.pi / 2.0 ** 64
 
@@ -255,23 +265,31 @@ def histogram(P, N, B):
 # moments
 
 
+def _mean_powers(slices, n, K):
+    """Means of x^k, k = 1..K, over n samples given as slices: each power
+    summed per slice with np.sum, and its slice sums with math.fsum, which
+    folds them into one every 1024 slices so the list stays short."""
+    sums, p = [[] for _ in range(K)], np.empty(min(n, SLICE))
+    for x in slices:
+        q = p[:len(x)]
+        q.fill(1.0)
+        for s in sums:
+            q *= x
+            s.append(float(np.sum(q)))
+            if len(s) == 1024:
+                s[:] = [math.fsum(s)]
+    return [math.fsum(s) / n for s in sums]
+
+
 def empirical_moments(xs, K):
-    """Means of x^k, k = 1..K, of a caller's samples xs: each power summed
-    one SLICE at a time with np.sum, and its slice sums with one math.fsum."""
+    """Means of x^k, k = 1..K, of a caller's samples xs, one SLICE at a time."""
     if K < 1:
         raise WeilError("K must be positive")
     xs = np.asarray(xs, dtype=np.float64)
     n = len(xs)
     if n == 0:
         raise WeilError("empty sequence")
-    sums = [[] for _ in range(K)]
-    for lo in range(0, n, SLICE):
-        x = xs[lo:lo + SLICE]
-        p = np.ones_like(x)
-        for s in sums:
-            p *= x
-            s.append(float(np.sum(p)))
-    return [math.fsum(s) / n for s in sums]
+    return _mean_powers((xs[lo:lo + SLICE] for lo in range(0, n, SLICE)), n, K)
 
 
 def _walk_steps(group, lattice):
@@ -287,12 +305,17 @@ def _walk_steps(group, lattice):
     return steps, mods
 
 
+def _moves(s, steps, mods):
+    """The states one step from state s, in the order of steps."""
+    return (tuple((a + b) % d if d else a + b for a, b, d in zip(s, t, mods))
+            for t in steps)
+
+
 def _walk_step(walks, steps, mods):
     """Walk counts one step further: each state moves by each step."""
     out = {}
     for s, c in walks.items():
-        for t in steps:
-            u = tuple((a + b) % d if d else a + b for a, b, d in zip(s, t, mods))
+        for u in _moves(s, steps, mods):
             out[u] = out.get(u, 0) + c
     return out
 
@@ -338,16 +361,23 @@ def _closed_form_moments(steps, mods, thetas, N, K):
     """Means of x_r^k over r <= N, k = 1..K: x_r^k sums e(r <c, theta>) over
     the ends c of the k-step walks on Z^g, and L has integral phases, so the
     mean is sum_s W_k(s) D_N(<c, theta>) over the states s of `_walk_steps`,
-    the phase an integer in units of 1/one from the state that first reached s."""
+    the phase an integer in units of 1/one from the state that first reached
+    s.  None as soon as the steps left, at the moves (a state taking a step)
+    of this one, would pass the budget of MOVE_COST; each step moves at least
+    as many states as the last, as they translate into its ends.  The moves
+    grow with g and K, not with N."""
+    budget = min(N * (8 * len(mods) + K) // MOVE_COST, MAX_MOVES)
     one = math.lcm(*(t.denominator for t in thetas))
     turns = [sign * int(t * one) for t in thetas for sign in (1, -1)]
     walks, seen, out = {(0,) * len(mods): 1}, {(0,) * len(mods): (0, 1.0)}, []
-    for _ in range(K):
+    for left in range(K, 0, -1):
+        if left * len(walks) * len(steps) > budget:
+            return None
+        budget -= len(walks) * len(steps)
         nxt = {}
         for s, c in walks.items():
             phase = seen[s][0]
-            for t, turn in zip(steps, turns):
-                u = tuple((a + b) % d if d else a + b for a, b, d in zip(s, t, mods))
+            for u, turn in zip(_moves(s, steps, mods), turns):
                 nxt[u] = nxt.get(u, 0) + c
                 if u not in seen:
                     seen[u] = (phase + turn, _dirichlet(phase + turn, one, N))
@@ -369,9 +399,10 @@ class MomentReport(Record):
 
 
 def moment_report(P, N, K):
-    """Means of x_r^k over r <= N against the exact group moments, k = 1..K:
-    `_closed_form_moments` on the oracle's angles where the lattice is
-    needed (delta < g) and on those of `roots` otherwise, with no sample."""
+    """Means of x_r^k over r <= N against the exact group moments, k = 1..K,
+    on the oracle's angles where the lattice is needed (delta < g) and on
+    those of `roots` otherwise: in closed form while the walk is within
+    MOVE_COST's budget, and else from the kernel's samples, for N <= 2^32."""
     if K < 1:
         raise WeilError("K must be positive")
     if not 1 <= N < 1 << 1023:       # N is a float in D_N
@@ -380,8 +411,11 @@ def moment_report(P, N, K):
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")
     lattice = angle_rank_numeric(P) if group.delta < group.g else None
-    emp = _closed_form_moments(*_walk_steps(group, lattice),
-                               (lattice or roots(P)).thetas, N, K)
+    thetas = (lattice or roots(P)).thetas
+    emp = _closed_form_moments(*_walk_steps(group, lattice), thetas, N, K)
+    if emp is None:
+        _check_samples(N)
+        emp = _mean_powers(_trace_chunks(_fixed_point_angles(thetas), N, 1, 1), N, K)
     exa = exact_moments(group, K, lattice)
     return MomentReport(orders=tuple(range(1, K + 1)),
                         empirical=tuple(emp), exact=tuple(exa),

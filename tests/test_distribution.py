@@ -242,8 +242,10 @@ class TestMoments:
     # 2.0 and sin(2 pi) = -2.4e-16: E x^15 came out 3.7e-11 instead of 0.
     @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab", "3.2.ab_b_b",
                                        "2.2.ae_i", "5.2.a_a_a_a_ad"])
-    def test_moment_report_matches_mpmath(self, label):
+    def test_moment_report_matches_mpmath(self, monkeypatch, label):
+        # the closed form (at this N the walk's budget would sample) against
         # the mean of x_r^k over r <= N at 200 bits, from the same angles
+        monkeypatch.setattr(distribution, "MOVE_COST", 1)
         P, n, K = parse_label(label), 5000, 16
         lattice = angle_rank_numeric(P)
         thetas = lattice.thetas if lattice.delta < P.g else roots(P).thetas
@@ -261,6 +263,16 @@ class TestMoments:
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
+    def test_slice_sums_fold_every_1024_slices(self, monkeypatch):
+        # 1,500 slices of 2: the first 1,024 slice sums fold into one
+        monkeypatch.setattr(distribution, "SLICE", 2)
+        xs = np.random.default_rng(1).uniform(-4.0, 4.0, 3000)
+        p = np.ones_like(xs)
+        for m_k in empirical_moments(xs, 4):
+            p *= xs
+            ref = math.fsum(p.tolist()) / len(xs)
+            assert abs(m_k - ref) <= 1e-15 * math.fsum(np.abs(p).tolist()) / len(xs)
+
     def test_odd_moments_vanish_for_connected_groups(self):
         xs = trace_sequence(parse_label("1.2.ab"), 200000)
         m = empirical_moments(xs, 5)
@@ -269,14 +281,20 @@ class TestMoments:
     # delta = g and delta < g; many slices ending on a ragged one
     @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "2.5.a_ab"])
     @pytest.mark.parametrize("n", [3 * (1 << 16) + 123, (1 << 16) - 1])
-    def test_streamed_moments_match_array_path(self, label, n):
+    def test_streamed_moments_match_array_path(self, monkeypatch, label, n):
         P = parse_label(label)
         xs = trace_sequence(P, n)
         got = empirical_moments(xs, 8)
+        # past the walk's budget moment_report sums the same slices of the
+        # same samples, bit for bit
+        monkeypatch.setattr(distribution, "MAX_MOVES", 0)
+        assert list(moment_report(P, n, 8).empirical) == got
         # the closed form against the sampled moments of the 64-bit kernel,
         # within a bound on the kernel's error (at most 7.3e-12 measured),
         # relative to the size of x^k: |E x^k| for even k and
         # sqrt(E x^(k-1) E x^(k+1)) for odd k, as perfbench's moment_scale
+        monkeypatch.setattr(distribution, "MAX_MOVES", 1 << 20)
+        monkeypatch.setattr(distribution, "MOVE_COST", 1)
         rep = moment_report(P, n, 8)
         ex = (1.0,) + rep.exact
         for k, (a, b) in enumerate(zip(rep.empirical, got), 1):
@@ -415,13 +433,28 @@ def test_sample_count_checked_before_any_solve(count_calls, run, error, message)
 
 @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "3.2.ab_b_b", "2.2.ae_i"])
 def test_moment_report_samples_no_trace(count_calls, label):
-    # delta = g, 0 < delta < g and delta = 0: no kernel, one exact_moments
-    # call (perfbench's moment layer) and at most one solve of the angles
-    kernel, exact = count_calls("_trace_chunks"), count_calls("exact_moments")
+    # delta = g, 0 < delta < g and delta = 0 at perfbench's N and K: the
+    # walk is within its budget, so no kernel, and at most one solve of the
+    # angles
+    kernel = count_calls("_trace_chunks")
     oracle, solves = count_calls("angle_rank_numeric"), count_calls("roots")
-    moment_report(parse_label(label), 1000, 8)
-    assert (len(kernel), len(exact)) == (0, 1)
+    moment_report(parse_label(label), 10 ** 6, 8)
+    assert len(kernel) == 0
     assert len(oracle) <= 1 and len(solves) <= 1
+
+
+def test_moment_report_samples_past_the_budget(count_calls, monkeypatch):
+    # U(1)^3 at K = 8 walks 5,256 moves, more than the 1,365 that N = 2^16
+    # samples cost: the kernel runs once, over r = 1..N
+    P = parse_label("3.2.ad_f_ah")
+    kernel = count_calls("_trace_chunks")
+    moment_report(P, 1 << 16, 8)
+    assert [args[1:] for args in kernel] == [(1 << 16, 1, 1)]
+    # past 2^32 samples lose angle accuracy, so a walk past its budget
+    # there is an error
+    monkeypatch.setattr(distribution, "MAX_MOVES", 0)
+    with pytest.raises(PrecisionLoss, match="loses angle accuracy"):
+        moment_report(P, 1 << 33, 8)
 
 
 class TestTraceKernelBlocks:
@@ -490,6 +523,23 @@ class TestTraceKernelBlocks:
         moment_report(P, 100, 8)
         for n in (1 << 21, 1 << 40):
             assert self._peak_mb(lambda: moment_report(P, n, 8)) < 0.5
+
+    # past the walk's budget: the kernel's slice, one slice of powers and
+    # K lists of slice sums
+    def test_moment_report_holds_one_slice(self, monkeypatch):
+        P = parse_label("3.2.ad_f_ah")
+        moment_report(P, 100, 8)
+        monkeypatch.setattr(distribution, "MAX_MOVES", 0)
+        assert self._peak_mb(lambda: moment_report(P, 1 << 21, 8)) < 0.75
+
+    def test_mean_powers_memory_is_bounded(self):
+        # 2^16 one-sample slices, the slice count of N = 2^29: a float per
+        # slice and power would take about 16 MiB, and the fold every 1,024
+        # slice sums keeps a quarter MiB
+        xs = np.round(np.sin(np.arange(1 << 16)) * 3 * 1024) / 1024
+        slices = [xs[r:r + 1] for r in range(len(xs))]
+        distribution._mean_powers(iter(slices[:2]), 2, 8)   # numpy's first-call setup
+        assert self._peak_mb(lambda: distribution._mean_powers(iter(slices), len(xs), 8)) < 1
 
     def test_exact_moments_walk_counts_stay_small(self):
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a
