@@ -7,7 +7,8 @@ is detected numerically: integral LLL reduction of the rows [e_j | N theta_j]
 and [0 | N], N = 2^(precision/2), makes integer relations show up as short
 vectors.  Candidates are verified to 2^-precision.  As rows of an LLL basis
 they span a primitive lattice, so they are a basis of R, and their Smith
-normal form gives delta = g - rank(R) and m = largest elementary divisor.
+normal form gives delta = g - rank(R) and m = largest elementary divisor;
+the lattice keeps its transform V for the trace functions.
 R is presented by its saturation S, on which sum c_j theta_j is a/m mod 1.
 
 The angles are solved once, at 2 * precision: exact dyadic Fractions
@@ -144,94 +145,66 @@ def smith_normal_form(rows, n):
     """(divisors, V) for the row lattice L of `rows` inside Z^n.
 
     V is unimodular with L*V = {(t_1 d_1, ..., t_r d_r, 0, ...)}; divisors
-    satisfy d_1 | d_2 | ... | d_r.  All column operations are mirrored on V
-    so that the pair stays consistent (the exact moments and atoms read the
-    group from these coordinates), and a post-condition re-checks the
-    transformed rows.
+    satisfy d_1 | d_2 | ... | d_r (Cohen, GTM 138, 2.4).  Each column
+    operation runs over the matrix and V alike, and a post-condition
+    re-checks the transformed rows.
     """
-    original = [list(map(int, r)) for r in rows]
-    a = [row[:] for row in original]
-    m = len(a)
+    a = [list(map(int, r)) for r in rows]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def col_op(c1, c2, f):
-        for row in a:
-            row[c2] -= f * row[c1]
-        for row in v:
-            row[c2] -= f * row[c1]
-
-    def col_swap(c1, c2):
-        for row in a:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in v:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    def col_neg(c):
-        for row in a:
-            row[c] = -row[c]
-        for row in v:
-            row[c] = -row[c]
+    def col_op(c, j, f, swap):
+        """Column j -= f * column c, then columns c and j swap if swap."""
+        for mat in (a, v):
+            for row in mat:
+                row[j] -= f * row[c]
+                if swap:
+                    row[c], row[j] = row[j], row[c]
 
     def eliminate():
-        rank = 0
-        top = 0
-        left = 0
-        while top < m and left < n:
-            piv = None
+        """Diagonalize a, each pivot the smallest entry left; their number."""
+        for k in range(min(len(a), n)):
             best = None
-            for i in range(top, m):
-                for j in range(left, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
-                        piv = (i, j)
-            if piv is None:
-                break
-            pi, pj = piv
-            a[top], a[pi] = a[pi], a[top]
-            if pj != left:
-                col_swap(left, pj)
-            while True:
+            for i in range(k, len(a)):
+                for j in range(k, n):
+                    if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
+                        best = abs(a[i][j]), i, j
+            if best is None:
+                return k
+            _, i, j = best
+            a[k], a[i] = a[i], a[k]
+            if j != k:
+                col_op(k, j, 0, True)
+            done = False
+            while not done:
                 done = True
-                for j in range(left + 1, n):
-                    if a[top][j]:
-                        f = a[top][j] // a[top][left]
-                        col_op(left, j, f)
-                        if a[top][j]:
-                            col_swap(left, j)
+                for j in range(k + 1, n):
+                    if a[k][j]:
+                        f, rest = divmod(a[k][j], a[k][k])
+                        col_op(k, j, f, rest)
+                        done = done and not rest
+                for i in range(k + 1, len(a)):
+                    if a[i][k]:
+                        f, rest = divmod(a[i][k], a[k][k])
+                        a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                        if rest:
+                            a[k], a[i] = a[i], a[k]
                             done = False
-                for i in range(top + 1, m):
-                    if a[i][left]:
-                        f = a[i][left] // a[top][left]
-                        a[i] = [x - f * y for x, y in zip(a[i], a[top])]
-                        if a[i][left]:
-                            a[top], a[i] = a[i], a[top]
-                            done = False
-                if done:
-                    break
-            if a[top][left] < 0:
-                col_neg(left)
-            rank += 1
-            top += 1
-            left += 1
-        return rank
+            if a[k][k] < 0:
+                col_op(k, k, 2, False)      # column k -= 2 column k: negated
+        return min(len(a), n)
 
-    rank = eliminate()
-    # enforce d_1 | d_2 | ... by folding offending columns together and
-    # re-eliminating; V tracks every operation
-    while True:
-        bad = None
-        for i in range(rank - 1):
-            if a[i + 1][i + 1] % a[i][i]:
-                bad = i
-                break
-        if bad is None:
-            break
-        col_op(bad + 1, bad, -1)   # column bad += column bad+1
-        rank = eliminate()
-    divisors = [a[i][i] for i in range(rank)]
-    # post-condition: each original row, transformed by V, lies in the
-    # diagonal lattice span{d_i e_i}
-    for row in original:
+    # enforce d_1 | d_2 | ...: fold column k + 1 into column k at the first
+    # k that breaks it, and eliminate again
+    rank, k = eliminate(), 0
+    while k < rank - 1:
+        if a[k + 1][k + 1] % a[k][k]:
+            col_op(k + 1, k, -1, False)
+            rank, k = eliminate(), 0
+        else:
+            k += 1
+    divisors = [a[k][k] for k in range(rank)]
+    # post-condition: each row times V lies in span{d_i e_i}
+    for row in rows:
         t = [sum(row[k] * v[k][j] for k in range(n)) for j in range(n)]
         if any(t[j] % divisors[j] if j < rank else t[j] for j in range(n)):
             raise InvariantError("SNF transform drifted")
@@ -247,17 +220,18 @@ class RelationLattice(Record):
 
     ``basis`` is the verified LLL rows, a basis of R.  ``thetas`` are the
     angles roots(P, 2 * precision).thetas that the LLL rows and the checks
-    read, kept for the trace functions; they take no part in equality,
-    repr or JSON.
+    read, and ``smith`` the V of smith_normal_form(basis, g), () for R = 0:
+    the trace functions read both, outside equality, repr and JSON.
     """
 
-    _hidden = ("thetas",)
+    _hidden = ("thetas", "smith")
     g: int
     precision: int
     relations: tuple          # ((c tuple, numer, denom), ...): sum c th = n/d mod 1
     rank: int                 # = g - delta
     torsion_order: int        # = m
     thetas: tuple
+    smith: tuple = ()         # rows of V: R V = d_1 Z + ... + d_r Z + 0
     basis: tuple = ()         # a basis of R = {c : sum c th in Z}
 
     @property
@@ -304,15 +278,13 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
         if _residual_to_int(thetas, c) >= verify_tol:
             raise UnverifiedRelation(
                 "candidate %r fails to 2^-%d; raise precision" % (c, precision))
-    # the verified rows are part of an LLL basis, so they span a primitive
-    # lattice, R itself: one Smith form of them gives delta and m
-    divisors, _ = smith_normal_form(candidates, g)
+    # rows of an LLL basis span a primitive lattice, so these span R: one
+    # Smith form of them gives delta, m and the V the trace functions read
+    divisors, smith = smith_normal_form(candidates, g)
     if len(divisors) != len(candidates):
         raise InconsistentLattice("verified relations are dependent")
-    for d in divisors[:-1]:
-        if d != 1:
-            raise InconsistentLattice(
-                "torsion is not cyclic: divisors %r" % (divisors,))
+    if any(d != 1 for d in divisors[:-1]):
+        raise InconsistentLattice("torsion is not cyclic: divisors %r" % (divisors,))
     m = divisors[-1]
     if m > DENOMINATOR_BOUND:
         raise DenominatorBoundExceeded("torsion order %d > %d" % (m, DENOMINATOR_BOUND))
@@ -330,7 +302,7 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
                 "presented relation %r exceeds the coefficient bound" % (vec,))
         k = gcd(a, m)
         presented.append((tuple(vec), a // k, m // k))
-    return RelationLattice(g=g, precision=precision,
-                           relations=tuple(presented), rank=len(candidates),
-                           torsion_order=m, thetas=thetas, basis=tuple(candidates))
+    return RelationLattice(g=g, precision=precision, relations=tuple(presented),
+                           rank=len(candidates), torsion_order=m, thetas=thetas,
+                           smith=tuple(map(tuple, smith)), basis=tuple(candidates))
 

@@ -15,10 +15,11 @@ and `trace_sequence` alone builds all N samples.  The atoms depend only on
 r mod m, since u^m lies in the identity component of U(1)^delta x C_m:
 `histogram` decides them once per residue, exactly, and counts and buckets
 them by arithmetic; the kernel runs only at the other residues.
-`exact_moments` walks on Z^g modulo the relation lattice with exact
-integer counts, and `moment_report` takes its means over r <= N from the
-same walk in closed form, at a cost that grows with g and K but not N, as
-long as that costs less than sampling; past that it samples.
+`exact_moments` walks on Z^g modulo the relation lattice, in the Smith
+coordinates the oracle keeps with it, with exact integer counts, and
+`moment_report` takes its means over r <= N from the same walk in closed
+form, at a cost that grows with g and K but not N, as long as that costs
+less than sampling; past that it samples.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from ._intpoly import InvariantError, Record, cyclotomic
-from .anglerank import angle_rank_numeric, smith_normal_form
+from .anglerank import angle_rank_numeric
 from .classify import SerreFrobeniusGroup, classify
 from .newton import newton_polygon
 from .polyarith import supersingular_torsion_order
-from .weilpoly import WeilError, _cis, _pi, roots
+from .weilpoly import WeilError, _cis, _integers, _pi, roots
 
 # Samples per kernel sweep and bucketing, and per partial sum of the
 # sampled moments.  The kernel's four arrays of a slice (r, phase,
@@ -61,10 +62,16 @@ class PrecisionLoss(WeilError):
     pass
 
 
+def _positive(name, *values):
+    """values as ints; WeilError unless each is a positive integer."""
+    values = _integers(values, WeilError, name)
+    if min(values) < 1:
+        raise WeilError("%s must be positive" % name)
+    return values
+
+
 def _check_samples(N):
-    """1 <= N <= 2^32, past which the 64-bit fixed-point angles lose accuracy."""
-    if N < 1:
-        raise WeilError("N must be positive")
+    """N <= 2^32, past which the 64-bit fixed-point angles lose accuracy."""
     if N > 1 << 32:
         raise PrecisionLoss("N = %d loses angle accuracy in 64-bit fixed point" % N)
 
@@ -101,6 +108,7 @@ def _trace_chunks(ms, N, j, m):
 
 def trace_sequence(P, N):
     """The vector (x_1, ..., x_N); deterministic for fixed (P, N)."""
+    (N,) = _positive("N", N)
     _check_samples(N)
     ms = _fixed_point_angles(roots(P).thetas)
     out = np.empty(N, dtype=np.float64)
@@ -153,15 +161,9 @@ def _bucket_index(x, g, B):
     return idx
 
 
-def _smith_coordinates(basis, g, delta, m):
-    """(d, V) = smith_normal_form(basis, g) for the relation lattice of
-    U(1)^delta x C_m, once g - len(d) = delta and d = (1, ..., 1, m) are checked."""
-    divisors, v = smith_normal_form(basis, g)
-    if (g - len(divisors) != delta or math.prod(divisors) != m
-            or (divisors[-1] if divisors else 1) != m):
-        raise InvariantError("divisors %r for delta %d, torsion order %d"
-                             % (divisors, delta, m))
-    return divisors, v
+def _smith_rows(lattice, g):
+    """Rows of the oracle's Smith transform V; the identity with no lattice or R = 0."""
+    return (lattice and lattice.smith) or [[int(i == j) for j in range(g)] for i in range(g)]
 
 
 def _cyclotomic_residue(exponents, m):
@@ -223,14 +225,14 @@ def histogram(P, N, B):
     """Bucketed counts of (x_r)_{r<=N} over [-2g, 2g], plus the atoms above
     ATOM_THRESHOLD, for 1 <= B <= N buckets, half-open but the last.
 
-    The group gives m, the angles and the torus rows of its Smith form
-    (none, and no oracle run, for a supersingular input).  An atom residue
-    j of `_atom_residues` counts its (N - j) // m + 1 samples (j = m for 0)
-    in its `_atom_bucket`; the kernel evaluates and buckets only the r of
-    the other residues, r = j, j + m, ... <= N for each.
+    The oracle's lattice gives m, the angles and the torus rows of the
+    Smith transform it keeps (none, and no oracle run, for a supersingular
+    input).  An atom residue j of `_atom_residues` counts its
+    (N - j) // m + 1 samples (j = m for 0) in its `_atom_bucket`; the
+    kernel evaluates and buckets only the r of the other residues,
+    r = j, j + m, ... <= N for each.
     """
-    if N < 1 or B < 1:
-        raise WeilError("N and B must be positive")
+    N, B = _positive("N and B", N, B)
     if B > N:
         raise WeilError("B = %d buckets exceed the N = %d samples" % (B, N))
     g = P.g
@@ -240,8 +242,7 @@ def histogram(P, N, B):
     else:
         lattice = angle_rank_numeric(P)
         m, thetas = lattice.torsion_order, lattice.thetas
-        divisors, smith = _smith_coordinates(lattice.basis, g, lattice.delta, m)
-        torus = [row[len(divisors):] for row in smith]
+        torus = [row[lattice.rank:] for row in _smith_rows(lattice, g)]
     atoms = _atom_residues(m, thetas, torus)
     counts, masses = np.zeros(B, dtype=np.int64), {}
     for j, (key, v, err) in atoms.items():
@@ -266,11 +267,13 @@ def histogram(P, N, B):
 
 
 def _mean_powers(slices, n, K):
-    """Means of x^k, k = 1..K, over n samples given as slices: each power
-    summed per slice with np.sum, and its slice sums with math.fsum, which
-    folds them into one every 1024 slices so the list stays short."""
+    """Means of x^k, k = 1..K, over n finite samples given as slices: each
+    power summed per slice with np.sum, and its slice sums with math.fsum,
+    which folds them into one every 1024 slices so the list stays short."""
     sums, p = [[] for _ in range(K)], np.empty(min(n, SLICE))
     for x in slices:
+        if not np.isfinite(x).all():
+            raise WeilError("samples must be finite")
         q = p[:len(x)]
         q.fill(1.0)
         for s in sums:
@@ -282,9 +285,8 @@ def _mean_powers(slices, n, K):
 
 
 def empirical_moments(xs, K):
-    """Means of x^k, k = 1..K, of a caller's samples xs, one SLICE at a time."""
-    if K < 1:
-        raise WeilError("K must be positive")
+    """Means of x^k, k = 1..K, of a caller's finite samples xs, one SLICE at a time."""
+    (K,) = _positive("K", K)
     xs = np.asarray(xs, dtype=np.float64)
     n = len(xs)
     if n == 0:
@@ -293,15 +295,19 @@ def empirical_moments(xs, K):
 
 
 def _walk_steps(group, lattice):
-    """(steps, mods) of the walks on Z^g modulo the relation lattice L: with
-    (d, V) = smith_normal_form(basis, g), c is in L iff cV lies in
-    d_1 Z + ... + d_r Z + 0, so a state is cV with entry i mod mods[i] (kept
-    whole where it is 0), and the steps +e_1, -e_1, +e_2, ... add +-(row j of V)."""
-    divisors, v = _smith_coordinates(lattice.basis if lattice else (),
-                                     group.g, group.delta, group.m)
-    mods = divisors + [0] * group.delta
+    """(steps, mods) of the walks on Z^g modulo the relation lattice L of
+    rank r, once the group and the lattice (L = 0 without one) agree on
+    (delta, m): L V = Z^(r-1) + m Z + 0 for the Smith transform V, so a
+    state is cV with entry i mod mods[i] (kept whole where it is 0), and
+    the steps +e_1, -e_1, +e_2, ... add +-(row j of V)."""
+    found = (lattice.delta, lattice.torsion_order) if lattice else (group.g, 1)
+    if (group.delta, group.m) != found:
+        raise InvariantError("classified (delta, m) = %r but the lattice gives %r"
+                             % ((group.delta, group.m), found))
+    r = group.g - group.delta
+    mods = ([1] * (r - 1) + [group.m] if r else []) + [0] * group.delta
     steps = [tuple(sign * x % d if d else sign * x for x, d in zip(row, mods))
-             for row in v for sign in (1, -1)]
+             for row in _smith_rows(lattice, group.g) for sign in (1, -1)]
     return steps, mods
 
 
@@ -311,19 +317,10 @@ def _moves(s, steps, mods):
             for t in steps)
 
 
-def _walk_step(walks, steps, mods):
-    """Walk counts one step further: each state moves by each step."""
-    out = {}
-    for s, c in walks.items():
-        for u in _moves(s, steps, mods):
-            out[u] = out.get(u, 0) + c
-    return out
-
-
 def exact_moments(group, K, lattice=None):
     """E[x^k], k = 1..K, for the Haar pushforward of the classified group,
     whose relation lattice `lattice` (from `angle_rank_numeric`) it needs
-    when delta < g: without one, `_smith_coordinates` raises InvariantError.
+    when delta < g: `_walk_steps` checks that they agree on (delta, m).
 
     A character prod u_j^(c_j) is trivial on the group exactly when c lies
     in the relation lattice L, so by Haar orthogonality E[x^k] is the number
@@ -331,12 +328,14 @@ def exact_moments(group, K, lattice=None):
     steps are symmetric, so W_b(-s) = W_b(s) for the counts W_b of b-step
     walks, and ceil(K/2) steps give E[x^(a+b)] = sum_s W_a(s) W_b(s).
     """
-    if K < 1:
-        raise WeilError("K must be positive")
+    (K,) = _positive("K", K)
     steps, mods = _walk_steps(group, lattice)
     walks, out = {(0,) * group.g: 1}, []
     for _ in range((K + 1) // 2):
-        prev, walks = walks, _walk_step(walks, steps, mods)
+        prev, walks = walks, {}
+        for s, c in prev.items():
+            for u in _moves(s, steps, mods):
+                walks[u] = walks.get(u, 0) + c
         out.append(sum(c * prev.get(s, 0) for s, c in walks.items()))
         out.append(sum(c * c for c in walks.values()))
     return [float(c) for c in out[:K]]
@@ -403,10 +402,9 @@ def moment_report(P, N, K):
     on the oracle's angles where the lattice is needed (delta < g) and on
     those of `roots` otherwise: in closed form while the walk is within
     MOVE_COST's budget, and else from the kernel's samples, for N <= 2^32."""
-    if K < 1:
-        raise WeilError("K must be positive")
-    if not 1 <= N < 1 << 1023:       # N is a float in D_N
-        raise WeilError("N must be positive and below 2^1023")
+    (K,), (N,) = _positive("K", K), _positive("N", N)
+    if N >= 1 << 1023:               # N is a float in D_N
+        raise WeilError("N must be below 2^1023")
     group = classify(P)
     if not isinstance(group, SerreFrobeniusGroup):
         raise WeilError("moment comparison needs a full classification")

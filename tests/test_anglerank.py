@@ -240,6 +240,33 @@ def test_oracle_json_over_the_corpus_is_pinned(corpus):
         "0e8e91c2708dfcfd6bc2340411b33dc18803f9be198b5dede7bbe3c46e15dce7")
 
 
+def _snf_matrices(count, seed):
+    """Seeded integer matrices of 1-5 rows and 1-5 columns with entries in
+    [-9, 9], each with its own share of zeros."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k, zero = rng.randint(1, 5), rng.randint(1, 5), rng.random()
+        yield [[0 if rng.random() < zero else rng.randint(-9, 9) for _ in range(n)]
+               for _ in range(k)], n
+
+
+def test_smith_normal_form_is_pinned(corpus):
+    # (divisors, V) of 5,000 seeded matrices and of the 608 nonzero oracle
+    # bases of the corpus; digest taken when every column operation was
+    # written out twice, once for the matrix and once for V.  The lattice
+    # keeps V of its basis, and () for R = 0
+    lattices = [angle_rank_numeric(P) for key in sorted(corpus) for P in corpus[key]]
+    bases = [(lat.basis, lat.g) for lat in lattices if lat.basis]
+    digest = hashlib.sha256()
+    for rows, n in [*_snf_matrices(5000, "smith"), *bases]:
+        digest.update(repr(smith_normal_form(rows, n)).encode())
+    assert len(bases) == 608
+    assert digest.hexdigest() == (
+        "a8c2c859b0f9e16e4cf38238527376148ecc3607e32de4a7a69ed6c2a12e4b00")
+    assert all(lat.smith == (tuple(map(tuple, smith_normal_form(lat.basis, lat.g)[1]))
+                             if lat.basis else ()) for lat in lattices)
+
+
 def test_basis_is_verified_lll_rows(corpus):
     # the relation lattice is spanned by the verified rows of the reduced
     # basis themselves, not rebuilt from its saturation

@@ -217,8 +217,17 @@ class TestMoments:
 
     def test_lattice_missing(self):
         grp = classify(parse_label("2.5.a_ab"))
-        with pytest.raises(InvariantError, match=r"divisors \[\] for delta 1"):
+        with pytest.raises(InvariantError,
+                           match=r"\(delta, m\) = \(1, 2\) but the lattice gives \(2, 1\)"):
             exact_moments(grp, 2)
+
+    def test_lattice_of_another_group(self):
+        # U(1) x C_2 against the lattice of U(1) x C_3, both of rank 1
+        grp = classify(parse_label("2.5.a_ab"))
+        lattice = angle_rank_numeric(parse_label("2.2.ab_ab"))
+        with pytest.raises(InvariantError,
+                           match=r"\(delta, m\) = \(1, 2\) but the lattice gives \(1, 3\)"):
+            exact_moments(grp, 2, lattice)
 
     @pytest.mark.parametrize("K", [0, -2, -3])
     def test_empirical_moments_need_positive_order(self, K):
@@ -229,6 +238,24 @@ class TestMoments:
     def test_exact_moments_need_positive_order(self, K):
         with pytest.raises(WeilError, match="K must be positive"):
             exact_moments(classify(parse_label("1.2.ab")), K)
+
+    def test_orders_must_be_integers(self):
+        with pytest.raises(WeilError, match="expected integer K"):
+            exact_moments(classify(parse_label("1.2.ab")), 4.0)
+        with pytest.raises(WeilError, match="expected integer K"):
+            empirical_moments(np.ones(10), 2.0)
+
+    # opposite infinities in one slice and SLICE samples apart, and a NaN
+    # in the first and in the second slice
+    @pytest.mark.parametrize("gap", [1, SLICE], ids=["one-slice", "two-slices"])
+    @pytest.mark.parametrize("first, last", [(math.inf, -math.inf), (math.nan, 0.0),
+                                             (0.0, math.nan)],
+                             ids=["infinities", "nan-first", "nan-last"])
+    def test_empirical_moments_refuse_non_finite_samples(self, gap, first, last):
+        xs = np.zeros(gap + 1)
+        xs[0], xs[gap] = first, last
+        with pytest.raises(WeilError, match="samples must be finite"):
+            empirical_moments(xs, 1)
 
     def test_moment_report_converges(self):
         rep = moment_report(parse_label("2.5.a_ab"), 50000, 4)
@@ -422,13 +449,47 @@ def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
     (lambda P: moment_report(P, 1 << 1023, 8), WeilError, r"below 2\^1023"),
     (lambda P: trace_sequence(P, 0), WeilError, "N must be positive"),
     (lambda P: trace_sequence(P, 1 << 33), PrecisionLoss, "loses angle accuracy"),
-], ids=["moments-0", "moments-2^1023", "sequence-0", "sequence-2^33"])
+    # a float N would enter the closed-form moments as a float and shift
+    # them in the last digits
+    (lambda P: moment_report(P, 1e6, 8), WeilError, "expected integer N"),
+    (lambda P: moment_report(P, 1000, 8.0), WeilError, "expected integer K"),
+    (lambda P: histogram(P, 1e6, 4), WeilError, "expected integer N and B"),
+    (lambda P: histogram(P, 2.5, 4), WeilError, "expected integer N and B"),
+    (lambda P: histogram(P, 1000, 4.0), WeilError, "expected integer N and B"),
+    (lambda P: trace_sequence(P, 1e3), WeilError, "expected integer N"),
+], ids=["moments-0", "moments-2^1023", "sequence-0", "sequence-2^33",
+        "moments-float-N", "moments-float-K", "histogram-float-N", "histogram-2.5",
+        "histogram-float-B", "sequence-float-N"])
 def test_sample_count_checked_before_any_solve(count_calls, run, error, message):
     P = parse_label("3.2.ab_b_b")
     oracle, solves = count_calls("angle_rank_numeric"), count_calls("roots")
     with pytest.raises(error, match=message):
         run(P)
     assert (oracle, solves) == ([], [])
+
+
+def test_numpy_integers_are_counts():
+    P = parse_label("3.2.ab_b_b")
+    group, lattice = classify(P), angle_rank_numeric(P)
+    assert histogram(P, np.int64(1000), np.int32(16)) == histogram(P, 1000, 16)
+    assert moment_report(P, np.int64(1000), np.uint8(4)) == moment_report(P, 1000, 4)
+    assert np.array_equal(trace_sequence(P, np.int64(100)), trace_sequence(P, 100))
+    assert exact_moments(group, np.int64(4), lattice) == exact_moments(group, 4, lattice)
+    assert empirical_moments(np.ones(10), np.int16(3)) == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("run", [lambda P: histogram(P, 1000, 16),
+                                 lambda P: moment_report(P, 1000, 8)],
+                         ids=["histogram", "moment_report"])
+@pytest.mark.parametrize("label, smith_forms", [
+    ("2.5.a_ab", 3), ("3.2.ab_b_b", 3), ("3.2.ad_f_ah", 0), ("2.2.ab_b", 0)])
+def test_trace_layer_reads_the_oracles_smith_form(count_calls, run, label, smith_forms):
+    # the only Smith forms are the oracle's: one of its basis and two in
+    # the saturation when R != 0, none when delta = g; the torus rows and
+    # the walk states read the transform that the lattice keeps
+    calls = count_calls("smith_normal_form")
+    run(parse_label(label))
+    assert len(calls) == smith_forms
 
 
 @pytest.mark.parametrize("label", ["3.2.ad_f_ah", "3.2.ab_b_b", "2.2.ae_i"])

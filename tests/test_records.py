@@ -102,4 +102,4 @@ def test_defaults_and_hidden_fields():
     assert repr(lat) == ("RelationLattice(g=1, precision=64, relations=(), "
                          "rank=0, torsion_order=1, basis=())")
     assert WeilPolynomial._hidden == ("h",)
-    assert RelationLattice._hidden == ("thetas",)
+    assert RelationLattice._hidden == ("thetas", "smith")

@@ -43,6 +43,22 @@ def test_oracle_imports_no_structural_module():
     assert _package_imports(SRC / "anglerank.py") == {"_intpoly", "weilpoly"}
 
 
+def test_trace_layer_imports_no_smith_form():
+    # the trace functions read the Smith transform that the oracle keeps
+    # with its lattice; a Smith form of their own would compute it again
+    path = SRC / "distribution.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "angle_rank_numeric" in names
+    assert "smith_normal_form" not in names
+
+
 def test_precision_is_the_oracles_knob():
     # working precision means something only where the oracle finds
     # relations from approximate angles: `roots` and `angle_rank_numeric`
