@@ -6,10 +6,10 @@ an element c of the relation lattice R = {c in Z^g : sum c_j theta_j in Z}
 is detected numerically: integral LLL reduction of the rows [e_j | N theta_j]
 and [0 | N], N = 2^(precision/2), makes integer relations show up as short
 vectors.  Candidates are verified to 2^-precision.  As rows of an LLL basis
-they span a primitive lattice, so they are a basis of R, and their Smith
-normal form gives delta = g - rank(R) and m = largest elementary divisor;
-the lattice keeps its transform V for the trace functions.
-R is presented by its saturation S, on which sum c_j theta_j is a/m mod 1.
+they span a primitive lattice, so they are a basis of R.  Their one Smith
+form R V = d_1 Z + ... + d_r Z + 0 gives delta = g - r, m = d_r, the V the
+trace functions read, and the saturation S = Z^r V^-1, presented in Hermite
+normal form: on S, sum c_j theta_j is a/m mod 1.
 
 The angles are solved once, at 2 * precision: exact dyadic Fractions
 within 2^-(2 precision + 32) of the true ones.  The LLL rows, the checks
@@ -111,46 +111,18 @@ def lll_reduce(rows):
 
 
 # ---------------------------------------------------------------------------
-# small exact integer linear algebra: kernels, saturation, Smith form
-
-
-def integer_kernel(rows, n):
-    """Z-basis of {x in Z^n : M x^T = 0} for the integer matrix M.
-
-    With U M V = [D | 0] in Smith form, the kernel is spanned by the columns
-    of the unimodular V past the nonzero divisors, so the result is a genuine
-    Z-basis (not merely a spanning set of the rational kernel).
-    """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    divisors, v = smith_normal_form(rows, n)
-    r = len(divisors)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def saturate_lattice(rows, n):
-    """Z-basis of (span_Q(rows) intersect Z^n) via a double integer kernel.
-
-    The integer kernel of an integer matrix is always saturated, so applying
-    it twice lands exactly on the saturation of the row span.
-    """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    return integer_kernel(integer_kernel(rows, n), n)
+# small exact integer linear algebra: Smith form, saturation
 
 
 def smith_normal_form(rows, n):
-    """(divisors, V) for the row lattice L of `rows` inside Z^n.
-
-    V is unimodular with L*V = {(t_1 d_1, ..., t_r d_r, 0, ...)}; divisors
-    satisfy d_1 | d_2 | ... | d_r (Cohen, GTM 138, 2.4).  Each column
-    operation runs over the matrix and V alike, and a post-condition
-    re-checks the transformed rows.
-    """
+    """(divisors, V, W) for the row lattice L of `rows` inside Z^n: V is
+    unimodular with L*V = {(t_1 d_1, ..., t_r d_r, 0, ...)}, W = V^-1 and
+    d_1 | d_2 | ... | d_r (Cohen, GTM 138, 2.4).  Each column operation runs
+    over the matrix and V alike and its inverse row operation over W, and
+    post-conditions re-check the transformed rows and W V = I."""
     a = [list(map(int, r)) for r in rows]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [row[:] for row in v]
 
     def col_op(c, j, f, swap):
         """Column j -= f * column c, then columns c and j swap if swap."""
@@ -159,6 +131,10 @@ def smith_normal_form(rows, n):
                 row[j] -= f * row[c]
                 if swap:
                     row[c], row[j] = row[j], row[c]
+        # on W: row c += f * row j (negated if c = j), then rows c, j swap
+        w[c] = [-x for x in w[c]] if c == j else [x + f * y for x, y in zip(w[c], w[j])]
+        if swap:
+            w[c], w[j] = w[j], w[c]
 
     def eliminate():
         """Diagonalize a, each pivot the smallest entry left; their number."""
@@ -174,21 +150,19 @@ def smith_normal_form(rows, n):
             a[k], a[i] = a[i], a[k]
             if j != k:
                 col_op(k, j, 0, True)
-            done = False
-            while not done:
-                done = True
+            # Euclid against the pivot clears row k, then column k: an old
+            # pivot left in either would grow at each later pass
+            while any(a[k][k + 1:]) or any(row[k] for row in a[k + 1:]):
                 for j in range(k + 1, n):
-                    if a[k][j]:
+                    while a[k][j]:
                         f, rest = divmod(a[k][j], a[k][k])
                         col_op(k, j, f, rest)
-                        done = done and not rest
                 for i in range(k + 1, len(a)):
-                    if a[i][k]:
+                    while a[i][k]:
                         f, rest = divmod(a[i][k], a[k][k])
                         a[i] = [x - f * y for x, y in zip(a[i], a[k])]
                         if rest:
                             a[k], a[i] = a[i], a[k]
-                            done = False
             if a[k][k] < 0:
                 col_op(k, k, 2, False)      # column k -= 2 column k: negated
         return min(len(a), n)
@@ -203,12 +177,37 @@ def smith_normal_form(rows, n):
         else:
             k += 1
     divisors = [a[k][k] for k in range(rank)]
-    # post-condition: each row times V lies in span{d_i e_i}
+    # post-conditions: each row times V lies in span{d_i e_i}, and W V = I
     for row in rows:
         t = [sum(row[k] * v[k][j] for k in range(n)) for j in range(n)]
         if any(t[j] % divisors[j] if j < rank else t[j] for j in range(n)):
             raise InvariantError("SNF transform drifted")
-    return divisors, v
+    if any(sum(x * y for x, y in zip(w[i], col)) != (i == j)
+           for i in range(n) for j, col in enumerate(zip(*v))):
+        raise InvariantError("SNF inverse drifted")
+    return divisors, v, w
+
+
+def saturate_lattice(inverse, r):
+    """The saturation S = span_Q(L) cap Z^n of a rank-r lattice L, read off
+    W = V^-1 of its Smith form (L V = d_1 Z + ... + d_r Z + 0, so S V = Z^r
+    + 0 and rows 0..r-1 of W span S), in Hermite normal form: each row's
+    pivot is its last nonzero entry and is positive, the other rows' entries
+    in its column lie in [0, pivot), and the rows go by pivot column, ascending."""
+    h, top = inverse[:r], r        # h[top:] have pivots; rows are replaced, not edited
+    for j in reversed(range(len(inverse))):
+        for i in range(top - 1):    # Euclid of rows i and top - 1 on column j
+            while h[i][j]:
+                f = h[top - 1][j] // h[i][j]
+                h[i], h[top - 1] = [x - f * y for x, y in zip(h[top - 1], h[i])], h[i]
+        if top and h[top - 1][j]:
+            top -= 1
+            if h[top][j] < 0:
+                h[top] = [-x for x in h[top]]
+            for i in range(top + 1, r):
+                f = h[i][j] // h[top][j]
+                h[i] = [x - f * y for x, y in zip(h[i], h[top])]
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,10 @@ def smith_normal_form(rows, n):
 class RelationLattice(Record):
     """Verified multiplicative relations among the normalized eigenvalues.
 
-    ``basis`` is the verified LLL rows, a basis of R.  ``thetas`` are the
-    angles roots(P, 2 * precision).thetas that the LLL rows and the checks
-    read, and ``smith`` the V of smith_normal_form(basis, g), () for R = 0:
-    the trace functions read both, outside equality, repr and JSON.
+    ``basis`` is the verified LLL rows, a basis of R, and ``relations`` its
+    saturation in Hermite normal form.  ``thetas`` (roots(P, 2 * precision))
+    and ``smith`` (the V of smith_normal_form(basis, g), () for R = 0) are
+    read by the trace functions, outside equality, repr and JSON.
     """
 
     _hidden = ("thetas", "smith")
@@ -278,9 +277,8 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
         if _residual_to_int(thetas, c) >= verify_tol:
             raise UnverifiedRelation(
                 "candidate %r fails to 2^-%d; raise precision" % (c, precision))
-    # rows of an LLL basis span a primitive lattice, so these span R: one
-    # Smith form of them gives delta, m and the V the trace functions read
-    divisors, smith = smith_normal_form(candidates, g)
+    # the one Smith form of R: delta, m, V for the trace functions, V^-1 for S
+    divisors, smith, inverse = smith_normal_form(candidates, g)
     if len(divisors) != len(candidates):
         raise InconsistentLattice("verified relations are dependent")
     if any(d != 1 for d in divisors[:-1]):
@@ -290,7 +288,7 @@ def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
         raise DenominatorBoundExceeded("torsion order %d > %d" % (m, DENOMINATOR_BOUND))
     # present the saturation S: m S lies in R, so each value is a/m mod 1
     presented = []
-    for vec in saturate_lattice(candidates, g):
+    for vec in saturate_lattice(inverse, len(divisors)):
         x = sum(ci * t for ci, t in zip(vec, thetas))
         a = round(m * x) % m
         err = x - Fraction(a, m)

@@ -269,19 +269,27 @@ def histogram(P, N, B):
 def _mean_powers(slices, n, K):
     """Means of x^k, k = 1..K, over n finite samples given as slices: each
     power summed per slice with np.sum, and its slice sums with math.fsum,
-    which folds them into one every 1024 slices so the list stays short."""
+    which folds them into one every 1024 slices so the list stays short.
+    A power whose sum leaves the float range, within a slice or across
+    slices, raises WeilError."""
     sums, p = [[] for _ in range(K)], np.empty(min(n, SLICE))
-    for x in slices:
-        if not np.isfinite(x).all():
-            raise WeilError("samples must be finite")
-        q = p[:len(x)]
-        q.fill(1.0)
-        for s in sums:
-            q *= x
-            s.append(float(np.sum(q)))
-            if len(s) == 1024:
-                s[:] = [math.fsum(s)]
-    return [math.fsum(s) / n for s in sums]
+    try:
+        for x in slices:
+            if not np.isfinite(x).all():
+                raise WeilError("samples must be finite")
+            q = p[:len(x)]
+            q.fill(1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in sums:
+                    q *= x
+                    s.append(float(np.sum(q)))
+                    if not math.isfinite(s[-1]):
+                        raise OverflowError     # as math.fsum does past the range
+                    if len(s) == 1024:
+                        s[:] = [math.fsum(s)]
+        return [math.fsum(s) / n for s in sums]
+    except OverflowError:
+        raise WeilError("a power of the samples overflows") from None
 
 
 def empirical_moments(xs, K):

@@ -10,9 +10,8 @@ import pytest
 from conftest import PAPER_EXAMPLES
 from weilsf import _intpoly as ip
 from weilsf.anglerank import (COEFF_BOUND_RAW, DenominatorBoundExceeded,
-                              RelationLattice, angle_rank_numeric,
-                              integer_kernel, lll_reduce, saturate_lattice,
-                              smith_normal_form)
+                              RelationLattice, angle_rank_numeric, lll_reduce,
+                              saturate_lattice, smith_normal_form)
 from weilsf.polyarith import base_change
 from weilsf.weilpoly import parse_label, roots, validate
 
@@ -44,6 +43,10 @@ def _gram_schmidt(rows):
 
 def _divisors(rows, n):
     return smith_normal_form([r for r in rows if any(r)], n)[0]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 class TestLinearAlgebra:
@@ -112,33 +115,33 @@ class TestLinearAlgebra:
             assert len(divisors) == P.g + 1 and math.prod(divisors) == 1 << 128
 
     def test_snf_divisor_chain(self):
-        divisors, _ = smith_normal_form([[2, 0], [0, 3]], 2)
-        assert divisors == [1, 6]
+        assert smith_normal_form([[2, 0], [0, 3]], 2)[0] == [1, 6]
 
     def test_snf_transform_consistency(self):
         rows = [[2, 2], [0, 4]]
-        divisors, v = smith_normal_form(rows, 2)
-        # the post-condition inside smith_normal_form already asserts
+        divisors, v, w = smith_normal_form(rows, 2)
+        # the post-conditions inside smith_normal_form already assert
         assert divisors == [2, 4]
+        assert _product(w, v) == [[1, 0], [0, 1]]
 
-    def test_integer_kernel_is_a_basis(self):
-        k = integer_kernel([[6, 2, 7]], 3)
-        assert len(k) == 2
-        # (0, 7, -2) must be an integer combination of the basis
-        a, b = k
-        target = (0, 7, -2)
-        found = False
-        for s in range(-40, 41):
-            for t in range(-40, 41):
-                if tuple(s * x + t * y for x, y in zip(a, b)) == target:
-                    found = True
-        assert found
+    def test_snf_keeps_small_entries_small(self):
+        # a 6 x 5 matrix whose entries grew to millions of bits while each
+        # pass left the old pivot in row or column k for the next one
+        rows = [[-5, -2, -19, -7, 13], [-10, 0, 0, -10, -5], [-12, -14, -6, -8, -11],
+                [-3, 0, 2, 8, 13], [-14, 15, -12, 0, -12], [-15, 0, 5, 14, 0]]
+        assert smith_normal_form(rows[:5], 5)[0] == [1, 1, 1, 1, 1594760]
+        divisors, v, w = smith_normal_form(rows, 5)
+        assert divisors == [1, 1, 1, 1, 1]
+        assert max(abs(x) for row in v + w for x in row).bit_length() < 64
 
     def test_saturation(self):
-        assert saturate_lattice([[2, 2]], 2) == [[1, 1]]
-        sat = saturate_lattice([[2, 0], [0, 2]], 2)
-        divisors, _ = smith_normal_form(sat, 2)
-        assert divisors == [1, 1]
+        def saturate(rows, n):
+            divisors, _, w = smith_normal_form(rows, n)
+            return saturate_lattice(w, len(divisors))
+        assert saturate([[2, 2]], 2) == [[1, 1]]
+        assert saturate([[2, 0], [0, 2]], 2) == [[1, 0], [0, 1]]
+        assert saturate([[6, 2, 7]], 3) == [[6, 2, 7]]
+        assert saturate([[0, 4, 6], [2, 0, 0]], 3) == [[1, 0, 0], [0, 2, 3]]
 
 
 KNOWN = [
@@ -230,14 +233,19 @@ class TestAngleRank:
                 assert 1 <= b <= 72
 
 
-def test_oracle_json_over_the_corpus_is_pinned(corpus):
-    # delta, m and the presented relations of every corpus label; digest
-    # taken with the kernel rebuild and the denominator search over b <= 72
-    out = [angle_rank_numeric(P).to_json() for key in sorted(corpus) for P in corpus[key]]
+@pytest.fixture(scope="module")
+def corpus_lattices(corpus):
+    return [angle_rank_numeric(P) for key in sorted(corpus) for P in corpus[key]]
+
+
+def test_oracle_json_over_the_corpus_is_pinned(corpus_lattices):
+    # delta, m and the presented relations of every corpus label, these in
+    # the Hermite normal form of the saturation
+    out = [lat.to_json() for lat in corpus_lattices]
     digest = hashlib.sha256(json.dumps(out, separators=(",", ":")).encode())
     assert len(out) == 1220
     assert digest.hexdigest() == (
-        "0e8e91c2708dfcfd6bc2340411b33dc18803f9be198b5dede7bbe3c46e15dce7")
+        "40b09383e76985d32baba4ad38472972ba857d24220afa1ad2ad35461b08f2f6")
 
 
 def _snf_matrices(count, seed):
@@ -250,21 +258,90 @@ def _snf_matrices(count, seed):
                for _ in range(k)], n
 
 
-def test_smith_normal_form_is_pinned(corpus):
-    # (divisors, V) of 5,000 seeded matrices and of the 608 nonzero oracle
-    # bases of the corpus; digest taken when every column operation was
-    # written out twice, once for the matrix and once for V.  The lattice
+def test_smith_normal_form_is_pinned(corpus_lattices):
+    # (divisors, V) of the 608 nonzero oracle bases of the corpus, digest
+    # taken when every column operation was written out twice, once for the
+    # matrix and once for V; and of 5,000 seeded matrices, digest taken when
+    # Euclid cleared row k and column k of each pivot in full.  The lattice
     # keeps V of its basis, and () for R = 0
-    lattices = [angle_rank_numeric(P) for key in sorted(corpus) for P in corpus[key]]
-    bases = [(lat.basis, lat.g) for lat in lattices if lat.basis]
-    digest = hashlib.sha256()
-    for rows, n in [*_snf_matrices(5000, "smith"), *bases]:
-        digest.update(repr(smith_normal_form(rows, n)).encode())
+    bases = [(lat.basis, lat.g) for lat in corpus_lattices if lat.basis]
     assert len(bases) == 608
-    assert digest.hexdigest() == (
-        "a8c2c859b0f9e16e4cf38238527376148ecc3607e32de4a7a69ed6c2a12e4b00")
+    for cases, want in [
+            (bases, "3ef09714945e6040aab50c5efbbb18f1e2e7ccd6d5b5c142987902654cecdb8c"),
+            (_snf_matrices(5000, "smith"),
+             "4b328b1eb38615655ad52e080647f1a4d6dda532469babf301c126940f580e17")]:
+        digest = hashlib.sha256()
+        for rows, n in cases:
+            digest.update(repr(smith_normal_form(rows, n)[:2]).encode())
+        assert digest.hexdigest() == want
     assert all(lat.smith == (tuple(map(tuple, smith_normal_form(lat.basis, lat.g)[1]))
-                             if lat.basis else ()) for lat in lattices)
+                             if lat.basis else ()) for lat in corpus_lattices)
+
+
+def _is_hermite(h):
+    """Pivots (last nonzero entries) positive and in ascending columns, and
+    the other rows' entries in each pivot column in [0, pivot)."""
+    pivots = [max(j for j, x in enumerate(row) if x) for row in h]
+    return (pivots == sorted(set(pivots))
+            and all(row[p] > 0 for row, p in zip(h, pivots))
+            and all(0 <= row[p] < h[i][p] for i, p in enumerate(pivots)
+                    for k, row in enumerate(h) if k != i))
+
+
+def _check_saturation(rows, n):
+    """W V = I for the Smith form of `rows`, and S = saturate_lattice(W, r)
+    is saturated, holds the row lattice R, lies in (1/m) R for the largest
+    divisor m, and is in Hermite normal form; returns S."""
+    divisors, v, w = smith_normal_form(rows, n)
+    r = len(divisors)
+    assert _product(w, v) == [[int(i == j) for j in range(n)] for i in range(n)]
+    sat = saturate_lattice(w, r)
+    assert len(sat) == r and _divisors(sat, n) == [1] * r
+    assert _is_hermite(sat), sat
+    # R <= S and m S <= R: adding either to the other leaves its divisors
+    assert _divisors(sat + rows, n) == [1] * r
+    m = divisors[-1] if r else 1
+    assert _divisors(rows + [[m * x for x in s] for s in sat], n) == divisors
+    return sat
+
+
+def _scaled_matrices(count, seed):
+    """_snf_matrices with the rows scaled by 1, 2 and 6 in turn, so that few
+    of the row lattices are saturated."""
+    for i, (rows, n) in enumerate(_snf_matrices(count, seed)):
+        yield [[(1, 2, 6)[i % 3] * x for x in row] for row in rows], n
+
+
+def test_saturation_over_the_corpus_bases(corpus_lattices):
+    # the 608 nonzero bases of the corpus: the presented relations are the
+    # saturation in Hermite normal form, entries -1, 0 or 1
+    bases = [lat for lat in corpus_lattices if lat.basis]
+    assert len(bases) == 608
+    for lat in bases:
+        sat = _check_saturation([list(c) for c in lat.basis], lat.g)
+        assert [list(c) for c, _, _ in lat.relations] == sat
+        assert all(abs(x) <= 1 for row in sat for x in row)
+
+
+def test_saturation_over_seeded_matrices():
+    # 1,500 matrices, seed "saturation"
+    for rows, n in _scaled_matrices(1500, "saturation"):
+        _check_saturation(rows, n)
+
+
+def test_saturation_is_sympys_hermite_normal_form(corpus_lattices):
+    # sympy's hermite_normal_form(Matrix(S).T), read column by column, with
+    # S given by the rows 0..r-1 of W as they come, on the 608 corpus bases
+    # and 1,500 seeded matrices (seed "saturation")
+    sp = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    cases = [([list(c) for c in lat.basis], lat.g) for lat in corpus_lattices if lat.basis]
+    for rows, n in [*cases, *_scaled_matrices(1500, "saturation")]:
+        divisors, _, w = smith_normal_form(rows, n)
+        sat = saturate_lattice(w, len(divisors))
+        if sat:
+            want = hermite_normal_form(sp.Matrix(w[:len(divisors)]).T)
+            assert sat == [[int(x) for x in want.col(j)] for j in range(want.cols)], rows
 
 
 def test_basis_is_verified_lll_rows(corpus):
@@ -278,12 +355,12 @@ def test_basis_is_verified_lll_rows(corpus):
 
 @pytest.mark.parametrize("label", ["2.5.a_ab", "3.2.a_a_ac"])
 def test_oracle_calls_each_traced_layer(count_calls, label):
-    # one Smith form of the basis and two for the saturation's double
-    # kernel: the layers the benchmark traces must keep their calls
+    # one Smith form of the basis, whose V^-1 the saturation reads: the
+    # layers the benchmark traces must keep their calls
     saturations = count_calls("saturate_lattice")
     smith_forms = count_calls("smith_normal_form")
     angle_rank_numeric(parse_label(label))
-    assert (len(saturations), len(smith_forms)) == (1, 3)
+    assert (len(saturations), len(smith_forms)) == (1, 1)
 
 
 @pytest.mark.parametrize("label", sorted(PAPER_EXAMPLES))

@@ -1,0 +1,101 @@
+"""The exact layer against sympy, on seeded inputs beyond the corpus.
+
+The corpus pins cover g <= 3 and q <= 5.  These tests compare
+`smith_normal_form` and `factor` with an independent implementation on
+seeded random inputs of every size the package supports; each states its
+seed and count.  They skip where sympy is not installed.
+"""
+
+import math
+import random
+from math import isqrt
+
+import pytest
+
+from weilsf import _intpoly as ip
+from weilsf.anglerank import smith_normal_form
+from weilsf.polyarith import MAX_FACTOR_DEGREE, factor
+from weilsf.weilpoly import validate, weil_pullback
+
+
+def test_smith_divisors_are_sympys_invariant_factors():
+    # 2,000 matrices, seed 1716: 1-6 rows and columns, entries in [-20, 20],
+    # each with its own share of zeros, so many are rank-deficient
+    sp = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(1716)
+    for _ in range(2000):
+        n, k, zero = rng.randint(1, 6), rng.randint(1, 6), rng.random()
+        rows = [[0 if rng.random() < zero else rng.randint(-20, 20) for _ in range(n)]
+                for _ in range(k)]
+        want = [int(d) for d in invariant_factors(sp.Matrix(rows), domain=sp.ZZ) if d]
+        assert smith_normal_form(rows, n)[0] == want, rows
+
+
+def _irreducible_real_rooted(sp, rng, k, q):
+    """A random irreducible h of degree k with every root in [-2 sqrt q,
+    2 sqrt q], or None: the characteristic polynomial of a symmetric integer
+    matrix whose rows have absolute sum <= 2 sqrt q (Gershgorin)."""
+    bound = isqrt(4 * q) // k
+    if k == 1:
+        return (1, -rng.randint(-bound, bound))
+    for _ in range(20):
+        a = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                a[i][j] = a[j][i] = rng.randint(-bound, bound)
+        h = sp.Matrix(a).charpoly()
+        if h.is_irreducible:
+            return tuple(int(c) for c in h.all_coeffs())
+    return None
+
+
+def _random_product(sp, rng, bits):
+    """(P, want): a random product of pulled-back irreducible factors of H,
+    some repeated, of total degree g <= 7 over q = p^e of about `bits` bits,
+    with sympy's factorization of P as sorted (monic factor, multiplicity)
+    pairs."""
+    p = rng.choice([2, 3, 5, 7, 11, 13])
+    e = max(1, round(bits / math.log2(p)))
+    q = p ** e
+    g, hs = rng.randint(1, 7), []
+    if e % 2 == 0 and rng.random() < 0.5:
+        # y -+ 2 sqrt q pulls back to (T -+ sqrt q)^2
+        hs.append(((1, rng.choice([2, -2]) * p ** (e // 2)), 1))
+    left = g - len(hs)
+    while left > 0:
+        h = (_irreducible_real_rooted(sp, rng, rng.randint(1, left), q)
+             or _irreducible_real_rooted(sp, rng, 1, q))
+        k = len(h) - 1
+        m = rng.randint(1, min(3, left // k))
+        hs.append((h, m))
+        left -= k * m
+    coeffs = (1,)
+    for h, m in hs:
+        coeffs = ip.poly_mul(coeffs, ip.poly_pow(weil_pullback(h, q), m))
+    T = sp.Symbol("T")
+    _, facs = sp.factor_list(sp.Poly(coeffs, T))
+    want = []
+    for f, m in facs:
+        c = [int(x) for x in f.all_coeffs()]
+        want.append((tuple(-x for x in c) if c[0] < 0 else tuple(c), m))
+    return validate(coeffs, q), sorted(want)
+
+
+def test_factor_is_sympys_factor_list():
+    # 60 products, seed 2000: g from 1 to 7, q a prime power of 2000^(i/59)
+    # bits for i = 0..59, repeated factors, and for square q the factors
+    # y -+ 2 sqrt q
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(2000)
+    dims, repeated, edges = set(), 0, 0
+    for i in range(60):
+        P, want = _random_product(sp, rng, 2000 ** (i / 59))
+        assert 2 * P.g <= MAX_FACTOR_DEGREE
+        got = sorted((f, e) for f, e, _ in factor(P).factors)
+        assert got == want, (P.coeffs, P.q)
+        dims.add(P.g)
+        repeated += any(e > 1 for _, e in want)
+        edges += any(len(f) == 2 and f[1] ** 2 == P.q for f, _ in want)
+    assert dims == set(range(1, 8)) and P.q.bit_length() > 1990
+    assert repeated > 10 and edges > 3

@@ -111,3 +111,12 @@ def test_traced_functions_exist():
                    for node in tree.body):
             missing.append((module, name))
     assert missing == []
+
+
+def test_oracle_has_no_integer_kernel():
+    # the saturation is read off the inverse transform of the oracle's one
+    # Smith form, so no kernel construction repeats that Smith form
+    tree = ast.parse((SRC / "anglerank.py").read_text())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"smith_normal_form", "saturate_lattice"} <= names
+    assert "integer_kernel" not in names
