@@ -23,27 +23,24 @@ import sys
 
 from . import _intpoly as ip
 from .anglerank import angle_rank_numeric
-from .classify import Partial, classify, report
+from .classify import InvalidTrace, Partial, classify, report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
 from .weilpoly import (DEFAULT_PRECISION, NonConvergence, RootOffCircle, WeilError,
                        factor_prime_power, from_middle, parse_label, validate)
 
 EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
-# what fails one input of a batch; _error_record maps each to a record
+# what fails one input of a batch; _emit_each writes an error record for each
 _FAILURES = (WeilError, NonConvergence, ip.InvariantError)
 
 
 def _input_specs(args):
-    """[(text, parse, parse_args)] in input order; parse(*parse_args) is the
-    validated WeilPolynomial, or raises for a bad line."""
-    sources = sum([bool(getattr(args, "coeffs", None)),
-                   bool(getattr(args, "labels", []) or []),
-                   bool(getattr(args, "file", None))])
-    if sources > 1:
+    """[(text, parse)] in input order; parse() is the validated
+    WeilPolynomial, or raises for a bad line."""
+    if sum([args.coeffs is not None, bool(args.labels), args.file is not None]) > 1:
         raise WeilError("pass exactly one input source "
                         "(labels, --file, or --coeffs)")
-    if getattr(args, "coeffs", None):
+    if args.coeffs is not None:
         try:
             coeffs = [int(c) for c in args.coeffs.replace(" ", "").split(",")]
         except ValueError:
@@ -51,11 +48,11 @@ def _input_specs(args):
                             % args.coeffs) from None
         if args.q is None:
             raise WeilError("--coeffs requires --q")
-        return [(args.coeffs, validate, (coeffs, args.q))]
+        return [(args.coeffs, lambda: validate(coeffs, args.q))]
     if args.q is not None:
         raise WeilError("--q is for --coeffs only; a label carries its own q")
-    labels = list(getattr(args, "labels", []) or [])
-    if getattr(args, "file", None):
+    labels = list(args.labels)
+    if args.file is not None:
         try:
             stream = sys.stdin if args.file == "-" else open(args.file)
             try:
@@ -70,7 +67,7 @@ def _input_specs(args):
             raise WeilError("cannot read --file %s: %s" % (args.file, exc)) from None
     if not labels:
         raise WeilError("no input: pass labels, --file, or --coeffs/--q")
-    return [(lab, parse_label, (lab,)) for lab in labels]
+    return [(lab, lambda lab=lab: parse_label(lab)) for lab in labels]
 
 
 def _emit(obj):
@@ -122,105 +119,81 @@ def enumerate_weil(g, q):
 # subcommands
 
 
-def _emit_each(args, record, csv=False):
-    """Emit record(P) for every input in input order and return the worst
-    exit code; a failing input gives an error record and the batch goes on."""
-    def results():
-        for text, parse, parse_args in _input_specs(args):
-            try:
-                yield record(parse(*parse_args)), EXIT_OK
-            except _FAILURES as exc:
-                yield _error_record(text, exc)
-    return _emit_records(results(), csv)
-
-
-def cmd_parse(args):
-    def record(P):
-        out = P.to_json()
-        out["label"] = P.label
-        out["schema_version"] = 1
-        return out
-    return _emit_each(args, record)
-
-
-def _error_record(text, exc):
-    """(record, exit code) for an input that raised exc."""
-    if isinstance(exc, WeilError):
-        return {"label": text, "error": str(exc), "kind": "input"}, EXIT_INPUT
-    return {"label": text, "error": str(exc), "kind": "internal"}, EXIT_INTERNAL
-
-
-def cmd_classify(args):
-    return _emit_each(args, report)
-
-
-def _emit_records(results, csv=False):
-    """Emit each (record, exit code) and return the worst code; a partial
-    classification record counts as EXIT_PARTIAL."""
+def _emit_each(specs, record, csv=False):
+    """Emit the record of every (text, parse) input in input order and return
+    the worst exit code.  record(P) gives (record or None, exit code); a
+    failing input gives an error record (with csv only its stderr line, to
+    keep a CSV stream parseable) and the batch goes on."""
     code = EXIT_OK
-    for rec, rec_code in results:
-        failed = isinstance(rec, dict) and "error" in rec
-        if not (failed and csv):   # keep a CSV stream parseable
+    for text, parse in specs:
+        try:
+            rec, rec_code = record(parse())
+        except _FAILURES as exc:
+            kind, rec_code = (("input", EXIT_INPUT) if isinstance(exc, WeilError)
+                              else ("internal", EXIT_INTERNAL))
+            if not csv:
+                _emit({"label": text, "error": str(exc), "kind": kind})
+            print("error: %s: %s" % (text, exc), file=sys.stderr)
+            rec = None
+        if rec is not None:
             _emit(rec)
-        if failed:
-            print("error: %s: %s" % (rec["label"], rec["error"]), file=sys.stderr)
-        elif isinstance(rec, dict) and rec.get("partial"):
-            rec_code = max(rec_code, EXIT_PARTIAL)
         code = max(code, rec_code)
     return code
 
 
+def _stamped(P, payload):
+    """(payload with the fields every record carries, EXIT_OK)."""
+    return {**payload, "schema_version": 1, "label": P.label}, EXIT_OK
+
+
+def cmd_parse(args):
+    return _emit_each(_input_specs(args), lambda P: _stamped(P, P.to_json()))
+
+
+def cmd_classify(args):
+    def record(P):
+        rec = report(P)
+        return rec, EXIT_PARTIAL if rec.get("partial") else EXIT_OK
+    return _emit_each(_input_specs(args), record)
+
+
 def cmd_factor(args):
-    return _emit_each(args, lambda P: {"schema_version": 1, "label": P.label,
-                                       "factors": factor(P).to_json()})
+    return _emit_each(_input_specs(args),
+                      lambda P: _stamped(P, {"factors": factor(P).to_json()}))
 
 
 def cmd_newton(args):
     def record(P):
         npd = newton_polygon(P)
-        out = npd.to_json()
-        out.update({"schema_version": 1, "label": P.label,
-                    "stratum": stratify(npd, P.g).value})
-        return out
-    return _emit_each(args, record)
+        return _stamped(P, {**npd.to_json(), "stratum": stratify(npd, P.g).value})
+    return _emit_each(_input_specs(args), record)
 
 
 def cmd_base_change(args):
     def record(P):
         Q = base_change(P, args.r)
-        out = Q.to_json()
-        out.update({"schema_version": 1, "label": Q.label,
-                    "source": P.label, "r": args.r})
-        return out
-    return _emit_each(args, record)
+        return _stamped(Q, {**Q.to_json(), "source": P.label, "r": args.r})
+    return _emit_each(_input_specs(args), record)
 
 
 def cmd_angle_rank(args):
-    def record(P):
-        out = angle_rank_numeric(P, args.precision).to_json()
-        out.update({"schema_version": 1, "label": P.label})
-        return out
-    return _emit_each(args, record)
+    return _emit_each(_input_specs(args), lambda P: _stamped(
+        P, angle_rank_numeric(P, args.precision).to_json()))
 
 
 def cmd_histogram(args):
     from .distribution import histogram   # numpy is loaded on first use
+    csv = args.format == "csv"
     def record(P):
         h = histogram(P, args.samples, args.buckets)
-        if args.format == "csv":
-            return h.to_csv()
-        out = h.to_json()
-        out.update({"schema_version": 1, "label": P.label})
-        return out
-    return _emit_each(args, record, csv=args.format == "csv")
+        return (h.to_csv(), EXIT_OK) if csv else _stamped(P, h.to_json())
+    return _emit_each(_input_specs(args), record, csv)
 
 
 def cmd_moments(args):
     from .distribution import moment_report
-    def record(P):
-        repm = moment_report(P, args.samples, args.max_order)
-        return {"schema_version": 1, "label": P.label, "moments": repm.to_json()}
-    return _emit_each(args, record)
+    return _emit_each(_input_specs(args), lambda P: _stamped(
+        P, {"moments": moment_report(P, args.samples, args.max_order).to_json()}))
 
 
 def cmd_enumerate(args):
@@ -232,7 +205,6 @@ def cmd_enumerate(args):
 def _verify_one(P, precision):
     """The comparison record of P; its "node" is the provenance node of the
     structural answer, or the status for a partial or unrealizable input."""
-    from .classify import InvalidTrace
     npd = newton_polygon(P)
     try:
         sf = classify(P, stratum=stratify(npd, P.g))
@@ -258,30 +230,25 @@ def cmd_verify(args):
     """Mismatches (every entry with --verbose), then a summary record; a
     failing input gives an error record and the exit code is the worst seen."""
     if args.g is not None:
-        if args.q is None or args.labels or args.file or args.coeffs:
+        if (args.q is None or args.labels or args.file is not None
+                or args.coeffs is not None):
             raise WeilError("-g needs -q and no other input source")
-        specs = ((P.label, lambda P: P, (P,)) for P in enumerate_weil(args.g, args.q))
+        specs = ((P.label, lambda P=P: P) for P in enumerate_weil(args.g, args.q))
     else:
         specs = _input_specs(args)
     counts = dict.fromkeys(["ok", "partial", "mismatch", "not_realizable"], 0)
     per_node = {}
 
-    def records():
-        for text, parse, parse_args in specs:
-            try:
-                entry = _verify_one(parse(*parse_args), args.precision)
-            except _FAILURES as exc:
-                yield _error_record(text, exc)
-                continue
-            counts[entry["status"]] += 1
-            node = entry.pop("node")   # summary only, not in the stdout record
-            per_node[node] = per_node.get(node, 0) + 1
-            if entry["status"] == "mismatch":
-                yield entry, EXIT_INPUT
-            elif args.verbose:
-                yield entry, EXIT_OK
+    def record(P):
+        entry = _verify_one(P, args.precision)
+        counts[entry["status"]] += 1
+        node = entry.pop("node")   # summary only, not in the stdout record
+        per_node[node] = per_node.get(node, 0) + 1
+        if entry["status"] == "mismatch":
+            return entry, EXIT_INPUT
+        return (entry if args.verbose else None), EXIT_OK
 
-    code = _emit_records(records())
+    code = _emit_each(specs, record)
     _emit({"schema_version": 1, "checked": sum(counts.values()),
            "mismatches": counts["mismatch"],
            "not_realizable": counts["not_realizable"], "per_node": per_node})
@@ -292,63 +259,43 @@ def cmd_verify(args):
 
 
 def build_parser():
-    # the oracle's precision, for the two verbs that print the oracle's output
-    oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="working precision in bits (>= 64)")
-
     top = argparse.ArgumentParser(
         prog="weilsf",
         description="Serre-Frobenius groups and trace distributions of "
                     "Weil polynomials")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p):
+    def verb(name, func, help, oracle=False):
+        """A verb that reads the input options; only the verbs that print
+        the oracle's output take its --precision."""
+        p = sub.add_parser(name, help=help)
+        if oracle:
+            p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                           help="working precision in bits (>= 64)")
         p.add_argument("labels", nargs="*", help="LMFDB labels g.q.iso")
         p.add_argument("--file", help="file of labels, one per line ('-' = stdin)")
         p.add_argument("--coeffs", help="comma-separated a_0..a_2g (a_0 = 1)")
         p.add_argument("--q", type=int, help="field size for --coeffs")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("parse", help="decode labels to coefficient data")
-    add_inputs(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("classify", help="Serre-Frobenius group of each input")
-    add_inputs(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("factor", help="irreducible factorization")
-    add_inputs(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("newton", help="q-Newton polygon and stratum")
-    add_inputs(p)
-    p.set_defaults(func=cmd_newton)
-
-    p = sub.add_parser("base-change", help="extension of scalars")
-    add_inputs(p)
+    verb("parse", cmd_parse, "decode labels to coefficient data")
+    verb("classify", cmd_classify, "Serre-Frobenius group of each input")
+    verb("factor", cmd_factor, "irreducible factorization")
+    verb("newton", cmd_newton, "q-Newton polygon and stratum")
+    p = verb("base-change", cmd_base_change, "extension of scalars")
     p.add_argument("-r", type=int, required=True, help="extension degree")
-    p.set_defaults(func=cmd_base_change)
+    verb("angle-rank", cmd_angle_rank, "numeric angle rank and torsion order",
+         oracle=True)
 
-    p = sub.add_parser("angle-rank", parents=[oracle],
-                       help="numeric angle rank and torsion order")
-    add_inputs(p)
-    p.set_defaults(func=cmd_angle_rank)
-
-    p = sub.add_parser("histogram",
-                       help="bucketed counts of the trace sequence")
-    add_inputs(p)
+    p = verb("histogram", cmd_histogram, "bucketed counts of the trace sequence")
     p.add_argument("-N", "--samples", type=int, default=16 ** 4)
     p.add_argument("-B", "--buckets", type=int, default=4 ** 3)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("moments",
-                       help="empirical vs exact pushforward moments")
-    add_inputs(p)
+    p = verb("moments", cmd_moments, "empirical vs exact pushforward moments")
     p.add_argument("-N", "--samples", type=int, default=16 ** 4)
     p.add_argument("-K", "--max-order", type=int, default=8)
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("enumerate",
                        help="all valid coefficient tuples as labels")
@@ -356,13 +303,11 @@ def build_parser():
     p.add_argument("-q", type=int, required=True)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("verify", parents=[oracle],
-                       help="structural vs numeric cross-check over a corpus")
-    add_inputs(p)
+    p = verb("verify", cmd_verify,
+             "structural vs numeric cross-check over a corpus", oracle=True)
     p.add_argument("-g", type=int, help="enumerate dimension g instead of labels")
     p.add_argument("-q", type=int, help="enumerate over F_q instead of labels")
     p.add_argument("--verbose", action="store_true", help="print matching entries too")
-    p.set_defaults(func=cmd_verify)
 
     return top
 

@@ -49,6 +49,33 @@ def _product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _inverse_and_det(m):
+    """(m^-1, det m) of an invertible square matrix, exact (Gauss-Jordan)."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        if p != k:
+            a[k], a[p], det = a[p], a[k], -det
+        det *= a[k][k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a], det
+
+
+def _transform(rows, red):
+    """The U with U rows = red, for linearly independent rows, exact:
+    U = red rows^T (rows rows^T)^-1."""
+    cols = [list(c) for c in zip(*rows)]
+    u = _product(_product(red, cols), _inverse_and_det(_product(rows, cols))[0])
+    assert _product(u, rows) == red
+    return u
+
+
 class TestLinearAlgebra:
     def test_lll_finds_short_relation(self):
         # lattice encoding 4*theta = 1 for theta = 1/4 at scale 2^40
@@ -67,6 +94,22 @@ class TestLinearAlgebra:
             "4ba9adda120ac956eb39a973ef360574b173c8ac295103748f8e3aa08cb2845a")
 
     def test_lll_output_is_reduced_and_spans_the_input(self):
+        def check(rows):
+            n, dim = len(rows), len(rows[0])
+            red = lll_reduce(rows)
+            assert len(red) == n
+            assert (_divisors(red, dim) == _divisors(rows, dim)
+                    == _divisors(rows + red, dim)), rows
+            mu, B = _gram_schmidt(red)
+            assert all(abs(x) <= Fraction(1, 2) for r in mu for x in r), rows
+            assert all(B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
+                       for k in range(1, n)), rows
+            # red = U rows with U unimodular
+            u = _transform(rows, red)
+            assert all(x.denominator == 1 for r in u for x in r), rows
+            assert abs(_inverse_and_det(u)[1]) == 1, rows
+            return red
+
         rng = random.Random(20231018)
         for trial in range(200):
             n, dim = rng.randint(1, 5), rng.randint(1, 5)
@@ -81,14 +124,25 @@ class TestLinearAlgebra:
                 with pytest.raises(ip.InvariantError, match="linearly dependent"):
                     lll_reduce(rows)
                 continue
-            red = lll_reduce(rows)
-            assert len(red) == n
-            assert (_divisors(red, dim) == _divisors(rows, dim)
-                    == _divisors(rows + red, dim)), rows
-            mu, B = _gram_schmidt(red)
-            assert all(abs(x) <= Fraction(1, 2) for r in mu for x in r), rows
-            assert all(B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
-                       for k in range(1, n)), rows
+            check(rows)
+
+        # 60 lattices of the oracle's shape, seed 128: rows [e_j | round(theta_j N)]
+        # and [0 | N] for g = 1..7, N = 2^40..2^128; the odd ones plant the
+        # relation sum c_j theta_j = 0 mod 1 with c_g = 1, which makes
+        # [c | 0] a lattice vector, and the first reduced row is then within
+        # LLL's bound (4 / (4 delta - 1))^(n-1) of its squared length
+        rng = random.Random(128)
+        for trial in range(60):
+            g, n_scale = 1 + trial % 7, 1 << rng.randint(40, 128)
+            scaled = [rng.randrange(n_scale) for _ in range(g)]
+            c = [rng.randint(-3, 3) for _ in range(g - 1)] + [1]
+            if trial % 2:
+                scaled[-1] = -sum(x * y for x, y in zip(c[:-1], scaled)) % n_scale
+            rows = [[int(i == j) for i in range(g)] + [x] for j, x in enumerate(scaled)]
+            red = check(rows + [[0] * g + [n_scale]])
+            if trial % 2:
+                bound = Fraction(400, 296) ** g * sum(x * x for x in c)
+                assert sum(x * x for x in red[0]) <= bound, rows
 
     @pytest.mark.parametrize("rows,reduced", [
         ([[1, 2], [2, 4]], [[0, 0], [1, 2]]),

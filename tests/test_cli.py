@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -245,8 +246,10 @@ def test_classify_golden_output_stable(capsys):
 def test_conflicting_input_sources_rejected(capsys, tmp_path):
     f = tmp_path / "x.txt"
     f.write_text("1.2.a\n")
-    code, _, err = run(capsys, "classify", "1.2.a", "--file", str(f))
-    assert code == 1 and "exactly one input source" in err
+    # an empty --file or --coeffs is a source too
+    for source in [["--file", str(f)], ["--file", ""], ["--coeffs", ""]]:
+        code, out, err = run(capsys, "classify", "1.2.a", *source)
+        assert code == 1 and out == "" and "exactly one input source" in err, source
 
 
 @pytest.mark.parametrize("verb", ["classify", "verify", "parse"])
@@ -267,9 +270,10 @@ def test_precision_below_64_rejected(capsys, verb):
 
 
 def test_malformed_coeffs_is_input_error(capsys):
-    code, out, err = run(capsys, "classify", "--coeffs", "1,x,3", "--q", "5")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "comma-separated integers" in err
+    for coeffs in ["1,x,3", ""]:
+        code, out, err = run(capsys, "classify", "--coeffs", coeffs, "--q", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "comma-separated integers" in err
 
 
 def test_nonconvergence_is_internal_error(capsys, monkeypatch):
@@ -314,6 +318,8 @@ def test_precision_is_an_oracle_option(capsys, verb):
     ["-g", "1", "-q", "2", "--file", "-"],
     ["-g", "2", "1.3.a"],
     ["-g", "1"],
+    ["-g", "1", "-q", "2", "--coeffs", ""],
+    ["-g", "1", "-q", "2", "--file", ""],
 ])
 def test_verify_takes_one_input_source(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
@@ -495,3 +501,44 @@ def test_no_path_loads_mpmath():
         assert "mpmath" not in sys.modules, "oracle and factor for g = 7"
     """))
     assert proc.returncode == 0, proc.stderr
+
+
+# Every verb on one small batch with bad lines, plus the verb-specific paths;
+# the digest pins (exit code, stdout, stderr) of each
+PINNED_BATCH = ["1.2.a", "1.2.zz", "2.5.a_ab", "3.2.ad_f_ah", "2.2.ab_b",
+                "2.5.zz_!!", "1.8.ac", "3.2.ac_d_ag", "5.23.v_jj_cvp_rkt_dlop"]
+PINNED_ARGV = [
+    ["parse", *PINNED_BATCH],
+    ["classify", *PINNED_BATCH],
+    ["factor", *PINNED_BATCH],
+    ["newton", *PINNED_BATCH],
+    ["base-change", "-r", "2", *PINNED_BATCH],
+    ["base-change", "-r", "0", "1.2.a", "1.2.zz"],
+    ["angle-rank", *PINNED_BATCH],
+    ["angle-rank", "--precision", "128", "2.5.a_ab"],
+    ["histogram", "-N", "256", "-B", "8", *PINNED_BATCH],
+    ["histogram", "-N", "256", "-B", "8", "--format", "csv", *PINNED_BATCH],
+    ["moments", "-N", "256", "-K", "3", *PINNED_BATCH],
+    ["enumerate", "-g", "1", "-q", "2"],
+    ["verify", *PINNED_BATCH],
+    ["verify", "--verbose", *PINNED_BATCH],
+    ["verify", "-g", "1", "-q", "4"],
+    ["verify", "-g", "1", "-q", "4", "--verbose"],
+    ["classify", "--coeffs", "1,0,-1,0,25", "--q", "5"],
+    ["classify", "--coeffs", "1,x,3", "--q", "5"],
+    ["classify", "--coeffs",
+     "1,21,243,1913,11771,60543,270733,1011977,2956581,5876661,6436343", "--q", "23"],
+    ["verify", "--coeffs", "1,0,2", "-q", "2", "--verbose"],
+    ["classify"],
+    ["classify", "--q", "5", "1.2.a"],
+    ["verify", "--precision", "32", "1.2.a"],
+    ["verify", "-g", "1", "-q", "6"],
+    ["verify", "-g", "1", "-q", "2", "1.3.a"],
+]
+PINNED_DIGEST = "5f6c343d3f4598cc72ac879fbd36c67c7f31002818d4bd73789780361c31e622"
+
+
+def test_cli_output_is_pinned(capsys):
+    runs = [[argv, *run(capsys, *argv)] for argv in PINNED_ARGV]
+    blob = json.dumps(runs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_DIGEST

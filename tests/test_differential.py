@@ -1,7 +1,8 @@
 """The exact layer against sympy, on seeded inputs beyond the corpus.
 
 The corpus pins cover g <= 3 and q <= 5.  These tests compare
-`smith_normal_form` and `factor` with an independent implementation on
+`smith_normal_form`, `factor` and `cyclotomic_orders` with an independent
+implementation on
 seeded random inputs of every size the package supports; each states its
 seed and count.  They skip where sympy is not installed.
 """
@@ -14,7 +15,7 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import smith_normal_form
-from weilsf.polyarith import MAX_FACTOR_DEGREE, factor
+from weilsf.polyarith import MAX_FACTOR_DEGREE, cyclotomic_orders, factor
 from weilsf.weilpoly import validate, weil_pullback
 
 
@@ -99,3 +100,49 @@ def test_factor_is_sympys_factor_list():
         edges += any(len(f) == 2 and f[1] ** 2 == P.q for f, _ in want)
     assert dims == set(range(1, 8)) and P.q.bit_length() > 1990
     assert repeated > 10 and edges > 3
+
+
+def test_cyclotomic_orders_are_sympys_cyclotomic_factors():
+    # 500 monic products, seed 3911, of degree 1-24 over scales 1, 2, 3 and
+    # up to 2^40: factors scale^phi(n) Phi_n(T/scale), repeated ones, small
+    # polynomials scaled the same way (some of them cyclotomic) and unscaled
+    # ones.  The orders are those of the cyclotomic factors of
+    # c(scale T) / scale^deg c, whose primitive factors are those of c(scale T)
+    sp = pytest.importorskip("sympy")
+    T = sp.Symbol("T")
+    orders = [(n, int(sp.totient(n))) for n in range(1, 91) if sp.totient(n) <= 24]
+    cyclotomic = {n: sp.Poly(sp.cyclotomic_poly(n, T), T) for n, _ in orders}
+    rng = random.Random(3911)
+    found, repeated, wide = 0, 0, 0
+    for _ in range(500):
+        scale = rng.choice([1, 2, 3, rng.randint(2, 2 ** rng.randint(1, 40))])
+        c, factors, left = (1,), [], rng.randint(1, 24)
+        while left:
+            r = rng.random()
+            if factors and r < 0.2:
+                f = rng.choice(factors)
+                if len(f) - 1 > left:
+                    continue
+            elif r < 0.6:
+                n, _ = rng.choice([o for o in orders if o[1] <= left])
+                f = tuple(int(a) * scale ** i
+                          for i, a in enumerate(cyclotomic[n].all_coeffs()))
+            else:
+                k = rng.randint(1, min(4, left))
+                unit = 1 if rng.random() < 0.25 else scale
+                f = (1,) + tuple(rng.randint(-3, 3) * unit ** i for i in range(1, k + 1))
+            factors.append(f)
+            c = ip.poly_mul(c, f)
+            left -= len(f) - 1
+        d, want = len(c) - 1, []
+        scaled = sp.Poly([a * scale ** (d - i) for i, a in enumerate(c)], T)
+        for h, m in scaled.factor_list()[1]:
+            h = -h if h.LC() < 0 else h
+            if h.LC() == 1 and h.is_cyclotomic:
+                want += [n for n, _ in orders if cyclotomic[n] == h] * m
+        got = cyclotomic_orders(c, scale)
+        assert got == sorted(want), (c, scale)
+        found += bool(got)
+        repeated += len(set(got)) < len(got)
+        wide += scale > 2 ** 30
+    assert found > 400 and repeated > 100 and wide > 10
