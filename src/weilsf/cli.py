@@ -79,40 +79,40 @@ def _emit(obj):
 # enumeration of all formally valid coefficient tuples
 
 
-def _power_sum_ok(partial, k, g, q):
-    """Necessary bound |s_k| <= 2g q^(k/2) given a_1..a_k, exact arithmetic."""
-    s = ip.power_sums(tuple([1] + list(partial) + [0] * (2 * g - k)), k)
-    return s[k - 1] ** 2 <= 4 * g * g * q ** k
-
-
 def enumerate_weil(g, q):
-    """All validated Weil polynomials of dimension g over F_q.
+    """All validated Weil polynomials of dimension g over F_q, by ascending a_1..a_g.
 
     A superset of the isogeny classes that actually occur (existence of an
-    abelian variety is not checked).  Candidate tuples are pruned by the
-    exact power-sum bounds before the full root-modulus validation.  A g < 1
-    raises WeilError, and a q that is not a prime power NotPrimePower.
+    abelian variety is not checked).  a_k runs over the integers in the box
+    |a_k| <= C(2g, k) q^(k/2) that meet the power-sum bound |s_k| <= 2g
+    q^(k/2).  By Newton's identity s_k = c - k a_k, where the prefix fixes
+    c = -sum_{i<k} a_i s_(k-i); as s_k is an integer the bound holds exactly
+    for a_k in [ceil((c - S)/k), floor((c + S)/k)], S = isqrt(4 g^2 q^k).
+    Each a_1..a_g is then validated in full.  A g < 1 raises WeilError, a q
+    that is not a prime power NotPrimePower.
     """
     if g < 1:
         raise WeilError("g must be positive, got %d" % g)
     factor_prime_power(q)
-    bounds = [math.isqrt(math.comb(2 * g, i) ** 2 * q ** i) for i in range(1, g + 1)]
+    box = [math.isqrt(math.comb(2 * g, k) ** 2 * q ** k) for k in range(1, g + 1)]
+    sum_bound = [math.isqrt(4 * g * g * q ** k) for k in range(1, g + 1)]
 
-    def rec(prefix):
-        k = len(prefix) + 1
-        for a in range(-bounds[k - 1], bounds[k - 1] + 1):
-            cand = prefix + [a]
-            if not _power_sum_ok(cand, k, g, q):
-                continue
+    def rec(prefix, sums):
+        k = len(prefix) + 1   # prefix a_1..a_(k-1), sums s_1..s_(k-1)
+        c = -sum(a * s for a, s in zip(prefix, reversed(sums)))
+        S = sum_bound[k - 1]
+        lo = max(-box[k - 1], -((S - c) // k))
+        hi = min(box[k - 1], (c + S) // k)
+        for a in range(lo, hi + 1):
             if k == g:
                 try:
-                    yield from_middle(g, q, cand)
+                    yield from_middle(g, q, prefix + [a])
                 except RootOffCircle:
                     pass
             else:
-                yield from rec(cand)
+                yield from rec(prefix + [a], sums + [c - k * a])
 
-    return rec([])
+    return rec([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +315,15 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed --help (0) or a usage error
+        return exc.code and EXIT_INPUT
+    try:
         if getattr(args, "precision", DEFAULT_PRECISION) < 64:
             raise WeilError("precision must be >= 64")
         return args.func(args)
-    except WeilError as exc:
+    except _FAILURES as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (NonConvergence, ip.InvariantError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_INPUT if isinstance(exc, WeilError) else EXIT_INTERNAL
 
 
 if __name__ == "__main__":

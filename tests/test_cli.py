@@ -170,6 +170,48 @@ def test_enumerate_g2_q2_classifies_cleanly(capsys):
     assert len(out2.strip().split("\n")) == 35
 
 
+# SHA-256 of the newline-joined labels of enumerate_weil(g, q), in output
+# order, with the number of labels; (4, 2) is the only field where the
+# recursion reaches a_4
+ENUMERATION_DIGESTS = {
+    (1, 2): ("26ab4a5fc85eefc6e9e03adf80e70499e8b1105664589a8d3e09f936392c5d42", 5),
+    (1, 3): ("510e4e04ade68fe1120f77c744d23fc5c6495d4adcbc507999c4ecf1dbd78bac", 7),
+    (1, 4): ("919140265b55a12c4c79969b2963f6a7e398af77048d9a90373dd16d054a219c", 9),
+    (1, 5): ("d863ccf3b0d539161cbca36816acfcb269710ab588e58625dc388d052485bc5f", 9),
+    (1, 7): ("39a3477dfb7644b5c3513cd98c62c194137a1a6466cd4b641342f3d9ce28d63f", 11),
+    (1, 8): ("06901a9ec47338a3695e93eef483b21f1daab52ad3caa2e82f2e50395e879ea2", 11),
+    (1, 9): ("6cab07ef4851e8766a85320e73fe61c30ca75024e1ab1846c5761f47768921ae", 13),
+    (1, 16): ("6e7763d47bb501577eab5c16cf8291b52204e78d04b3b331f1dffd69e32d5d1f", 17),
+    (1, 27): ("2fa23fb37893957be673e77e16b5214d3071b31983abbe697cb38e1662cf02b0", 21),
+    (1, 32): ("3c50074ef366205d43fca1d621db046f720fe8c3caa4c4a6618ca905cea260f9", 23),
+    (2, 2): ("e3ec5070bfbfdc2f9b170d7de9d66df28cc891566fb1e2c62af7d62048b96409", 35),
+    (2, 3): ("82d585020cbd07b59937fd1d9c35f83c1b5377b3317d68a5ce19b3499890c54b", 63),
+    (2, 4): ("05f6138341ca151c57d22951da2113f3b2a106d9065463b39b80296b962df8ea", 101),
+    (2, 5): ("8653c5790d0867c0c25add19b14498a0d3aa0c91267b3677a1804cf7500ff6a3", 129),
+    (2, 7): ("8fe66495fdc503da5ced97410b99e6719bc7201a5ab5eefbe8cf48e795153502", 207),
+    (2, 8): ("839a72dccf2150c3181150684258cc4bb7980320271990e3aa26f26f87ae8a9e", 253),
+    (2, 9): ("12565054261e2756d6b2b4c4fbbde8a523c03b07d1d20239bbb4ff01719fbc64", 311),
+    (2, 16): ("b9e1eb423cdbbf2939909f46374e66e1eb3fe5b4ad7812299e50a671b1a2f876", 713),
+    (2, 25): ("e6b39ac32949f25ff582b9e01484b8d0c952c49c6f7214d86277533356ab7569", 1371),
+    (2, 27): ("ac7775464d4ef3ab0011a9015865d6410b4d21da1a91290cfbc68fdef0b1c483", 1515),
+    (2, 32): ("7760a3bc80dbc85ce591932bce3cd920152cbfe5453d5ad7de9fc620b8318f7d", 1951),
+    (2, 49): ("2b9ab532d62d08c8aabe91de440dc31f75f9608d0c28f3464e2fa7d98a015473", 3711),
+    (3, 2): ("d9e52a6fe49c8479c8bc16c85e478a96a7361be2ff2b93f89f561a7d9a85204f", 215),
+    (3, 3): ("ccb4b8be09cc48755128eb8f8844fd2df624bd7012c9b657027bdc759c9f17fd", 677),
+    (3, 4): ("a12fb0071d353c7c42a9c497296afaad22737c844f88a73d4a7162cea1ed107e", 1641),
+    (3, 5): ("cf8564983a51f08656c1dac6070ad30372b4f0916e1fe3aeee0d335f38226928", 2953),
+    (4, 2): ("9b62a852e4a362b35a447c493c6fb37728ef75874645b092b0acd00ca4fadeb6", 1645),
+}
+
+
+def test_enumeration_is_pinned():
+    got = {}
+    for g, q in ENUMERATION_DIGESTS:
+        labels = [P.label for P in cli.enumerate_weil(g, q)]
+        got[g, q] = (hashlib.sha256("\n".join(labels).encode()).hexdigest(), len(labels))
+    assert got == ENUMERATION_DIGESTS
+
+
 def test_verify_corpus(capsys):
     code, out, _ = run(capsys, "verify", "-g", "1", "-q", "4")
     assert code == 0
@@ -296,20 +338,40 @@ def test_oracle_failure_is_internal_error(capsys, monkeypatch, error):
     assert err.startswith("error:") and "oracle gave up" in err
 
 
+def usage_error(capsys, *argv):
+    """stderr of a usage error, which exits 1 (input error) with no stdout."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("usage: weilsf ")
+    return err
+
+
 def test_format_is_a_histogram_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--format", "json", "1.2.a"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    err = usage_error(capsys, "classify", "--format", "json", "1.2.a")
+    assert "unrecognized arguments: --format" in err
+    # a malformed integer option is a usage error too
+    for argv, message in [
+            (["histogram", "1.2.a", "-N", "abc"], "-N/--samples: invalid int value: 'abc'"),
+            (["histogram", "1.2.a", "-B", "8x"], "-B/--buckets: invalid int value: '8x'"),
+            (["enumerate", "-g", "2", "-q", "x"], "-q: invalid int value: 'x'")]:
+        assert message in usage_error(capsys, *argv)
 
 
 @pytest.mark.parametrize("verb", ["classify", "factor", "histogram", "moments"])
 def test_precision_is_an_oracle_option(capsys, verb):
     # only angle-rank and verify print what the oracle computes
-    with pytest.raises(SystemExit) as exc:
-        main([verb, "--precision", "512", "1.2.a"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --precision" in capsys.readouterr().err
+    err = usage_error(capsys, verb, "--precision", "512", "1.2.a")
+    assert "unrecognized arguments: --precision" in err
+    err = usage_error(capsys, "angle-rank", "--precision", "1e3", "1.2.a")
+    assert "--precision: invalid int value: '1e3'" in err
+
+
+def test_usage_error_exits_1_and_help_exits_0(capsys):
+    assert "unrecognized arguments: --bogus" in usage_error(capsys, "classify", "--bogus", "1.2.a")
+    err = usage_error(capsys, "moments", "1.2.a", "-K")
+    assert "-K/--max-order: expected one argument" in err
+    for argv in [["--help"], ["enumerate", "--help"]]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: weilsf")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,8 @@
 """The exact layer against sympy, on seeded inputs beyond the corpus.
 
 The corpus pins cover g <= 3 and q <= 5.  These tests compare
-`smith_normal_form`, `factor` and `cyclotomic_orders` with an independent
-implementation on
+`smith_normal_form`, `factor`, `cyclotomic_orders` and the power sums of
+`exterior_relation`'s Lambda_g with an independent implementation on
 seeded random inputs of every size the package supports; each states its
 seed and count.  They skip where sympy is not installed.
 """
@@ -15,8 +15,9 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import smith_normal_form
+from weilsf.cli import enumerate_weil
 from weilsf.polyarith import MAX_FACTOR_DEGREE, cyclotomic_orders, factor
-from weilsf.weilpoly import validate, weil_pullback
+from weilsf.weilpoly import real_weil_transform, validate, weil_pullback
 
 
 def test_smith_divisors_are_sympys_invariant_factors():
@@ -146,3 +147,26 @@ def test_cyclotomic_orders_are_sympys_cyclotomic_factors():
         repeated += len(set(got)) < len(got)
         wide += scale > 2 ** 30
     assert found > 400 and repeated > 100 and wide > 10
+
+
+def test_exterior_power_sums_are_dickson_resultants():
+    # 120 labels, seed 2306: 30 each of the enumerated (1, 125), (2, 25),
+    # (3, 5) and (4, 2).  exterior_relation takes the r-th power sum of
+    # Lambda_g, r = 1..2^g, as (-1)^g H_r(0), with H_r the real Weil
+    # transform of the base change to F_(q^r).  It is prod_j D_r(y_j, q)
+    # over the roots y_j = alpha_j + q/alpha_j of H, where D_r is the
+    # Dickson polynomial, D_r(a + q/a, q) = a^r + (q/a)^r; for monic H that
+    # product is Res(H, D_r rem H).  (sympy 1.14's Poly.resultant(H, D_r)
+    # has the wrong sign for H = y^3 - 3y^2 - y + 5 at r = 5: -25, not 25.)
+    sp = pytest.importorskip("sympy")
+    y = sp.Symbol("y")
+    rng = random.Random(2306)
+    for g, q in [(1, 125), (2, 25), (3, 5), (4, 2)]:
+        dickson = [sp.Poly(2, y), sp.Poly(y, y)]
+        while len(dickson) <= 2 ** g:
+            dickson.append(sp.Poly(y, y) * dickson[-1] - q * dickson[-2])
+        for P in rng.sample(list(enumerate_weil(g, q)), 30):
+            H = sp.Poly(P.h, y)
+            for r, bc in enumerate(ip.base_changes(P.coeffs, 2 ** g), 1):
+                got = (-1) ** g * real_weil_transform(bc, q ** r, g)[-1]
+                assert got == H.resultant(dickson[r].rem(H)), (P.label, r)
