@@ -3,9 +3,7 @@ Weil polynomials over finite fields."""
 
 from .anglerank import RelationLattice, angle_rank_numeric
 from .classify import (GeometricDecomposition, Partial, SerreFrobeniusGroup,
-                       classify, classify_elliptic, classify_prime_dim,
-                       classify_surface, classify_threefold, report,
-                       sf_of_product)
+                       classify, report, sf_of_product)
 from .newton import NewtonPolygonData, Stratum, newton_polygon, stratify
 from .polyarith import (IsogenyFactorization, SupersingularMatch, base_change,
                         factor, supersingular_match,
@@ -39,10 +37,9 @@ __all__ = [
     "MomentReport", "NewtonPolygonData", "Partial", "RelationLattice",
     "RootSystem", "SerreFrobeniusGroup", "Stratum", "SupersingularMatch",
     "TraceHistogram", "WeilError", "WeilPolynomial", "angle_rank_numeric",
-    "base_change", "classify", "classify_elliptic", "classify_prime_dim",
-    "classify_surface", "classify_threefold", "empirical_moments",
-    "exact_moments", "factor", "format_label", "from_middle", "histogram",
-    "moment_report", "newton_polygon", "parse_label", "report", "roots",
-    "sf_of_product", "stratify", "supersingular_match",
-    "supersingular_torsion_order", "trace_sequence", "validate",
+    "base_change", "classify", "empirical_moments", "exact_moments",
+    "factor", "format_label", "from_middle", "histogram", "moment_report",
+    "newton_polygon", "parse_label", "report", "roots", "sf_of_product",
+    "stratify", "supersingular_match", "supersingular_torsion_order",
+    "trace_sequence", "validate",
 ]

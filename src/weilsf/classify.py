@@ -49,7 +49,8 @@ class InvalidTrace(WeilError):
 
 
 class UnclassifiedNode(WeilError):
-    """No node of the decision tree fired; internal consistency failure."""
+    """No node of the decision tree covers this formal input: an input
+    error (exit 1), not a fault of the classifier."""
 
 
 class InconsistentInputs(WeilError):
@@ -128,17 +129,9 @@ def _sf(g, delta, m, provenance):
 # dimension 1
 
 
-def classify_elliptic(P):
-    """Trace table for elliptic curves; raises InvalidTrace when the input
-    is not the Frobenius polynomial of an elliptic curve (Waterhouse)."""
-    if P.g != 1:
-        raise WeilError("classify_elliptic needs g = 1")
-    return _waterhouse(P.trace, P.q, P.p, P.d)
-
-
 def _waterhouse(t, q, p, d):
-    """The group of an elliptic curve of trace t over F_q, q = p^d, or
-    InvalidTrace when no such curve exists."""
+    """The group of an elliptic curve of trace t over F_q, q = p^d, from
+    the trace table, or InvalidTrace when no such curve exists (Waterhouse)."""
     if t * t > 4 * q:
         raise InvalidTrace("|trace| exceeds the Weil bound")
     if gcd(t, p) == 1:
@@ -305,13 +298,8 @@ def sf_of_product(factors, q, p, d):
 # dimension 2
 
 
-def classify_surface(P, fac=None, stratum=None, split=None):
-    if P.g != 2:
-        raise WeilError("classify_surface needs g = 2")
+def _surface(P, fac, stratum, split):
     q, p, d = P.q, P.p, P.d
-    stratum = stratum or stratify(newton_polygon(P), 2)
-    fac = fac or factor(P)
-
     if stratum is Stratum.SUPERSINGULAR:
         # simple supersingular surfaces: irreducible quartic, or the square
         # of a quadratic Weil number that is not an elliptic trace
@@ -368,7 +356,7 @@ def classify_surface(P, fac=None, stratum=None, split=None):
 # dimension 3
 
 
-def _simple_threefold_relation(P, error, split=None):
+def _simple_threefold_relation(P, error, split):
     """(delta, m) of an irreducible, non-supersingular threefold from
     `exterior_relation`, once P has no two-term relation.  A two-term
     relation (P gains a factor over some F_(q^r)) means delta = 1, which
@@ -397,13 +385,8 @@ def _cube_degree(fac, q, split):
     return next((r for r in (3, 7) if r % lcm(*sum(orders, [])) == 0), 0)
 
 
-def classify_threefold(P, fac=None, stratum=None, split=None):
-    if P.g != 3:
-        raise WeilError("classify_threefold needs g = 3")
+def _threefold(P, fac, stratum, split):
     q, p, d = P.q, P.p, P.d
-    stratum = stratum or stratify(newton_polygon(P), 3)
-    fac = fac or factor(P)
-
     if stratum is Stratum.SUPERSINGULAR:
         # simple supersingular threefolds always have P irreducible
         if fac.is_irreducible:
@@ -502,14 +485,11 @@ def _has_ratio_of_order(P, r):
                                 _scaled_cyclotomic(r, P.q)) is not None
 
 
-def classify_prime_dim(P, fac=None, stratum=None):
+def _prime_dim(P, fac, stratum):
     g = P.g
-    if g <= 3 or not _is_prime(g):
-        raise WeilError("classify_prime_dim needs prime g > 3")
-    fac = fac or factor(P)
     if not fac.is_irreducible:
         raise NotSimple("polynomial is reducible; classify the factors instead")
-    if (stratum or stratify(newton_polygon(P), g)) is not Stratum.ORDINARY:
+    if stratum is not Stratum.ORDINARY:
         raise NotOrdinary("prime-dimension classification needs the ordinary stratum")
     if all(P.a(i) == 0 for i in range(1, 2 * g) if i % g):
         if not _has_ratio_of_order(P, g):
@@ -527,19 +507,24 @@ def classify_prime_dim(P, fac=None, stratum=None):
 
 
 def classify(P, fac=None, stratum=None, split=None):
-    """Serre-Frobenius group (or Partial) of P.  `fac` is factor(P),
-    `stratum` its Newton stratum and `split` its split degree as in
-    geometric_decomposition when the caller already has them; without them
-    the node that needs them computes them."""
-    if P.g == 1:
-        return classify_elliptic(P)
-    if P.g == 2:
-        return classify_surface(P, fac, stratum, split)
-    if P.g == 3:
-        return classify_threefold(P, fac, stratum, split)
-    if _is_prime(P.g):
-        return classify_prime_dim(P, fac, stratum)
-    raise WeilError("no classification implemented for g = %d" % P.g)
+    """Serre-Frobenius group (or Partial) of P: Waterhouse's trace table for
+    g = 1, the decision trees for g = 2 and 3, and Theorem D for prime g > 3.
+    `fac` is factor(P), `stratum` its Newton stratum and `split` its split
+    degree as in geometric_decomposition when the caller already has them;
+    a missing factorization and stratum are computed here, once, and a
+    missing split degree by the node that reads it (`_split_of`)."""
+    g = P.g
+    if g == 1:
+        return _waterhouse(P.trace, P.q, P.p, P.d)
+    if g > 3 and not _is_prime(g):
+        raise WeilError("no classification implemented for g = %d" % g)
+    fac = fac or factor(P)
+    stratum = stratum or stratify(newton_polygon(P), g)
+    if g == 2:
+        return _surface(P, fac, stratum, split)
+    if g == 3:
+        return _threefold(P, fac, stratum, split)
+    return _prime_dim(P, fac, stratum)
 
 
 def _factor_dimension(h, q, cls):

@@ -307,7 +307,10 @@ def _walk_steps(group, lattice):
     rank r, once the group and the lattice (L = 0 without one) agree on
     (delta, m): L V = Z^(r-1) + m Z + 0 for the Smith transform V, so a
     state is cV with entry i mod mods[i] (kept whole where it is 0), and
-    the steps +e_1, -e_1, +e_2, ... add +-(row j of V)."""
+    the steps +e_1, -e_1, +e_2, ... add +-(row j of V).  A Partial has no
+    group to walk on: WeilError."""
+    if not isinstance(group, SerreFrobeniusGroup):
+        raise WeilError("moment comparison needs a full classification")
     found = (lattice.delta, lattice.torsion_order) if lattice else (group.g, 1)
     if (group.delta, group.m) != found:
         raise InvariantError("classified (delta, m) = %r but the lattice gives %r"
@@ -414,8 +417,6 @@ def moment_report(P, N, K):
     if N >= 1 << 1023:               # N is a float in D_N
         raise WeilError("N must be below 2^1023")
     group = classify(P)
-    if not isinstance(group, SerreFrobeniusGroup):
-        raise WeilError("moment comparison needs a full classification")
     lattice = angle_rank_numeric(P) if group.delta < group.g else None
     thetas = (lattice or roots(P)).thetas
     emp = _closed_form_moments(*_walk_steps(group, lattice), thetas, N, K)

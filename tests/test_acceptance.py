@@ -10,8 +10,7 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf.anglerank import angle_rank_numeric
-from weilsf.classify import (ALLOWED_TORSION, InvalidTrace, classify,
-                             classify_elliptic)
+from weilsf.classify import ALLOWED_TORSION, InvalidTrace, classify
 from weilsf.cli import enumerate_weil
 from weilsf.distribution import (empirical_moments, histogram, trace_sequence)
 from weilsf.newton import Stratum, newton_polygon, stratify
@@ -23,6 +22,10 @@ from conftest import CORPUS_RANGES, PAPER_EXAMPLES
 PRIME_POWERS_64 = [q for q in range(2, 65)
                    if len({p for p in range(2, q + 1) if q % p == 0 and
                            all(p % r for r in range(2, p))}) == 1]
+
+# whole fields beyond the acceptance corpora that criterion 4 also compares
+# (4,842 inputs)
+WIDER_RANGES = [(2, 7), (2, 9), (2, 25), (3, 5)]
 
 
 def _expected_elliptic(q, p, d, t):
@@ -51,10 +54,12 @@ def _expected_elliptic(q, p, d, t):
 
 @pytest.fixture(scope="module")
 def classified_corpus(corpus):
-    """classify + numeric oracle over the whole acceptance corpus, once."""
+    """classify + numeric oracle over the whole acceptance corpus and the
+    WIDER_RANGES fields, once."""
     started = time.monotonic()
     out = {}
-    for key, polys in corpus.items():
+    fields = {**corpus, **{key: enumerate_weil(*key) for key in WIDER_RANGES}}
+    for key, polys in fields.items():
         rows = []
         for P in polys:
             sf = classify(P)
@@ -77,10 +82,10 @@ def test_criterion_1_elliptic_table():
             want = _expected_elliptic(q, p, d, t)
             if want is None:
                 with pytest.raises(InvalidTrace):
-                    classify_elliptic(validate((1, -t, q), q))
+                    classify(validate((1, -t, q), q))
                 continue
             P = validate((1, -t, q), q)
-            sf = classify_elliptic(P)
+            sf = classify(P)
             assert sf.group == want, (q, t, sf.group, want)
             if sf.delta == 0:
                 # independent oracle: exact base-change torsion order
@@ -116,7 +121,7 @@ def test_criterion_3_base_change_goldens():
 def test_criterion_4_oracle_agreement(classified_corpus):
     mismatches = []
     total = 0
-    for key in CORPUS_RANGES:
+    for key in CORPUS_RANGES + WIDER_RANGES:
         g, q = key
         for P, sf, lat in classified_corpus[key]:
             total += 1

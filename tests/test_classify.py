@@ -10,10 +10,8 @@ from weilsf.classify import (InconsistentInputs, InvalidTrace, NotOrdinary,
                              NotSimple, Partial, SerreFrobeniusGroup,
                              UnclassifiedNode, _has_ratio_of_order,
                              _simple_threefold_relation, _split_degree,
-                             classify, classify_elliptic, classify_prime_dim,
-                             classify_surface, classify_threefold,
-                             geometric_decomposition, howe_zhu_split_degree,
-                             report, sf_of_product)
+                             classify, geometric_decomposition,
+                             howe_zhu_split_degree, report, sf_of_product)
 from weilsf.cli import enumerate_weil
 from weilsf.newton import Stratum, newton_polygon, stratify
 from weilsf.polyarith import factor
@@ -29,32 +27,32 @@ def _elliptic(q, trace):
 
 class TestElliptic:
     def test_ordinary(self):
-        sf = classify_elliptic(_elliptic(2, -1))
+        sf = classify(_elliptic(2, -1))
         assert sf.group == "U(1)" and sf.pair() == (1, 1)
 
     def test_rational_traces(self):
-        assert classify_elliptic(_elliptic(4, 4)).group == "C_1"
-        assert classify_elliptic(_elliptic(4, -4)).group == "C_2"
+        assert classify(_elliptic(4, 4)).group == "C_1"
+        assert classify(_elliptic(4, -4)).group == "C_2"
 
     def test_sqrt_q_traces(self):
-        assert classify_elliptic(_elliptic(4, 2)).group == "C_6"
-        assert classify_elliptic(_elliptic(4, -2)).group == "C_3"
+        assert classify(_elliptic(4, 2)).group == "C_6"
+        assert classify(_elliptic(4, -2)).group == "C_3"
 
     def test_trace_zero(self):
-        assert classify_elliptic(_elliptic(2, 0)).group == "C_4"
-        assert classify_elliptic(_elliptic(4, 0)).group == "C_4"
+        assert classify(_elliptic(2, 0)).group == "C_4"
+        assert classify(_elliptic(4, 0)).group == "C_4"
 
     def test_char_2_and_3(self):
-        assert classify_elliptic(_elliptic(2, 2)).group == "C_8"
-        assert classify_elliptic(_elliptic(2, -2)).group == "C_8"
-        assert classify_elliptic(_elliptic(3, 3)).group == "C_12"
-        assert classify_elliptic(_elliptic(3, -3)).group == "C_12"
+        assert classify(_elliptic(2, 2)).group == "C_8"
+        assert classify(_elliptic(2, -2)).group == "C_8"
+        assert classify(_elliptic(3, 3)).group == "C_12"
+        assert classify(_elliptic(3, -3)).group == "C_12"
 
     def test_waterhouse_rejections(self):
         with pytest.raises(InvalidTrace):
-            classify_elliptic(_elliptic(8, 2))    # p | a but no case applies
+            classify(_elliptic(8, 2))    # p | a but no case applies
         with pytest.raises(InvalidTrace):
-            classify_elliptic(_elliptic(25, 0))   # p = 5 = 1 mod 4, d even
+            classify(_elliptic(25, 0))   # p = 5 = 1 mod 4, d even
 
     def test_group_matches_torsion_oracle(self):
         # the supersingular order must equal the base-change torsion order
@@ -64,7 +62,7 @@ class TestElliptic:
             for t in range(-bound, bound + 1):
                 try:
                     P = _elliptic(q, t)
-                    sf = classify_elliptic(P)
+                    sf = classify(P)
                 except Exception:
                     continue
                 if sf.delta == 0:
@@ -80,21 +78,21 @@ class TestSurface:
         assert howe_zhu_split_degree(-1, 1, 2) is None
 
     def test_nodes(self):
-        assert classify_surface(parse_label("2.2.a_ad")).provenance == "S-A(b)"
-        assert classify_surface(parse_label("2.2.ab_b")).provenance == "S-A(a)"
-        assert classify_surface(parse_label("2.2.ac_f")).provenance == "S-C(m=1)"
-        assert classify_surface(parse_label("2.2.ab_a")).provenance == "S-D"
+        assert classify(parse_label("2.2.a_ad")).provenance == "S-A(b)"
+        assert classify(parse_label("2.2.ab_b")).provenance == "S-A(a)"
+        assert classify(parse_label("2.2.ac_f")).provenance == "S-C(m=1)"
+        assert classify(parse_label("2.2.ab_a")).provenance == "S-D"
 
     def test_supersingular_simple_table_rows(self):
-        sf = classify_surface(validate((1, 2, 2, 4, 4), 2))
+        sf = classify(validate((1, 2, 2, 4, 4), 2))
         assert sf.group == "C_24"
         assert sf.provenance.startswith("S-F:Z3")
-        sf2 = classify_surface(validate((1, 0, -4, 0, 4), 2))   # (T^2-q)^2
+        sf2 = classify(validate((1, 0, -4, 0, 4), 2))   # (T^2-q)^2
         assert sf2.group == "C_2"
         assert sf2.provenance.startswith("S-F:Z2")
 
     def test_supersingular_split(self):
-        sf = classify_surface(validate((1, 0, 0, 0, 4), 2))   # two C_8 curves
+        sf = classify(validate((1, 0, 0, 0, 4), 2))   # two C_8 curves
         assert sf.group == "C_8" and sf.provenance == "S-G:lcm"
 
     def test_howe_zhu_agrees_with_the_split_degree(self, corpus):
@@ -111,11 +109,11 @@ class TestSurface:
 
     def test_almost_ordinary_split(self):
         c = ip.poly_mul((1, -1, 2), (1, 0, 2))
-        sf = classify_surface(validate(c, 2))
+        sf = classify(validate(c, 2))
         assert sf.group == "U(1) x C_4" and sf.provenance == "S-E"
 
     def test_formal_quarter_slope_inputs(self):
-        sf = classify_surface(validate((1, 0, 2, 0, 16), 4))
+        sf = classify(validate((1, 0, 2, 0, 16), 4))
         assert sf.pair() == (1, 2)
         lat = angle_rank_numeric(validate((1, 0, 2, 0, 16), 4))
         assert sf.pair() == (lat.delta, lat.torsion_order)
@@ -140,17 +138,17 @@ class TestSurface:
 
 class TestThreefold:
     def test_cubic_pattern(self):
-        sf = classify_threefold(parse_label("3.2.a_a_ad"))
+        sf = classify(parse_label("3.2.a_a_ad"))
         assert sf.group == "U(1) x C_3" and sf.provenance == "X-B(3)"
 
     def test_degree7_splitting(self):
-        sf = classify_threefold(parse_label("3.2.ae_j_ap"))
+        sf = classify(parse_label("3.2.ae_j_ap"))
         assert sf.group == "U(1) x C_7" and sf.provenance == "X-B(7)"
 
     def test_xing_cases(self):
-        assert classify_threefold(parse_label("3.2.a_a_ac")).pair() == (1, 3)
-        assert classify_threefold(parse_label("3.8.ag_bk_aea")).pair() == (1, 1)
-        assert classify_threefold(parse_label("3.8.ai_bk_aeq")).pair() == (1, 7)
+        assert classify(parse_label("3.2.a_a_ac")).pair() == (1, 3)
+        assert classify(parse_label("3.8.ag_bk_aea")).pair() == (1, 1)
+        assert classify(parse_label("3.8.ai_bk_aeq")).pair() == (1, 7)
 
     @pytest.mark.parametrize("label", ["3.8.a_a_abo", "3.8.a_a_bo"])
     def test_reducible_xing_shape(self, label):
@@ -158,7 +156,7 @@ class TestThreefold:
         # the quartic meets the quadratic there, which the product rule
         # would miss (delta = 2)
         P = parse_label(label)
-        sf = classify_threefold(P)
+        sf = classify(P)
         lat = angle_rank_numeric(P)
         assert sf.provenance == "X-H:xing(m=3)"
         assert sf.pair() == (lat.delta, lat.torsion_order) == (1, 3)
@@ -172,13 +170,13 @@ class TestThreefold:
                 continue
             if not factor(P).is_irreducible:
                 continue
-            sf = classify_threefold(P)
+            sf = classify(P)
             assert sf.pair() == (3, 1) and sf.provenance == "X-F"
             hits += 1
         assert hits > 0
 
     def test_simple_ao_oracle_node(self):
-        sf = classify_threefold(parse_label("3.2.ac_d_ag"))
+        sf = classify(parse_label("3.2.ac_d_ag"))
         assert sf.pair() == (2, 8)
         assert sf.provenance == "X-D:Table6:oracle"
 
@@ -187,10 +185,10 @@ class TestThreefold:
         # delta = 1: P gains a factor over F_8, and Lambda_3 would not see it
         P = parse_label("3.2.a_a_ad")
         with pytest.raises(error, match="F_\\(q\\^3\\)"):
-            _simple_threefold_relation(P, error)
+            _simple_threefold_relation(P, error, None)
 
     def test_supersingular_simple_sextic(self):
-        sf = classify_threefold(validate((1, 0, 0, 9, 0, 0, 27), 3))
+        sf = classify(validate((1, 0, 0, 9, 0, 0, 27), 3))
         assert sf.group == "C_36"
         assert sf.provenance.startswith("X-ss-simple:Z3")
 
@@ -224,13 +222,13 @@ class TestProducts:
     def test_ordinary_times_supersingular_c12(self):
         c = ip.poly_mul((1, -1, 3), (1, -3, 3))
         P = validate(c, 3)
-        sf = classify_surface(P)
+        sf = classify(P)
         assert sf.group == "U(1) x C_12"
 
     def test_three_independent_elliptic_curves(self):
         c = ip.poly_mul(ip.poly_mul((1, -1, 5), (1, -2, 5)), (1, -3, 5))
         P = validate(c, 5)
-        sf = classify_threefold(P)
+        sf = classify(P)
         assert sf.group == "U(1)^3" and sf.pair() == (3, 1)
         assert angle_rank_numeric(P).delta == 3
 
@@ -389,26 +387,26 @@ def _twist(c):
 class TestPrimeDimension:
     def test_splits_at_degree_g(self):
         P = validate((1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 32), 2)
-        sf = classify_prime_dim(P)
+        sf = classify(P)
         assert sf.group == "U(1) x C_5" and sf.provenance == "ThmD(2)"
 
     def test_sophie_germain_split(self):
         P = validate(PRIME_DIM_G5_SPLIT11, 3)
-        sf = classify_prime_dim(P)
+        sf = classify(P)
         assert sf.group == "U(1) x C_11" and sf.provenance == "ThmD(3)"
         bc = ip.base_change_coeffs(P.coeffs, 11)
         assert bc == ip.poly_pow((1, -67, 177147), 5)
 
     def test_absolutely_simple_partial(self):
         P = validate(PRIME_DIM_G5_ABS, 23)
-        out = classify_prime_dim(P)
+        out = classify(P)
         assert isinstance(out, Partial)
         assert out.absolutely_simple and not out.certified
         assert out.delta == 5
 
     def test_g7_partial_without_checking_15(self):
         P = from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3))
-        out = classify_prime_dim(P)
+        out = classify(P)
         assert isinstance(out, Partial) and out.absolutely_simple
         assert out.delta == 7
 
@@ -430,11 +428,11 @@ class TestPrimeDimension:
 
     def test_preconditions(self):
         with pytest.raises(NotSimple):
-            classify_prime_dim(validate(ip.poly_pow((1, -1, 2), 5), 2))
+            classify(validate(ip.poly_pow((1, -1, 2), 5), 2))
         # irreducible supersingular degree 10: 2^10 Phi_11(T/2) over F_4
         h11 = tuple(2 ** i for i in range(11))
         with pytest.raises(NotOrdinary):
-            classify_prime_dim(validate(h11, 4))
+            classify(validate(h11, 4))
 
 
 class TestInvariants:

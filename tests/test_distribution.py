@@ -23,7 +23,7 @@ from weilsf.distribution import (SLICE, PrecisionLoss, _atom_bucket,
                                  exact_moments, histogram, moment_report,
                                  trace_sequence)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import WeilError, parse_label, roots, validate
+from weilsf.weilpoly import WeilError, from_middle, parse_label, roots, validate
 
 from conftest import PAPER_EXAMPLES
 
@@ -228,6 +228,15 @@ class TestMoments:
         with pytest.raises(InvariantError,
                            match=r"\(delta, m\) = \(1, 2\) but the lattice gives \(1, 3\)"):
             exact_moments(grp, 2, lattice)
+
+    def test_partial_classification_has_no_moments(self):
+        # the g = 7 Partial: no (delta, m) to walk on, so the same WeilError
+        # from exact_moments as from moment_report
+        P = from_middle(7, 2, (-1, 0, 0, 0, 0, 0, -3))
+        with pytest.raises(WeilError, match="needs a full classification"):
+            exact_moments(classify(P), 4)
+        with pytest.raises(WeilError, match="needs a full classification"):
+            moment_report(P, 100, 4)
 
     @pytest.mark.parametrize("K", [0, -2, -3])
     def test_empirical_moments_need_positive_order(self, K):
@@ -608,12 +617,12 @@ class TestTraceKernelBlocks:
 
     def test_mean_powers_memory_is_bounded(self):
         # 2^16 one-sample slices, the slice count of N = 2^29: a float per
-        # slice and power would take about 16 MiB, and the fold every 1,024
-        # slice sums keeps a quarter MiB
+        # slice and power peaks at 4.1 MB here (K = 2), and the fold every
+        # 1,024 slice sums keeps 0.14 MB
         xs = np.round(np.sin(np.arange(1 << 16)) * 3 * 1024) / 1024
         slices = [xs[r:r + 1] for r in range(len(xs))]
-        distribution._mean_powers(iter(slices[:2]), 2, 8)   # numpy's first-call setup
-        assert self._peak_mb(lambda: distribution._mean_powers(iter(slices), len(xs), 8)) < 1
+        distribution._mean_powers(iter(slices[:2]), 2, 2)   # numpy's first-call setup
+        assert self._peak_mb(lambda: distribution._mean_powers(iter(slices), len(xs), 2)) < 1
 
     def test_exact_moments_walk_counts_stay_small(self):
         # delta = 2: the walk counts of 4 steps on Z^2 x Z/2 are under a

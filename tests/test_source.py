@@ -120,3 +120,12 @@ def test_oracle_has_no_integer_kernel():
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert {"smith_normal_form", "saturate_lattice"} <= names
     assert "integer_kernel" not in names
+
+
+def test_classify_is_the_one_classifier_entry():
+    # the trees of g = 2, g = 3 and prime g are private nodes that take the
+    # factorization and stratum from `classify` as required arguments
+    tree = ast.parse((SRC / "classify.py").read_text())
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in funcs if f.args.defaults] == ["classify"]
+    assert [f.name for f in funcs if f.name.startswith("classify")] == ["classify"]
