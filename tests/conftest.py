@@ -1,7 +1,10 @@
+import hashlib
+import json
 import sys
 
 import pytest
 
+from weilsf import WeilError, report
 from weilsf.cli import enumerate_weil
 
 # paper-cited isogeny classes and their groups; used by several suites
@@ -46,6 +49,20 @@ PAPER_EXAMPLES = {
 }
 
 CORPUS_RANGES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
+
+
+def field_digest(g, q):
+    """(inputs, SHA-256 over one line per input of enumerate_weil(g, q), in
+    order: its report() JSON, or its error class and message)."""
+    digest, count = hashlib.sha256(), 0
+    for P in enumerate_weil(g, q):
+        try:
+            text = json.dumps(report(P), sort_keys=True, separators=(",", ":"))
+        except WeilError as exc:
+            text = "%s: %s" % (type(exc).__name__, exc)
+        digest.update(text.encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
 
 
 @pytest.fixture(scope="session")

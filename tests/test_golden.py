@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from weilsf import WeilError, parse_label, report
-from weilsf.cli import enumerate_weil
+from weilsf import parse_label, report
+
+from conftest import field_digest
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus.tsv"
 
-# (g, q) -> (inputs, SHA-256 over one line per input of enumerate_weil(g, q),
-# in order: its report() JSON, or its error class and message).  The 196
+# (g, q) -> field_digest(g, q): the input count and one SHA-256 over the
+# report() JSON, or the error class and message, of each input.  The 196
 # UnclassifiedNode errors over F_8, F_16, F_27 and F_32 (12, 32, 56 and 96,
 # all reducible formal inputs) are part of the contract.
 FIELD_DIGESTS = {
@@ -47,12 +48,4 @@ def test_report_matches_corpus_digests():
 
 @pytest.mark.parametrize("g,q", sorted(FIELD_DIGESTS))
 def test_report_matches_field_digests(g, q):
-    digest, count = hashlib.sha256(), 0
-    for P in enumerate_weil(g, q):
-        try:
-            text = json.dumps(report(P), sort_keys=True, separators=(",", ":"))
-        except WeilError as exc:
-            text = "%s: %s" % (type(exc).__name__, exc)
-        digest.update(text.encode() + b"\n")
-        count += 1
-    assert (count, digest.hexdigest()) == FIELD_DIGESTS[g, q]
+    assert field_digest(g, q) == FIELD_DIGESTS[g, q]
