@@ -295,65 +295,104 @@ def sf_of_product(factors, q, p, d):
 
 
 # ---------------------------------------------------------------------------
-# dimension 2
+# supersingular and reducible inputs of dimension 2 and 3
 
 
-def _surface(P, fac, stratum, split):
-    q, p, d = P.q, P.p, P.d
-    if stratum is Stratum.SUPERSINGULAR:
-        # simple supersingular surfaces: irreducible quartic, or the square
-        # of a quadratic Weil number that is not an elliptic trace
-        if len(fac.factors) == 1:
-            h, e, _ = fac.factors[0]
-            if (e == 1 and ip.degree(h) == 4) or (
-                    e == 2 and ip.degree(h) == 2
-                    and not _is_elliptic_quadratic(h, q)):
-                fam = supersingular_match(h, q)
-                return _sf(2, 0, fam.m, "S-F:%s:%s" % (fam.zhu_type, fam.normalized_family))
-        return _sf(2, 0, supersingular_torsion_order(P.coeffs, q), "S-G:lcm")
+def _supersingular(P, fac):
+    """A simple supersingular P (irreducible, or for g = 2 the square of a
+    quadratic Weil number that is not an elliptic trace) takes m from its
+    Zhu family; any other supersingular P the lcm of its torsion orders."""
+    h, e, _ = fac.factors[0]
+    if len(fac.factors) == 1 and (e == 1 or P.g == 2 and e == 2
+                                  and not _is_elliptic_quadratic(h, P.q)):
+        fam = supersingular_match(h, P.q)
+        node = "S-F" if P.g == 2 else "X-ss-simple"
+        return _sf(P.g, 0, fam.m, "%s:%s:%s" % (node, fam.zhu_type, fam.normalized_family))
+    return _sf(P.g, 0, supersingular_torsion_order(P.coeffs, P.q),
+               "S-G:lcm" if P.g == 2 else "X-J:lcm")
 
+
+def _cube_degree(fac, q):
+    """Least r in (1, 3, 7) with the reducible P^(r) a cube (Xing's shapes),
+    or 0: P^(r) is a cube when every other factor meets one h of least
+    degree at orders dividing r (a supersingular h meets none)."""
+    if all(e % 3 == 0 for _, e, _ in fac.factors):
+        return 1
+    h = min([f for f, _, _ in fac.factors], key=ip.degree)
+    orders = [_meeting_orders(h, f, q) for f, _, _ in fac.factors if f != h]
+    if None in orders:
+        return 0
+    return next((r for r in (3, 7) if r % lcm(*sum(orders, [])) == 0), 0)
+
+
+def _product(P, fac, stratum):
+    """A reducible, non-supersingular P: the product rule over the
+    geometric isogeny classes of its factors, named by the stratum."""
+    g = P.g
+    if g == 2 and stratum is Stratum.OTHER:
+        raise UnclassifiedNode("surface stratum %s has no node" % stratum)
+    if g == 3 and stratum is Stratum.P_RANK_ZERO_NON_SS:
+        # P = h^3 over the base is Xing's e = 3 shape, not a product
+        r = _cube_degree(fac, P.q)
+        if r:
+            return _sf(3, 1, r, "X-H:xing(m=%d)" % r)
+    delta, m, rule = sf_of_product(fac.factors, P.q, P.p, P.d)
+    kinds = [k for k, _ in rule]
     if stratum is Stratum.ORDINARY:
-        if fac.is_irreducible:
-            hz = howe_zhu_split_degree(P.a(1), P.a(2), q)
-            if hz is None:
-                return _sf(2, 2, 1, "S-A(a)")
-            node = {2: "b", 3: "c", 4: "d", 6: "e"}[hz]
-            return _sf(2, 1, hz, "S-A(%s)" % node)
-        delta, m, _ = sf_of_product(fac.factors, q, p, d)
-        if delta == 2:
-            return _sf(2, 2, 1, "S-B")
-        return _sf(2, 1, m, "S-C(m=%d)" % m)
+        if g == 2:
+            # two geometric classes of m = 1 each, or one
+            node = "S-B" if delta == 2 else "S-C(m=%d)" % m
+        elif "surface_abs_simple" in kinds:
+            node = "6.3-d"
+        elif delta == 3:
+            node = "6.3-c"
+        elif delta == 2:
+            node = "6.3-b(m=%d)" % m
+        else:
+            node = "6.3-a(m=%d)" % m
+    elif stratum is Stratum.ALMOST_ORDINARY:
+        node = "S-E" if g == 2 else "X-E"
+    elif stratum is Stratum.K3_TYPE:
+        if "surface_almost_ordinary" in kinds:
+            node = "X-G(a)"
+        elif kinds.count("ss") >= 2:
+            node = "X-G(b)"
+        else:
+            node = "X-G(c)"
+    else:
+        # p-rank 0 or OTHER: formally valid inputs that are not Frobenius
+        # polynomials of varieties (fractional-slope factors over square
+        # fields), classified so corpus sweeps stay total
+        node = "S-NA(product)" if g == 2 else "X-NA(product)"
+    return _sf(g, delta, m, node)
 
+
+# ---------------------------------------------------------------------------
+# simple, non-supersingular inputs of dimension 2 and 3
+
+
+def _surface(P, stratum, split):
+    if stratum is Stratum.ORDINARY:
+        hz = howe_zhu_split_degree(P.a(1), P.a(2), P.q)
+        if hz is None:
+            return _sf(2, 2, 1, "S-A(a)")
+        node = {2: "b", 3: "c", 4: "d", 6: "e"}[hz]
+        return _sf(2, 1, hz, "S-A(%s)" % node)
     if stratum is Stratum.ALMOST_ORDINARY:
-        if fac.is_irreducible:
-            return _sf(2, 2, 1, "S-D")
-        delta, m, _ = sf_of_product(fac.factors, q, p, d)
-        return _sf(2, delta, m, "S-E")
-
+        return _sf(2, 2, 1, "S-D")
     if stratum is Stratum.P_RANK_ZERO_NON_SS:
         # Formal Weil polynomials with fractional slope denominators > 2 do
         # not come from abelian surfaces; they still carry a well-defined
         # group, classified here so corpus sweeps stay total.
-        if not fac.is_irreducible:
-            delta, m, _ = sf_of_product(fac.factors, q, p, d)
-            return _sf(2, delta, m, "S-NA(product)")
         if P.a(1) == 0 and P.a(3) == 0:
             return _sf(2, 1, 2, "S-NA(even)")
         r = _split_of(P, split)
         if r:
             return _sf(2, 1, r, "S-NA(split:%d)" % r)
         return _sf(2, 2, 1, "S-NA(maxrank)")
-
-    if stratum is Stratum.OTHER and fac.is_irreducible:
-        # p-rank 1 with middle slopes other than 1/2: formal inputs only.
-        # A relation lattice of rank 2 would make P supersingular
-        return _sf(2, *exterior_relation(P), "S-NA(exterior)")
-
-    raise UnclassifiedNode("surface stratum %s has no node" % stratum)
-
-
-# ---------------------------------------------------------------------------
-# dimension 3
+    # stratum OTHER: p-rank 1 with middle slopes other than 1/2, formal
+    # inputs only.  A relation lattice of rank 2 would make P supersingular
+    return _sf(2, *exterior_relation(P), "S-NA(exterior)")
 
 
 def _simple_threefold_relation(P, error, split):
@@ -368,108 +407,40 @@ def _simple_threefold_relation(P, error, split):
     return exterior_relation(P)
 
 
-def _cube_degree(fac, q, split):
-    """Least r in (1, 3, 7) with P^(r) a cube (Xing's shapes), or 0.  For an
-    irreducible P, P^(r) = h^k with k | 6, and k = 2 or 6 would leave a
-    factor of odd degree, with a real root of slope 1/2: r is the split
-    degree.  A reducible P^(r) is a cube when every other factor meets one h
-    of least degree at orders dividing r (a supersingular h meets none)."""
-    if all(e % 3 == 0 for _, e, _ in fac.factors):
-        return 1
-    if fac.is_irreducible:
-        return split if split in (3, 7) else 0
-    h = min([f for f, _, _ in fac.factors], key=ip.degree)
-    orders = [_meeting_orders(h, f, q) for f, _, _ in fac.factors if f != h]
-    if None in orders:
-        return 0
-    return next((r for r in (3, 7) if r % lcm(*sum(orders, [])) == 0), 0)
-
-
-def _threefold(P, fac, stratum, split):
-    q, p, d = P.q, P.p, P.d
-    if stratum is Stratum.SUPERSINGULAR:
-        # simple supersingular threefolds always have P irreducible
-        if fac.is_irreducible:
-            fam = supersingular_match(P.coeffs, q)
-            return _sf(3, 0, fam.m, "X-ss-simple:%s:%s" % (fam.zhu_type, fam.normalized_family))
-        return _sf(3, 0, supersingular_torsion_order(P.coeffs, q), "X-J:lcm")
-
+def _threefold(P, stratum, split):
     if stratum is Stratum.ORDINARY:
-        if fac.is_irreducible:
-            # absolutely simple, or split over F_(q^3) or F_(q^7)
-            r = _split_of(P, split)
-            if not r:
-                return _sf(3, 3, 1, "X-A")
-            if r not in (3, 7):
-                raise InconsistentInputs("simple ordinary threefold splits at %d" % r)
-            return _sf(3, 1, r, "X-B(%d)" % r)
-        delta, m, rule = sf_of_product(fac.factors, q, p, d)
-        kinds = sorted(k for k, _ in rule)
-        if "surface_abs_simple" in kinds:
-            node = "6.3-d"
-        elif delta == 3:
-            node = "6.3-c"
-        elif delta == 2:
-            node = "6.3-b(m=%d)" % m
-        else:
-            node = "6.3-a(m=%d)" % m
-        return _sf(3, delta, m, node)
-
+        # absolutely simple, or split over F_(q^3) or F_(q^7)
+        r = _split_of(P, split)
+        if not r:
+            return _sf(3, 3, 1, "X-A")
+        if r not in (3, 7):
+            raise InconsistentInputs("simple ordinary threefold splits at %d" % r)
+        return _sf(3, 1, r, "X-B(%d)" % r)
     if stratum is Stratum.ALMOST_ORDINARY:
-        if fac.is_irreducible:
-            delta, m = _simple_threefold_relation(P, InconsistentInputs, split)
-            if not ((delta == 3 and m == 1)
-                    or (delta == 2 and m in SIMPLE_AO_THREEFOLD_M)):
-                raise InconsistentInputs(
-                    "simple almost ordinary threefold outside Table 6: "
-                    "delta=%d m=%d" % (delta, m))
-            # decided exactly since the exterior test; the name is kept only
-            # because the report digests in perfbench/data/corpus.tsv and
-            # tests/test_golden.py pin "X-D:Table6:oracle"
-            return _sf(3, delta, m, "X-D:Table6:oracle")
-        delta, m, _ = sf_of_product(fac.factors, q, p, d)
-        return _sf(3, delta, m, "X-E")
-
+        delta, m = _simple_threefold_relation(P, InconsistentInputs, split)
+        if not ((delta == 3 and m == 1)
+                or (delta == 2 and m in SIMPLE_AO_THREEFOLD_M)):
+            raise InconsistentInputs(
+                "simple almost ordinary threefold outside Table 6: "
+                "delta=%d m=%d" % (delta, m))
+        # decided exactly since the exterior test; the name is kept only
+        # because the report digests in perfbench/data/corpus.tsv and
+        # tests/test_golden.py pin "X-D:Table6:oracle"
+        return _sf(3, delta, m, "X-D:Table6:oracle")
     if stratum is Stratum.K3_TYPE:
-        if fac.is_irreducible:
-            return _sf(3, 3, 1, "X-F")
-        delta, m, rule = sf_of_product(fac.factors, q, p, d)
-        kinds = [k for k, _ in rule]
-        if "surface_almost_ordinary" in kinds:
-            node = "X-G(a)"
-        elif sum(1 for k in kinds if k == "ss") >= 2:
-            node = "X-G(b)"
-        else:
-            node = "X-G(c)"
-        return _sf(3, delta, m, node)
-
+        return _sf(3, 3, 1, "X-F")
     if stratum is Stratum.P_RANK_ZERO_NON_SS:
-        # always a simple (indeed absolutely simple) threefold: slope 1/3
-        # pieces cannot come from lower dimension.  P = h^3 over the base is
-        # the e = 3 shape of Xing's theorem, not a product.
-        if fac.is_irreducible:
-            split = _split_of(P, split)
-        r = _cube_degree(fac, q, split)
-        if r:
+        # over F_(q^r), P^(r) = h^k with k | 6, and k = 2 or 6 would leave a
+        # factor of odd degree, with a real root of slope 1/2: P^(r) is a
+        # cube (Xing's shape) exactly when r is the split degree, 3 or 7
+        r = _split_of(P, split)
+        if r in (3, 7):
             return _sf(3, 1, r, "X-H:xing(m=%d)" % r)
-        if not fac.is_irreducible:
-            # formally valid inputs that are not Frobenius polynomials of
-            # threefolds (fractional-slope factors over square fields)
-            delta, m, _ = sf_of_product(fac.factors, q, p, d)
-            return _sf(3, delta, m, "X-NA(product)")
-        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode, split), "X-I")
-
-    if stratum is Stratum.OTHER:
-        # only reachable for formal inputs outside the Newton strata of
-        # actual abelian threefolds; classified for totality, with the
-        # provenance naming the honest source
-        if not fac.is_irreducible:
-            delta, m, _ = sf_of_product(fac.factors, q, p, d)
-            return _sf(3, delta, m, "X-NA(product)")
-        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode, split),
-                   "X-NA(exterior)")
-
-    raise UnclassifiedNode("threefold stratum %s has no node" % stratum)
+        return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode, r), "X-I")
+    # stratum OTHER: formal inputs outside the Newton strata of abelian
+    # threefolds, classified for totality under an honest provenance
+    return _sf(3, *_simple_threefold_relation(P, UnclassifiedNode, split),
+               "X-NA(exterior)")
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +479,8 @@ def _prime_dim(P, fac, stratum):
 
 def classify(P, fac=None, stratum=None, split=None):
     """Serre-Frobenius group (or Partial) of P: Waterhouse's trace table for
-    g = 1, the decision trees for g = 2 and 3, and Theorem D for prime g > 3.
+    g = 1, Theorem D for prime g > 3, and for g = 2 and 3 one node per shape
+    (supersingular, other reducible, or the decision tree of a simple P).
     `fac` is factor(P), `stratum` its Newton stratum and `split` its split
     degree as in geometric_decomposition when the caller already has them;
     a missing factorization and stratum are computed here, once, and a
@@ -520,11 +492,15 @@ def classify(P, fac=None, stratum=None, split=None):
         raise WeilError("no classification implemented for g = %d" % g)
     fac = fac or factor(P)
     stratum = stratum or stratify(newton_polygon(P), g)
+    if g > 3:
+        return _prime_dim(P, fac, stratum)
+    if stratum is Stratum.SUPERSINGULAR:
+        return _supersingular(P, fac)
+    if not fac.is_irreducible:
+        return _product(P, fac, stratum)
     if g == 2:
-        return _surface(P, fac, stratum, split)
-    if g == 3:
-        return _threefold(P, fac, stratum, split)
-    return _prime_dim(P, fac, stratum)
+        return _surface(P, stratum, split)
+    return _threefold(P, stratum, split)
 
 
 def _factor_dimension(h, q, cls):

@@ -129,3 +129,26 @@ def test_classify_is_the_one_classifier_entry():
     funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert [f.name for f in funcs if f.args.defaults] == ["classify"]
     assert [f.name for f in funcs if f.name.startswith("classify")] == ["classify"]
+
+
+def test_classify_decides_the_shape_once():
+    # `classify` sends a supersingular P to `_supersingular` and any other
+    # reducible P to `_product`; the trees of g = 2 and 3 see only simple,
+    # non-supersingular inputs and never test the factorization
+    tree = ast.parse((SRC / "classify.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callers(name, first_arg=None):
+        return sorted(fname for fname, func in funcs.items()
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == name
+                      and (first_arg is None or ast.unparse(node.args[0]) == first_arg))
+
+    assert callers("sf_of_product") == ["_product"]
+    assert callers("supersingular_match") == ["_supersingular"]
+    assert callers("supersingular_torsion_order", "P.coeffs") == ["_supersingular"]
+    for name in ["_surface", "_threefold"]:
+        assert [a.arg for a in funcs[name].args.args] == ["P", "stratum", "split"]
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "is_irreducible"
+                       for node in ast.walk(funcs[name]))
