@@ -18,6 +18,9 @@ class InvariantError(RuntimeError):
     """An exact certificate or internal invariant failed: a bug, not bad input."""
 
 
+_setattr = object.__setattr__
+
+
 class Record:
     """Immutable record whose fields are the annotated names of a subclass.
 
@@ -41,12 +44,18 @@ class Record:
         cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
 
     def __init__(self, *args, **kwargs):
-        if args or kwargs.keys() != self._names:
+        fields = self._fields
+        if args or len(kwargs) != len(fields):
             kwargs = self._complete(args, kwargs)
         # set one by one and in one order, the fields of all instances share
         # one key table: less than half the memory of a dict per instance
-        for f in self._fields:
-            object.__setattr__(self, f, kwargs[f])
+        try:
+            for f in fields:
+                _setattr(self, f, kwargs[f])
+            return
+        except KeyError:   # as many keywords as fields, so one is unexpected
+            pass
+        self._complete(args, kwargs)   # raises the TypeError that names it
 
     @classmethod
     def _complete(cls, args, kwargs):
@@ -159,31 +168,39 @@ def primitive(c):
 def _rem(a, b):
     """A positive integer multiple of a mod b, divided by its content.
 
-    Each step scales by |lc(b)| > 0, so the remainder keeps its sign: the
-    result serves Euclid (a gcd up to a unit) and Sturm chains alike.
+    a is scaled by |lc(b)|^k > 0 for its k = deg a - deg b + 1 quotient
+    digits, which makes each digit an integer, so the remainder keeps its
+    sign: the result serves Euclid (a gcd up to a unit) and Sturm chains
+    alike.
     """
-    a = list(a)
-    n, db, lc, scale = len(a), len(b) - 1, b[0], abs(b[0])
-    for i in range(n - db):
-        coef = a[i] if lc > 0 else -a[i]
-        if coef:
-            if scale != 1:
-                for j in range(i + 1, n):
-                    a[j] *= scale
+    n, db, lc = len(a), len(b) - 1, b[0]
+    k = max(n - db, 0)
+    scale = abs(lc) ** k
+    a = [x * scale for x in a] if scale != 1 else list(a)
+    for i in range(k):
+        digit = a[i] // lc   # exact
+        if digit:
             for j in range(1, db + 1):
-                a[i + j] -= coef * b[j]
-    a = a[n - db:] if n > db else a
-    g = gcd(*a)
-    return normalize(tuple([x // g for x in a])) if g else (0,)
+                a[i + j] -= digit * b[j]
+    # the remainder is a[k:] (all of a if a is the shorter), from its
+    # leading nonzero entry on, or its last entry if it is zero
+    i = k
+    while i < n - 1 and not a[i]:
+        i += 1
+    r = a[i:]
+    g = gcd(*r)
+    return tuple(r) if g == 1 else tuple([x // g for x in r]) if g else (0,)
 
 
 def _euclid(a, b):
     """[a, b, r_2, ..., r_n]: Euclid's remainders r_(i+1) = _rem(r_(i-1), r_i)
     up to the last nonzero one, which is gcd(a, b) times a nonzero integer."""
-    seq = [a, b]
-    while seq[-1] != (0,):
-        seq.append(_rem(seq[-2], seq[-1]))
-    seq.pop()
+    seq = [a]
+    while b != (0,):
+        seq.append(b)
+        if len(b) == 1:   # a nonzero constant leaves remainder 0
+            break
+        a, b = b, _rem(a, b)
     return seq
 
 
@@ -382,7 +399,8 @@ def _variations_at(chain, x, k=0):
     k = 0)."""
     count = last = 0
     for i, poly in enumerate(chain):
-        v = scaled_value(poly, x, k)
+        # at 0 the constant term has the sign of the value
+        v = scaled_value(poly, x, k) if x else poly[-1]
         if i & 2:
             v = -v
         if v:

@@ -228,7 +228,8 @@ def _verify_one(P, precision):
 
 def cmd_verify(args):
     """Mismatches (every entry with --verbose), then a summary record; a
-    failing input gives an error record and the exit code is the worst seen."""
+    failing input gives an error record, counted in the summary's "errors",
+    and the exit code is the worst seen."""
     if args.g is not None:
         if (args.q is None or args.labels or args.file is not None
                 or args.coeffs is not None):
@@ -248,8 +249,17 @@ def cmd_verify(args):
             return entry, EXIT_INPUT
         return (entry if args.verbose else None), EXIT_OK
 
-    code = _emit_each(specs, record)
-    _emit({"schema_version": 1, "checked": sum(counts.values()),
+    inputs = 0
+
+    def counted(specs):
+        nonlocal inputs
+        for spec in specs:
+            inputs += 1
+            yield spec
+
+    code = _emit_each(counted(specs), record)
+    checked = sum(counts.values())
+    _emit({"schema_version": 1, "checked": checked, "errors": inputs - checked,
            "mismatches": counts["mismatch"],
            "not_realizable": counts["not_realizable"], "per_node": per_node})
     return code

@@ -183,7 +183,7 @@ def weil_pullback(h, q):
         for j in range(2 * i, 1, -1):
             out[j] += q * out[j - 2]
         out[i] += h[i]
-    return ip.normalize(tuple(out))
+    return ip.normalize(out)
 
 
 def real_weil_transform(coeffs, q, g):
@@ -202,7 +202,7 @@ def real_weil_transform(coeffs, q, g):
         c.append(x)
     # the pullback is P exactly iff P satisfies the functional equation,
     # and it certifies the solve
-    if weil_pullback(c, q) != ip.normalize(tuple(coeffs)):
+    if weil_pullback(c, q) != tuple(coeffs):
         for i in range(g + 1):
             if coeffs[2 * g - i] != q ** (g - i) * coeffs[i]:
                 raise FunctionalEquationViolated(
@@ -222,15 +222,22 @@ def _roots_on_circle_exact(h, q):
     counts E's distinct roots in (0, 4q], unless E has a repeated root at 0 or
     4q (then the chain of E's squarefree part counts); a root at 0 is E(0) = 0.
     """
-    hneg = [-x if i % 2 else x for i, x in enumerate(h)]
-    # h * hneg = (-1)^g H(y) H(-y) = E(y^2), so E is its even part
-    e = ip.poly_mul(h, hneg)[::2]
+    # E(y^2) = (-1)^g H(y) H(-y) keeps the terms h_i h_j y^(2g-i-j) of
+    # i + j even, with the sign (-1)^i: a square for i = j, twice the
+    # product for i < j
+    g = len(h) - 1
+    e = [-x * x if i & 1 else x * x for i, x in enumerate(h)]
+    for i in range(g - 1):
+        x = -2 * h[i] if i & 1 else 2 * h[i]
+        for j in range(i + 2, g + 1, 2):
+            e[(i + j) >> 1] += x * h[j]
+    e = tuple(e)
     seq = ip._euclid(e, ip.poly_derivative(e))
     try:
         count = ip.chain_count(seq, 0, 4 * q)
     except ValueError:  # gcd(E, E') vanishes at 0 or 4q
         count = ip.chain_count(ip.squarefree_sturm_chain(e), 0, 4 * q)
-    return count + (e[-1] == 0) == ip.degree(e) - ip.degree(seq[-1])
+    return count + (e[-1] == 0) == g - ip.degree(seq[-1])
 
 
 def validate(coeffs, q):
@@ -255,9 +262,15 @@ def from_middle(g, q, middle):
     (q,) = _integers((q,), NotPrimePower, "q")
     if len(middle) != g:
         raise WeilError("expected %d middle coefficients, got %d" % (g, len(middle)))
+    return validate(_mirror(g, q, middle), q)
+
+
+def _mirror(g, q, middle):
+    """a_0..a_2g from the integers a_1..a_g = middle: 1, the middle, and
+    a_(2g-i) = q^(g-i) a_i."""
     coeffs = [1, *middle]
     coeffs += [q ** (g - i) * coeffs[i] for i in range(g - 1, -1, -1)]
-    return validate(coeffs, q)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +326,9 @@ def parse_label(label):
     toks = parts[2].split("_")
     if len(toks) != g:
         raise MalformedLabel("expected %d coefficient tokens in %r" % (g, label))
-    middle = [_decode_token(t) for t in toks]
-    return from_middle(g, q, middle)
+    # g, q and the decoded tokens are ints: from_middle's checks would
+    # repeat the label's
+    return validate(_mirror(g, q, [_decode_token(t) for t in toks]), q)
 
 
 def format_label(P):

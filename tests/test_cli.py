@@ -218,6 +218,17 @@ def test_verify_corpus(capsys):
     assert json.loads(out.strip().split("\n")[-1])["mismatches"] == 0
 
 
+def test_verify_summary_counts_every_input(capsys):
+    # the 12 reducible surfaces of stratum OTHER over F_8 raise
+    # UnclassifiedNode: error records, counted in "errors", not in "checked"
+    code, out, _ = run(capsys, "verify", "-g", "2", "-q", "8")
+    *errors, summary = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(errors) == 12
+    assert {e["kind"] for e in errors} == {"input"}
+    assert (summary["checked"], summary["errors"]) == (241, 12)
+    assert summary["checked"] + summary["errors"] == ENUMERATION_DIGESTS[2, 8][1]
+
+
 def test_verify_bad_label_keeps_the_rest(capsys, monkeypatch):
     real = cli.angle_rank_numeric
 
@@ -231,7 +242,8 @@ def test_verify_bad_label_keeps_the_rest(capsys, monkeypatch):
     assert [r.get("label") for r in records] == ["1.2.zz", "1.2.a", "1.2.ab", None]
     assert [r.get("kind") for r in records[:3]] == ["input", None, "internal"]
     assert records[1]["status"] == "ok"
-    assert records[3] == {"schema_version": 1, "checked": 1, "mismatches": 0,
+    # the input error and the oracle failure are the summary's errors
+    assert records[3] == {"schema_version": 1, "checked": 1, "errors": 2, "mismatches": 0,
                           "not_realizable": 0, "per_node": {"Table2:2-(v)": 1}}
     assert code == 3 and err.startswith("error: 1.2.zz:") and err.count("error:") == 2
 
@@ -245,6 +257,7 @@ def test_verify_summary_counts_per_node(capsys):
     assert summary["per_node"] == {"not_realizable": 1, "Table2:(1)": 1, "partial": 1,
                                    "X-D:Table6:oracle": 1, "X-A": 1, "Table2:2-(v)": 1}
     assert summary["checked"] == 6 and summary["not_realizable"] == 1
+    assert summary["errors"] == 0
     # the per-input records carry no node
     assert [e["status"] for e in entries] == ["not_realizable", "ok", "partial", "ok", "ok", "ok"]
     assert not any("node" in e for e in entries)
@@ -597,7 +610,7 @@ PINNED_ARGV = [
     ["verify", "-g", "1", "-q", "6"],
     ["verify", "-g", "1", "-q", "2", "1.3.a"],
 ]
-PINNED_DIGEST = "5f6c343d3f4598cc72ac879fbd36c67c7f31002818d4bd73789780361c31e622"
+PINNED_DIGEST = "ac36871bdbe62e18f8be88257e03bb2de5ddea35e3ffafa42c220ab07c4d07df"
 
 
 def test_cli_output_is_pinned(capsys):

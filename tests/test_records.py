@@ -73,6 +73,9 @@ def test_record_refuses_bad_arguments(cls):
         for make in (cls, ref):
             with pytest.raises(TypeError):
                 make(**partial)
+            # as many keywords as fields, one of them unknown
+            with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
+                make(**partial, no_such_field=1)
     for make in (cls, ref):
         with pytest.raises(TypeError):
             make(**values, no_such_field=1)

@@ -158,18 +158,40 @@ class TestValidate:
             return _sympy_accepts(sp, h, q)
 
         cases = [(1, 2, (0,)), (2, 2, (0, -4)), (1, 4, (-4,)), (2, 4, (0, -8))]
-        for g, q in [(1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        fields = [(1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                  (4, 2), (4, 3), (5, 2), (5, 3)]
+        for g, q in fields:
             # a box one past the Weil bounds |a_i| <= C(2g, i) q^(i/2)
             bounds = [math.floor(math.comb(2 * g, i) * q ** (i / 2)) + 1
                       for i in range(1, g + 1)]
             cases += [(g, q, tuple(rng.randint(-b, b) for b in bounds))
-                      for _ in range(40)]
-        accepted = 0
+                      for _ in range(40 if g <= 3 else 10)]
+        for g, q in fields[-4:]:
+            # past g = 3 a random point of the box is all but never a Weil
+            # polynomial: also take the middle of one, a product of y - a and
+            # y^2 - b with its roots in [-2 sqrt q, 2 sqrt q], and a step of
+            # one unit in one coefficient from it
+            for _ in range(15):
+                h = (1,)
+                while ip.degree(h) < g:
+                    if ip.degree(h) < g - 1 and rng.random() < 0.4:
+                        part = (1, 0, -rng.randint(0, 4 * q))
+                    else:
+                        part = (1, rng.randint(-math.isqrt(4 * q), math.isqrt(4 * q)))
+                    h = ip.poly_mul(h, part)
+                centre = weil_pullback(h, q)[1:g + 1]
+                k = rng.randrange(g)
+                step = tuple(a + (rng.choice((-1, 1)) if i == k else 0)
+                             for i, a in enumerate(centre))
+                cases += [(g, q, centre), (g, q, step)]
+        accepted, seen = 0, set()
         for g, q, middle in cases:
             ok = _accepts(g, q, middle)
             assert ok == sympy_accepts(g, q, middle), (g, q, middle)
             accepted += ok
+            seen.add((g, ok))
         assert 20 < accepted < len(cases) - 20
+        assert {(g, ok) for g in (4, 5) for ok in (True, False)} <= seen
 
     @pytest.mark.parametrize("g, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25)]
                              + [(2, 4)])
