@@ -3,9 +3,11 @@
 Polynomials are tuples of plain Python ints in *descending* degree order,
 ``(c[0], c[1], ..., c[n])`` representing ``c[0]*T^n + ... + c[n]``, matching
 the ``a_0, a_1, ..., a_{2g}`` coefficient convention used throughout the
-package.  Everything here is exact and stays in Z: divisions go through a
-sign-preserving primitive remainder, which serves both Euclid's gcd and the
-Sturm chains that count real roots.
+package.  A polynomial is normalized where it is built, with a nonzero
+leading coefficient (the zero polynomial is ``(0,)``), and the functions
+here take it as it is.  Everything here is exact and stays in Z: divisions
+go through a sign-preserving primitive remainder, which serves both
+Euclid's gcd and the Sturm chains that count real roots.
 """
 
 from __future__ import annotations
@@ -146,7 +148,6 @@ def poly_derivative(c):
 def poly_div_if_exact(a, b):
     """Quotient a/b if the monic integer polynomial b divides a exactly over
     Z, else None; a non-monic b raises ValueError."""
-    b = normalize(b)
     if b[0] != 1:
         raise ValueError("divisor must be monic")
     a = list(a)
@@ -207,7 +208,7 @@ def _euclid(a, b):
 def poly_gcd(a, b):
     """Primitive integer gcd of two integer polynomials, positive leading
     coefficient."""
-    return primitive(_euclid(normalize(a), normalize(b))[-1])
+    return primitive(_euclid(a, b)[-1])
 
 
 def _monicize(c):
@@ -224,7 +225,6 @@ def squarefree_decomposition(c):
     Input must be monic; the factors come out monic, squarefree and pairwise
     coprime.
     """
-    c = normalize(c)
     if c[0] != 1:
         raise ValueError("expected monic input")
     out = []
@@ -253,22 +253,17 @@ def squarefree_decomposition(c):
 
 
 def power_sums(c, upto):
-    """s_1..s_upto for the monic polynomial c (s_k = sum of k-th root powers)."""
-    c = normalize(c)
+    """s_1..s_upto for the monic polynomial c (s_k = sum of k-th root powers),
+    by Newton's identities s_k = -k c_k - sum_(0<i<k) c_i s_(k-i), with c_k
+    = 0 past the degree."""
     if c[0] != 1:
         raise ValueError("expected monic input")
     n = degree(c)
-    a = list(c[1:])  # a_1..a_n
     s = []
     for k in range(1, upto + 1):
-        if k <= n:
-            acc = -k * a[k - 1]
-            for i in range(1, k):
-                acc -= a[i - 1] * s[k - i - 1]
-        else:
-            acc = 0
-            for i in range(1, n + 1):
-                acc -= a[i - 1] * s[k - i - 1]
+        acc = -k * c[k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc -= c[i] * s[k - i - 1]
         s.append(acc)
     return s
 
@@ -289,16 +284,6 @@ def poly_from_power_sums(s, n):
     return tuple([(-1) ** i * e[i] for i in range(n + 1)])
 
 
-def base_change_coeffs(c, r):
-    """Coefficients of prod (T - alpha^r) over the roots alpha of c; r >= 1 (exact)."""
-    c = normalize(c)
-    n = degree(c)
-    if r == 1 or n == 0:
-        return c
-    s = power_sums(c, n * r)
-    return poly_from_power_sums(s[r - 1::r], n)
-
-
 def composed_product(a, b):
     """a x b, with the roots alpha beta (a(alpha) = b(beta) = 0) and the power
     sums s_r(a) s_r(b)."""
@@ -308,9 +293,9 @@ def composed_product(a, b):
 
 
 def base_changes(c, limit):
-    """[base_change_coeffs(c, r) for r in 1..limit] from one power_sums run:
-    the r-th entry reads s_r, s_2r, ..., s_nr off s_1..s_(n limit)."""
-    c = normalize(c)
+    """The base changes prod (T - alpha^r) over the roots alpha of the monic
+    c, for r in 1..limit, from one power_sums run: the r-th entry reads
+    s_r, s_2r, ..., s_nr off s_1..s_(n limit)."""
     n = degree(c)
     s = power_sums(c, n * limit)
     return [c] + [poly_from_power_sums(s[r - 1:n * r:r], n)
@@ -374,7 +359,7 @@ def squarefree_sturm_chain(c):
     For a squarefree c, the one remainder sequence on (c, c') both decides
     that and is the chain; otherwise c is divided by gcd(c, c') first.
     """
-    c = primitive(normalize(c))
+    c = primitive(c)
     seq = _euclid(c, poly_derivative(c))
     if degree(seq[-1]) == 0:
         return seq

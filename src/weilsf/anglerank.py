@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._intpoly import InvariantError, Record
-from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, roots
+from .weilpoly import DEFAULT_PRECISION, NonConvergence, WeilError, _integers, roots
 
 DENOMINATOR_BOUND = 72
 COEFF_BOUND_PRESENTED = 12         # relations in the saturated presentation
@@ -250,6 +250,8 @@ def _residual_to_int(thetas, c):
 
 def angle_rank_numeric(P, precision=DEFAULT_PRECISION):
     """RelationLattice of P: delta and m via LLL-certified angle relations."""
+    if not isinstance(precision, int):   # a numpy integer, say, or an error
+        (precision,) = _integers((precision,), WeilError, "precision")
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g = P.g

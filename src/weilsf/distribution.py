@@ -295,7 +295,12 @@ def _mean_powers(slices, n, K):
 def empirical_moments(xs, K):
     """Means of x^k, k = 1..K, of a caller's finite samples xs, one SLICE at a time."""
     (K,) = _positive("K", K)
-    xs = np.asarray(xs, dtype=np.float64)
+    try:
+        xs = np.asarray(xs, dtype=np.float64)
+    except (TypeError, ValueError):
+        xs = None
+    if xs is None or xs.ndim != 1:
+        raise WeilError("samples must be a 1-D sequence of numbers")
     n = len(xs)
     if n == 0:
         raise WeilError("empty sequence")

@@ -22,7 +22,7 @@ from math import isqrt, lcm
 
 from . import _intpoly as ip
 from .newton import newton_class
-from .weilpoly import (WeilError, factor_prime_power, real_roots_bound,
+from .weilpoly import (WeilError, _integers, factor_prime_power, real_roots_bound,
                        real_weil_transform, validate, weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
@@ -136,10 +136,10 @@ def factor(P):
 
 def base_change(P, r):
     """Extension of scalars: the q^r-Weil polynomial with roots alpha^r."""
+    (r,) = _integers((r,), WeilError, "extension degree")
     if r < 1:
         raise WeilError("extension degree must be >= 1, got %d" % r)
-    out = ip.base_change_coeffs(P.coeffs, r)
-    return validate(out, P.q ** r)
+    return validate(ip.base_changes(P.coeffs, r)[-1], P.q ** r)
 
 
 def exterior_relation(P):
@@ -179,13 +179,9 @@ def exterior_relation(P):
     n = 1 << g
     sums = [(-1) ** g * real_weil_transform(bc, q ** r, g)[-1]
             for r, bc in enumerate(ip.base_changes(P.coeffs, n), 1)]
-    lam = ip.poly_from_power_sums(sums, n)
-    if g % 2 == 0 or P.d % 2 == 0:
-        scale, mult = isqrt(q ** g), 1
-    else:
-        lam, scale, mult = ip.base_change_coeffs(lam, 2), q ** g, 2
+    orders, mult = _sqrt_orders(ip.poly_from_power_sums(sums, n), q ** g)
     # v = +-1 is a double root: v and 1/v are then two monomials of one value
-    orders = sorted(set(cyclotomic_orders(lam, scale)))
+    orders = sorted(set(orders))
     if len(orders) > 1:
         raise WeilError("sign monomials of orders %r: the relation lattice of %r "
                         "has rank > 1" % (orders, P.coeffs))
@@ -196,21 +192,28 @@ def exterior_relation(P):
 # supersingular torsion order
 
 
+def _sqrt_orders(c, q):
+    """(orders, k) for the roots sqrt(q) zeta of c, zeta a root of unity:
+    over a square q, the orders of the zeta, with multiplicity, read at
+    scale sqrt(q), and k = 1; over a non-square q, the orders of the zeta^2,
+    read on the base change of c to q^2 at scale q, and k = 2.  Each caller
+    says why its order is then k times one of these."""
+    root = isqrt(q)
+    if root * root == q:
+        return cyclotomic_orders(c, root), 1
+    return cyclotomic_orders(ip.base_changes(c, 2)[1], q), 2
+
+
 def supersingular_torsion_order(coeffs, q):
     """Order of the group generated by the normalized roots of the monic
     integer polynomial `coeffs` over F_q, all of whose roots have angles in
     2 pi Q: the least r, even over a non-square q, with alpha^r = q^(r/2),
-    the lcm of the orders of cyclotomic_orders(coeffs, sqrt(q)), or over a
-    non-square q twice that of the orders of the base change to F_(q^2) at
-    scale q.  The search is complete (see `cyclotomic_orders`), so it
-    raises BoundExceeded only when the orders miss a root: the input is not
-    supersingular."""
-    if factor_prime_power(q)[1] % 2 == 0:
-        c, scale, mult = coeffs, isqrt(q), 1
-    else:
-        c, scale, mult = ip.base_change_coeffs(coeffs, 2), q, 2
-    orders = cyclotomic_orders(c, scale)
-    if sum(map(ip.euler_phi, orders)) < ip.degree(c):
+    k times the lcm of the orders of `_sqrt_orders`.  The search is complete
+    (see `cyclotomic_orders`), so it raises BoundExceeded only when the
+    orders miss a root: the input is not supersingular."""
+    factor_prime_power(q)   # NotPrimePower unless q = p^d
+    orders, mult = _sqrt_orders(coeffs, q)
+    if sum(map(ip.euler_phi, orders)) < ip.degree(coeffs):
         raise BoundExceeded("a root is not sqrt(q) times a root of unity; "
                             "input is not supersingular")
     return mult * lcm(*orders)
@@ -283,7 +286,7 @@ def supersingular_match(h, q):
     Raises NoSupersingularMatch if nothing fits, which means the caller's
     supersingularity precondition was violated.
     """
-    h = ip.normalize(tuple(h))
+    h = tuple(h)
     p, d = factor_prime_power(q)
     deg = ip.degree(h)
     if d % 2 == 0:

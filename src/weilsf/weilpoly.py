@@ -499,6 +499,8 @@ def roots(P, precision=DEFAULT_PRECISION):
     residual of P at a root rebuilt from its angle exceeds
     2^(-precision/2) * q^g.
     """
+    if not isinstance(precision, int):   # a numpy integer, say, or an error
+        (precision,) = _integers((precision,), WeilError, "precision")
     if precision < 64:
         raise WeilError("precision must be at least 64 bits")
     g, q = P.g, P.q

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from conftest import PAPER_EXAMPLES
@@ -13,7 +14,7 @@ from weilsf.anglerank import (COEFF_BOUND_RAW, DenominatorBoundExceeded,
                               RelationLattice, angle_rank_numeric, lll_reduce,
                               saturate_lattice, smith_normal_form)
 from weilsf.polyarith import base_change
-from weilsf.weilpoly import parse_label, roots, validate
+from weilsf.weilpoly import WeilError, parse_label, roots, validate
 
 
 def _relation_lattice_rows(P, precision):
@@ -243,6 +244,16 @@ class TestAngleRank:
                                basis=lat.basis)
         assert copy == lat
         assert "thetas" not in repr(lat) and "thetas" not in lat.to_json()
+
+    def test_precision_is_an_integer(self):
+        # a numpy integer is a precision, a float is not, and the floor
+        # applies to the integer
+        P = parse_label("2.2.ab_b")
+        assert angle_rank_numeric(P, np.int64(128)) == angle_rank_numeric(P, 128)
+        with pytest.raises(WeilError, match="expected integer precision"):
+            angle_rank_numeric(P, 100.5)
+        with pytest.raises(WeilError, match="precision must be at least 64 bits"):
+            angle_rank_numeric(P, np.int16(63))
 
     def test_supersingular_c24(self):
         lat = angle_rank_numeric(validate((1, 2, 2, 4, 4), 2))

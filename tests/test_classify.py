@@ -279,7 +279,7 @@ def _reference_power_index(c, r):
     # the largest k with base_change(c, r) a k-th power, from Yun's
     # algorithm: the test the split-degree nodes replaced
     return math.gcd(*(k for _, k in ip.squarefree_decomposition(
-        ip.base_change_coeffs(c, r))))
+        ip.base_changes(c, r)[-1])))
 
 
 class TestSplitDegree:
@@ -394,7 +394,7 @@ class TestPrimeDimension:
         P = validate(PRIME_DIM_G5_SPLIT11, 3)
         sf = classify(P)
         assert sf.group == "U(1) x C_11" and sf.provenance == "ThmD(3)"
-        bc = ip.base_change_coeffs(P.coeffs, 11)
+        bc = ip.base_changes(P.coeffs, 11)[-1]
         assert bc == ip.poly_pow((1, -67, 177147), 5)
 
     def test_absolutely_simple_partial(self):

@@ -2,7 +2,8 @@
 
 The corpus pins cover g <= 3 and q <= 5.  These tests compare
 `smith_normal_form`, `factor`, `cyclotomic_orders` and the power sums of
-`exterior_relation`'s Lambda_g with an independent implementation on
+`exterior_relation`'s Lambda_g, the base changes and the sqrt(q) rule of
+the supersingular torsion order with an independent implementation on
 seeded random inputs of every size the package supports; each states its
 seed and count.  They skip where sympy is not installed.
 """
@@ -16,7 +17,8 @@ import pytest
 from weilsf import _intpoly as ip
 from weilsf.anglerank import smith_normal_form
 from weilsf.cli import enumerate_weil
-from weilsf.polyarith import MAX_FACTOR_DEGREE, cyclotomic_orders, factor
+from weilsf.polyarith import (MAX_FACTOR_DEGREE, _sqrt_orders, cyclotomic_orders,
+                              factor, supersingular_torsion_order)
 from weilsf.weilpoly import real_weil_transform, validate, weil_pullback
 
 
@@ -170,3 +172,51 @@ def test_exterior_power_sums_are_dickson_resultants():
             for r, bc in enumerate(ip.base_changes(P.coeffs, 2 ** g), 1):
                 got = (-1) ** g * real_weil_transform(bc, q ** r, g)[-1]
                 assert got == H.resultant(dickson[r].rem(H)), (P.label, r)
+
+
+def test_base_changes_are_sympys_resultants():
+    # 300 monic polynomials, seed 4417, of degree 0-8 (the first is the
+    # constant 1) with coefficients in [-5, 5], and r from 1 to 8: the base
+    # change prod (T - alpha^r) is Res_x(c(x), T - x^r).  sympy 1.14 gives
+    # that resultant times (-1)^(r deg c), so its monic form is compared.
+    sp = pytest.importorskip("sympy")
+    x, T = sp.symbols("x T")
+    rng = random.Random(4417)
+    for i in range(300):
+        deg, r = (0 if i == 0 else rng.randint(1, 8)), rng.randint(1, 8)
+        c = (1,) + tuple(rng.randint(-5, 5) for _ in range(deg))
+        res = sp.Poly(sp.resultant(sp.Poly(c, x).as_expr(), T - x ** r, x), T)
+        lc, *rest = [int(a) for a in res.all_coeffs()]
+        assert lc in (1, -1), (c, r)
+        want = (1,) + tuple(lc * a for a in rest)
+        assert ip.base_changes(c, r)[r - 1] == want, (c, r)
+
+
+def test_sqrt_q_rule_on_scaled_cyclotomic_products():
+    # 200 products, seed 4518, of 1-4 factors with phi(n) <= 6, Phi_n from
+    # sympy.  Over a square q = Q^2 the factors Q^phi(n) Phi_n(T/Q) have the
+    # orders n, k = 1; over a non-square q the factors q^phi(n) Phi_n(T^2/q)
+    # have the base change (q^phi(n) Phi_n(T/q))^2 to q^2, so each n comes
+    # twice, k = 2.  The torsion order is k times the lcm of the n.
+    sp = pytest.importorskip("sympy")
+    T = sp.Symbol("T")
+    cyclotomic = {n: [int(a) for a in sp.Poly(sp.cyclotomic_poly(n, T), T).all_coeffs()]
+                  for n in range(1, 19) if sp.totient(n) <= 6}
+    rng = random.Random(4518)
+    for i in range(200):
+        square = i % 2 == 0
+        p = rng.choice([2, 3, 5, 7])
+        d = 2 * rng.randint(1, 3) - (not square)
+        q = p ** d
+        ns = sorted(rng.choice(list(cyclotomic)) for _ in range(rng.randint(1, 4)))
+        c = (1,)
+        for n in ns:
+            if square:
+                f = [a * p ** (d // 2 * j) for j, a in enumerate(cyclotomic[n])]
+            else:
+                f = [0] * (2 * len(cyclotomic[n]) - 1)
+                f[::2] = [a * q ** j for j, a in enumerate(cyclotomic[n])]
+            c = ip.poly_mul(c, tuple(f))
+        k = 1 if square else 2
+        assert _sqrt_orders(c, q) == (sorted(ns * k), k), (c, q)
+        assert supersingular_torsion_order(c, q) == k * math.lcm(*ns), (c, q)

@@ -254,6 +254,18 @@ class TestMoments:
         with pytest.raises(WeilError, match="expected integer K"):
             empirical_moments(np.ones(10), 2.0)
 
+    @pytest.mark.parametrize("xs", [[], np.ones(0)], ids=["list", "array"])
+    def test_empirical_moments_refuse_empty_samples(self, xs):
+        with pytest.raises(WeilError, match="empty sequence"):
+            empirical_moments(xs, 2)
+
+    # a 2-D array, a scalar, strings and ragged rows are not samples
+    @pytest.mark.parametrize("xs", [np.ones((3, 2)), 5.0, ["a"], [[1.0], [1.0, 2.0]]],
+                             ids=["2-D", "scalar", "string", "ragged"])
+    def test_empirical_moments_refuse_non_samples(self, xs):
+        with pytest.raises(WeilError, match="samples must be a 1-D sequence of numbers"):
+            empirical_moments(xs, 2)
+
     # opposite infinities in one slice and SLICE samples apart, and a NaN
     # in the first and in the second slice
     @pytest.mark.parametrize("gap", [1, SLICE], ids=["one-slice", "two-slices"])

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weilsf import _intpoly as ip
@@ -227,6 +228,16 @@ class TestBaseChange:
         got = base_change(parse_label("3.8.ai_bk_aeq"), 7).coeffs
         assert got == ip.poly_pow((1, -1664, 2097152), 3)
 
+    def test_degree_is_an_integer(self):
+        # a numpy integer is an extension degree, a float is not, and the
+        # bound applies to the integer
+        P = parse_label("2.2.ab_b")
+        assert base_change(P, np.int64(2)) == base_change(P, 2)
+        with pytest.raises(WeilError, match="expected integer extension degree"):
+            base_change(P, 2.0)
+        with pytest.raises(WeilError, match="extension degree must be >= 1"):
+            base_change(P, np.int8(0))
+
 
 class TestSupersingular:
     def test_torsion_orders(self):
@@ -417,7 +428,7 @@ class TestIntpolyOracles:
         # the roots alpha^2, beta^2 and alpha beta = 2 twice
         h = (1, -1, 2)
         assert ip.composed_product(h, h) == ip.poly_mul(
-            ip.poly_pow((1, -2), 2), ip.base_change_coeffs(h, 2))
+            ip.poly_pow((1, -2), 2), ip.base_changes(h, 2)[-1])
 
     def test_cyclotomics(self):
         assert ip.cyclotomic(1) == (1, -1)

@@ -152,3 +152,42 @@ def test_classify_decides_the_shape_once():
         assert [a.arg for a in funcs[name].args.args] == ["P", "stratum", "split"]
         assert not any(isinstance(node, ast.Attribute) and node.attr == "is_irreducible"
                        for node in ast.walk(funcs[name]))
+
+
+def _functions(path):
+    """The module-level functions of a source file, by name."""
+    return {node.name: node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _called(node, name):
+    """Whether `node` calls `name`, as a name or as an attribute."""
+    return any(isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                    getattr(n.func, "attr", None))
+               for n in ast.walk(node))
+
+
+def test_roots_of_unity_are_asked_for_one_way():
+    # one base-change routine (`_intpoly.base_changes`), polynomials
+    # normalized where they are built (only `weil_pullback` builds one from
+    # a list that may lead with zeros), and one sqrt(q) rule
+    # (`polyarith._sqrt_orders`) for the torsion order and Lambda_g
+    names = set()
+    normalizers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names |= {getattr(n, "name", None) or getattr(n, "id", None)
+                  or getattr(n, "attr", None) for n in ast.walk(tree)}
+        normalizers += ["%s.%s" % (path.stem, name)
+                        for name, func in _functions(path).items()
+                        if _called(func, "normalize")]
+    assert "base_changes" in names and "base_change_coeffs" not in names
+    assert normalizers == ["weilpoly.weil_pullback"]
+    funcs = _functions(SRC / "polyarith.py")
+    for name in ["supersingular_torsion_order", "exterior_relation"]:
+        func = funcs[name]
+        assert _called(func, "_sqrt_orders") and not _called(func, "isqrt"), name
+        parity = [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.BinOp)
+                  and isinstance(n.op, (ast.Mod, ast.BitAnd))
+                  and isinstance(n.right, ast.Constant) and n.right.value in (1, 2)]
+        assert parity == [], name

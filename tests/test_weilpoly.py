@@ -469,6 +469,16 @@ class TestRoots:
         with pytest.raises(Exception):
             roots(parse_label("1.2.a"), 32)
 
+    def test_precision_is_an_integer(self):
+        # a numpy integer is a precision, a float is not, and the floor
+        # applies to the integer
+        P = parse_label("2.2.ab_b")
+        assert roots(P, np.int64(128)) == roots(P, 128)
+        with pytest.raises(WeilError, match="expected integer precision"):
+            roots(P, 100.5)
+        with pytest.raises(WeilError, match="precision must be at least 64 bits"):
+            roots(P, np.int64(63))
+
     @pytest.mark.parametrize("coeffs, q, thetas", [
         ((1, -4, 4), 4, (0,)),                  # (T - 2)^2
         ((1, 4, 4), 4, (Fraction(1, 2),)),      # (T + 2)^2
