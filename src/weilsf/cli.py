@@ -27,7 +27,8 @@ from .classify import InvalidTrace, Partial, classify, report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
 from .weilpoly import (DEFAULT_PRECISION, NonConvergence, RootOffCircle, WeilError,
-                       factor_prime_power, from_middle, parse_label, validate)
+                       _integers, factor_prime_power, from_middle, parse_label,
+                       validate)
 
 EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
 # what fails one input of a batch; _emit_each writes an error record for each
@@ -88,9 +89,10 @@ def enumerate_weil(g, q):
     q^(k/2).  By Newton's identity s_k = c - k a_k, where the prefix fixes
     c = -sum_{i<k} a_i s_(k-i); as s_k is an integer the bound holds exactly
     for a_k in [ceil((c - S)/k), floor((c + S)/k)], S = isqrt(4 g^2 q^k).
-    Each a_1..a_g is then validated in full.  A g < 1 raises WeilError, a q
-    that is not a prime power NotPrimePower.
+    Each a_1..a_g is then validated in full.  A g that is not a positive
+    integer raises WeilError, a q that is not a prime power NotPrimePower.
     """
+    (g,) = _integers((g,), WeilError, "g")
     if g < 1:
         raise WeilError("g must be positive, got %d" % g)
     factor_prime_power(q)

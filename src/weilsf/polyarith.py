@@ -270,38 +270,38 @@ def cyclotomic_orders(c, scale):
     return orders
 
 
-# the exceptional degree-4/6 families over a non-square q, by p: (m, name,
-# c) with h = sum c_i s^(i mod 2) q^(i // 2) T^(n - i), s = +-sqrt(p q)
-_Z3_FAMILIES = {5: (10, "Psi_{5,1}", (1, 1, 3, 1, 1)),
-                2: (24, "Psi_{2,3}", (1, 1, 1, 1, 1)),
-                7: (28, "h_{7,1}", (1, 1, 3, 1, 3, 1, 1)),
-                3: (36, "h_{3,3}", (1, 0, 0, 1, 0, 0, 1))}
+# the exceptional degree-4/6 families over q = p^d, d odd, by p: (name, c) with
+# h_i = c_i s^(i mod 2) q^(i // 2) = c_i (+-1)^i p^((d i + 1) // 2), s = +-sqrt(p q)
+_Z3_FAMILIES = {5: ("Psi_{5,1}", (1, 1, 3, 1, 1)),
+                2: ("Psi_{2,3}", (1, 1, 1, 1, 1)),
+                7: ("h_{7,1}", (1, 1, 3, 1, 3, 1, 1)),
+                3: ("h_{3,3}", (1, 0, 0, 1, 0, 0, 1))}
 
 
 def supersingular_match(h, q):
     """Identify an irreducible all-slope-1/2 factor among the known families.
 
-    Returns a SupersingularMatch carrying the Zhu type, the torsion order m
-    of its normalized roots, and the name of the normalized polynomial.
-    Raises NoSupersingularMatch if nothing fits, which means the caller's
-    supersingularity precondition was violated.
+    Returns a SupersingularMatch carrying the Zhu type, the torsion order
+    m = k n of its normalized roots and the name of the normalized
+    polynomial: `_sqrt_orders` reads one order n, j times with
+    j phi(n) = deg h, and Z1 is k = j = 1, Z2 is k = j = 2 (the roots
+    +-alpha), Z3 is k = 2, j = 1, named by its coefficients.  No fit
+    raises NoSupersingularMatch: h breaks the caller's precondition.
     """
     h = tuple(h)
     p, d = factor_prime_power(q)
-    deg = ip.degree(h)
-    if d % 2 == 0:
-        orders = cyclotomic_orders(h, isqrt(q))
-        if len(orders) == 1 and ip.euler_phi(orders[0]) == deg:
-            return SupersingularMatch("Z1", orders[0], "Phi_%d(T)" % orders[0])
-    else:
-        # q^phi(n) Phi_n(T^2/q): h is even, and its coefficients of T^(2i)
-        # are those of q^phi(n) Phi_n(T/q)
-        orders = [] if deg % 2 or any(h[1::2]) else cyclotomic_orders(h[::2], q)
-        if len(orders) == 1 and 2 * ip.euler_phi(orders[0]) == deg:
-            return SupersingularMatch("Z2", 2 * orders[0], "Phi_%d(T^2)" % orders[0])
-        m, name, c = _Z3_FAMILIES.get(p, (0, "", ()))
-        for s, twist in ((isqrt(p * q), "(T)"), (-isqrt(p * q), "(-T)")):
-            if h == tuple([x * s ** (i % 2) * q ** (i // 2) for i, x in enumerate(c)]):
-                return SupersingularMatch("Z3", m, name + twist)
+    orders, k = _sqrt_orders(h, q)
+    if len(set(orders)) == 1 and len(orders) * ip.euler_phi(orders[0]) == ip.degree(h):
+        n, j = orders[0], len(orders)
+        if (k, j) == (1, 1):
+            return SupersingularMatch("Z1", k * n, "Phi_%d(T)" % n)
+        if (k, j) == (2, 2) and not any(h[1::2]):   # roots +-alpha, not alpha twice
+            return SupersingularMatch("Z2", k * n, "Phi_%d(T^2)" % n)
+        if (k, j) == (2, 1):
+            name, c = _Z3_FAMILIES.get(p, ("", ()))
+            c = [x * p ** ((d * i + 1) // 2) for i, x in enumerate(c)]
+            for sign, twist in ((1, "(T)"), (-1, "(-T)")):
+                if h == tuple([x * sign ** i for i, x in enumerate(c)]):
+                    return SupersingularMatch("Z3", k * n, name + twist)
     raise NoSupersingularMatch(
         "factor %r over q=%d matches no supersingular family" % (h, q))

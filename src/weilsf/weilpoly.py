@@ -93,11 +93,16 @@ def _is_prime(n):
 
 
 def _integers(values, error, name):
-    """values as a tuple of ints, or `error` if one is not an integer."""
+    """values as a tuple of ints, or `error` naming the first value that is
+    not an integer (values itself when no one value can be named)."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
-        raise error("expected integer %s, got %r" % (name, values)) from None
+        try:
+            bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        except (TypeError, StopIteration):
+            bad = values
+        raise error("expected integer %s, got %r" % (name, bad)) from None
 
 
 @lru_cache(maxsize=256, typed=True)  # the labels of a batch share a few q
@@ -105,7 +110,8 @@ def factor_prime_power(q):
     """Return (p, d) with q = p^d, p prime.  A q divisible by one of
     _MR_BASES is a prime power only as a power of that prime; otherwise p
     is the exact d-th root of q for the largest such d, and q is a prime
-    power iff p is prime."""
+    power iff p is prime.  A q that is not an integer is NotPrimePower too."""
+    (q,) = _integers((q,), NotPrimePower, "q")
     if q < 2:
         raise NotPrimePower("q = %s is not a prime power" % q)
     for p in _MR_BASES:
@@ -258,6 +264,9 @@ def validate(coeffs, q):
 
 def from_middle(g, q, middle):
     """Validate the polynomial with a_1..a_g = middle, the rest mirrored."""
+    (g,) = _integers((g,), WeilError, "dimension")
+    if g < 1:
+        raise WeilError("dimension must be positive, got %d" % g)
     middle = _integers(middle, NotIntegral, "coefficients")
     (q,) = _integers((q,), NotPrimePower, "q")
     if len(middle) != g:

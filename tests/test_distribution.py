@@ -491,9 +491,13 @@ def test_trace_kernel_reads_the_oracle_angles(count_calls, run):
     (lambda P: histogram(P, 2.5, 4), WeilError, "expected integer N and B"),
     (lambda P: histogram(P, 1000, 4.0), WeilError, "expected integer N and B"),
     (lambda P: trace_sequence(P, 1e3), WeilError, "expected integer N"),
+    # a refused pair names its first value that is not an integer
+    (lambda P: histogram(P, 2.5, 4.0), WeilError, r"^expected integer N and B, got 2\.5$"),
+    (lambda P: histogram(P, 1000, 4.0), WeilError, r"^expected integer N and B, got 4\.0$"),
 ], ids=["moments-0", "moments-2^1023", "sequence-0", "sequence-2^33",
         "moments-float-N", "moments-float-K", "histogram-float-N", "histogram-2.5",
-        "histogram-float-B", "sequence-float-N"])
+        "histogram-float-B", "sequence-float-N", "histogram-first-named",
+        "histogram-second-named"])
 def test_sample_count_checked_before_any_solve(count_calls, run, error, message):
     P = parse_label("3.2.ab_b_b")
     oracle, solves = count_calls("angle_rank_numeric"), count_calls("roots")

@@ -285,6 +285,10 @@ class TestSupersingular:
     def test_no_match_is_an_error(self):
         with pytest.raises(NoSupersingularMatch):
             supersingular_match((1, -1, 2), 2)
+        # (T^2 - 2T + 2)^2 has the orders of a Z2 quartic, but its roots are
+        # alpha twice, not +-alpha
+        with pytest.raises(NoSupersingularMatch):
+            supersingular_match((1, -4, 8, -8, 4), 2)
 
 
 class TestExteriorRelation:

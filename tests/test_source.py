@@ -171,7 +171,8 @@ def test_roots_of_unity_are_asked_for_one_way():
     # one base-change routine (`_intpoly.base_changes`), polynomials
     # normalized where they are built (only `weil_pullback` builds one from
     # a list that may lead with zeros), and one sqrt(q) rule
-    # (`polyarith._sqrt_orders`) for the torsion order and Lambda_g
+    # (`polyarith._sqrt_orders`) for the torsion order, Lambda_g and the Zhu
+    # type, whose m = k n comes from the rule and not from a table
     names = set()
     normalizers = []
     for path in sorted(SRC.glob("*.py")):
@@ -184,10 +185,16 @@ def test_roots_of_unity_are_asked_for_one_way():
     assert "base_changes" in names and "base_change_coeffs" not in names
     assert normalizers == ["weilpoly.weil_pullback"]
     funcs = _functions(SRC / "polyarith.py")
-    for name in ["supersingular_torsion_order", "exterior_relation"]:
+    for name in ["supersingular_torsion_order", "exterior_relation", "supersingular_match"]:
         func = funcs[name]
-        assert _called(func, "_sqrt_orders") and not _called(func, "isqrt"), name
+        rule = [n for n in ast.walk(func) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "_sqrt_orders"]
+        assert len(rule) == 1 and not _called(func, "isqrt"), name
         parity = [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.BinOp)
                   and isinstance(n.op, (ast.Mod, ast.BitAnd))
                   and isinstance(n.right, ast.Constant) and n.right.value in (1, 2)]
         assert parity == [], name
+    table = next(n.value for n in ast.parse((SRC / "polyarith.py").read_text()).body
+                 if isinstance(n, ast.Assign)
+                 and getattr(n.targets[0], "id", None) == "_Z3_FAMILIES")
+    assert [len(family.elts) for family in table.values] == [2] * 4   # (name, c)

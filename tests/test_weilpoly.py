@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from weilsf import _intpoly as ip
+from weilsf import cli
+from weilsf.polyarith import supersingular_match, supersingular_torsion_order
 from weilsf.weilpoly import (FunctionalEquationViolated, MalformedLabel,
                              NonConvergence, NotIntegral, NotMonic,
                              NotPrimePower, RootOffCircle, WeilError,
@@ -140,6 +142,28 @@ class TestValidate:
             from_middle(1, 4.0, (0,))
         P = validate([1, np.int64(-1), 2], np.int64(2))
         assert P.label == "1.2.ab" and type(P.q) is int and type(P.coeffs[1]) is int
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: roots(parse_label("2.2.ab_b"), 100.5), "expected integer precision, got 100.5"),
+        (lambda: from_middle(2.0, 2, (1, 1)), "expected integer dimension, got 2.0"),
+        (lambda: from_middle("2", 2, (1, 1)), "expected integer dimension, got '2'"),
+        (lambda: from_middle(-1, 2, ()), "dimension must be positive, got -1"),
+        (lambda: from_middle(0, 2, ()), "dimension must be positive, got 0"),
+        (lambda: cli.enumerate_weil(2, 4.0), "expected integer q, got 4.0"),
+        (lambda: cli.enumerate_weil(2.0, 4), "expected integer g, got 2.0"),
+        (lambda: supersingular_torsion_order((1, 0, 4), 4.0), "expected integer q, got 4.0"),
+        (lambda: supersingular_match((1, 2), 4.0), "expected integer q, got 4.0"),
+        (lambda: factor_prime_power(4.0), "expected integer q, got 4.0"),
+    ], ids=["roots-float-precision", "from_middle-float-g", "from_middle-str-g",
+            "from_middle-g=-1", "from_middle-g=0", "enumerate-float-q",
+            "enumerate-float-g", "torsion-float-q", "match-float-q",
+            "prime-power-float-q"])
+    def test_refused_values_are_named(self, call, message):
+        # every input error is a WeilError that names the refused value
+        # itself, not the tuple it was checked in
+        with pytest.raises(WeilError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_from_middle_mirrors(self):
         P = from_middle(2, 5, (0, -1))
