@@ -352,23 +352,6 @@ def _sturm_chain(c):
     return seq
 
 
-def squarefree_sturm_chain(c):
-    """Sturm chain of the primitive squarefree part of the integer polynomial
-    c; the part is the chain's first entry.
-
-    For a squarefree c, the one remainder sequence on (c, c') both decides
-    that and is the chain; otherwise c is divided by gcd(c, c') first.
-    """
-    c = primitive(c)
-    seq = _euclid(c, poly_derivative(c))
-    if degree(seq[-1]) == 0:
-        return seq
-    q = poly_div_if_exact(c, _monicize(primitive(seq[-1])))
-    if q is None:
-        raise InvariantError("gcd(c, c') does not divide c")
-    return _sturm_chain(primitive(q))
-
-
 def scaled_value(c, x, k=0):
     """2^(k deg c) c(x / 2^k) for an integer x: an integer of the sign of
     c(x / 2^k), by Horner's rule on c_i 2^(k i)."""

@@ -26,9 +26,9 @@ from .anglerank import angle_rank_numeric
 from .classify import InvalidTrace, Partial, classify, report
 from .newton import newton_polygon, stratify
 from .polyarith import base_change, factor
-from .weilpoly import (DEFAULT_PRECISION, NonConvergence, RootOffCircle, WeilError,
-                       _integers, factor_prime_power, from_middle, parse_label,
-                       validate)
+from .weilpoly import (DEFAULT_PRECISION, NonConvergence, NotPrimePower, RootOffCircle,
+                       WeilError, _integers, factor_prime_power, from_middle,
+                       parse_label, validate)
 
 EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_INTERNAL = 0, 1, 2, 3
 # what fails one input of a batch; _emit_each writes an error record for each
@@ -95,6 +95,8 @@ def enumerate_weil(g, q):
     (g,) = _integers((g,), WeilError, "g")
     if g < 1:
         raise WeilError("g must be positive, got %d" % g)
+    if not isinstance(q, int):   # a numpy integer, say, or an error
+        (q,) = _integers((q,), NotPrimePower, "q")
     factor_prime_power(q)
     box = [math.isqrt(math.comb(2 * g, k) ** 2 * q ** k) for k in range(1, g + 1)]
     sum_bound = [math.isqrt(4 * g * g * q ** k) for k in range(1, g + 1)]

@@ -22,8 +22,8 @@ from math import isqrt, lcm
 
 from . import _intpoly as ip
 from .newton import newton_class
-from .weilpoly import (WeilError, _integers, factor_prime_power, real_roots_bound,
-                       real_weil_transform, validate, weil_pullback)
+from .weilpoly import (NotPrimePower, WeilError, _integers, factor_prime_power,
+                       real_roots_bound, real_weil_transform, validate, weil_pullback)
 
 MAX_FACTOR_DEGREE = 16   # 2g <= 16: the corpora (g <= 3) and the g = 5, 7 inputs
 
@@ -211,6 +211,8 @@ def supersingular_torsion_order(coeffs, q):
     k times the lcm of the orders of `_sqrt_orders`.  The search is complete
     (see `cyclotomic_orders`), so it raises BoundExceeded only when the
     orders miss a root: the input is not supersingular."""
+    if not isinstance(q, int):   # a numpy integer, say, or an error
+        (q,) = _integers((q,), NotPrimePower, "q")
     factor_prime_power(q)   # NotPrimePower unless q = p^d
     orders, mult = _sqrt_orders(coeffs, q)
     if sum(map(ip.euler_phi, orders)) < ip.degree(coeffs):
@@ -227,10 +229,6 @@ class SupersingularMatch(ip.Record):
     zhu_type: str            # "Z1" | "Z2" | "Z3"
     m: int                   # order of the normalized-root group
     normalized_family: str   # e.g. "Phi_8(T)", "Phi_3(T^2)", "Psi_{2,3}(-T)"
-
-    def to_json(self):
-        return {"zhu_type": self.zhu_type, "m": self.m,
-                "family": self.normalized_family}
 
 
 def _scaled_cyclotomic(m, scale):
@@ -288,6 +286,8 @@ def supersingular_match(h, q):
     +-alpha), Z3 is k = 2, j = 1, named by its coefficients.  No fit
     raises NoSupersingularMatch: h breaks the caller's precondition.
     """
+    if not isinstance(q, int):   # a numpy integer, say, or an error
+        (q,) = _integers((q,), NotPrimePower, "q")
     h = tuple(h)
     p, d = factor_prime_power(q)
     orders, k = _sqrt_orders(h, q)

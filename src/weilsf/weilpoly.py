@@ -98,10 +98,13 @@ def _integers(values, error, name):
     try:
         return tuple(map(operator.index, values))
     except TypeError:
+        bad = values
         try:
-            bad = next(v for v in values if not hasattr(type(v), "__index__"))
-        except (TypeError, StopIteration):
+            for bad in values:
+                operator.index(bad)
             bad = values
+        except TypeError:
+            pass
         raise error("expected integer %s, got %r" % (name, bad)) from None
 
 
@@ -226,7 +229,8 @@ def _roots_on_circle_exact(h, q):
     i.e. every root of E(z) = prod (z - y_i^2) lies in [0, 4q] (a root y^2 in
     [0, 4q] makes y real with |y| <= 2 sqrt(q)).  Euclid's sequence on (E, E')
     counts E's distinct roots in (0, 4q], unless E has a repeated root at 0 or
-    4q (then the chain of E's squarefree part counts); a root at 0 is E(0) = 0.
+    4q: then the chain of E / gcd(E, E'), the gcd that ends the same
+    sequence, counts.  A root at 0 is E(0) = 0.
     """
     # E(y^2) = (-1)^g H(y) H(-y) keeps the terms h_i h_j y^(2g-i-j) of
     # i + j even, with the sign (-1)^i: a square for i = j, twice the
@@ -242,7 +246,10 @@ def _roots_on_circle_exact(h, q):
     try:
         count = ip.chain_count(seq, 0, 4 * q)
     except ValueError:  # gcd(E, E') vanishes at 0 or 4q
-        count = ip.chain_count(ip.squarefree_sturm_chain(e), 0, 4 * q)
+        part = ip.poly_div_if_exact(e, ip._monicize(ip.primitive(seq[-1])))
+        if part is None:
+            raise ip.InvariantError("gcd(E, E') does not divide E")
+        count = ip.chain_count(ip._sturm_chain(part), 0, 4 * q)
     return count + (e[-1] == 0) == g - ip.degree(seq[-1])
 
 

@@ -524,12 +524,13 @@ class TestIntegerCoreAgainstSympy:
             if ip.degree(ip.poly_gcd(c, ip.poly_derivative(c))) > 0:
                 continue
             real = sp.real_roots(sp.Poly(c, y))
-            # the chain of the squarefree part of c (y - r), which has r twice
+            # Euclid's sequence on (c (y - r), its derivative), which has r
+            # twice, ends in y - r; the chain of the quotient counts
             doubled = ip.poly_mul(c, (1, -roots[0]))
-            chain = ip.squarefree_sturm_chain(doubled)
-            assert chain[0] == c
-            # Euclid's sequence on (c (y - r), its derivative) ends in y - r
             euclid = ip._euclid(doubled, ip.poly_derivative(doubled))
+            gcd = ip._monicize(ip.primitive(euclid[-1]))
+            chain = ip._sturm_chain(ip.poly_div_if_exact(doubled, gcd))
+            assert chain[0] == c
             # interval ends on roots, between them and at the Cauchy bound
             # b, with every root of the monic c in (-b, b)
             b = 1 + max(map(abs, c))

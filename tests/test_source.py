@@ -198,3 +198,13 @@ def test_roots_of_unity_are_asked_for_one_way():
                  if isinstance(n, ast.Assign)
                  and getattr(n.targets[0], "id", None) == "_Z3_FAMILIES")
     assert [len(family.elts) for family in table.values] == [2] * 4   # (name, c)
+
+
+def test_one_sturm_chain_builder():
+    # validation counts on the one Euclid sequence it builds on (E, E'),
+    # dividing E by that sequence's gcd when it must: `_sturm_chain` is the
+    # only Sturm chain builder
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "squarefree_sturm_chain" in path.read_text()]
+    assert found == []
+    assert "_sturm_chain" in _functions(SRC / "_intpoly.py")

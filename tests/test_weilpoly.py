@@ -12,7 +12,8 @@ import pytest
 
 from weilsf import _intpoly as ip
 from weilsf import cli
-from weilsf.polyarith import supersingular_match, supersingular_torsion_order
+from weilsf.polyarith import (SupersingularMatch, supersingular_match,
+                              supersingular_torsion_order)
 from weilsf.weilpoly import (FunctionalEquationViolated, MalformedLabel,
                              NonConvergence, NotIntegral, NotMonic,
                              NotPrimePower, RootOffCircle, WeilError,
@@ -154,16 +155,28 @@ class TestValidate:
         (lambda: supersingular_torsion_order((1, 0, 4), 4.0), "expected integer q, got 4.0"),
         (lambda: supersingular_match((1, 2), 4.0), "expected integer q, got 4.0"),
         (lambda: factor_prime_power(4.0), "expected integer q, got 4.0"),
+        (lambda: validate((1, np.array(0.5), 2), 2),
+         "expected integer coefficients, got array(0.5)"),
     ], ids=["roots-float-precision", "from_middle-float-g", "from_middle-str-g",
             "from_middle-g=-1", "from_middle-g=0", "enumerate-float-q",
             "enumerate-float-g", "torsion-float-q", "match-float-q",
-            "prime-power-float-q"])
+            "prime-power-float-q", "validate-0d-float-array"])
     def test_refused_values_are_named(self, call, message):
         # every input error is a WeilError that names the refused value
         # itself, not the tuple it was checked in
         with pytest.raises(WeilError) as err:
             call()
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda q: next(cli.enumerate_weil(1, q)).coeffs, (1, -3037000499, 2 ** 61)),
+        (lambda q: supersingular_torsion_order((1, 0, 2 ** 61), q), 4),
+        (lambda q: supersingular_match((1, 0, 2 ** 61), q),
+         SupersingularMatch("Z2", 4, "Phi_2(T^2)")),
+    ], ids=["enumerate", "torsion", "match"])
+    def test_numpy_q_gives_the_int_results(self, call, want):
+        # q = 2^61 overflows int64 arithmetic: a numpy q is read as an int
+        assert call(np.int64(2 ** 61)) == call(2 ** 61) == want
 
     def test_from_middle_mirrors(self):
         P = from_middle(2, 5, (0, -1))
@@ -236,10 +249,12 @@ class TestValidate:
     ])
     def test_roots_of_E_at_both_ends(self, q, pool, count_calls):
         # g = 4 products of H; Euclid's sequence on (E, E') decides each one
-        # unless E has a repeated root at 0 or 4q
+        # unless E has a repeated root at 0 or 4q, and then its last entry
+        # gcd(E, E') leaves one more sequence, the chain of E / gcd(E, E')
         sp = pytest.importorskip("sympy")
         y = sp.Symbol("y")
-        calls = count_calls("squarefree_sturm_chain")
+        calls = count_calls("_sturm_chain")
+        euclid = count_calls("_euclid")
         seen = set()
         for n in range(1, 5):
             for parts in itertools.combinations_with_replacement(pool, n):
@@ -248,7 +263,7 @@ class TestValidate:
                     h = ip.poly_mul(h, part)
                 if ip.degree(h) != 4:
                     continue
-                before = len(calls)
+                before, sequences = len(calls), len(euclid)
                 ok = _accepts(4, q, weil_pullback(h, q)[1:5])
                 assert ok == _sympy_accepts(sp, h, q), parts
                 mult = sp.roots(sp.Poly(h, y))
@@ -256,6 +271,7 @@ class TestValidate:
                 at_4q = mult.get(2 * sp.sqrt(q), 0) + mult.get(-2 * sp.sqrt(q), 0)
                 repeated = mult.get(0, 0) > 1 or at_4q > 1
                 assert (len(calls) > before) == repeated, parts
+                assert len(euclid) - sequences == 1 + repeated, parts
                 seen.add((ok, repeated))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
